@@ -1,7 +1,7 @@
 """Experiment C1 — cluster throughput: jobs/second as a function of workers.
 
 The cluster layer's claim is that service throughput scales with worker
-count instead of being a single-daemon constant.  Measured here on a
+count instead of being a single-worker constant.  Measured here on a
 cache-cold burst of annealed ``dense-bus`` scenario jobs (every job a
 distinct derived seed, every fleet a fresh store, so nothing is served
 from cache): the same burst is driven through a supervised 1-worker fleet
@@ -10,8 +10,8 @@ must be at least ``REPRO_BENCH_MIN_CLUSTER_SPEEDUP``x (default 1.8x) the
 single-worker throughput.  Exactly-once execution is asserted structurally
 from the per-job ``executions`` audit trail on both runs.
 
-Workers are real OS processes (the same ``repro serve --cluster-worker``
-path production uses), started and confirmed alive *before* the burst is
+Workers are real OS processes (the same plain ``repro serve`` lone-worker
+path an operator runs), started and confirmed alive *before* the burst is
 submitted, so process start-up cost never pollutes the throughput ratio.
 
 The sharded-vs-flat comparison (``test_sharded_beats_flat_at_high_submit_rate``)

@@ -113,9 +113,8 @@ from repro.service import (
     ClusterSupervisor,
     ClusterWorker,
     ResultStore,
-    ServiceConfig,
-    ServiceDaemon,
     WorkerConfig,
+    ensure_layout,
     gc_service,
     list_scenarios,
     request_cancel,
@@ -289,7 +288,7 @@ def _add_root_argument(parser: argparse.ArgumentParser, required: bool = True) -
 
 def _add_serve_parser(subparsers: argparse._SubParsersAction) -> None:
     parser = subparsers.add_parser(
-        "serve", help="run the job service (single daemon, or --workers K for a cluster)"
+        "serve", help="run the job service (one worker, or --workers K for a local fleet)"
     )
     _add_root_argument(parser)
     parser.add_argument(
@@ -298,7 +297,7 @@ def _add_serve_parser(subparsers: argparse._SubParsersAction) -> None:
         default=None,
         metavar="K",
         help="run a supervised local cluster of K worker processes over the "
-        "spool (lease-based claiming; default: one in-process daemon)",
+        "spool (default: one in-process worker; both claim jobs by lease)",
     )
     parser.add_argument(
         "--backend",
@@ -318,8 +317,8 @@ def _add_serve_parser(subparsers: argparse._SubParsersAction) -> None:
         type=_positive_float,
         default=30.0,
         metavar="SECONDS",
-        help="cluster job-lease time-to-live; an expired lease of a dead "
-        "worker is reclaimed by any surviving peer",
+        help="job-lease time-to-live; an expired lease of a dead worker is "
+        "reclaimed by any live or restarted worker",
     )
     parser.add_argument(
         "--poll", type=_positive_float, default=0.5, metavar="SECONDS", help="spool poll interval"
@@ -333,10 +332,9 @@ def _add_serve_parser(subparsers: argparse._SubParsersAction) -> None:
         "in place if needed); workers drain their home shard first and "
         "steal from the others when idle (default: keep the root's layout)",
     )
-    # Internal: how the supervisor runs each fleet member.  Operators use
+    # Internal: how the supervisor names each fleet member.  Operators use
     # `--workers K`; these exist so a worker process is just another
     # `repro serve` invocation.
-    parser.add_argument("--cluster-worker", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--worker-label", default="worker", help=argparse.SUPPRESS)
     parser.add_argument("--home-shard", type=int, default=None, help=argparse.SUPPRESS)
     parser.add_argument(
@@ -362,7 +360,7 @@ def _add_serve_parser(subparsers: argparse._SubParsersAction) -> None:
 
 
 def _add_submit_parser(subparsers: argparse._SubParsersAction) -> None:
-    parser = subparsers.add_parser("submit", help="queue a scenario job for the daemon")
+    parser = subparsers.add_parser("submit", help="queue a scenario job for the workers")
     # --root is validated in the handler: --list reads only the in-process
     # registry and needs no service directory.
     _add_root_argument(parser, required=False)
@@ -393,7 +391,7 @@ def _add_submit_parser(subparsers: argparse._SubParsersAction) -> None:
 
 
 def _add_status_parser(subparsers: argparse._SubParsersAction) -> None:
-    parser = subparsers.add_parser("status", help="report daemon, job, cache and store state")
+    parser = subparsers.add_parser("status", help="report worker, job, cache and store state")
     _add_root_argument(parser)
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument(
@@ -822,26 +820,6 @@ def _parse_params(pairs: Sequence[str]) -> Dict[str, object]:
 
 
 def _run_serve(args: argparse.Namespace) -> int:
-    if args.cluster_worker:
-        worker = ClusterWorker(
-            WorkerConfig(
-                root=args.root,
-                label=args.worker_label,
-                backend=args.backend,
-                backend_workers=args.backend_workers,
-                poll_interval=args.poll,
-                lease_ttl=args.lease_ttl,
-                store_max_bytes=_mb_to_bytes(args.store_max_mb),
-                home_shard=args.home_shard,
-            )
-        )
-        print(f"worker {worker.identity.worker_id} serving {args.root}", flush=True)
-        finished = worker.run(max_jobs=args.max_jobs, idle_exit=args.idle_exit)
-        print(
-            f"worker {worker.identity.worker_id} finished {finished} job(s), "
-            f"reclaimed {worker.jobs_reclaimed} lease(s)"
-        )
-        return 0
     if args.workers is not None:
         supervisor = ClusterSupervisor(
             ClusterConfig(
@@ -866,19 +844,27 @@ def _run_serve(args: argparse.Namespace) -> int:
             f"({supervisor.restarts} restart(s))"
         )
         return 0
-    config = ServiceConfig(
-        root=args.root,
-        backend=args.backend,
-        workers=args.backend_workers,
-        poll_interval=args.poll,
-        store_max_bytes=_mb_to_bytes(args.store_max_mb),
-        shards=args.shards,
+    # One in-process worker.  Migrating first keeps `serve --shards N` able
+    # to reshard a root; the worker itself never changes the shard count.
+    ensure_layout(args.root, args.shards)
+    worker = ClusterWorker(
+        WorkerConfig(
+            root=args.root,
+            label=args.worker_label,
+            backend=args.backend,
+            backend_workers=args.backend_workers,
+            poll_interval=args.poll,
+            lease_ttl=args.lease_ttl,
+            store_max_bytes=_mb_to_bytes(args.store_max_mb),
+            home_shard=args.home_shard,
+        )
     )
-    daemon = ServiceDaemon(config)
-    print(f"serving {args.root} [backend={args.backend}]", flush=True)
-    finished = daemon.run(max_jobs=args.max_jobs, idle_exit=args.idle_exit)
-    stats = daemon.engine.cache_stats()
-    print(f"served {finished} job(s); cache {stats} over {len(daemon.store)} stored layouts")
+    print(f"worker {worker.identity.worker_id} serving {args.root}", flush=True)
+    finished = worker.run(max_jobs=args.max_jobs, idle_exit=args.idle_exit)
+    print(
+        f"worker {worker.identity.worker_id} finished {finished} job(s), "
+        f"reclaimed {worker.jobs_reclaimed} lease(s); cache {worker.engine.cache_stats()}"
+    )
     return 0
 
 
@@ -988,7 +974,7 @@ def _run_submit(args: argparse.Namespace) -> int:
     try:
         finished = wait_for_job(args.root, job.job_id, timeout=args.wait)
     except TimeoutError as error:
-        print(f"{job.job_id}: {error} (is a daemon serving --root {args.root}?)")
+        print(f"{job.job_id}: {error} (is a worker serving --root {args.root}?)")
         return 1
     print(f"{finished.job_id}: {finished.status}")
     if finished.result is not None:
@@ -999,25 +985,7 @@ def _run_submit(args: argparse.Namespace) -> int:
 
 
 def _render_status(report: Dict[str, object]) -> str:
-    lines = [f"service root: {report['root']}"]
-    daemon = report["daemon"]
-    heartbeat = daemon.get("heartbeat") or {}
-    if daemon["alive"]:
-        lines.append(
-            f"daemon: running (pid {heartbeat.get('pid')}, "
-            f"heartbeat {daemon['heartbeat_age']:.1f}s ago, "
-            f"backend={heartbeat.get('backend')}, "
-            f"done={heartbeat.get('jobs_done')}, failed={heartbeat.get('jobs_failed')})"
-        )
-        cache = heartbeat.get("cache") or {}
-        lines.append(
-            "daemon cache: "
-            f"hits={cache.get('hits', 0)} misses={cache.get('misses', 0)} "
-            f"store_hits={cache.get('store_hits', 0)} "
-            f"hit_rate={cache.get('hit_rate', 0.0):.0%}"
-        )
-    else:
-        lines.append("daemon: not running")
+    lines = [f"service root: {report['root']}", _render_worker_line(report.get("cluster"))]
     counts = report["jobs"]["counts"]
     summary = ", ".join(f"{count} {status}" for status, count in sorted(counts.items()))
     lines.append(f"jobs: {summary or 'none'}")
@@ -1063,6 +1031,15 @@ def _render_status(report: Dict[str, object]) -> str:
             f"batches={counters.get('gateway.batches', 0)}"
         )
     return "\n".join(lines)
+
+
+def _render_worker_line(cluster: Optional[Dict[str, object]]) -> str:
+    """The one-line worker summary of the default ``repro status``."""
+    workers = (cluster or {}).get("workers") or {}
+    if not workers:
+        return "workers: none have served this root"
+    alive = sum(1 for info in workers.values() if info.get("alive"))
+    return f"workers: {alive} alive, {len(workers) - alive} stopped"
 
 
 def _render_cluster(cluster: Optional[Dict[str, object]]) -> str:

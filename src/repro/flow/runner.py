@@ -12,7 +12,8 @@
    the baselines' shared routing, and the budgets, exactly once);
 3. otherwise tries to **restore** the artifact from the persistent store
    (decode failures of any kind fall back to computing — a corrupt or
-   stale payload can cost a recompute, never a wrong result);
+   stale payload can cost a recompute, never a wrong result — and are
+   counted in ``decode_failures`` and named on the ``stage`` event);
 4. otherwise **executes** the stage and writes the encoded artifact
    through to the store.
 
@@ -25,6 +26,7 @@ the CI flow-smoke job and the ``repro flows --resume`` summary.
 from __future__ import annotations
 
 import time
+import traceback
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -80,7 +82,8 @@ class FlowRunner:
     Observability is opt-in: a ``tracer`` records one span per artifact
     materialisation (nested under whatever the caller opened), and an
     ``events`` log receives one ``stage`` event per materialisation with
-    its outcome and wall-clock seconds.
+    its outcome and wall-clock seconds (plus ``decode_error`` when a stored
+    payload failed to decode and the stage was recomputed).
     """
 
     def __init__(
@@ -95,6 +98,8 @@ class FlowRunner:
         self.tracer = tracer
         self.events = events
         self.executions: List[StageExecution] = []
+        #: Stored payloads that failed to decode and were recomputed.
+        self.decode_failures = 0
         self._values: Dict[str, object] = {}
         # Per-graph signature caches.  The graph object itself is pinned in
         # the tuple: keying by id() alone would let a garbage-collected
@@ -179,14 +184,18 @@ class FlowRunner:
             self._record(artifact, stage.name, graph.name, SHARED, 0.0, signature)
             return self._values[signature]
         inputs = {needed: values[needed] for needed in stage.inputs}
+        decode_error: Optional[str] = None
         if use_store and self.store is not None and stage.decode is not None:
             start = time.perf_counter()
             payload = self.store.get_artifact(signature)
             if payload is not None:
                 try:
                     value = stage.decode(self.context, inputs, payload)
-                except Exception:  # noqa: BLE001 — any bad payload means recompute
-                    pass
+                except Exception as error:  # noqa: BLE001 — any bad payload means recompute
+                    self.decode_failures += 1
+                    decode_error = "".join(
+                        traceback.format_exception_only(type(error), error)
+                    ).strip()
                 else:
                     self._values[signature] = value
                     self._record(
@@ -204,7 +213,9 @@ class FlowRunner:
         self._values[signature] = value
         if use_store and self.store is not None and stage.encode is not None:
             self.store.put_artifact(signature, stage.encode(self.context, inputs, value))
-        self._record(artifact, stage.name, graph.name, EXECUTED, seconds, signature)
+        self._record(
+            artifact, stage.name, graph.name, EXECUTED, seconds, signature, decode_error
+        )
         return value
 
     def _record(
@@ -215,6 +226,7 @@ class FlowRunner:
         outcome: str,
         seconds: float,
         signature: str,
+        decode_error: Optional[str] = None,
     ) -> None:
         self.executions.append(
             StageExecution(
@@ -234,6 +246,7 @@ class FlowRunner:
                 stage=stage,
                 outcome=outcome,
                 seconds=round(seconds, 6),
+                decode_error=decode_error,
             )
 
     # -- statistics ---------------------------------------------------------------

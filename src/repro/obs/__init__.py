@@ -54,7 +54,6 @@ from repro.obs.metrics import (
 )
 from repro.obs.snapshot import (
     ClusterSnapshot,
-    DaemonSnapshot,
     LeaseSnapshot,
     ServiceSnapshot,
     StoreSnapshot,
@@ -91,7 +90,6 @@ __all__ = [
     "merge_snapshots",
     "snapshot_percentile",
     "ClusterSnapshot",
-    "DaemonSnapshot",
     "LeaseSnapshot",
     "ServiceSnapshot",
     "StoreSnapshot",

@@ -25,7 +25,7 @@ flat layout above, byte-identical::
         s00/log.jsonl                    # shard-0 stream (own rotation)
         s01/log.jsonl                    # ...
 
-A cluster worker appends to its home shard; any other writer (daemon,
+A cluster worker appends to its home shard; any other writer (gateway,
 clients) picks a stable shard by hashing its writer name.  The flat
 stream remains a legitimate member of the set — it holds everything
 written before the migration, the ``resharded`` record itself, and
@@ -432,7 +432,7 @@ def format_event(record: Event) -> str:
     ts = float(record.get("ts", 0.0))
     clock = time.strftime("%H:%M:%S", time.localtime(ts)) + f".{int((ts % 1) * 1000):03d}"
     head = f"{clock} {record.get('writer', '?')}#{record.get('seq', '?')} {record.get('event')}"
-    skip = {"v", "seq", "ts", "writer", "event", "metrics"}
+    skip = {"v", "seq", "ts", "writer", "event", "metrics", "traceback"}
     parts = [
         f"{key}={json.dumps(value) if isinstance(value, (dict, list)) else value}"
         for key, value in record.items()
@@ -440,6 +440,8 @@ def format_event(record: Event) -> str:
     ]
     if "metrics" in record:
         parts.append("metrics=<snapshot>")
+    if "traceback" in record:
+        parts.append("traceback=<see --json>")
     return " ".join([head] + parts)
 
 

@@ -1,7 +1,7 @@
 """Process-local counters, gauges and solve-latency histograms.
 
 A :class:`MetricsRegistry` is a cheap, dependency-free bag of named
-instruments owned by one daemon or cluster worker:
+instruments owned by one cluster worker or gateway:
 
 * :class:`Counter` — monotonically increasing totals (jobs released,
   leases reclaimed);

@@ -2,12 +2,12 @@
 
 ``repro status``, ``status --cluster`` and ``status --json`` used to render
 three hand-built dicts; this module gives them one shared, typed structure:
-:class:`ServiceSnapshot` (the whole root), :class:`DaemonSnapshot`,
-:class:`ClusterSnapshot` / :class:`WorkerSnapshot` / :class:`LeaseSnapshot`.
-``service_status`` in :mod:`repro.service.daemon` is a thin wrapper over
-:meth:`ServiceSnapshot.collect(...).to_dict()` and keeps its historical JSON
-shape exactly, so every existing consumer (CLI renderers, tests, scripts
-parsing ``status --json``) is untouched.
+:class:`ServiceSnapshot` (the whole root), :class:`ClusterSnapshot` /
+:class:`WorkerSnapshot` / :class:`LeaseSnapshot`, :class:`GatewaySnapshot`
+and :class:`StoreSnapshot`.  ``service_status`` in
+:mod:`repro.service.daemon` is a thin wrapper over
+:meth:`ServiceSnapshot.collect(...).to_dict()`, so every consumer (CLI
+renderers, tests, scripts parsing ``status --json``) reads one shape.
 
 Job status can be derived two ways:
 
@@ -39,22 +39,6 @@ if TYPE_CHECKING:  # health imports this module at runtime; we only need types
 
 #: Event types that change a job's status, in replay order.
 _STATUS_EVENTS = ("submitted", "claimed", "released", "reclaimed", "requeued")
-
-
-@dataclass
-class DaemonSnapshot:
-    """Liveness of the root's (single) service daemon."""
-
-    alive: bool = False
-    heartbeat_age: Optional[float] = None
-    heartbeat: Optional[Dict[str, object]] = None
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "alive": self.alive,
-            "heartbeat_age": self.heartbeat_age,
-            "heartbeat": self.heartbeat,
-        }
 
 
 @dataclass
@@ -173,7 +157,6 @@ class ServiceSnapshot:
     """
 
     root: str
-    daemon: DaemonSnapshot = field(default_factory=DaemonSnapshot)
     job_counts: Dict[str, int] = field(default_factory=dict)
     job_records: List[Dict[str, object]] = field(default_factory=list)
     cache_totals: Dict[str, int] = field(default_factory=dict)
@@ -183,10 +166,9 @@ class ServiceSnapshot:
     gateway: Optional[GatewaySnapshot] = None
 
     def to_dict(self) -> Dict[str, object]:
-        """The historical ``service_status`` JSON shape, unchanged."""
+        """The ``service_status`` JSON shape."""
         payload: Dict[str, object] = {
             "root": self.root,
-            "daemon": self.daemon.to_dict(),
             "jobs": {"counts": self.job_counts, "records": self.job_records},
             "cache_totals": self.cache_totals,
             "store": self.store.to_dict() if self.store is not None else None,
@@ -202,28 +184,17 @@ class ServiceSnapshot:
     def collect(cls, root: Union[str, Path], with_health: bool = False) -> "ServiceSnapshot":
         """Snapshot a root from disk (spool-authoritative; pure reads).
 
-        Safe to call while a daemon is serving, and meaningful when none is.
-        On a cluster root, jobs claimed under leases are reported as
-        ``running`` and the ``cluster`` section carries per-worker liveness,
-        throughput and the active leases.  ``with_health=True`` adds the
+        Safe to call while workers are serving, and meaningful when none is.
+        Jobs claimed under leases are reported as ``running`` and the
+        ``cluster`` section carries per-worker liveness, throughput and the
+        active leases.  ``with_health=True`` adds the
         fleet-health fold (one extra pass over the merged event stream).
         """
         # Lazy import: the service layer imports repro.obs for its emitters.
         from repro.service.daemon import _jobs_dir, _load_jobs, _load_leased_jobs
-        from repro.service.daemon import heartbeat_is_fresh
         from repro.service.store import blob_disk_usage
 
         root = Path(root)
-        daemon = DaemonSnapshot()
-        try:
-            heartbeat = json.loads((root / "service.json").read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            heartbeat = None
-        if heartbeat is not None:
-            daemon.heartbeat = heartbeat
-            daemon.heartbeat_age = max(0.0, time.time() - float(heartbeat.get("updated_at", 0.0)))
-            daemon.alive = heartbeat_is_fresh(heartbeat)
-
         jobs = _load_jobs(root) if _jobs_dir(root).exists() else []
         # A job caught in the release-crash window exists both as a terminal
         # spool record and a stale lease; the spool record is authoritative,
@@ -242,7 +213,7 @@ class ServiceSnapshot:
         # Plain directory stats, NOT ResultStore: opening the store can
         # rewrite its metadata (and clear blobs on a version mismatch), and
         # a status command from an older checkout must never touch a live
-        # daemon's cache.
+        # worker's cache.
         store: Optional[StoreSnapshot] = None
         if (root / "store").exists():
             entries, total = blob_disk_usage(root / "store" / "blobs")
@@ -255,7 +226,6 @@ class ServiceSnapshot:
             health = collect_fleet_health(root)
         return cls(
             root=str(root),
-            daemon=daemon,
             job_counts=counts,
             job_records=[job.to_dict() for job in jobs],
             cache_totals=cache_totals,
@@ -269,8 +239,8 @@ class ServiceSnapshot:
 def collect_gateway(root: Union[str, Path]) -> Optional[GatewaySnapshot]:
     """Gateway snapshot, or ``None`` on roots no gateway ever served.
 
-    Gateway heartbeats carry ``poll_interval`` (the heartbeat cadence), so
-    the daemon's ``heartbeat_is_fresh`` liveness rule applies unchanged.
+    Gateway heartbeats carry ``poll_interval`` (the heartbeat cadence), which
+    the ``heartbeat_is_fresh`` liveness rule scales its threshold by.
     """
     root = Path(root)
     try:
@@ -391,7 +361,6 @@ def job_counts_from_events(root: Union[str, Path]) -> Optional[Dict[str, int]]:
 
 
 __all__ = [
-    "DaemonSnapshot",
     "WorkerSnapshot",
     "LeaseSnapshot",
     "ClusterSnapshot",

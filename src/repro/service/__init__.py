@@ -8,20 +8,20 @@ backends) builds on:
 * :mod:`repro.service.store` — :class:`ResultStore`, a disk-backed,
   content-addressed store of solved panel layouts that plugs in as the
   persistent second tier under :class:`repro.engine.cache.SolutionCache`;
-* :mod:`repro.service.queue` — :class:`Job` / :class:`JobQueue`, a
-  thread-safe priority queue with cancellation;
+* :mod:`repro.service.queue` — :class:`Job`, the spool record of one unit
+  of work and its status lifecycle;
 * :mod:`repro.service.scheduler` — :class:`Scheduler`, which batches
-  compatible panel tasks of each job and dispatches them over any
-  :class:`~repro.engine.backends.ExecutionBackend`, with retries;
+  compatible panel tasks of each claimed job and dispatches them over any
+  :class:`~repro.engine.backends.ExecutionBackend`;
 * :mod:`repro.service.scenarios` — the scenario registry generating diverse
   synthetic workloads far beyond the paper's three tables;
-* :mod:`repro.service.daemon` — the long-running service process behind the
-  ``repro serve`` / ``submit`` / ``status`` / ``gc`` CLI verbs, with a
-  file-based job spool so submitters never need a network connection;
-* :mod:`repro.service.cluster` — the multi-worker layer on the same spool:
-  atomic lease-based claiming, per-worker heartbeats, crash reclaim, the
-  ``repro serve --workers K`` local fleet supervisor and the
-  ``repro loadgen`` burst harness;
+* :mod:`repro.service.daemon` — the file-based job spool and the client
+  helpers behind the ``repro submit`` / ``status`` / ``cancel`` / ``gc``
+  CLI verbs, so submitters never need a network connection;
+* :mod:`repro.service.cluster` — the spool's one consumer: atomic
+  lease-based claiming, per-worker heartbeats, crash reclaim, the lone
+  worker behind ``repro serve``, the ``repro serve --workers K`` local
+  fleet supervisor and the ``repro loadgen`` burst harness;
 * :mod:`repro.service.sharding` — the spool partitioning layer under both:
   :class:`SpoolLayout` maps job ids to hash-keyed shards (``--shards N``),
   with an in-place flat↔sharded migration and the work-stealing scan order
@@ -50,8 +50,6 @@ from repro.service.cluster import (
     run_loadgen,
 )
 from repro.service.daemon import (
-    ServiceConfig,
-    ServiceDaemon,
     SubmitRequest,
     gc_service,
     request_cancel,
@@ -68,7 +66,7 @@ from repro.service.gateway import (
     run_gateway,
     run_http_loadgen,
 )
-from repro.service.queue import JOB_STATUSES, Job, JobQueue
+from repro.service.queue import JOB_STATUSES, Job
 from repro.service.scenarios import (
     SCENARIO_NAMES,
     FlowScenarioSpec,
@@ -105,7 +103,6 @@ __all__ = [
     "WorkerIdentity",
     "run_loadgen",
     "Job",
-    "JobQueue",
     "JOB_STATUSES",
     "Scheduler",
     "JobOutcome",
@@ -126,8 +123,6 @@ __all__ = [
     "ensure_layout",
     "migrate_layout",
     "adopt_stray_records",
-    "ServiceConfig",
-    "ServiceDaemon",
     "SubmitRequest",
     "submit_job",
     "submit_jobs",

@@ -1,10 +1,8 @@
-"""Multi-worker service cluster over the shared file spool.
+"""The spool consumer: lease-claiming workers over the shared file spool.
 
-The :class:`~repro.service.daemon.ServiceDaemon` from the single-process
-service layer drains the whole spool from one loop, so throughput is capped
-at one worker.  This module turns the same on-disk spool into shared cluster
-state — N cooperating worker processes, no new dependencies, no network —
-by adding two directories next to ``jobs/``::
+This module turns the on-disk spool of :mod:`repro.service.daemon` into
+shared cluster state — N cooperating worker processes, no new dependencies,
+no network — by adding two directories next to ``jobs/``::
 
     <root>/
         jobs/<job_id>.json                  # queued + terminal records (unchanged)
@@ -44,9 +42,12 @@ preserved — or fails it when the retry budget is spent — and any surviving
 peer picks it up.  See DESIGN.md §"Cluster layer" for the full lease
 state machine.
 
-:class:`ClusterSupervisor` runs the local fleet behind ``repro serve
---workers K``: it spawns K worker processes over one root, restarts workers
-that die, and exits once the spool has been idle long enough.
+``repro serve`` runs one :class:`ClusterWorker` in-process; N=1 needs no
+special case, because a lone worker follows the same claim and reclaim
+rules as a fleet member.  :class:`ClusterSupervisor` runs the local fleet
+behind ``repro serve --workers K``: it spawns K worker processes over one
+root, restarts workers that die, and exits once the spool has been idle
+long enough.
 :func:`run_loadgen` (the ``repro loadgen`` verb) submits a seed-striped
 burst of scenario jobs and reports aggregate latency percentiles and
 throughput — the measurement harness of
@@ -74,12 +75,7 @@ from repro.engine.panels import Engine
 from repro.obs.aggregate import MergedEventCursor
 from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry, fleet_metrics_from_events, process_registry
-from repro.service.daemon import (
-    STALE_HEARTBEAT_SECONDS,
-    _round_latency,
-    heartbeat_is_fresh,
-    submit_job,
-)
+from repro.service.daemon import _round_latency, submit_job
 from repro.service.queue import TERMINAL_STATUSES, Job
 from repro.service.scheduler import Scheduler
 from repro.service.scenarios import scenario_spec
@@ -93,8 +89,8 @@ from repro.service.sharding import (
 from repro.service.store import ResultStore, atomic_write_text
 
 #: Worker heartbeats older than this are stale (scaled by the poll interval,
-#: exactly like the daemon's threshold, but tighter: a cluster wants crashed
-#: peers detected — and their leases reclaimed — promptly).
+#: like the gateway's threshold, but tighter: crashed workers should be
+#: detected — and their leases reclaimed — promptly).
 WORKER_STALE_SECONDS = 5.0
 
 #: Default seconds a lease stays valid without a refresh.
@@ -273,7 +269,7 @@ class LeaseManager:
         self.write_lease(job)
         return True
 
-    def release(self, job: Job) -> bool:
+    def release(self, job: Job, traceback_text: Optional[str] = None) -> bool:
         """Move the job's post-execution record back into the spool.
 
         The record (terminal, or ``queued`` again for a retryable failure)
@@ -293,6 +289,10 @@ class LeaseManager:
         computed result instead of being pointlessly executed a third
         time; content-addressed idempotent results make either order
         safe.  Returns whether the record reached the spool.
+
+        ``traceback_text`` is the full traceback of an execution that raised;
+        it rides the ``released`` event only, while the record keeps the
+        one-line ``error`` that ``repro status`` prints.
         """
         lease = self.lease_path(job.job_id)
         if not lease.exists():
@@ -310,6 +310,7 @@ class LeaseManager:
                 status=job.status,
                 latency=_round_latency(job.latency_seconds()),
                 shard=self.layout.shard_tag(job.job_id),
+                traceback=traceback_text,
             )
         return True
 
@@ -547,9 +548,9 @@ class WorkerConfig:
 class ClusterWorker:
     """One lease-claiming worker process over a shared spool.
 
-    Unlike the single-process daemon there is no in-memory queue to drain:
-    every cycle re-scans the spool for ``queued`` records (priority order,
-    deterministic ties) and races its peers for the first claimable one.
+    There is no in-memory queue to drain: every cycle re-scans the spool for
+    ``queued`` records (priority order, deterministic ties) and races its
+    peers, if any, for the first claimable one.
     Execution reuses the scheduler's batch loop, with the between-batch
     hook refreshing the lease and heartbeat and honouring cancel markers —
     so a long job neither loses its lease nor goes deaf to ``repro
@@ -579,10 +580,8 @@ class ClusterWorker:
             cache=SolutionCache(store=self.store),
         )
         self.scheduler = Scheduler(
-            queue=None,
             engine=self.engine,
             on_batch=self._on_batch,
-            worker_id=self.identity.worker_id,
             metrics=self.metrics,
             events=self.events,
         )
@@ -603,10 +602,10 @@ class ClusterWorker:
         # a disowned outcome is discarded and must not consume --max-jobs.
         self._last_owned = True
         # Terminal spool records already seen, keyed by record mtime, so an
-        # idle worker's candidate scan never re-parses spool history (same
-        # scheme as the daemon's `_spool_done`); a rewritten file (id reuse
-        # after a purge) no longer matches its mtime and is re-read.  One
-        # memo per shard — each shard directory is scanned independently.
+        # idle worker's candidate scan never re-parses spool history; a
+        # rewritten file (id reuse after a purge) no longer matches its
+        # mtime and is re-read.  One memo per shard — each shard directory
+        # is scanned independently.
         self._known_terminal: Dict[int, Dict[str, int]] = {
             shard: {} for shard in range(self.layout.shards)
         }
@@ -731,6 +730,7 @@ class ClusterWorker:
             # (Flag only — the marker is consumed by the ownership-gated
             # sweep below, never by a worker that lost its lease.)
             job.cancel_requested = True
+        trace: Optional[str] = None
         try:
             if job.cancel_requested:
                 status = "cancelled"
@@ -743,6 +743,7 @@ class ClusterWorker:
                 result = outcome.to_dict()
         except Exception as error:  # noqa: BLE001 — any job error means retry/fail
             job.error = "".join(traceback.format_exception_only(type(error), error)).strip()
+            trace = traceback.format_exc()
             status = "failed" if job.attempts >= job.max_attempts else "queued"
             result = None
         # Terminal mutations and the pulse handoff happen under the lock,
@@ -754,7 +755,7 @@ class ClusterWorker:
                 job.result = result
             job.finish_execution()
             self._current = None
-            owned = self.lease.release(job)
+            owned = self.lease.release(job, traceback_text=trace)
         self._last_owned = owned
         if owned:
             if job.status == "done":
@@ -779,7 +780,7 @@ class ClusterWorker:
     # -- heartbeat ------------------------------------------------------------------
 
     def _heartbeat(self, stopped: bool = False, force: bool = False) -> None:
-        """Write the worker's liveness file (throttled, like the daemon's)."""
+        """Write the worker's liveness file (throttled to one per poll)."""
         now = time.time()
         if not force and now - self._last_heartbeat < min(1.0, self.config.poll_interval):
             return
@@ -862,10 +863,10 @@ class ClusterWorker:
     def run(self, max_jobs: Optional[int] = None, idle_exit: Optional[float] = None) -> int:
         """Serve until ``max_jobs`` terminal outcomes or idle too long.
 
-        Same contract as the daemon's loop: retries released back to the
-        spool do not count as finished work; the idle deadline re-checks
-        the spool one final time before exiting, so a submission landing
-        during the last poll sleep is served, not stranded.
+        Retries released back to the spool do not count as finished work;
+        the idle deadline re-checks the spool one final time before exiting,
+        so a submission landing during the last poll sleep is served, not
+        stranded.
         """
         self._install_signal_handler()
         self.events.emit(
@@ -956,7 +957,7 @@ class ClusterConfig:
 class ClusterSupervisor:
     """Spawn, monitor and restart a local fleet of worker processes.
 
-    Workers are real OS processes (``repro serve --cluster-worker``), so a
+    Workers are real OS processes (each a plain ``repro serve``), so a
     fleet scales across cores and a crash takes down one worker, never the
     cluster: the supervisor respawns dead workers (bounded by
     ``max_restarts``) and surviving peers reclaim the dead worker's leases
@@ -974,8 +975,8 @@ class ClusterSupervisor:
         self._terminated = False
         self._procs: Dict[int, subprocess.Popen] = {}
         # Terminal records already counted, keyed by mtime (the workers'
-        # and daemon's scheme): the ~10 Hz monitor loop must not re-parse a
-        # reused root's entire history every tick.  One memo per shard.
+        # scheme): the ~10 Hz monitor loop must not re-parse a reused
+        # root's entire history every tick.  One memo per shard.
         self._terminal_seen: Dict[int, Dict[str, int]] = {
             shard: {} for shard in range(self.layout.shards)
         }
@@ -994,7 +995,6 @@ class ClusterSupervisor:
             "serve",
             "--root",
             str(config.root),
-            "--cluster-worker",
             "--worker-label",
             f"w{slot}",
             "--poll",
@@ -1100,7 +1100,7 @@ class ClusterSupervisor:
 
         Terminal records already in the spool when the run starts (a reused
         root's history) are excluded from both the ``max_jobs`` budget and
-        the returned count, matching the single daemon's finished-this-run
+        the returned count, matching a lone worker's finished-this-run
         semantics.  ``idle_exit=None`` with ``max_jobs=None`` supervises
         forever (until SIGINT/SIGTERM reaches the supervisor process).
         """
@@ -1425,7 +1425,6 @@ def _fmt_latency(value: Optional[object]) -> str:
 
 __all__ = [
     "DEFAULT_LEASE_TTL",
-    "STALE_HEARTBEAT_SECONDS",
     "WORKER_STALE_SECONDS",
     "WorkerIdentity",
     "LeaseManager",
@@ -1439,5 +1438,4 @@ __all__ = [
     "active_leases",
     "read_worker_heartbeats",
     "worker_is_alive",
-    "heartbeat_is_fresh",
 ]

@@ -1,10 +1,9 @@
-"""The long-running service process and its file-based job spool.
+"""The file-based job spool and its client helpers.
 
 One directory is the whole service state, so ``repro submit`` / ``status`` /
-``gc`` work from any process with no network stack::
+``cancel`` / ``gc`` work from any process with no network stack::
 
     <root>/
-        service.json          # daemon heartbeat (pid, counters, cache stats)
         store/                # ResultStore (persistent solution tier)
         jobs/<job_id>.json    # one Job record each (atomic writes)
         jobs/<job_id>.cancel  # cancellation marker dropped by `repro cancel`
@@ -16,58 +15,41 @@ directories — ``jobs/s00/<job_id>.json`` etc., recorded by a
 :class:`~repro.service.sharding.SpoolLayout`.  A flat root is simply the
 1-shard layout.
 
-Submitters drop ``queued`` job records into ``jobs/``; the daemon polls the
-spool, feeds new records into its in-memory :class:`JobQueue`, lets the
-:class:`Scheduler` execute them through an engine whose cache is backed by
-the store, and writes every status transition back to the job file.  A
-daemon that crashed mid-job leaves the record in ``running``; the next
-daemon re-queues it (attempt count preserved), so at-least-once execution
-holds across restarts — and is harmless, because results are
-content-addressed and idempotent.
-
-``repro serve`` supports bounded runs (``--max-jobs``, ``--idle-exit``) so
-CI can smoke the full submit → poll → done loop without a supervisor.
+Submitters drop ``queued`` job records into ``jobs/``.  The only consumer is
+the lease-claiming :class:`~repro.service.cluster.ClusterWorker`: ``repro
+serve`` runs one in-process, ``repro serve --workers K`` supervises K of
+them.  A worker that dies mid-job leaves its lease behind; any worker
+reclaims it once the lease TTL has passed and the owner's heartbeat is
+stale (attempt count preserved), so at-least-once execution holds across
+crashes — and is harmless, because results are content-addressed and
+idempotent.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from repro.engine.backends import create_backend
-from repro.engine.cache import SolutionCache
-from repro.engine.panels import Engine
 from repro.obs.events import EventLog, event_log_for
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.snapshot import ServiceSnapshot
-from repro.service.queue import Job, JobQueue
+from repro.service.queue import Job
 from repro.service.scenarios import scenario_spec
-from repro.service.scheduler import Scheduler
-from repro.service.sharding import (
-    MAX_SHARDS,
-    SpoolLayout,
-    adopt_stray_records,
-    ensure_layout,
-    read_layout,
-)
-from repro.service.store import ResultStore, atomic_write_text, evict_lru_blobs
+from repro.service.sharding import SpoolLayout, read_layout
+from repro.service.store import atomic_write_text, evict_lru_blobs
 
-#: Heartbeats older than this are reported as a dead/stale daemon.
+#: Heartbeats older than this are reported as a dead/stale process.
 STALE_HEARTBEAT_SECONDS = 10.0
 
 
 def heartbeat_is_fresh(heartbeat: Dict[str, object]) -> bool:
-    """Whether a heartbeat indicates a live daemon.
+    """Whether a ``gateway.json`` heartbeat indicates a live gateway.
 
-    The single definition of liveness — used both by ``repro status`` and by
-    a starting daemon deciding whether ``running`` spool records belong to a
-    live sibling; the two must never disagree.  A slow-polling daemon
-    heartbeats rarely, so the threshold scales with its poll interval.
+    A ``stopped`` heartbeat is never fresh, and a slow-polling process
+    heartbeats rarely, so the age threshold scales with its poll interval.
     """
     if heartbeat.get("stopped"):
         return False
@@ -106,363 +88,6 @@ def _load_jobs(root: Path) -> List[Job]:
         except (OSError, json.JSONDecodeError, KeyError, ValueError):
             continue  # half-written or foreign file; the owner will rewrite it
     return jobs
-
-
-@dataclass
-class ServiceConfig:
-    """Everything ``repro serve`` needs to run a daemon.
-
-    Attributes
-    ----------
-    root:
-        Service state directory (created on first use).
-    backend / workers:
-        Execution backend the scheduler dispatches panel batches over.
-    poll_interval:
-        Seconds between spool scans while idle.
-    store_max_bytes:
-        LRU size cap of the persistent result store (``None`` = uncapped).
-    shards:
-        Spool shard count to (migrate to and) serve; ``None`` keeps the
-        root's recorded layout (flat when no marker exists).
-    """
-
-    root: Union[str, Path]
-    backend: str = "serial"
-    workers: Optional[int] = None
-    poll_interval: float = 0.5
-    store_max_bytes: Optional[int] = None
-    shards: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.poll_interval <= 0:
-            raise ValueError(f"poll_interval must be positive, got {self.poll_interval}")
-        if self.shards is not None and not 1 <= self.shards <= MAX_SHARDS:
-            raise ValueError(f"shards must be in 1..{MAX_SHARDS}, got {self.shards}")
-        self.root = Path(self.root)
-
-
-class ServiceDaemon:
-    """Single-process service: spool in, engine-dispatched solves out."""
-
-    def __init__(self, config: ServiceConfig) -> None:
-        self.config = config
-        root = Path(config.root)
-        self.layout = ensure_layout(root, config.shards)
-        self.events = EventLog(root, writer=f"daemon-{os.getpid()}-{uuid.uuid4().hex[:6]}")
-        self.metrics = MetricsRegistry()
-        self.store = ResultStore(root / "store", max_bytes=config.store_max_bytes)
-        self.engine = Engine(
-            backend=create_backend(config.backend, config.workers),
-            cache=SolutionCache(store=self.store),
-        )
-        self.queue = JobQueue()
-        self.scheduler = Scheduler(
-            self.queue,
-            self.engine,
-            on_claim=self._on_claim,
-            on_batch=self._on_batch,
-            metrics=self.metrics,
-            events=self.events,
-        )
-        self.jobs_done = 0
-        self.jobs_failed = 0
-        self.jobs_cancelled = 0
-        self._started_at = time.time()
-        self._last_heartbeat = 0.0
-        # Jobs that reached a terminal status outside the scheduler (cancel
-        # before claim, crash recovery out of attempts); drained by run() so
-        # they count toward --max-jobs like any other finished job.
-        self._finished_outside = 0
-        # Terminal spool records already accounted for, keyed by record
-        # mtime: a record rewritten later (id reused after a purge) no
-        # longer matches and is re-read instead of skipped forever.
-        self._spool_done: Dict[str, int] = {}
-        # Crash recovery of 'running' records runs once, at startup, before
-        # this daemon's own heartbeat exists; see poll_spool.
-        self._recover_running = not self._other_daemon_alive()
-
-    def _other_daemon_alive(self) -> bool:
-        """Best-effort check for a live sibling daemon on this root."""
-        try:
-            heartbeat = json.loads(
-                (Path(self.config.root) / "service.json").read_text(encoding="utf-8")
-            )
-        except (OSError, json.JSONDecodeError):
-            return False
-        if heartbeat.get("pid") == os.getpid():
-            return False
-        return heartbeat_is_fresh(heartbeat)
-
-    def _mark_spool_done(self, job_id: str) -> None:
-        """Remember a terminal record by id + current mtime."""
-        try:
-            self._spool_done[job_id] = self.layout.job_path(job_id).stat().st_mtime_ns
-        except OSError:
-            self._spool_done.pop(job_id, None)
-
-    # -- spool synchronisation ----------------------------------------------------
-
-    def poll_spool(self) -> int:
-        """Pick up new job records and cancellation markers; returns new jobs.
-
-        Record filenames are the job ids, so files whose job the daemon
-        already tracks — and terminal records remembered from earlier scans
-        (validated by mtime, so a purged-and-resubmitted id is noticed) —
-        are skipped without being re-read; an idle daemon's poll cost stays
-        proportional to *new* work, not spool history.
-
-        ``running`` records are recovered (re-queued, or failed when out of
-        attempts) only during the startup scan, and only when no sibling
-        daemon's heartbeat is fresh: a steady-state daemon treats foreign
-        running records as owned elsewhere rather than stealing them.
-        """
-        picked_up = 0
-        adopt_stray_records(self.layout)
-        records = _spool_record_paths(self.layout)
-        # Forget remembered records whose file was purged, both to bound the
-        # dict in a serve-forever daemon and so a later reuse of the job id
-        # is treated as the brand-new submission it is.
-        stems = {path.stem for path in records}
-        self._spool_done = {
-            job_id: mtime for job_id, mtime in self._spool_done.items() if job_id in stems
-        }
-        for path in records:
-            job_id = path.stem
-            if self.queue.get(job_id) is not None:
-                continue
-            done_mtime = self._spool_done.get(job_id)
-            if done_mtime is not None:
-                try:
-                    if path.stat().st_mtime_ns == done_mtime:
-                        continue
-                except OSError:
-                    continue  # record vanished (purged); forget it below
-            try:
-                job = Job.from_dict(json.loads(path.read_text(encoding="utf-8")))
-            except (OSError, json.JSONDecodeError, KeyError, ValueError):
-                continue  # half-written or foreign file; retried next poll
-            if job.job_id != job_id:
-                continue  # foreign record; never treat it as this spool entry
-            if job.is_terminal:
-                self._mark_spool_done(job_id)  # finished before we ever ran it
-                continue
-            self._spool_done.pop(job_id, None)  # active again (id reuse)
-            if job.status == "running":
-                if not self._recover_running:
-                    continue  # another daemon may own it; never steal mid-run
-                # A previous daemon died mid-job.  The claim was persisted
-                # (attempts included), so the retry budget binds across
-                # crashes: out of attempts means failed, not an endless
-                # crash loop.
-                if job.attempts >= job.max_attempts:
-                    job.status = "failed"
-                    job.error = job.error or (
-                        f"daemon died during attempt {job.attempts}/{job.max_attempts}"
-                    )
-                    _write_job(self.layout, job)
-                    self._mark_spool_done(job_id)
-                    self.jobs_failed += 1
-                    self._finished_outside += 1
-                    self.events.emit("reclaimed", job=job_id, status="failed")
-                    continue
-                job.status = "queued"
-            self.queue.submit(job)
-            _write_job(self.layout, job)
-            picked_up += 1
-        self._recover_running = False  # startup scan is over
-        for marker in _spool_record_paths(self.layout, "*.cancel"):
-            self._consume_cancel_marker(marker)
-        return picked_up
-
-    def _consume_cancel_marker(self, marker: Path) -> None:
-        """Apply one ``.cancel`` marker; remove it once it can have no effect.
-
-        A marker for a still-active job is consumed after raising the cancel
-        flag (queued jobs flip to ``cancelled`` immediately, running jobs at
-        the next batch boundary).  A marker whose job record exists but is
-        not loaded yet (submit + cancel racing one poll) is *left in place*
-        for the next poll; only markers for finished or purged jobs are
-        removed as no-ops.
-        """
-        job_id = marker.stem
-        job = self.queue.get(job_id)
-        if job is None:
-            if job_id not in self._spool_done and self.layout.job_path(job_id).exists():
-                return  # record lands in the queue next poll; keep the marker
-        elif self.queue.cancel(job_id):
-            job = self.queue.get(job_id)
-            if job is not None:
-                # Persist immediately — terminal status for queued jobs, the
-                # raised cancel_requested flag for running ones — so the
-                # cancel survives a daemon crash before the job finishes.
-                _write_job(self.layout, job)
-                if job.is_terminal:  # cancelled before it was ever claimed
-                    self._mark_spool_done(job_id)
-                    self.jobs_cancelled += 1
-                    self._finished_outside += 1
-                    self.events.emit("released", job=job_id, status="cancelled")
-        try:
-            marker.unlink()
-        except OSError:
-            pass
-
-    # -- scheduler hooks ----------------------------------------------------------
-
-    def _on_claim(self, job: Job) -> None:
-        """Persist the running record (attempts included) before execution.
-
-        This is what makes ``max_attempts`` bind across daemon crashes: a
-        poison job that kills the process leaves a ``running`` record with
-        its incremented attempt count, which the next daemon re-queues —
-        and eventually fails — instead of restarting from zero forever.
-        """
-        _write_job(self.layout, job)
-        self.events.emit(
-            "claimed",
-            job=job.job_id,
-            worker=self.scheduler.worker_id,
-            attempt=job.attempts,
-            shard=self.layout.shard_tag(job.job_id),
-        )
-
-    def _on_batch(self, job: Job) -> None:
-        """Between-batch pulse: honour fresh cancel markers, stay alive.
-
-        Without this, a single long job would make the daemon deaf to
-        ``repro cancel`` and let its heartbeat go stale mid-execution.
-        """
-        marker = self.layout.cancel_path(job.job_id)
-        if marker.exists():
-            self._consume_cancel_marker(marker)
-        self._heartbeat()
-
-    def _heartbeat(self, stopped: bool = False, force: bool = False) -> None:
-        """Write the liveness file; throttled, since it scans the store.
-
-        Computing the store section walks the blob directory, so idle polls
-        and per-batch pulses reuse the last heartbeat until at least one
-        poll interval has passed; job completions and shutdown force a
-        fresh one.
-        """
-        now = time.time()
-        if not force and now - self._last_heartbeat < max(1.0, self.config.poll_interval):
-            return
-        self._last_heartbeat = now
-        stats = self.engine.cache_stats()
-        entries, total_bytes = self.store.disk_usage()
-        payload = {
-            "pid": os.getpid(),
-            "started_at": self._started_at,
-            "updated_at": now,
-            "poll_interval": self.config.poll_interval,
-            "stopped": stopped,
-            "backend": self.engine.backend.name,
-            "jobs_done": self.jobs_done,
-            "jobs_failed": self.jobs_failed,
-            "jobs_cancelled": self.jobs_cancelled,
-            "cache": {
-                "hits": stats.hits,
-                "misses": stats.misses,
-                "store_hits": stats.store_hits,
-                "hit_rate": round(stats.hit_rate, 4),
-            },
-            "store": {
-                "entries": entries,
-                "bytes": total_bytes,
-                "stats": str(self.store.stats()),
-            },
-        }
-        atomic_write_text(
-            Path(self.config.root) / "service.json", json.dumps(payload, indent=2) + "\n"
-        )
-        if force:
-            # Metrics snapshots ride the *forced* heartbeats only (job
-            # completions, shutdown), so an idle daemon appends nothing.
-            self.metrics.gauge("cache.hits").set(stats.hits)
-            self.metrics.gauge("cache.misses").set(stats.misses)
-            self.metrics.gauge("cache.store_hits").set(stats.store_hits)
-            self.metrics.gauge("spool.queued").set(len(self.queue))
-            self.store.persist_stats()
-            self.events.emit("metrics", nonce=self.events.nonce, metrics=self.metrics.snapshot())
-
-    # -- main loop ----------------------------------------------------------------
-
-    def step(self) -> Optional[Job]:
-        """One poll-and-execute cycle; returns the job run, if any."""
-        self.poll_spool()
-        job = self.scheduler.run_once()
-        if job is not None:
-            if job.status == "done":
-                self.jobs_done += 1
-            elif job.status == "failed":
-                self.jobs_failed += 1
-            elif job.status == "cancelled":
-                self.jobs_cancelled += 1
-            _write_job(self.layout, job)
-            if job.is_terminal:
-                self._mark_spool_done(job.job_id)
-            self.events.emit(
-                "released",
-                job=job.job_id,
-                worker=self.scheduler.worker_id,
-                status=job.status,
-                latency=_round_latency(job.latency_seconds()),
-            )
-        if job is not None or self._finished_outside:
-            # Spool records are now the source of truth for finished jobs;
-            # keeping the objects would grow a serve-forever daemon without
-            # bound.
-            self.queue.prune_terminal()
-        self._heartbeat(force=job is not None)
-        return job
-
-    def run(
-        self,
-        max_jobs: Optional[int] = None,
-        idle_exit: Optional[float] = None,
-    ) -> int:
-        """Serve until ``max_jobs`` executions finished or idle too long.
-
-        ``idle_exit`` is the number of seconds without runnable work after
-        which the daemon exits (``None`` serves forever).  Returns the
-        number of job executions that reached a terminal status.
-        """
-        finished = 0
-        idle_since: Optional[float] = None
-        while True:
-            job = self.step()
-            # Jobs terminalized outside the scheduler (cancelled while
-            # queued, failed by crash recovery) count as finished work too —
-            # otherwise a --max-jobs daemon whose only jobs were cancelled
-            # would spin forever.
-            outside = self._finished_outside
-            self._finished_outside = 0
-            finished += outside
-            if job is not None and job.is_terminal:
-                finished += 1
-            if max_jobs is not None and finished >= max_jobs:
-                break
-            if job is not None or outside:
-                idle_since = None
-                continue
-            now = time.time()
-            if idle_since is None:
-                idle_since = now
-            if idle_exit is not None and now - idle_since >= idle_exit:
-                # A submission can land between step()'s spool scan and this
-                # deadline check (classically: during the final poll sleep).
-                # One last scan closes the race — if anything new arrived,
-                # the daemon serves it instead of exiting under it.
-                if self.poll_spool() or self._finished_outside:
-                    idle_since = None
-                    continue
-                break
-            time.sleep(self.config.poll_interval)
-        self.engine.shutdown()
-        # A fresh-but-final heartbeat is not liveness; mark it stopped.
-        self._heartbeat(stopped=True, force=True)
-        return finished
 
 
 # -- client-side helpers (used by the CLI verbs) ---------------------------------------
@@ -631,18 +256,18 @@ def _load_leased_jobs(root: Path) -> List[Job]:
 
 
 def service_status(root: Union[str, Path], with_health: bool = False) -> Dict[str, object]:
-    """Snapshot of the whole service directory (daemon, jobs, store, cache).
+    """Snapshot of the whole service directory (jobs, workers, store, cache).
 
-    Pure reads — safe to call while a daemon is serving, and meaningful when
-    none is (``daemon.alive`` is False and job records speak for
-    themselves).  On a cluster root, jobs claimed under leases are reported
-    as ``running`` and a ``cluster`` section carries per-worker liveness,
-    throughput and the active leases.
+    Pure reads — safe to call while workers are serving, and meaningful when
+    none is (job records speak for themselves).  Jobs claimed under leases
+    are reported as ``running``, and once any worker has served the root a
+    ``cluster`` section carries per-worker liveness, throughput and the
+    active leases.
 
     Thin wrapper over :class:`repro.obs.snapshot.ServiceSnapshot` — the one
     typed structure behind ``status``, ``status --cluster`` and ``status
-    --json``; the returned dict shape is the snapshot's ``to_dict`` and is
-    unchanged from the pre-snapshot service layer.  ``with_health=True``
+    --json``; the returned dict shape is the snapshot's ``to_dict``.
+    ``with_health=True``
     additionally folds the fleet health model in (a ``health`` key appears
     in the returned dict only when requested).
     """
@@ -712,7 +337,7 @@ def gc_service(
     rather than opening a :class:`ResultStore` — opening rewrites metadata
     and clears the blobs wholesale on a version mismatch, which a
     maintenance command run from a different checkout must never do to a
-    live daemon's cache.
+    live worker's cache.
     """
     root = Path(root)
     layout = read_layout(root)

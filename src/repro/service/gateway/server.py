@@ -32,8 +32,8 @@ Everything the front door does is observable: ``gateway-started`` /
 ``gateway-admitted`` / ``gateway-rejected`` / ``gateway-stopped`` events
 in the shared event log, ``gateway.*`` counters/histograms riding
 ``metrics`` events (merged by ``repro metrics`` like any worker's), and
-a ``gateway.json`` heartbeat next to ``service.json`` that gives
-``repro status`` its gateway section.
+a ``gateway.json`` heartbeat at the root that gives ``repro status`` its
+gateway section.
 
 The server is stdlib-only (``asyncio`` + hand-rolled HTTP/1.1: request
 line, headers, Content-Length bodies, keep-alive) — deliberately not a

@@ -1,23 +1,15 @@
-"""Priority job queue of the service layer.
+"""Job records of the service layer.
 
 A :class:`Job` is one unit of service work — a named scenario instantiation
 (the scenario registry turns it into concrete panel tasks at execution time,
 so job records stay small, picklable and JSON-serialisable for the disk
-spool).  :class:`JobQueue` orders jobs by descending priority with FIFO
-tie-breaking, tracks every job's lifecycle (``queued → running → done`` /
-``failed`` / ``cancelled``), and supports cancellation of both queued and
-running jobs (running jobs are interrupted cooperatively by the scheduler at
-batch boundaries).
-
-The queue is thread-safe; the daemon polls it from one scheduler thread
-today, but nothing here assumes a single consumer.
+spool).  Its lifecycle is ``queued → running → done`` / ``failed`` /
+``cancelled``; the spool files and worker leases of
+:mod:`repro.service.cluster` carry it between those states.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -134,9 +126,8 @@ class Job:
             "max_attempts": self.max_attempts,
             "error": self.error,
             "result": self.result,
-            # Persisted so a cancel that landed mid-run survives a daemon
-            # crash: the restarted daemon re-queues the job and the first
-            # batch boundary honours the restored flag.
+            # Persisted so a cancel that landed mid-run survives a worker
+            # crash: the lease reclaim resolves the job to ``cancelled``.
             "cancel_requested": self.cancel_requested,
             "created_at": self.created_at,
             "executions": [dict(entry) for entry in self.executions],
@@ -159,124 +150,3 @@ class Job:
             created_at=float(record.get("created_at", 0.0)),
             executions=[dict(entry) for entry in record.get("executions") or []],
         )
-
-
-class JobQueue:
-    """Thread-safe priority queue with status tracking and cancellation.
-
-    Jobs are popped highest-priority first; ties run in submission order.
-    Cancelling a queued job removes it lazily (its heap entry is skipped when
-    reached); cancelling a running job raises its ``cancel_requested`` flag
-    for the scheduler to honour at the next batch boundary.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._heap: List[tuple] = []
-        self._sequence = itertools.count()
-        self._jobs: Dict[str, Job] = {}
-
-    def __len__(self) -> int:
-        with self._lock:
-            return sum(1 for job in self._jobs.values() if job.status == "queued")
-
-    def submit(self, job: Job) -> Job:
-        """Enqueue a job (it must be in the ``queued`` status)."""
-        with self._lock:
-            if job.job_id in self._jobs and not self._jobs[job.job_id].is_terminal:
-                raise ValueError(f"job {job.job_id!r} is already active")
-            if job.status != "queued":
-                raise ValueError(f"only queued jobs can be submitted, got {job.status!r}")
-            self._jobs[job.job_id] = job
-            heapq.heappush(self._heap, (-job.priority, next(self._sequence), job.job_id))
-        return job
-
-    def pop(self) -> Optional[Job]:
-        """Claim the next runnable job (marked ``running``), or ``None``."""
-        with self._lock:
-            while self._heap:
-                _neg_priority, _seq, job_id = heapq.heappop(self._heap)
-                job = self._jobs.get(job_id)
-                if job is None or job.status != "queued":
-                    continue  # cancelled (or retried under a newer entry) while queued
-                job.status = "running"
-                job.attempts += 1
-                return job
-        return None
-
-    def requeue(self, job: Job) -> bool:
-        """Put a failed execution back in line if attempts remain.
-
-        Returns True when the job was requeued, False when it was marked
-        ``failed`` (out of attempts) or had been cancelled meanwhile.
-        """
-        with self._lock:
-            if job.cancel_requested:
-                job.status = "cancelled"
-                return False
-            if job.attempts >= job.max_attempts:
-                job.status = "failed"
-                return False
-            job.status = "queued"
-            heapq.heappush(self._heap, (-job.priority, next(self._sequence), job.job_id))
-            return True
-
-    def finish(self, job: Job, result: Optional[Dict[str, object]] = None) -> None:
-        """Mark a running job ``done`` (or ``cancelled`` if requested)."""
-        with self._lock:
-            job.status = "cancelled" if job.cancel_requested else "done"
-            if result is not None:
-                job.result = result
-
-    def fail(self, job: Job, error: str) -> None:
-        """Record a failed execution; terminal only when attempts ran out."""
-        job.error = error
-        self.requeue(job)
-
-    def cancel(self, job_id: str) -> bool:
-        """Request cancellation; True when the job existed and was not terminal."""
-        with self._lock:
-            job = self._jobs.get(job_id)
-            if job is None or job.is_terminal:
-                return False
-            job.cancel_requested = True
-            if job.status == "queued":
-                job.status = "cancelled"
-            return True
-
-    def get(self, job_id: str) -> Optional[Job]:
-        """Look a job up by id."""
-        with self._lock:
-            return self._jobs.get(job_id)
-
-    def jobs(self) -> List[Job]:
-        """Every known job, newest submission order last."""
-        with self._lock:
-            return list(self._jobs.values())
-
-    def prune_terminal(self) -> int:
-        """Forget finished jobs; returns how many were dropped.
-
-        A serve-forever daemon would otherwise accumulate every job it ever
-        ran.  The disk spool stays the source of truth for job history;
-        stale heap entries of pruned jobs are skipped naturally by
-        :meth:`pop`.
-        """
-        with self._lock:
-            terminal = [job_id for job_id, job in self._jobs.items() if job.is_terminal]
-            for job_id in terminal:
-                del self._jobs[job_id]
-            return len(terminal)
-
-    def counts(self) -> Dict[str, int]:
-        """Number of jobs per status (all statuses present)."""
-        counts = {status: 0 for status in JOB_STATUSES}
-        with self._lock:
-            for job in self._jobs.values():
-                counts[job.status] += 1
-        return counts
-
-    def __repr__(self) -> str:
-        counts = self.counts()
-        rendered = ", ".join(f"{status}={count}" for status, count in counts.items() if count)
-        return f"JobQueue({rendered or 'empty'})"

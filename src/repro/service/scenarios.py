@@ -38,7 +38,7 @@ from repro.tech.itrs import ITRS_100NM, get_technology
 
 #: The flow names a :class:`FlowScenarioSpec` may reference.  A literal
 #: duplicate of :data:`repro.flow.flows.FLOW_NAMES` on purpose: importing
-#: the flow stack here would make every daemon/CLI startup pay for it,
+#: the flow stack here would make every worker/CLI startup pay for it,
 #: while the scheduler deliberately imports it only when a flow job runs.
 #: ``tests/test_flow.py`` pins the two tuples equal.
 FLOW_SCENARIO_FLOWS: Tuple[str, ...] = ("id_no", "isino", "gsino")
@@ -124,7 +124,7 @@ class ScenarioSpec:
 
         Values are type-checked against the field they override, so a bad
         submission fails here — before a job record is written — rather than
-        burning the daemon's retry budget on a job that can never run.
+        burning a worker's retry budget on a job that can never run.
         """
         return _apply_params(self, params)
 

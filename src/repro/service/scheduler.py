@@ -1,23 +1,23 @@
-"""Job scheduler: turns queued jobs into engine dispatches.
+"""Job scheduler: turns claimed jobs into engine dispatches.
 
-The scheduler owns the execution side of the service: it claims the
-highest-priority job from the :class:`~repro.service.queue.JobQueue`,
-regenerates the job's scenario into concrete panel tasks, groups them into
-*compatible batches* — tasks sharing a (solver, effort) pair, which one
-backend fan-out can dispatch together — and runs each batch through the
-shared :class:`~repro.engine.panels.Engine`, so every solve goes through the
-two-tier solution cache and lands in the persistent store.
+The scheduler owns the execution side of the service: given a job a worker
+has already claimed, it regenerates the job's scenario into concrete panel
+tasks, groups them into *compatible batches* — tasks sharing a (solver,
+effort) pair, which one backend fan-out can dispatch together — and runs
+each batch through the shared :class:`~repro.engine.panels.Engine`, so every
+solve goes through the two-tier solution cache and lands in the persistent
+store.
 
-Failure handling is per job: an execution that raises is recorded and the
-job requeued until its ``max_attempts`` run out (``failed`` thereafter).
-Cancellation is cooperative: the flag is checked between batches, so a
-cancel lands within one batch's latency rather than one job's.
+Claiming, retries and status transitions belong to the caller (the
+lease-claiming :class:`~repro.service.cluster.ClusterWorker`); an execution
+that fails simply raises.  Cancellation is cooperative: the flag is checked
+between batches, so a cancel lands within one batch's latency rather than
+one job's.
 """
 
 from __future__ import annotations
 
 import time
-import traceback
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -25,7 +25,7 @@ from repro.engine.cache import CacheStats
 from repro.engine.panels import Engine, PanelTask
 from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry
-from repro.service.queue import Job, JobQueue
+from repro.service.queue import Job
 from repro.service.scenarios import FlowScenarioSpec, generate_scenario, scenario_spec
 
 
@@ -100,34 +100,23 @@ def batch_compatible(
 
 
 class Scheduler:
-    """Drain a job queue through an engine, one job at a time.
+    """Execute claimed jobs through an engine, one job at a time.
 
     Parameters
     ----------
-    queue:
-        The queue to claim jobs from.
     engine:
         Backend + two-tier cache every batch is dispatched through.  A store
         attached to the engine's cache is what makes finished work durable.
-    on_claim:
-        Called with the job right after it is claimed (status ``running``,
-        attempt count already incremented) and *before* execution starts.
-        The daemon persists the running record here, so a crash mid-job
-        leaves durable evidence and ``max_attempts`` binds across restarts.
     on_batch:
-        Called with the job between dispatch batches.  The daemon polls
-        cancellation markers and refreshes its heartbeat here, so both work
-        while a long job is executing, not just between jobs.
+        Called with the job between dispatch batches.  The worker checks
+        cancellation markers and refreshes its lease and heartbeat here, so
+        all three work while a long job is executing, not just between jobs.
     batch_size:
         Upper bound on tasks per dispatch batch.  Bounding it is what gives
         a homogeneous job (one solver/effort across all its tasks — the
         common case) multiple batch boundaries, so cancellation lands
         within ``batch_size`` panels rather than after the whole job.
         ``None`` dispatches each compatible group whole.
-    worker_id:
-        Name recorded in each job's execution audit trail.  The daemon uses
-        the default; cluster workers pass their worker id so the per-job
-        ``executions`` entries say who ran what.
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry` of the owning
         process; every finished execution lands in its ``solve.seconds``
@@ -139,55 +128,28 @@ class Scheduler:
 
     def __init__(
         self,
-        queue: Optional[JobQueue] = None,
         engine: Optional[Engine] = None,
-        on_claim: Optional[Callable[[Job], None]] = None,
         on_batch: Optional[Callable[[Job], None]] = None,
         batch_size: Optional[int] = 8,
-        worker_id: str = "local",
         metrics: Optional[MetricsRegistry] = None,
         events: Optional[EventLog] = None,
     ) -> None:
         if batch_size is not None and batch_size < 1:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
-        self.queue = queue if queue is not None else JobQueue()
         self.engine = engine or Engine()
-        self.on_claim = on_claim
         self.on_batch = on_batch
         self.batch_size = batch_size
-        self.worker_id = worker_id
         self.metrics = metrics
         self.events = events
-
-    def run_once(self) -> Optional[Job]:
-        """Claim and execute one job; returns it, or ``None`` when idle."""
-        job = self.queue.pop()
-        if job is None:
-            return None
-        job.record_claim(self.worker_id)
-        if self.on_claim is not None:
-            self.on_claim(job)
-        try:
-            outcome = self.execute_job(job)
-        except Exception as error:  # noqa: BLE001 — any job error means retry/fail
-            detail = "".join(traceback.format_exception_only(type(error), error)).strip()
-            self.queue.fail(job, detail)
-            job.finish_execution()
-            return job
-        self.queue.finish(job, result=outcome.to_dict())
-        job.finish_execution()
-        return job
 
     def execute_job(self, job: Job, shard: Optional[str] = None) -> JobOutcome:
         """Execute one already-claimed (``running``) job; raises on failure.
 
-        The claim itself — popping the queue, or winning a cluster lease
-        rename — happened before this call; here the job's scenario is
-        regenerated and dispatched batch by batch, with ``on_batch`` firing
-        between batches.  Timing and the job's share of cache traffic are
-        recorded on the returned outcome.  Callers own the status
-        transition (finish / fail / requeue) since it differs between the
-        in-memory queue and the cluster spool.
+        The claim itself — winning a lease rename — happened before this
+        call; here the job's scenario is regenerated and dispatched batch by
+        batch, with ``on_batch`` firing between batches.  Timing and the
+        job's share of cache traffic are recorded on the returned outcome.
+        Callers own the status transition (done / cancelled / retry / fail).
 
         ``shard`` is the spool shard the job was claimed from on a sharded
         root; it feeds the per-shard throughput counters that ``repro
@@ -236,11 +198,12 @@ class Scheduler:
         as the persistent stage-artifact tier, so a repeated flow job
         restores whole stages instead of re-solving panels one by one.
         Cancellation is honoured between flows (the stage batch boundary of
-        this job kind); ``on_batch`` fires there too, keeping the daemon's
-        heartbeat fresh during a long comparison.
+        this job kind); ``on_batch`` fires there too, keeping the worker's
+        lease and heartbeat fresh during a long comparison.
         """
-        # Imported here: the scheduler is imported by the daemon at startup,
-        # and the flow/bench stack is only needed once a flow job runs.
+        # Imported here: the scheduler is imported by every worker at
+        # startup, and the flow/bench stack is only needed once a flow job
+        # runs.
         from repro.bench.ibm import generate_circuit
         from repro.flow.flows import build_context, run_flow
         from repro.flow.runner import FlowRunner
@@ -284,15 +247,5 @@ class Scheduler:
         outcome.stages = runner.outcome_counts()
         return outcome
 
-    def drain(self, max_jobs: Optional[int] = None) -> List[Job]:
-        """Run jobs until the queue is empty (or ``max_jobs`` were claimed)."""
-        finished: List[Job] = []
-        while max_jobs is None or len(finished) < max_jobs:
-            job = self.run_once()
-            if job is None:
-                break
-            finished.append(job)
-        return finished
-
     def __repr__(self) -> str:
-        return f"Scheduler(queue={self.queue!r}, engine={self.engine!r})"
+        return f"Scheduler(engine={self.engine!r})"

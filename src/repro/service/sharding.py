@@ -31,8 +31,8 @@ Design rules:
 * **Migration is a quiescent, rename-only rebucket.**  Changing the shard
   count moves every spool record, cancel marker and lease file to its new
   shard directory with ``os.rename`` — same filesystem, byte-for-byte,
-  no copies — and refuses to run while any live daemon or worker
-  heartbeat is present.  Claim/reclaim/cancel/gc semantics are unchanged
+  no copies — and refuses to run while any live worker heartbeat is
+  present.  Claim/reclaim/cancel/gc semantics are unchanged
   *within* a shard; migration only changes which directory a job lives in.
 """
 
@@ -251,22 +251,14 @@ def ensure_layout(root: Union[str, Path], shards: Optional[int] = None) -> Spool
 
 
 def _live_processes(root: Path) -> List[str]:
-    """Names of live daemon/worker processes attached to this root."""
+    """Ids of live workers attached to this root (this process excluded)."""
     from repro.service.cluster import read_worker_heartbeats, worker_is_alive
-    from repro.service.daemon import heartbeat_is_fresh
 
-    live: List[str] = []
-    try:
-        heartbeat = json.loads((root / "service.json").read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
-        heartbeat = None
-    if isinstance(heartbeat, dict) and heartbeat_is_fresh(heartbeat):
-        if heartbeat.get("pid") != os.getpid():
-            live.append(f"daemon pid={heartbeat.get('pid')}")
-    for worker_id, beat in read_worker_heartbeats(root).items():
-        if worker_is_alive(beat) and beat.get("pid") != os.getpid():
-            live.append(worker_id)
-    return live
+    return [
+        worker_id
+        for worker_id, beat in read_worker_heartbeats(root).items()
+        if worker_is_alive(beat) and beat.get("pid") != os.getpid()
+    ]
 
 
 def _prune_empty_shard_dirs(layout: SpoolLayout) -> None:
@@ -295,8 +287,8 @@ def migrate_layout(root: Union[str, Path], old: SpoolLayout, new: SpoolLayout) -
     Every spool record, cancel marker and lease file is moved with
     ``os.rename`` — byte-for-byte, no re-serialisation — to the directory
     its job id hashes to under the new layout.  Returns the number of
-    files moved.  Raises :class:`RuntimeError` if any live daemon or
-    worker heartbeat is attached to the root: resharding under a running
+    files moved.  Raises :class:`RuntimeError` if any live worker
+    heartbeat is attached to the root: resharding under a running
     fleet would race its claim renames.
     """
     root = Path(root)

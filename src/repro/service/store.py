@@ -165,7 +165,7 @@ def read_cumulative_store_stats(store_root: Union[str, Path]) -> StoreStats:
     Module-level so ``repro metrics`` can report a store's lifetime traffic
     without constructing a :class:`ResultStore` (opening one rewrites
     metadata and clears blobs on a version mismatch, which a read-only
-    command must never do to a live daemon's cache).  Unreadable or
+    command must never do to a live worker's cache).  Unreadable or
     malformed session files are skipped, never raised.
     """
     total = StoreStats()
@@ -279,7 +279,7 @@ class ResultStore:
 
     Implements the duck-typed store protocol :class:`SolutionCache` expects —
     :meth:`get_layout` / :meth:`put_layout` — plus the maintenance surface
-    (:meth:`gc`, :meth:`total_bytes`, :meth:`signatures`) the service daemon
+    (:meth:`gc`, :meth:`total_bytes`, :meth:`signatures`) the service workers
     and the ``repro gc`` verb use.
 
     Parameters
@@ -304,7 +304,7 @@ class ResultStore:
         self._evictions = 0
         self._corrupt = 0
         # One stats session per store instance: the uuid keeps two instances
-        # of one pid (tests, daemon restarts in-process) from sharing a file.
+        # of one pid (tests, worker restarts in-process) from sharing a file.
         self._session = f"{os.getpid()}-{uuid.uuid4().hex[:8]}"
         self._open()
         # Running size estimate so capped writes stay O(1): scanned once at
@@ -530,8 +530,7 @@ class ResultStore:
     def disk_usage(self) -> Tuple[int, int]:
         """(entry count, total bytes) in one unsorted directory walk.
 
-        The daemon heartbeat reports both every cycle; computing them
-        together halves the I/O of the separate ``len`` / ``total_bytes``
+        ``repro compare --store`` reports both; computing them together halves the I/O of the separate ``len`` / ``total_bytes``
         calls on large stores.  On a capped store the walk doubles as a
         full resync of the per-bucket byte account, so estimate drift
         never outlives one heartbeat cycle.
@@ -658,7 +657,7 @@ class ResultStore:
         """Flush this session's counters to ``stats/<session>.json`` (atomic).
 
         Each store instance owns one session file and rewrites it in place,
-        so the N daemons and workers sharing a store each persist their own
+        so the N workers sharing a store each persist their own
         traffic and :func:`read_cumulative_store_stats` can sum lifetime
         totals across processes — including ones that have since exited.
         The service layer calls this on forced heartbeats (job completions

@@ -1,6 +1,9 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -85,7 +88,7 @@ class TestParser:
             ["serve", "--root", root, "--workers", "3", "--lease-ttl", "5"]
         )
         assert args.workers == 3 and args.lease_ttl == pytest.approx(5.0)
-        assert args.cluster_worker is False and args.backend_workers is None
+        assert args.backend_workers is None
         args = build_parser().parse_args(["status", "--root", root, "--cluster"])
         assert args.cluster is True
         args = build_parser().parse_args(
@@ -220,7 +223,7 @@ class TestServiceCommands:
              "--wait", "0.3"]
         )
         assert exit_code == 1
-        assert "is a daemon serving" in capsys.readouterr().out
+        assert "is a worker serving" in capsys.readouterr().out
 
     def test_serve_submit_status_gc_loop(self, tmp_path, capsys):
         root = str(tmp_path / "svc")
@@ -229,26 +232,49 @@ class TestServiceCommands:
         job_id = submitted.split()[1]
         assert main(["serve", "--root", root, "--max-jobs", "1", "--idle-exit", "0.1",
                      "--poll", "0.05"]) == 0
-        assert "served 1 job(s)" in capsys.readouterr().out
+        assert "finished 1 job(s)" in capsys.readouterr().out
         assert main(["status", "--root", root]) == 0
         status = capsys.readouterr().out
         assert job_id in status and "1 done" in status
         assert "cache totals:" in status and "store:" in status
-        assert "daemon: not running" in status  # clean exit, despite fresh heartbeat
-        # An in-flight heartbeat (stopped not yet set) reads as a live daemon.
-        heartbeat_path = Path(root) / "service.json"
+        # A clean exit reads as stopped, despite its fresh heartbeat.
+        assert "workers: 0 alive, 1 stopped" in status
+        # An in-flight heartbeat (stopped not yet set) reads as a live worker.
+        (heartbeat_path,) = (Path(root) / "workers").glob("*.json")
         heartbeat = json.loads(heartbeat_path.read_text())
         heartbeat["stopped"] = False
         heartbeat["updated_at"] = time.time()
         heartbeat_path.write_text(json.dumps(heartbeat))
         assert main(["status", "--root", root]) == 0
         status = capsys.readouterr().out
-        assert "daemon: running" in status and "daemon cache:" in status
+        assert "workers: 1 alive, 0 stopped" in status
         assert main(["status", "--root", root, "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["jobs"]["counts"] == {"done": 1}
         assert main(["gc", "--root", root, "--purge-jobs"]) == 0
         assert "purged 1 job(s)" in capsys.readouterr().out
+
+    def test_lone_worker_serve_migrates_a_flat_root(self, tmp_path, capsys):
+        """`repro serve` without --workers is one lease-claiming worker."""
+        from repro.service import read_layout, submit_job, wait_for_job
+
+        root = tmp_path / "svc"
+        job = submit_job(root, "smoke")  # a flat root with one queued job
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        subprocess.run(
+            [sys.executable, "-m", "repro.cli", "serve", "--root", str(root),
+             "--shards", "2", "--max-jobs", "1", "--idle-exit", "30", "--poll", "0.05"],
+            env=env, check=True, capture_output=True, text=True, timeout=120,
+        )
+        assert read_layout(root).shards == 2
+        assert wait_for_job(root, job.job_id, timeout=5.0).status == "done"
+        # The worker's heartbeat is the only liveness file; none at the top.
+        assert len(list((root / "workers").glob("*.json"))) == 1
+        assert [path.name for path in root.glob("*.json")] == ["shards.json"]
+        assert main(["status", "--root", str(root)]) == 0
+        assert "workers: 0 alive, 1 stopped" in capsys.readouterr().out
 
     def test_cancel_command(self, tmp_path, capsys):
         root = str(tmp_path / "svc")

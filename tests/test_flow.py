@@ -62,7 +62,8 @@ from repro.gsino.reference import (
     reference_run_id_no,
     reference_run_isino,
 )
-from repro.service import Job, JobQueue, ResultStore, Scheduler
+from repro.obs.events import EventLog, read_events
+from repro.service import Job, ResultStore, Scheduler
 from repro.service.scenarios import (
     FlowScenarioSpec,
     generate_scenario,
@@ -393,10 +394,24 @@ class TestStoreResume:
         # Poison the persisted payload with a structurally valid but wrong body.
         store.put_artifact(signature, {"panels": []})
         warm_context, warm_store = self._context(flow_circuit, flow_config, tmp_path / "store")
-        warm = run_compare(warm_context, store=warm_store)
+        events = EventLog(tmp_path / "svc", writer="flow-test")
+        runner = FlowRunner(warm_context, store=warm_store, events=events)
+        warm = run_compare(warm_context, runner=runner)
         assert warm.results["gsino"].metrics.summary() == cold.results["gsino"].metrics.summary()
         by_artifact = {e.artifact: e.outcome for e in warm.runner.executions}
         assert by_artifact[PANELS_GSINO] == "executed"
+        # The fallback is reported, not swallowed: one counted failure, named
+        # on the stage event of the recompute.
+        assert runner.decode_failures == 1
+        assert runner.outcome_counts() == {"executed": 1, "restored": 9, "shared": 3}
+        failed = [
+            record
+            for record in read_events(tmp_path / "svc")
+            if record["event"] == "stage" and "decode_error" in record
+        ]
+        assert [record["artifact"] for record in failed] == [PANELS_GSINO]
+        assert failed[0]["outcome"] == "executed"
+        assert "\n" not in failed[0]["decode_error"] and failed[0]["decode_error"]
 
     def test_store_artifact_version_mismatch_is_a_miss(self, tmp_path):
         store = ResultStore(tmp_path / "store")
@@ -533,7 +548,7 @@ class TestFlowScenarios:
 
     def test_scenario_flow_names_pin_the_flow_registry(self):
         # scenarios.py duplicates the flow-name tuple on purpose (keeping
-        # the daemon's startup import light); the duplicate must track the
+        # the worker's startup import light); the duplicate must track the
         # real registry.
         from repro.service.scenarios import FLOW_SCENARIO_FLOWS
 
@@ -560,35 +575,29 @@ class TestFlowScenarios:
 
     def test_flow_job_runs_and_reports(self, tmp_path):
         store = ResultStore(tmp_path / "store")
-        queue = JobQueue()
-        queue.submit(Job(job_id="flow-1", scenario="flow-gsino", params={"scale": SCALE}))
-        scheduler = Scheduler(queue, Engine(cache=SolutionCache(store=store)))
-        job = scheduler.run_once()
-        assert job.status == "done"
-        assert set(job.result["flows"]) == {"gsino"}
-        assert job.result["stages"]["executed"] == 5
-        assert job.result["panels"] > 0
+        job = Job(job_id="flow-1", scenario="flow-gsino", params={"scale": SCALE})
+        scheduler = Scheduler(engine=Engine(cache=SolutionCache(store=store)))
+        result = scheduler.execute_job(job).to_dict()
+        assert set(result["flows"]) == {"gsino"}
+        assert result["stages"]["executed"] == 5
+        assert result["panels"] > 0
 
         # A repeated submission restores every stage from the store.
-        warm_queue = JobQueue()
-        warm_queue.submit(Job(job_id="flow-2", scenario="flow-gsino", params={"scale": SCALE}))
+        warm_job = Job(job_id="flow-2", scenario="flow-gsino", params={"scale": SCALE})
         warm = Scheduler(
-            warm_queue, Engine(cache=SolutionCache(store=ResultStore(tmp_path / "store")))
-        ).run_once()
-        assert warm.status == "done"
-        assert warm.result["stages"]["executed"] == 0
-        assert warm.result["stages"]["restored"] == 5
-        assert warm.result["flows"] == job.result["flows"]
+            engine=Engine(cache=SolutionCache(store=ResultStore(tmp_path / "store")))
+        ).execute_job(warm_job).to_dict()
+        assert warm["stages"]["executed"] == 0
+        assert warm["stages"]["restored"] == 5
+        assert warm["flows"] == result["flows"]
 
     def test_flow_compare_job_shares_stages(self):
-        queue = JobQueue()
-        queue.submit(Job(job_id="cmp-1", scenario="flow-compare", params={"scale": SCALE}))
-        job = Scheduler(queue, Engine(cache=SolutionCache())).run_once()
-        assert job.status == "done"
-        assert set(job.result["flows"]) == set(FLOW_NAMES)
-        assert job.result["stages"]["executed"] == 10
-        assert job.result["stages"]["shared"] == 3
-        assert job.result["batches"] == 3
+        job = Job(job_id="cmp-1", scenario="flow-compare", params={"scale": SCALE})
+        result = Scheduler(engine=Engine(cache=SolutionCache())).execute_job(job).to_dict()
+        assert set(result["flows"]) == set(FLOW_NAMES)
+        assert result["stages"]["executed"] == 10
+        assert result["stages"]["shared"] == 3
+        assert result["batches"] == 3
 
 
 class TestFlowsCli:

@@ -22,9 +22,9 @@ from repro.obs.aggregate import iter_merged_events
 from repro.obs.events import EventLog
 from repro.obs.snapshot import collect_gateway
 from repro.service import (
-    ServiceConfig,
-    ServiceDaemon,
+    ClusterWorker,
     SubmitRequest,
+    WorkerConfig,
     service_status,
     submit_job,
     submit_jobs,
@@ -486,7 +486,7 @@ class TestGatewayServer:
         try:
             _, _, payload = _request(runner.port, "POST", "/v1/jobs", {"scenario": "smoke"})
             job_id = payload["job_id"]
-            ServiceDaemon(ServiceConfig(root=tmp_path, poll_interval=0.01)).run(
+            ClusterWorker(WorkerConfig(root=tmp_path, poll_interval=0.01)).run(
                 max_jobs=1, idle_exit=30.0
             )
             connection = http.client.HTTPConnection("127.0.0.1", runner.port, timeout=30)
@@ -594,9 +594,9 @@ class TestHttpLoadgen:
 
     def test_wait_mode_polls_jobs_to_completion_over_http(self, tmp_path):
         runner = _gateway(tmp_path)
-        daemon = ServiceDaemon(ServiceConfig(root=tmp_path, poll_interval=0.02))
+        serving = ClusterWorker(WorkerConfig(root=tmp_path, poll_interval=0.02))
         worker = threading.Thread(
-            target=lambda: daemon.run(max_jobs=4, idle_exit=60.0), daemon=True
+            target=lambda: serving.run(max_jobs=4, idle_exit=60.0), daemon=True
         )
         worker.start()
         try:

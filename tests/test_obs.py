@@ -47,8 +47,6 @@ from repro.obs.trace import Tracer, maybe_span
 from repro.service import (
     ClusterWorker,
     ResultStore,
-    ServiceConfig,
-    ServiceDaemon,
     WorkerConfig,
     read_cumulative_store_stats,
     run_loadgen,
@@ -378,20 +376,20 @@ class TestSnapshots:
     def _settle_jobs(self, root):
         submit_job(root, "smoke")
         submit_job(root, "smoke", params={"seed": 9})
-        daemon = ServiceDaemon(ServiceConfig(root=root, poll_interval=0.01))
-        assert daemon.run(max_jobs=2, idle_exit=0.05) == 2
+        worker = ClusterWorker(WorkerConfig(root=root, poll_interval=0.01))
+        assert worker.run(max_jobs=2, idle_exit=0.05) == 2
 
     def test_service_status_keeps_its_dict_shape(self, tmp_path):
         root = tmp_path / "svc"
         self._settle_jobs(root)
         report = service_status(root)
-        assert set(report) == {"root", "daemon", "jobs", "cache_totals", "store", "cluster"}
-        assert set(report["daemon"]) == {"alive", "heartbeat_age", "heartbeat"}
+        assert set(report) == {"root", "jobs", "cache_totals", "store", "cluster"}
         assert report["jobs"]["counts"] == {"done": 2}
         assert len(report["jobs"]["records"]) == 2
         assert report["cache_totals"]["misses"] > 0
         assert report["store"]["entries"] > 0
-        assert report["cluster"] is None
+        assert set(report["cluster"]) == {"workers", "leases"}
+        assert service_status(tmp_path / "never-served")["cluster"] is None
         snapshot = ServiceSnapshot.collect(root)
         assert snapshot.to_dict()["jobs"] == report["jobs"]
         json.dumps(report)  # stays JSON-serialisable end to end
@@ -412,8 +410,8 @@ class TestSnapshots:
     def test_daemon_emits_the_full_job_lifecycle(self, tmp_path):
         root = tmp_path / "svc"
         job = submit_job(root, "smoke")
-        daemon = ServiceDaemon(ServiceConfig(root=root, poll_interval=0.01))
-        assert daemon.run(max_jobs=1, idle_exit=0.05) == 1
+        worker = ClusterWorker(WorkerConfig(root=root, poll_interval=0.01))
+        assert worker.run(max_jobs=1, idle_exit=0.05) == 1
         lifecycle = [r["event"] for r in read_events(root, job_id=job.job_id)]
         assert lifecycle == ["submitted", "claimed", "released"]
         released = read_events(root, job_id=job.job_id, event="released")[0]
@@ -471,8 +469,8 @@ class TestObsCli:
     def _settled_root(self, tmp_path):
         root = tmp_path / "svc"
         job = submit_job(root, "smoke")
-        daemon = ServiceDaemon(ServiceConfig(root=root, poll_interval=0.01))
-        assert daemon.run(max_jobs=1, idle_exit=0.05) == 1
+        worker = ClusterWorker(WorkerConfig(root=root, poll_interval=0.01))
+        assert worker.run(max_jobs=1, idle_exit=0.05) == 1
         return root, job
 
     def test_events_verb_prints_human_lines(self, tmp_path, capsys):
@@ -488,6 +486,34 @@ class TestObsCli:
         records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert [r["event"] for r in records] == ["submitted", "claimed", "released"]
         assert all(r["job"] == job.job_id for r in records)
+
+    def test_failed_job_keeps_its_traceback(self, tmp_path, capsys, monkeypatch):
+        """The spool keeps a one-line error; the released event the traceback."""
+        import repro.service.scheduler as scheduler_module
+
+        def _explode_in_named_helper():
+            raise RuntimeError("scenario blew up")
+
+        def broken(name, params=None):
+            _explode_in_named_helper()
+
+        monkeypatch.setattr(scheduler_module, "generate_scenario", broken)
+        root = tmp_path / "svc"
+        job = submit_job(root, "smoke", max_attempts=1)
+        worker = ClusterWorker(WorkerConfig(root=root, poll_interval=0.01))
+        assert worker.run(max_jobs=1, idle_exit=0.05) == 1
+        assert main(["events", "--root", str(root), "--job", job.job_id, "--json"]) == 0
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        (released,) = [r for r in records if r["event"] == "released"]
+        assert released["status"] == "failed"
+        assert "_explode_in_named_helper" in released["traceback"]
+        (record,) = service_status(root)["jobs"]["records"]
+        assert record["error"] == "RuntimeError: scenario blew up"
+        # The human-readable view stays one line per event.
+        assert main(["events", "--root", str(root), "--job", job.job_id]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(records)
+        assert "traceback=<see --json>" in lines[-1]
 
     def test_events_verb_tail_limits_output(self, tmp_path, capsys):
         root, _job = self._settled_root(tmp_path)

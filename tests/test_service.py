@@ -1,9 +1,9 @@
-"""Tests for the repro.service layer (store, queue, scheduler, daemon, cluster).
+"""Tests for the repro.service layer (store, jobs, scheduler, spool, cluster).
 
 The warm-start tests enforce the subsystem's headline guarantee: a second
 run over the same workload with the persistent store enabled performs
 *zero* redundant panel solves — in-process with a fresh cache, across
-daemon restarts, and across real CLI processes.  The cluster tests at the
+worker restarts, and across real CLI processes.  The cluster tests at the
 bottom enforce the multi-worker guarantees: exactly-one claim winner under
 contention, lease-expiry reclaim from dead workers only, and supervisor
 restart of crashed fleet members.
@@ -28,11 +28,8 @@ from repro.gsino.pipeline import compare_flows
 from repro.service import (
     SCENARIO_NAMES,
     Job,
-    JobQueue,
     ResultStore,
     Scheduler,
-    ServiceConfig,
-    ServiceDaemon,
     batch_compatible,
     gc_service,
     generate_scenario,
@@ -61,6 +58,13 @@ from repro.service.store import FORMAT_VERSION, evict_scanned_blobs, scan_blobs
 
 def _smoke_tasks():
     return generate_scenario("smoke")
+
+
+def _lone_worker(root: Path, **overrides) -> ClusterWorker:
+    """The single worker `repro serve` runs without --workers."""
+    config = dict(root=root, poll_interval=0.01)
+    config.update(overrides)
+    return ClusterWorker(WorkerConfig(**config))
 
 
 # -- ResultStore ---------------------------------------------------------------------
@@ -239,68 +243,12 @@ class TestTieredCache:
 # -- queue ---------------------------------------------------------------------------
 
 
-class TestJobQueue:
-    def test_priority_order_with_fifo_ties(self):
-        queue = JobQueue()
-        for job_id, priority in (("a", 0), ("b", 5), ("c", 5), ("d", 1)):
-            queue.submit(Job(job_id=job_id, scenario="smoke", priority=priority))
-        assert [queue.pop().job_id for _ in range(4)] == ["b", "c", "d", "a"]
-        assert queue.pop() is None
-
-    def test_cancel_queued_job_never_runs(self):
-        queue = JobQueue()
-        queue.submit(Job(job_id="x", scenario="smoke"))
-        queue.submit(Job(job_id="y", scenario="smoke"))
-        assert queue.cancel("x") is True
-        assert queue.get("x").status == "cancelled"
-        assert queue.pop().job_id == "y"
-        assert queue.pop() is None
-
-    def test_cancel_running_job_sets_flag(self):
-        queue = JobQueue()
-        queue.submit(Job(job_id="x", scenario="smoke"))
-        job = queue.pop()
-        assert queue.cancel("x") is True
-        assert job.status == "running" and job.cancel_requested
-        queue.finish(job)
-        assert job.status == "cancelled"
-        assert queue.cancel("x") is False  # terminal
-
-    def test_retry_until_attempts_exhausted(self):
-        queue = JobQueue()
-        queue.submit(Job(job_id="x", scenario="smoke", max_attempts=2))
-        job = queue.pop()
-        queue.fail(job, "boom 1")
-        assert job.status == "queued" and job.attempts == 1
-        job = queue.pop()
-        assert job.attempts == 2
-        queue.fail(job, "boom 2")
-        assert job.status == "failed"
-        assert job.error == "boom 2"
-        assert queue.pop() is None
-
-    def test_duplicate_active_id_rejected(self):
-        queue = JobQueue()
-        queue.submit(Job(job_id="x", scenario="smoke"))
-        with pytest.raises(ValueError, match="already active"):
-            queue.submit(Job(job_id="x", scenario="smoke"))
-
+class TestJob:
     def test_job_record_round_trip(self):
         job = Job(job_id="j", scenario="smoke", params={"seed": 4}, priority=3)
         assert Job.from_dict(job.to_dict()) == job
         job.cancel_requested = True  # mid-run cancels survive the spool
         assert Job.from_dict(job.to_dict()).cancel_requested is True
-
-    def test_prune_terminal_forgets_finished_jobs(self):
-        queue = JobQueue()
-        queue.submit(Job(job_id="a", scenario="smoke"))
-        queue.submit(Job(job_id="b", scenario="smoke"))
-        job = queue.pop()
-        queue.finish(job)
-        assert queue.prune_terminal() == 1
-        assert queue.get("a") is None
-        assert queue.get("b") is not None  # still queued
-        assert queue.pop().job_id == "b"  # stale heap entries are harmless
 
 
 # -- scenarios -----------------------------------------------------------------------
@@ -339,7 +287,7 @@ class TestScenarios:
             generate_scenario("no-such-scenario")
 
     def test_mistyped_parameter_values_rejected(self):
-        """Bad values must fail at submit validation, not inside the daemon."""
+        """Bad values must fail at submit validation, not inside a worker."""
         with pytest.raises(ValueError, match="must be an integer"):
             scenario_spec("smoke").with_params({"seed": "abc"})
         with pytest.raises(ValueError, match="must be an integer"):
@@ -366,15 +314,11 @@ class TestScenarios:
 
 class TestScheduler:
     def test_executes_job_and_records_outcome(self):
-        queue = JobQueue()
-        queue.submit(Job(job_id="j", scenario="smoke"))
-        scheduler = Scheduler(queue, Engine(cache=SolutionCache()))
-        job = scheduler.run_once()
-        assert job.status == "done"
-        assert job.result["panels"] == len(_smoke_tasks())
-        assert job.result["valid_panels"] == job.result["panels"]
-        assert job.result["cache"]["misses"] == job.result["panels"]
-        assert scheduler.run_once() is None
+        scheduler = Scheduler(engine=Engine(cache=SolutionCache()))
+        result = scheduler.execute_job(Job(job_id="j", scenario="smoke")).to_dict()
+        assert result["panels"] == len(_smoke_tasks())
+        assert result["valid_panels"] == result["panels"]
+        assert result["cache"]["misses"] == result["panels"]
 
     def test_batches_group_by_solver_and_effort(self):
         tasks = generate_scenario("smoke") + generate_scenario(
@@ -398,14 +342,14 @@ class TestScheduler:
         """_on_batch fires once per sub-batch, not once per job."""
         root = tmp_path / "svc"
         submit_job(root, "mixed-width")  # 10 homogeneous panels
-        daemon = ServiceDaemon(ServiceConfig(root=root, poll_interval=0.01))
-        daemon.scheduler.batch_size = 4
+        worker = _lone_worker(root)
+        worker.scheduler.batch_size = 4
         pulses = []
-        daemon.scheduler.on_batch = lambda job: pulses.append(job.job_id)
-        daemon.run(max_jobs=1, idle_exit=0.05)
+        worker.scheduler.on_batch = lambda job: pulses.append(job.job_id)
+        worker.run(max_jobs=1, idle_exit=0.05)
         assert len(pulses) == 3
 
-    def test_failure_retries_then_succeeds(self, monkeypatch):
+    def test_failure_retries_then_succeeds(self, tmp_path, monkeypatch):
         import repro.service.scheduler as scheduler_module
 
         calls = {"count": 0}
@@ -418,60 +362,62 @@ class TestScheduler:
             return real(name, params)
 
         monkeypatch.setattr(scheduler_module, "generate_scenario", flaky)
-        queue = JobQueue()
-        queue.submit(Job(job_id="j", scenario="smoke", max_attempts=2))
-        scheduler = Scheduler(queue)
-        first = scheduler.run_once()
+        root = tmp_path / "svc"
+        submit_job(root, "smoke", max_attempts=2)
+        worker = _lone_worker(root)
+        first = worker.step()
         assert first.status == "queued" and "transient failure" in first.error
-        second = scheduler.run_once()
+        second = worker.step()
         assert second.status == "done" and second.attempts == 2
 
-    def test_failure_exhausts_attempts(self, monkeypatch):
+    def test_failure_exhausts_attempts(self, tmp_path, monkeypatch):
         import repro.service.scheduler as scheduler_module
 
         def always_broken(name, params=None):
             raise RuntimeError("permanently broken")
 
         monkeypatch.setattr(scheduler_module, "generate_scenario", always_broken)
-        queue = JobQueue()
-        queue.submit(Job(job_id="j", scenario="smoke", max_attempts=2))
-        finished = Scheduler(queue).drain()
-        assert len(finished) == 2  # both attempts were claimed and ran
-        assert queue.get("j").status == "failed"
-        assert queue.get("j").attempts == 2
-        assert "permanently broken" in queue.get("j").error
+        root = tmp_path / "svc"
+        job = submit_job(root, "smoke", max_attempts=2)
+        worker = _lone_worker(root)
+        # The retry released back to the spool is not finished work.
+        assert worker.run(max_jobs=1, idle_exit=0.05) == 1
+        failed = wait_for_job(root, job.job_id, timeout=5.0)
+        assert len(failed.executions) == 2  # both attempts were claimed and ran
+        assert failed.status == "failed" and failed.attempts == 2
+        assert "permanently broken" in failed.error
+        assert worker.jobs_failed == 1
 
     def test_cancellation_between_batches(self):
-        queue = JobQueue()
-        queue.submit(Job(job_id="j", scenario="smoke"))
-        scheduler = Scheduler(queue)
-        job = queue.get("j")
-        job.cancel_requested = True
-        scheduler.run_once()
-        assert job.status == "cancelled"
-        assert job.result["batches"] == 0  # no batch was dispatched
+        job = Job(job_id="j", scenario="smoke", cancel_requested=True)
+        outcome = Scheduler().execute_job(job)
+        assert outcome.batches == 0  # no batch was dispatched
+        assert outcome.panels == 0
 
 
-# -- daemon + spool ------------------------------------------------------------------
+# -- serve (one worker) + spool ------------------------------------------------------------------
 
 
 class TestDaemon:
+    """`repro serve` without --workers: one lease-claiming worker."""
+
     def test_submit_run_status_roundtrip(self, tmp_path):
         root = tmp_path / "svc"
         job = submit_job(root, "smoke", priority=1)
-        daemon = ServiceDaemon(ServiceConfig(root=root, poll_interval=0.01))
-        assert daemon.run(max_jobs=1, idle_exit=0.05) == 1
+        worker = _lone_worker(root)
+        assert worker.run(max_jobs=1, idle_exit=0.05) == 1
         finished = wait_for_job(root, job.job_id, timeout=5.0)
         assert finished.status == "done"
         report = service_status(root)
         assert report["jobs"]["counts"] == {"done": 1}
         assert report["store"]["entries"] == len(_smoke_tasks())
         assert report["cache_totals"]["misses"] == len(_smoke_tasks())
-        heartbeat = report["daemon"]["heartbeat"]
-        assert heartbeat["jobs_done"] == 1 and heartbeat["pid"] == os.getpid()
-        # A cleanly exited daemon must not read as alive, however fresh the
+        info = report["cluster"]["workers"][worker.identity.worker_id]
+        assert info["heartbeat"]["jobs_done"] == 1
+        assert info["heartbeat"]["pid"] == os.getpid()
+        # A cleanly exited worker must not read as alive, however fresh the
         # final heartbeat is.
-        assert report["daemon"]["alive"] is False
+        assert info["alive"] is False
 
     def test_submit_validates_scenario_before_writing(self, tmp_path):
         root = tmp_path / "svc"
@@ -484,9 +430,7 @@ class TestDaemon:
     def test_cancel_of_finished_job_is_refused(self, tmp_path):
         root = tmp_path / "svc"
         job = submit_job(root, "smoke")
-        ServiceDaemon(ServiceConfig(root=root, poll_interval=0.01)).run(
-            max_jobs=1, idle_exit=0.05
-        )
+        _lone_worker(root).run(max_jobs=1, idle_exit=0.05)
         assert wait_for_job(root, job.job_id, timeout=5.0).status == "done"
         assert request_cancel(root, job.job_id) is False
         assert not (root / "jobs" / f"{job.job_id}.cancel").exists()
@@ -496,35 +440,32 @@ class TestDaemon:
         job = submit_job(root, "smoke")
         assert request_cancel(root, job.job_id) is True
         assert request_cancel(root, "missing-job") is False
-        daemon = ServiceDaemon(ServiceConfig(root=root, poll_interval=0.01))
-        # The cancel-before-claim job counts toward --max-jobs: a daemon
+        worker = _lone_worker(root)
+        # The cancel-before-run job counts toward --max-jobs: a worker
         # bounded to one job must exit immediately; hitting the idle-exit
         # backstop instead (returning 0) is the regression this guards.
-        assert daemon.run(max_jobs=1, idle_exit=5.0) == 1
+        assert worker.run(max_jobs=1, idle_exit=5.0) == 1
         assert wait_for_job(root, job.job_id, timeout=5.0).status == "cancelled"
-        assert daemon.jobs_cancelled == 1
-        assert daemon.queue.jobs() == []  # pruned despite never being claimed
+        assert worker.jobs_cancelled == 1
+        assert not (root / "jobs" / f"{job.job_id}.cancel").exists()
 
     def test_running_record_persisted_before_execution(self, tmp_path, monkeypatch):
         """max_attempts must bind across crashes: the claim is durable."""
         import repro.service.scheduler as scheduler_module
 
         root = tmp_path / "svc"
-        job = submit_job(root, "smoke")
+        submit_job(root, "smoke")
         observed = {}
         real = scheduler_module.generate_scenario
 
         def probing(name, params=None):
-            observed.update(
-                json.loads((root / "jobs" / f"{job.job_id}.json").read_text())
-            )
+            (lease,) = (root / "leases").glob("*/*.json")
+            observed.update(json.loads(lease.read_text())["job"])
             return real(name, params)
 
         monkeypatch.setattr(scheduler_module, "generate_scenario", probing)
-        ServiceDaemon(ServiceConfig(root=root, poll_interval=0.01)).run(
-            max_jobs=1, idle_exit=0.05
-        )
-        # While the job executed, its spool record already said so.
+        _lone_worker(root).run(max_jobs=1, idle_exit=0.05)
+        # While the job executed, its lease record already said so.
         assert observed["status"] == "running"
         assert observed["attempts"] == 1
 
@@ -541,9 +482,7 @@ class TestDaemon:
             return real(name, params)
 
         monkeypatch.setattr(scheduler_module, "generate_scenario", cancelling)
-        ServiceDaemon(ServiceConfig(root=root, poll_interval=0.01)).run(
-            max_jobs=1, idle_exit=0.05
-        )
+        _lone_worker(root).run(max_jobs=1, idle_exit=0.05)
         finished = wait_for_job(root, job.job_id, timeout=5.0)
         assert finished.status == "cancelled"
         assert finished.result["batches"] == 0
@@ -552,9 +491,7 @@ class TestDaemon:
         """`repro status` must never rewrite or clear a live store."""
         root = tmp_path / "svc"
         submit_job(root, "smoke")
-        ServiceDaemon(ServiceConfig(root=root, poll_interval=0.01)).run(
-            max_jobs=1, idle_exit=0.05
-        )
+        _lone_worker(root).run(max_jobs=1, idle_exit=0.05)
         store_meta = root / "store" / "store.json"
         # Simulate a store written by a *newer* signature scheme.
         meta = json.loads(store_meta.read_text())
@@ -569,138 +506,99 @@ class TestDaemon:
         )  # metadata untouched
 
     def test_crashed_running_job_is_requeued(self, tmp_path):
+        """A restarted worker reclaims the lease a crashed one left behind."""
         root = tmp_path / "svc"
         job = submit_job(root, "smoke")
-        record = json.loads((root / "jobs" / f"{job.job_id}.json").read_text())
-        record["status"] = "running"  # a previous daemon died mid-execution
-        record["attempts"] = 1
-        (root / "jobs" / f"{job.job_id}.json").write_text(json.dumps(record))
-        daemon = ServiceDaemon(ServiceConfig(root=root, poll_interval=0.01))
-        daemon.run(max_jobs=1, idle_exit=0.05)
+        dead = _manager(root, "dead", ttl=1.0)
+        assert dead.claim(job.job_id) is not None  # died before any heartbeat
+        old = time.time() - 60
+        os.utime(dead.lease_path(job.job_id), (old, old))
+        worker = _lone_worker(root)
+        assert worker.run(max_jobs=1, idle_exit=0.05) == 1
         finished = wait_for_job(root, job.job_id, timeout=5.0)
         assert finished.status == "done"
         assert finished.attempts == 2
+        assert worker.jobs_reclaimed == 1
 
     def test_mid_run_cancel_survives_daemon_crash(self, tmp_path):
-        """A cancel consumed right before a crash still kills the retry."""
+        """A cancel raised right before a worker crash still kills the retry."""
         root = tmp_path / "svc"
         job = submit_job(root, "smoke")
-        path = root / "jobs" / f"{job.job_id}.json"
-        record = json.loads(path.read_text())
-        # The crashed daemon had claimed the job and persisted the cancel.
-        record.update(status="running", attempts=1, cancel_requested=True)
-        path.write_text(json.dumps(record))
-        ServiceDaemon(ServiceConfig(root=root, poll_interval=0.01)).run(
-            max_jobs=1, idle_exit=0.05
-        )
+        dead = _manager(root, "dead", ttl=1.0)
+        claimed = dead.claim(job.job_id)
+        # The crashed worker had raised and persisted the cancel flag.
+        claimed.cancel_requested = True
+        dead.write_lease(claimed)
+        _write_stale_heartbeat(root, dead.identity.worker_id)
+        old = time.time() - 60
+        os.utime(dead.lease_path(job.job_id), (old, old))
+        _lone_worker(root).run(max_jobs=1, idle_exit=0.05)
         finished = wait_for_job(root, job.job_id, timeout=5.0)
         assert finished.status == "cancelled"
-        assert finished.result["batches"] == 0
-
-    def test_terminal_jobs_are_pruned_from_memory(self, tmp_path):
-        root = tmp_path / "svc"
-        job = submit_job(root, "smoke")
-        daemon = ServiceDaemon(ServiceConfig(root=root, poll_interval=0.01))
-        daemon.run(max_jobs=1, idle_exit=0.05)
-        assert wait_for_job(root, job.job_id, timeout=5.0).status == "done"
-        # The spool record is the history; the daemon itself forgets the job.
-        assert daemon.queue.get(job.job_id) is None
-        assert daemon.queue.jobs() == []
+        assert finished.result is None  # nothing ran after the crash
 
     def test_poison_job_fails_after_attempts_exhausted(self, tmp_path):
-        """A job that crashes the daemon cannot crash-loop forever."""
+        """A job that crashes its worker cannot crash-loop forever."""
         root = tmp_path / "svc"
         job = submit_job(root, "smoke", max_attempts=2)
-        record = json.loads((root / "jobs" / f"{job.job_id}.json").read_text())
-        record["status"] = "running"
-        record["attempts"] = 2  # every allowed attempt already died
-        (root / "jobs" / f"{job.job_id}.json").write_text(json.dumps(record))
-        daemon = ServiceDaemon(ServiceConfig(root=root, poll_interval=0.01))
-        # Nothing runs, but the failed-by-recovery job still counts as
-        # finished work (a --max-jobs daemon must not spin on it).
-        assert daemon.run(max_jobs=1, idle_exit=5.0) == 1
+        dead = _manager(root, "dead", ttl=1.0)
+        claimed = dead.claim(job.job_id)
+        claimed.attempts = 2  # every allowed attempt already died
+        dead.write_lease(claimed)
+        _write_stale_heartbeat(root, dead.identity.worker_id)
+        old = time.time() - 60
+        os.utime(dead.lease_path(job.job_id), (old, old))
+        worker = _lone_worker(root)
+        assert worker.run(max_jobs=1, idle_exit=0.05) == 0  # nothing left to run
         failed = wait_for_job(root, job.job_id, timeout=5.0)
         assert failed.status == "failed"
-        assert "daemon died" in failed.error
-        assert daemon.jobs_failed == 1
-
-    def test_cancel_marker_survives_submit_race(self, tmp_path):
-        """A marker seen before its job record is loaded must not be lost."""
-        root = tmp_path / "svc"
-        job = submit_job(root, "smoke")
-        assert request_cancel(root, job.job_id) is True
-        daemon = ServiceDaemon(ServiceConfig(root=root, poll_interval=0.01))
-        marker = root / "jobs" / f"{job.job_id}.cancel"
-        # Marker processed while the queue has never seen the job (the
-        # submit/cancel race): it must be left in place, not swallowed.
-        daemon._consume_cancel_marker(marker)
-        assert marker.exists()
-        daemon.poll_spool()  # record loads first, then the marker lands
-        assert not marker.exists()
-        assert daemon.queue.get(job.job_id).status == "cancelled"
+        assert "died during attempt 2/2" in failed.error
+        assert worker.jobs_reclaimed == 1
 
     def test_running_job_of_live_sibling_daemon_is_not_stolen(self, tmp_path):
         root = tmp_path / "svc"
         job = submit_job(root, "smoke")
-        path = root / "jobs" / f"{job.job_id}.json"
-        record = json.loads(path.read_text())
-        record.update(status="running", attempts=1)
-        path.write_text(json.dumps(record))
-        # A *fresh* heartbeat from another pid: that daemon owns the job.
-        (root / "service.json").write_text(
-            json.dumps(
-                {"pid": os.getpid() + 1, "updated_at": time.time(), "stopped": False}
-            )
+        sibling = _manager(root, "sibling", ttl=1.0)
+        sibling.claim(job.job_id)
+        old = time.time() - 60
+        os.utime(sibling.lease_path(job.job_id), (old, old))
+        # A *fresh* heartbeat: the sibling is alive, merely slow.
+        (root / "workers").mkdir(exist_ok=True)
+        _worker_heartbeat_path(root, sibling.identity.worker_id).write_text(
+            json.dumps({"updated_at": time.time(), "poll_interval": 0.1, "stopped": False})
         )
-        daemon = ServiceDaemon(ServiceConfig(root=root, poll_interval=0.01))
-        assert daemon.poll_spool() == 0
-        assert daemon.queue.get(job.job_id) is None  # left alone
-        assert json.loads(path.read_text())["status"] == "running"
+        worker = _lone_worker(root)
+        assert worker.run(max_jobs=1, idle_exit=0.05) == 0
+        assert worker.jobs_reclaimed == 0
+        assert sibling.lease_path(job.job_id).exists()  # left alone
 
     def test_stale_sibling_heartbeat_allows_recovery(self, tmp_path):
         root = tmp_path / "svc"
         job = submit_job(root, "smoke")
-        path = root / "jobs" / f"{job.job_id}.json"
-        record = json.loads(path.read_text())
-        record.update(status="running", attempts=1)
-        path.write_text(json.dumps(record))
-        (root / "service.json").write_text(
-            json.dumps(
-                {"pid": os.getpid() + 1, "updated_at": time.time() - 3600, "stopped": False}
-            )
-        )
-        daemon = ServiceDaemon(ServiceConfig(root=root, poll_interval=0.01))
-        daemon.run(max_jobs=1, idle_exit=0.05)
+        sibling = _manager(root, "sibling", ttl=1.0)
+        sibling.claim(job.job_id)
+        old = time.time() - 60
+        os.utime(sibling.lease_path(job.job_id), (old, old))
+        _write_stale_heartbeat(root, sibling.identity.worker_id)
+        _lone_worker(root).run(max_jobs=1, idle_exit=0.05)
         assert wait_for_job(root, job.job_id, timeout=5.0).status == "done"
 
     def test_job_id_reuse_after_purge_is_executed(self, tmp_path):
         root = tmp_path / "svc"
         submit_job(root, "smoke", job_id="nightly")
-        daemon = ServiceDaemon(ServiceConfig(root=root, poll_interval=0.01))
-        daemon.run(max_jobs=1, idle_exit=0.05)
-        assert wait_for_job(root, "nightly", timeout=5.0).status == "done"
+        worker = _lone_worker(root)
+        assert worker.step().status == "done"
         gc_service(root, purge_jobs=True)
-        # Same id, fresh record: the (still-running) daemon must notice the
+        # Same id, fresh record: the still-running worker must notice the
         # rewritten file rather than skipping the id from memory forever.
         submit_job(root, "smoke", job_id="nightly", params={"seed": 9})
-        assert daemon.poll_spool() == 1
-        assert daemon.queue.get("nightly").status == "queued"
-
-    def test_priority_orders_execution(self, tmp_path):
-        root = tmp_path / "svc"
-        low = submit_job(root, "smoke", priority=0)
-        high = submit_job(root, "smoke", priority=9)
-        daemon = ServiceDaemon(ServiceConfig(root=root, poll_interval=0.01))
-        daemon.poll_spool()
-        assert daemon.queue.pop().job_id == high.job_id
-        assert daemon.queue.pop().job_id == low.job_id
+        rerun = worker.step()
+        assert rerun.job_id == "nightly" and rerun.status == "done"
 
     def test_gc_purges_jobs_and_evicts_store(self, tmp_path):
         root = tmp_path / "svc"
         submit_job(root, "smoke")
-        ServiceDaemon(ServiceConfig(root=root, poll_interval=0.01)).run(
-            max_jobs=1, idle_exit=0.05
-        )
+        _lone_worker(root).run(max_jobs=1, idle_exit=0.05)
         report = gc_service(root, max_bytes=1, purge_jobs=True)
         assert report["purged_jobs"] == 1
         assert report["evicted_blobs"] == len(_smoke_tasks())
@@ -710,12 +608,10 @@ class TestDaemon:
         """`repro gc` from a foreign checkout must not version-clear blobs."""
         root = tmp_path / "svc"
         submit_job(root, "smoke")
-        ServiceDaemon(ServiceConfig(root=root, poll_interval=0.01)).run(
-            max_jobs=1, idle_exit=0.05
-        )
+        _lone_worker(root).run(max_jobs=1, idle_exit=0.05)
         meta_path = root / "store" / "store.json"
         meta = json.loads(meta_path.read_text())
-        meta["signature_version"] = SIGNATURE_VERSION + 1  # a newer daemon's store
+        meta["signature_version"] = SIGNATURE_VERSION + 1  # a newer worker's store
         meta_path.write_text(json.dumps(meta))
         before = sorted((root / "store" / "blobs").glob("*/*.json"))
         report = gc_service(root, purge_jobs=True)  # no size cap: no eviction
@@ -731,13 +627,9 @@ class TestWarmStart:
     def test_daemon_restart_serves_from_store(self, tmp_path):
         root = tmp_path / "svc"
         submit_job(root, "smoke")
-        ServiceDaemon(ServiceConfig(root=root, poll_interval=0.01)).run(
-            max_jobs=1, idle_exit=0.05
-        )
+        _lone_worker(root).run(max_jobs=1, idle_exit=0.05)
         job = submit_job(root, "smoke")
-        ServiceDaemon(ServiceConfig(root=root, poll_interval=0.01)).run(
-            max_jobs=1, idle_exit=0.05
-        )
+        _lone_worker(root).run(max_jobs=1, idle_exit=0.05)
         finished = wait_for_job(root, job.job_id, timeout=5.0)
         cache = finished.result["cache"]
         assert cache["misses"] == 0
@@ -1046,6 +938,14 @@ class TestClusterWorker:
         assert all(len(r["executions"]) == 1 for r in records), "a job was double-claimed"
         assert sum(worker.jobs_done for worker in workers) == 6
 
+    def test_priority_order_with_fifo_ties(self, tmp_path):
+        root = tmp_path / "svc"
+        for job_id, priority in (("a", 0), ("b", 5), ("c", 5), ("d", 1)):
+            submit_job(root, "smoke", priority=priority, job_id=job_id)
+        worker = self._worker(root)
+        assert [worker.step().job_id for _ in range(4)] == ["b", "c", "d", "a"]
+        assert worker.step() is None
+
     def test_worker_respects_priority_order(self, tmp_path):
         root = tmp_path / "svc"
         low = submit_job(root, "smoke", priority=0)
@@ -1243,34 +1143,6 @@ class TestConcurrentStoreGc:
         assert store.get_layout(final) == (1, 2, 3)  # the store still works
 
 
-# -- daemon: idle-exit race -----------------------------------------------------------
-
-
-class TestDaemonIdleExitRace:
-    def test_idle_exit_rechecks_spool_before_exit(self, tmp_path, monkeypatch):
-        """A submission landing after the idle scan must still be served."""
-        root = tmp_path / "svc"
-        daemon = ServiceDaemon(ServiceConfig(root=root, poll_interval=0.01))
-        real_run_once = daemon.scheduler.run_once
-        raced = {"submitted": False}
-
-        def run_once_with_late_submission():
-            job = real_run_once()
-            if job is None and not raced["submitted"]:
-                # The spool scan of this cycle found nothing; the submission
-                # lands now — after the scan, before the idle-deadline check.
-                raced["submitted"] = True
-                submit_job(root, "smoke")
-            return job
-
-        monkeypatch.setattr(daemon.scheduler, "run_once", run_once_with_late_submission)
-        # idle_exit=0: the deadline fires on the very first idle cycle, so
-        # only the final re-check can see the racing submission.
-        assert daemon.run(max_jobs=1, idle_exit=0.0) == 1
-        jobs = [json.loads(p.read_text()) for p in (root / "jobs").glob("*.json")]
-        assert [job["status"] for job in jobs] == ["done"]
-
-
 # -- job record: execution audit trail ------------------------------------------------
 
 
@@ -1278,13 +1150,12 @@ class TestExecutionAuditTrail:
     def test_daemon_records_exactly_one_execution(self, tmp_path):
         root = tmp_path / "svc"
         job = submit_job(root, "smoke")
-        ServiceDaemon(ServiceConfig(root=root, poll_interval=0.01)).run(
-            max_jobs=1, idle_exit=0.05
-        )
+        worker = _lone_worker(root)
+        worker.run(max_jobs=1, idle_exit=0.05)
         finished = wait_for_job(root, job.job_id, timeout=5.0)
         assert len(finished.executions) == 1
         entry = finished.executions[0]
-        assert entry["worker"] == "local" and entry["attempt"] == 1
+        assert entry["worker"] == worker.identity.worker_id and entry["attempt"] == 1
         assert entry["finished_at"] >= entry["claimed_at"]
         assert finished.latency_seconds() is not None
         assert finished.latency_seconds() >= 0.0
@@ -1476,10 +1347,8 @@ class TestClusterRobustness:
     def test_gc_sweeps_orphaned_cancel_markers(self, tmp_path):
         root = tmp_path / "svc"
         job = submit_job(root, "smoke")
-        ServiceDaemon(ServiceConfig(root=root, poll_interval=0.01)).run(
-            max_jobs=1, idle_exit=0.05
-        )
-        # Marker written against the finished job (the daemon never saw it).
+        _lone_worker(root).run(max_jobs=1, idle_exit=0.05)
+        # Marker written against the finished job (the worker never saw it).
         (root / "jobs" / f"{job.job_id}.cancel").write_text("")
         (root / "jobs" / "ghost.cancel").write_text("")  # job never existed
         report = gc_service(root, purge_jobs=True)

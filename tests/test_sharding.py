@@ -24,8 +24,6 @@ from repro.service import (
     ClusterWorker,
     LeaseManager,
     ResultStore,
-    ServiceConfig,
-    ServiceDaemon,
     WorkerConfig,
     WorkerIdentity,
     adopt_stray_records,
@@ -328,8 +326,9 @@ class TestShardedService:
         root = tmp_path / "svc"
         for i in range(5):
             submit_job(root, "smoke", params={"seed": i}, job_id=f"smoke-{i:08d}")
-        daemon = ServiceDaemon(ServiceConfig(root=root, shards=4))
-        assert daemon.run(max_jobs=5, idle_exit=0.2) == 5
+        ensure_layout(root, shards=4)  # what `serve --shards 4` does first
+        worker = ClusterWorker(WorkerConfig(root=root, poll_interval=0.01))
+        assert worker.run(max_jobs=5, idle_exit=0.2) == 5
         report = service_status(root)
         assert report["jobs"]["counts"] == {"done": 5}
         claimed = read_events(root, event="claimed")

@@ -21,7 +21,7 @@ import pytest
 
 from repro.cli import main
 from repro.obs.events import EventLog, iter_events
-from repro.service import ServiceConfig, ServiceDaemon, submit_job
+from repro.service import ClusterWorker, WorkerConfig, submit_job
 from repro.service.sharding import ensure_layout, read_layout
 from repro.watch.data import (
     HISTORY_POINTS,
@@ -55,8 +55,8 @@ class TestWatchPoller:
     def _settled_root(self, tmp_path: Path) -> Path:
         root = tmp_path / "svc"
         submit_job(root, "smoke")
-        daemon = ServiceDaemon(ServiceConfig(root=root, poll_interval=0.01))
-        assert daemon.run(max_jobs=1, idle_exit=0.05) == 1
+        worker = ClusterWorker(WorkerConfig(root=root, poll_interval=0.01))
+        assert worker.run(max_jobs=1, idle_exit=0.05) == 1
         return root
 
     def test_frames_fold_health_jobs_and_tail(self, tmp_path):
