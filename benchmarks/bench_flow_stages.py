@@ -14,23 +14,38 @@ instance:
   comparison restores all ten stage artifacts and executes none of them —
   the warm compare must be at least ``REPRO_BENCH_MIN_SPEEDUP``x (default
   1.5x) faster than the cold compare, bit-identical results included.
+
+A third check runs at a fixed scale where an O(N²) term cannot hide:
+
+* **Instance identity at scale.**  On ibm01 at scale 0.15 (1959 nets) the
+  instance token takes under 0.25 s — it hashes the sensitivity oracle's
+  token, not every net pair — and the panel problems built through the
+  vectorised sensitivity kernel equal those built pair by pair through the
+  scalar ``are_sensitive``.
 """
 
 from __future__ import annotations
 
 import os
+import statistics
 import time
 
 from repro.bench.ibm import generate_circuit
 from repro.engine import Engine, SolutionCache
+from repro.engine.signature import instance_token
 from repro.flow.flows import FLOW_NAMES, build_context, run_compare
+from repro.grid.congestion import CongestionMap
+from repro.gsino.budgeting import bounds_for_nets, compute_budgets
 from repro.gsino.config import GsinoConfig
+from repro.gsino.phase1 import run_phase1
+from repro.gsino.phase2 import build_panel_problems
 from repro.gsino.reference import (
     reference_run_gsino,
     reference_run_id_no,
     reference_run_isino,
 )
 from repro.service.store import ResultStore
+from repro.sino.panel import SinoProblem
 
 from conftest import BENCH_SCALE, BENCH_SEED
 
@@ -40,6 +55,11 @@ MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_MIN_SPEEDUP", "1.5"))
 
 FLOW_BENCH_CIRCUIT = "ibm01"
 FLOW_BENCH_RATE = 0.3
+
+#: Fixed scale of the instance-identity check: 1959 ibm01 nets, where a
+#: pair walk over the netlist took about 10 s on a 2-core VM (Python 3.11).
+IDENTITY_SCALE = 0.15
+MAX_INSTANCE_TOKEN_SECONDS = 0.25
 
 
 def _bench_circuit():
@@ -133,3 +153,56 @@ def test_warm_compare_speedup_from_stage_store(benchmark, tmp_path):
         )
     assert first_warm.runner.executed_count == 0
     assert speedup >= MIN_SPEEDUP
+
+
+def _scalar_panel_problems(routing, netlist, budgets, config):
+    """``build_panel_problems`` with the relation decided pair by pair."""
+    problems = {}
+    for coord, direction, usage in CongestionMap.from_solution(routing).entries():
+        if not usage.nets:
+            continue
+        nets = sorted(usage.nets)
+        sensitivity = {
+            net: {other for other in nets if netlist.are_sensitive(net, other)}
+            for net in nets
+        }
+        bounds = bounds_for_nets(budgets, nets)
+        problems[(coord, direction)] = SinoProblem.build(
+            segments=nets,
+            sensitivity=sensitivity,
+            kth=bounds,
+            default_kth=max(bounds.values(), default=1.0),
+            capacity=usage.capacity,
+            keff_model=config.keff_model,
+        )
+    return problems
+
+
+def test_instance_token_at_scale(benchmark):
+    """O(nets) instance identity at 1959 nets; kernel-built panels exact."""
+    circuit = generate_circuit(
+        FLOW_BENCH_CIRCUIT,
+        sensitivity_rate=FLOW_BENCH_RATE,
+        scale=IDENTITY_SCALE,
+        seed=BENCH_SEED,
+    )
+    config = GsinoConfig(length_scale=1.0 / (IDENTITY_SCALE**0.5))
+
+    seconds = []
+
+    def timed_token():
+        start = time.perf_counter()
+        token = instance_token(circuit.grid, circuit.netlist)
+        seconds.append(time.perf_counter() - start)
+        return token
+
+    token = benchmark.pedantic(timed_token, rounds=5, iterations=1)
+    benchmark.extra_info["nets"] = circuit.netlist.num_nets
+    assert token == instance_token(circuit.grid, circuit.netlist)
+    assert statistics.median(seconds) < MAX_INSTANCE_TOKEN_SECONDS
+
+    budgets = compute_budgets(circuit.netlist, config)
+    routing = run_phase1(circuit.grid, circuit.netlist, config, budgets=budgets).routing
+    problems = build_panel_problems(routing, circuit.netlist, budgets, config)
+    benchmark.extra_info["panels"] = len(problems)
+    assert problems == _scalar_panel_problems(routing, circuit.netlist, budgets, config)

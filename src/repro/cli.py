@@ -106,7 +106,7 @@ from repro.noise.table_builder import LskTableBuilder, TableBuildConfig
 from repro.obs.events import follow_events, format_event, iter_events, read_events
 from repro.obs.health import collect_fleet_health, format_health
 from repro.obs.metrics import fleet_metrics_from_events, format_metrics
-from repro.obs.trace import Tracer, set_active_tracer
+from repro.obs.trace import Tracer, maybe_span, set_active_tracer
 from repro.service import (
     MAX_SHARDS,
     ClusterConfig,
@@ -761,7 +761,8 @@ def _run_flows(args: argparse.Namespace) -> int:
         raise SystemExit("flows: choose one of --list, --show NAME or --run NAME")
     names = FLOW_NAMES if args.run == "compare" else (args.run,)
     circuit, config, store, engine = _instance_run_setup(args)
-    with engine:
+    # One root span, so the report's %root column shares out the whole run.
+    with engine, maybe_span(engine.tracer, "run", flows=len(names)):
         context = build_context(circuit.grid, circuit.netlist, config, engine)
         runner = FlowRunner(context, store=store, tracer=engine.tracer)
         results = {name: run_flow(name, context, runner=runner) for name in names}

@@ -9,10 +9,13 @@ cache keys on a stable content hash instead.
 Beyond panels, the flow layer (:mod:`repro.flow`) memoises whole *stage
 artifacts* — routings, budget tables, panel-solution maps, metrics — by the
 same principle: :func:`instance_token` canonicalises a routing instance
-(grid plus netlist, sensitivity included) and :func:`stage_signature` hashes
-a stage's identity together with the signatures of its input artifacts, so
-two flows that share an ancestor stage share one artifact, in memory and in
-the persistent store.
+(grid plus netlist, the sensitivity oracle by its own
+:meth:`~repro.grid.sensitivity.SensitivityOracle.token`) and
+:func:`stage_signature` hashes a stage's identity together with the
+signatures of its input artifacts, so two flows that share an ancestor stage
+share one artifact, in memory and in the persistent store.  The instance
+token costs O(nets), not O(nets²): a random oracle is a pure function of
+``(rate, seed)`` and the net ids, so its token needs no pair walk.
 
 A signature covers everything that can influence the solution:
 
@@ -52,8 +55,10 @@ SIGNATURE_VERSION = 3
 
 #: Version of the *stage* signature scheme (instance token + stage token
 #: layout).  Bump whenever either token layout changes so persisted stage
-#: artifacts hashed under an older scheme can never be restored.
-STAGE_SIGNATURE_VERSION = 1
+#: artifacts hashed under an older scheme can never be restored.  Version 2
+#: replaced the instance token's full sensitivity pair list with the
+#: oracle's token; stores filled under version 1 re-execute once.
+STAGE_SIGNATURE_VERSION = 2
 
 
 def _float_token(value: float) -> str:
@@ -166,11 +171,14 @@ def instance_token(grid: "RoutingGrid", netlist: "Netlist") -> str:
     """Stable hex digest of one routing instance (grid + netlist + sensitivity).
 
     Covers everything a flow stage can read from the instance: the grid
-    geometry and capacities, every net's pin coordinates (hex-encoded, so
-    the token is exact) and the full pairwise sensitivity relation.  Two
-    instances with the same token produce bit-identical stage artifacts
-    under the same configuration, which is what lets the flow layer share
-    and persist stage results across runs and processes.
+    geometry and capacities, every net's id and pin coordinates
+    (hex-encoded, so the token is exact) and the sensitivity oracle's
+    :meth:`~repro.grid.sensitivity.SensitivityOracle.token`.  Together with
+    the net ids that token fixes the relation among the netlist's nets, so
+    the pairs themselves are never enumerated and the cost is linear in the
+    pin count.  Two instances with the same token produce bit-identical
+    stage artifacts under the same configuration, which is what lets the
+    flow layer share and persist stage results across runs and processes.
     """
     grid_token = ",".join(
         (
@@ -183,26 +191,16 @@ def instance_token(grid: "RoutingGrid", netlist: "Netlist") -> str:
             _float_token(grid.track_pitch_um),
         )
     )
-    net_ids = netlist.net_ids()
     net_parts = []
-    for net_id in net_ids:
-        net = netlist.net(net_id)
+    for net in netlist.nets():
         pins = ";".join(f"{_float_token(pin.x)}:{_float_token(pin.y)}" for pin in net.pins)
-        net_parts.append(f"{net_id}@{pins}")
-    sensitivity = netlist.local_sensitivity_map(net_ids)
-    pairs = sorted(
-        {
-            (min(net_id, other), max(net_id, other))
-            for net_id, others in sensitivity.items()
-            for other in others
-        }
-    )
+        net_parts.append(f"{net.net_id}@{pins}")
     token = "|".join(
         (
             f"sv{STAGE_SIGNATURE_VERSION}",
             f"grid={grid_token}",
             f"nets={','.join(net_parts)}",
-            f"sensitivity={';'.join(f'{a}-{b}' for a, b in pairs)}",
+            f"sensitivity={netlist.sensitivity.token()}",
         )
     )
     return hashlib.sha256(token.encode("utf-8")).hexdigest()

@@ -26,6 +26,7 @@ from repro.engine.signature import anneal_token, float_token, instance_token
 from repro.grid.nets import Netlist
 from repro.grid.regions import RoutingGrid
 from repro.gsino.config import GsinoConfig
+from repro.obs.trace import maybe_span
 from repro.router.weights import WeightConfig
 from repro.tech.itrs import Technology
 
@@ -81,9 +82,11 @@ class FlowContext:
         )
 
     def instance_signature(self) -> str:
-        """Content token of the routing instance (cached)."""
+        """Content token of the routing instance (cached; the first
+        computation is a ``signature.instance`` span on the engine's tracer)."""
         if self._instance_token is None:
-            self._instance_token = instance_token(self.grid, self.netlist)
+            with maybe_span(self.engine.tracer, "signature.instance"):
+                self._instance_token = instance_token(self.grid, self.netlist)
         return self._instance_token
 
     def config_signature(self) -> str:

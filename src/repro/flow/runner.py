@@ -159,11 +159,12 @@ class FlowRunner:
         tainted: Set[str] = set()
         for artifact in graph.schedule(targets):
             stage = graph.stages[artifact]
-            if self.signature_of(graph, artifact) in self._seeded or any(
-                needed in tainted for needed in stage.inputs
-            ):
-                tainted.add(artifact)
+            # The span opens first so signature hashing is traced time.
             with maybe_span(self.tracer, f"stage.{artifact}") as span:
+                if self.signature_of(graph, artifact) in self._seeded or any(
+                    needed in tainted for needed in stage.inputs
+                ):
+                    tainted.add(artifact)
                 values[artifact] = self._materialize_one(
                     graph, artifact, values, use_store=artifact not in tainted
                 )

@@ -6,21 +6,32 @@ other signal nets it is sensitive to.  The paper's experiments draw this
 relation at random at a fixed rate (30 % or 50 %) because the real relation
 "depends on logic and physical implementation".
 
-Storing an explicit aggressor set per net is fine for small designs but grows
-quadratically, so two implementations of the same oracle interface are
-provided:
+Every oracle answers three queries — one pair (:meth:`are_sensitive`), one
+net against a candidate group (:meth:`aggressors_among`) and the whole
+relation restricted to a group (:meth:`local_sensitivity_map`, what
+per-region SINO needs) — and identifies itself with a :meth:`token`, the
+string the flow layer's instance signature folds in instead of walking every
+net pair.  Two implementations are provided, each with one relation kernel:
 
-* :class:`ExplicitSensitivity` — backed by a dictionary of aggressor sets
-  (used by tests, small examples and hand-built cases);
-* :class:`RandomPairwiseSensitivity` — a deterministic hash of the net-id
-  pair decides sensitivity, so arbitrarily large netlists cost O(1) memory
+* :class:`ExplicitSensitivity` — backed by symmetrised aggressor sets; the
+  group queries are set intersections and the token hashes the sorted pair
+  list (tests, small examples and hand-built cases);
+* :class:`RandomPairwiseSensitivity` — a SplitMix64 hash of the net-id pair
+  and the seed decides sensitivity, so arbitrarily large netlists cost O(1)
+  memory and the token is the O(1) ``(rate, seed)`` pair.  The group queries
+  evaluate the hash over whole id arrays in one numpy ``uint64`` pass; the
+  scalar :meth:`~RandomPairwiseSensitivity.are_sensitive` computes the same
+  bits one pair at a time and is the reference the kernel is tested against
   (used by the IBM-style benchmark generator).
 """
 
 from __future__ import annotations
 
+import hashlib
 from abc import ABC, abstractmethod
 from typing import Dict, FrozenSet, Iterable, Mapping, Set
+
+import numpy as np
 
 
 class SensitivityOracle(ABC):
@@ -34,28 +45,24 @@ class SensitivityOracle(ABC):
     def rate_of(self, net_id: int, num_nets: int) -> float:
         """Sensitivity rate of a net given the total number of signal nets."""
 
+    @abstractmethod
     def aggressors_among(self, net_id: int, candidates: Iterable[int]) -> Set[int]:
         """The subset of ``candidates`` that are sensitive to ``net_id``."""
-        return {
-            candidate
-            for candidate in candidates
-            if candidate != net_id and self.are_sensitive(net_id, candidate)
-        }
 
+    @abstractmethod
     def local_sensitivity_map(self, net_ids: Iterable[int]) -> Dict[int, Set[int]]:
         """Pairwise sensitivity restricted to a group of nets.
 
-        This is what per-region SINO needs: the relation among the nets that
-        actually share the region.
+        Keys follow the first occurrence of each id in ``net_ids``.
         """
-        ids = list(dict.fromkeys(net_ids))
-        mapping: Dict[int, Set[int]] = {net_id: set() for net_id in ids}
-        for index, net_a in enumerate(ids):
-            for net_b in ids[index + 1:]:
-                if self.are_sensitive(net_a, net_b):
-                    mapping[net_a].add(net_b)
-                    mapping[net_b].add(net_a)
-        return mapping
+
+    @abstractmethod
+    def token(self) -> str:
+        """Exact identity of the relation: equal tokens, equal relations.
+
+        The flow layer hashes this into the instance signature, so it must
+        change whenever any pair's answer can change.
+        """
 
 
 class ExplicitSensitivity(SensitivityOracle):
@@ -93,8 +100,49 @@ class ExplicitSensitivity(SensitivityOracle):
         return len(self._aggressors.get(net_id, frozenset())) / (num_nets - 1)
 
     def aggressors_among(self, net_id: int, candidates: Iterable[int]) -> Set[int]:
-        known = self._aggressors.get(net_id, frozenset())
-        return {candidate for candidate in candidates if candidate in known}
+        return set(candidates) & self.aggressors_of(net_id)
+
+    def local_sensitivity_map(self, net_ids: Iterable[int]) -> Dict[int, Set[int]]:
+        ids = list(dict.fromkeys(net_ids))
+        group = set(ids)
+        return {net_id: group & self.aggressors_of(net_id) for net_id in ids}
+
+    def token(self) -> str:
+        pairs = sorted(
+            (net_id, other)
+            for net_id, others in self._aggressors.items()
+            for other in others
+            if net_id < other
+        )
+        text = ";".join(f"{a}-{b}" for a, b in pairs)
+        return "explicit:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+_MASK = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX_1 = 0xBF58476D1CE4E5B9
+_MIX_2 = 0x94D049BB133111EB
+_TWO_64 = float(1 << 64)
+
+
+def _splitmix64(value: int) -> int:
+    """SplitMix64 finaliser on one Python integer (wrapped mod 2**64)."""
+    value = (value + _GOLDEN) & _MASK
+    value = ((value ^ (value >> 30)) * _MIX_1) & _MASK
+    value = ((value ^ (value >> 27)) * _MIX_2) & _MASK
+    return (value ^ (value >> 31)) & _MASK
+
+
+def _splitmix64_array(values: np.ndarray) -> np.ndarray:
+    """:func:`_splitmix64` over a ``uint64`` array.
+
+    numpy's unsigned array arithmetic wraps mod 2**64, which is exactly the
+    scalar code's ``& _MASK``.
+    """
+    values = values + np.uint64(_GOLDEN)
+    values = (values ^ (values >> np.uint64(30))) * np.uint64(_MIX_1)
+    values = (values ^ (values >> np.uint64(27))) * np.uint64(_MIX_2)
+    return values ^ (values >> np.uint64(31))
 
 
 class RandomPairwiseSensitivity(SensitivityOracle):
@@ -105,35 +153,44 @@ class RandomPairwiseSensitivity(SensitivityOracle):
     when that value falls below ``rate``.  The relation is therefore symmetric,
     reproducible, and needs no storage — exactly what the paper's "a signal
     net is sensitive to random 30 % of other signal nets" assumption requires
-    at benchmark scale.
+    at benchmark scale.  The group queries take non-negative net ids.
     """
-
-    _MASK = (1 << 64) - 1
 
     def __init__(self, rate: float, seed: int = 0) -> None:
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"sensitivity rate must lie in [0, 1], got {rate}")
         self.rate = float(rate)
         self.seed = int(seed)
-
-    def _mix(self, value: int) -> int:
-        # SplitMix64 finaliser: good avalanche behaviour, cheap, deterministic.
-        value = (value + 0x9E3779B97F4A7C15) & self._MASK
-        value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & self._MASK
-        value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & self._MASK
-        return (value ^ (value >> 31)) & self._MASK
-
-    def _pair_value(self, net_a: int, net_b: int) -> float:
-        low, high = (net_a, net_b) if net_a <= net_b else (net_b, net_a)
-        mixed = self._mix((low << 32) ^ high ^ self._mix(self.seed))
-        return mixed / float(1 << 64)
+        self._seed_key = _splitmix64(self.seed)
 
     def are_sensitive(self, net_a: int, net_b: int) -> bool:
         if net_a == net_b:
             return False
-        return self._pair_value(net_a, net_b) < self.rate
+        low, high = (net_a, net_b) if net_a < net_b else (net_b, net_a)
+        return _splitmix64((low << 32) ^ high ^ self._seed_key) / _TWO_64 < self.rate
+
+    def _relation(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The relation kernel: ``are_sensitive`` broadcast over two id arrays."""
+        low = np.minimum(rows, cols)
+        high = np.maximum(rows, cols)
+        mixed = _splitmix64_array((low << np.uint64(32)) ^ high ^ np.uint64(self._seed_key))
+        return (mixed.astype(np.float64) / _TWO_64 < self.rate) & (rows != cols)
+
+    def aggressors_among(self, net_id: int, candidates: Iterable[int]) -> Set[int]:
+        others = np.asarray(list(candidates), dtype=np.uint64)
+        hits = self._relation(np.asarray([net_id], dtype=np.uint64), others)
+        return set(others[hits].tolist())
+
+    def local_sensitivity_map(self, net_ids: Iterable[int]) -> Dict[int, Set[int]]:
+        ids = list(dict.fromkeys(net_ids))
+        column = np.asarray(ids, dtype=np.uint64)
+        relation = self._relation(column[:, None], column[None, :])
+        return {net_id: set(column[row].tolist()) for net_id, row in zip(ids, relation)}
 
     def rate_of(self, net_id: int, num_nets: int) -> float:
         # The expected rate equals the nominal rate; using the expectation
         # keeps full-chip budgeting O(1) per net.
         return self.rate
+
+    def token(self) -> str:
+        return f"splitmix64:rate={self.rate.hex()}:seed={self.seed}"

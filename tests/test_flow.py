@@ -27,6 +27,8 @@ from repro.cli import main
 from repro.engine.backends import create_backend
 from repro.engine.cache import SolutionCache
 from repro.engine.panels import Engine
+import repro.engine.signature as signature_module
+import repro.service.store as store_module
 from repro.engine.signature import STAGE_SIGNATURE_VERSION, instance_token, stage_signature
 from repro.flow.artifacts import (
     decode_budgets,
@@ -53,6 +55,7 @@ from repro.flow.flows import (
 )
 from repro.flow.graph import FlowGraph, Stage
 from repro.flow.runner import FlowRunner
+from repro.grid.sensitivity import RandomPairwiseSensitivity
 from repro.gsino.budgeting import compute_budgets
 from repro.gsino.config import GsinoConfig
 from repro.gsino.pipeline import compare_flows, run_gsino
@@ -63,6 +66,7 @@ from repro.gsino.reference import (
     reference_run_isino,
 )
 from repro.obs.events import EventLog, read_events
+from repro.obs.trace import Tracer
 from repro.service import Job, ResultStore, Scheduler
 from repro.service.scenarios import (
     FlowScenarioSpec,
@@ -290,6 +294,43 @@ class TestSignatures:
             other.grid, other.netlist
         )
 
+    def test_instance_token_follows_the_sensitivity_oracle(self, flow_circuit):
+        netlist = flow_circuit.netlist
+        oracle = netlist.sensitivity
+        token = instance_token(flow_circuit.grid, netlist)
+        # Same pins, same relation under a fresh but equal oracle: same token.
+        twin = netlist.with_sensitivity(RandomPairwiseSensitivity(oracle.rate, oracle.seed))
+        assert instance_token(flow_circuit.grid, twin) == token
+        # Same pins, another relation: another token.
+        for rewired in (
+            netlist.with_sensitivity(RandomPairwiseSensitivity(oracle.rate, oracle.seed + 1)),
+            netlist.with_sensitivity(RandomPairwiseSensitivity(0.5, oracle.seed)),
+            netlist.with_sensitivity({0: {1}}),
+            netlist.with_sensitivity({}),
+        ):
+            assert instance_token(flow_circuit.grid, rewired) != token
+        assert instance_token(flow_circuit.grid, netlist.with_sensitivity({0: {1}})) == (
+            instance_token(flow_circuit.grid, netlist.with_sensitivity({1: {0}}))
+        )
+
+    def test_instance_hashing_is_traced_inside_the_first_stage(self, flow_circuit, flow_config):
+        tracer = Tracer()
+        context = build_context(
+            flow_circuit.grid, flow_circuit.netlist, flow_config, Engine(tracer=tracer)
+        )
+        run_flow("id_no", context, runner=FlowRunner(context, tracer=tracer))
+        first = tracer.roots[0]
+        assert first.name.startswith("stage.")
+        assert first.children[0].name == "signature.instance"
+
+        def names(span):
+            yield span.name
+            for child in span.children:
+                yield from names(child)
+
+        all_names = [name for root in tracer.roots for name in names(root)]
+        assert all_names.count("signature.instance") == 1
+
     def test_stage_signature_covers_every_field(self):
         base = dict(stage="s", version=1, params="-", instance="i", config="c", inputs=["x"])
         signature = stage_signature(**base)
@@ -412,6 +453,24 @@ class TestStoreResume:
         assert [record["artifact"] for record in failed] == [PANELS_GSINO]
         assert failed[0]["outcome"] == "executed"
         assert "\n" not in failed[0]["decode_error"] and failed[0]["decode_error"]
+
+    def test_store_filled_under_the_previous_scheme_re_executes(
+        self, flow_circuit, flow_config, tmp_path, monkeypatch
+    ):
+        root = tmp_path / "store"
+        with monkeypatch.context() as old_scheme:
+            for module in (signature_module, store_module):
+                old_scheme.setattr(module, "STAGE_SIGNATURE_VERSION", STAGE_SIGNATURE_VERSION - 1)
+            context, store = self._context(flow_circuit, flow_config, root)
+            old = run_compare(context, store=store)
+        assert old.runner.executed_count == 10
+        context, store = self._context(flow_circuit, flow_config, root)
+        fresh = run_compare(context, store=store)
+        assert fresh.runner.outcome_counts() == {"executed": 10, "restored": 0, "shared": 3}
+        for flow in FLOW_NAMES:
+            assert fresh.results[flow].metrics.summary() == old.results[flow].metrics.summary()
+        context, store = self._context(flow_circuit, flow_config, root)
+        assert run_compare(context, store=store).runner.restored_count == 10
 
     def test_store_artifact_version_mismatch_is_a_miss(self, tmp_path):
         store = ResultStore(tmp_path / "store")

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.grid.nets import Net, Netlist, Pin
@@ -221,6 +221,97 @@ class TestSensitivityOracles:
         for net, others in local.items():
             for other in others:
                 assert net in local[other]
+
+    @given(
+        st.floats(min_value=0.0, max_value=1.0),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(min_value=-(2**63), max_value=2**63),
+        st.integers(min_value=-(2**63), max_value=2**63),
+    )
+    @example(0.3, 0.3, 5, 5)
+    @example(0.3, 0.3, 5, -5)
+    @example(0.3, float(np.nextafter(0.3, 1.0)), 5, 5)  # one ulp decides some pair
+    @settings(max_examples=60, deadline=None)
+    def test_random_token_differs_whenever_rate_or_seed_does(self, rate_a, rate_b, seed_a, seed_b):
+        same = (rate_a, seed_a) == (rate_b, seed_b)
+        tokens_equal = (
+            RandomPairwiseSensitivity(rate_a, seed_a).token()
+            == RandomPairwiseSensitivity(rate_b, seed_b).token()
+        )
+        assert tokens_equal == same
+
+    def test_explicit_token_ignores_order_and_direction(self):
+        token = ExplicitSensitivity({1: {2}}).token()
+        assert ExplicitSensitivity({2: {1}}).token() == token
+        assert ExplicitSensitivity({1: {2}, 2: {1}}).token() == token
+        assert ExplicitSensitivity({1: {2, 1}}).token() == token  # self-pairs dropped
+        both = ExplicitSensitivity({1: {2}, 3: {4}}).token()
+        assert ExplicitSensitivity({4: {3}, 2: {1}}).token() == both
+        assert both != token
+        assert ExplicitSensitivity({1: {3}}).token() != token
+        assert ExplicitSensitivity.empty().token() != token
+
+    def test_oracle_kinds_never_share_a_token(self):
+        assert ExplicitSensitivity.empty().token() != RandomPairwiseSensitivity(0.0).token()
+
+
+#: Net ids reaching past 2**32, where the kernel's ``low << 32`` wraps.
+_net_ids = st.lists(st.integers(min_value=0, max_value=2**40), max_size=24)
+_rates = st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=1.0))
+
+
+def _with_duplicates(ids, data):
+    """``ids`` plus a few repeated entries, shuffled (unsorted input)."""
+    if ids:
+        ids = ids + data.draw(st.lists(st.sampled_from(ids), max_size=4))
+    return data.draw(st.permutations(ids))
+
+
+class TestSensitivityKernels:
+    """The group queries equal the scalar ``are_sensitive`` pair for pair."""
+
+    @staticmethod
+    def assert_matches_scalar(oracle, ids):
+        local = oracle.local_sensitivity_map(ids)
+        assert list(local) == list(dict.fromkeys(ids))
+        for net in local:
+            expected = {other for other in ids if oracle.are_sensitive(net, other)}
+            assert local[net] == expected
+            assert oracle.aggressors_among(net, ids) == expected
+            assert all(type(other) is int for other in local[net])
+
+    @given(_net_ids, _rates, st.integers(min_value=-(2**63), max_value=2**63), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_random_kernel_matches_scalar(self, ids, rate, seed, data):
+        ids = _with_duplicates(ids, data)
+        self.assert_matches_scalar(RandomPairwiseSensitivity(rate, seed), ids)
+
+    @given(
+        st.dictionaries(
+            st.integers(min_value=0, max_value=40),
+            st.sets(st.integers(min_value=0, max_value=40), max_size=8),
+            max_size=12,
+        ),
+        st.lists(st.integers(min_value=0, max_value=45), max_size=20),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_explicit_kernel_matches_scalar(self, aggressors, ids, data):
+        ids = _with_duplicates(ids, data)
+        self.assert_matches_scalar(ExplicitSensitivity(aggressors), ids)
+
+    def test_rate_extremes(self):
+        ids = [0, 3, 2**32, 2**32 + 3, 2**40]
+        full = RandomPairwiseSensitivity(rate=1.0, seed=9).local_sensitivity_map(ids)
+        assert full == {net: set(ids) - {net} for net in ids}
+        empty = RandomPairwiseSensitivity(rate=0.0, seed=9).local_sensitivity_map(ids)
+        assert empty == {net: set() for net in ids}
+
+    def test_empty_groups(self):
+        oracle = RandomPairwiseSensitivity(rate=0.5, seed=1)
+        assert oracle.local_sensitivity_map([]) == {}
+        assert oracle.aggressors_among(4, []) == set()
+        assert oracle.aggressors_among(4, [4, 4]) == set()
 
 
 class TestSteiner:

@@ -549,6 +549,12 @@ class TestObsCli:
         assert "trace report" in output
         assert "stage." in output
         assert "engine.solve_tasks" in output
+        assert "signature.instance" in output
+        # One root span: every stage is indented under "run", so %root
+        # shares out the whole run instead of reading 100% per stage.
+        report = output[output.index("trace report"):].splitlines()[2:]
+        roots = [line for line in report if not line.startswith(" ")]
+        assert len(roots) == 1 and roots[0].startswith("run ")
 
     def test_format_event_is_greppable(self):
         line = format_event(
