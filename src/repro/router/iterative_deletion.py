@@ -63,9 +63,13 @@ class _ResourceDemand:
         if self.num_nets < 0:
             raise RuntimeError("resource demand went negative; internal accounting error")
 
-    def shield_estimate(self, estimator: Optional[ShieldEstimator]) -> float:
-        """Formula 3 evaluated on the running sums (0 when reservation is off)."""
-        if estimator is None or self.num_nets == 0:
+    def shield_estimate(self, coefficients: Optional[Tuple[float, ...]]) -> float:
+        """Formula 3 evaluated on the running sums (0 when reservation is off).
+
+        ``coefficients`` are ``a1 .. a6`` as python floats, hoisted out of the
+        estimator once per router.
+        """
+        if coefficients is None or self.num_nets == 0:
             return 0.0
         n = float(self.num_nets)
         features = (
@@ -76,25 +80,24 @@ class _ResourceDemand:
             n,
             1.0,
         )
-        coefficients = estimator.coefficients.as_array()
         value = float(sum(f * c for f, c in zip(features, coefficients)))
         return max(value, 0.0)
 
-    def utilization(self, estimator: Optional[ShieldEstimator]) -> float:
+    def utilization(self, coefficients: Optional[Tuple[float, ...]]) -> float:
         """``HU = Nns + Nss``."""
-        return self.num_nets + self.shield_estimate(estimator)
+        return self.num_nets + self.shield_estimate(coefficients)
 
-    def density(self, estimator: Optional[ShieldEstimator]) -> float:
+    def density(self, coefficients: Optional[Tuple[float, ...]]) -> float:
         """``HD = HU / HC``."""
         if self.capacity <= 0:
             return 0.0
-        return self.utilization(estimator) / self.capacity
+        return self.utilization(coefficients) / self.capacity
 
-    def relative_overflow(self, estimator: Optional[ShieldEstimator]) -> float:
+    def relative_overflow(self, coefficients: Optional[Tuple[float, ...]]) -> float:
         """``HOFR = max(0, HU - HC) / HC``."""
         if self.capacity <= 0:
             return 0.0
-        return max(0.0, self.utilization(estimator) - self.capacity) / self.capacity
+        return max(0.0, self.utilization(coefficients) - self.capacity) / self.capacity
 
 
 @dataclass
@@ -131,6 +134,13 @@ class IterativeDeletionRouter:
             self.estimator: Optional[ShieldEstimator] = shield_estimator or default_shield_estimator()
         else:
             self.estimator = None
+        # Formula 3's coefficients as python floats: the edge weights read
+        # them on every heap pop, and the products are the same either way.
+        self._coefficients: Optional[Tuple[float, ...]] = (
+            None
+            if self.estimator is None
+            else tuple(float(c) for c in self.estimator.coefficients.as_array())
+        )
 
         self._graphs: Dict[int, ConnectionGraph] = {}
         self._demand: Dict[ResourceKey, _ResourceDemand] = {}
@@ -181,10 +191,11 @@ class IterativeDeletionRouter:
         key_a, key_b = self._edge_resources(edge)
         resource_a = self._resource(key_a)
         resource_b = self._resource(key_b)
-        density = (resource_a.density(self.estimator) + resource_b.density(self.estimator)) / 2.0
+        coefficients = self._coefficients
+        density = (resource_a.density(coefficients) + resource_b.density(coefficients)) / 2.0
         overflow = (
-            resource_a.relative_overflow(self.estimator)
-            + resource_b.relative_overflow(self.estimator)
+            resource_a.relative_overflow(coefficients)
+            + resource_b.relative_overflow(coefficients)
         ) / 2.0
         return edge_weight(self.config, normalized_length, density, overflow)
 

@@ -143,6 +143,11 @@ class AnnealConfig:
         return self.initial_temperature * ratio ** fraction
 
 
+#: The default schedule and weights, built once at import.  The greedy
+#: solver's panel state carries it without reading its cost.
+DEFAULT_ANNEAL_CONFIG = AnnealConfig()
+
+
 def solution_cost(solution: SinoSolution, config: AnnealConfig) -> float:
     """Weighted cost of a layout (lower is better, feasibility dominates)."""
     capacitive = len(solution.capacitive_violation_pairs())

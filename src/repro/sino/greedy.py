@@ -10,6 +10,14 @@ The construction follows the spirit of the original SINO heuristic (reference
 3. while some segment exceeds its inductive bound ``Kth``, insert one more
    shield at the gap that reduces the total excess the most.
 
+Step 3 runs on an :class:`~repro.sino.incremental.IncrementalPanelState`:
+each round scores every candidate gap in one vectorised
+:meth:`~repro.sino.incremental.IncrementalPanelState.insert_excess` pass and
+commits the winner as an incremental insert, and the final compaction is the
+state's delta-evaluated :meth:`~repro.sino.incremental.IncrementalPanelState.compacted`.
+Both reproduce the scalar evaluator's values bit for bit, so the layouts are
+those of a per-gap full re-evaluation.
+
 The result is feasible whenever a feasible solution exists within the shield
 budget guard; it is not necessarily minimum-area, which is what the annealing
 improver in :mod:`repro.sino.anneal` is for.
@@ -19,6 +27,9 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
+import numpy as np
+
+from repro.sino.incremental import IncrementalPanelState, Move
 from repro.sino.panel import SHIELD, SinoProblem, SinoSolution
 
 
@@ -31,6 +42,9 @@ def greedy_order(problem: SinoProblem) -> List[int]:
     easy segments remain available as separators.  When every remaining
     segment is sensitive to the last one, the most constrained is appended
     anyway (a shield will be inserted later).
+
+    ``remaining`` stays sorted most-constrained first (ties by segment id),
+    so the preferred candidate is always the first compatible one.
     """
     remaining = sorted(
         problem.segments,
@@ -40,15 +54,12 @@ def greedy_order(problem: SinoProblem) -> List[int]:
         return []
     order: List[int] = [remaining.pop(0)]
     while remaining:
-        last = order[-1]
-        compatible = [
-            segment for segment in remaining
-            if segment not in problem.aggressors_of(last)
-        ]
-        pool = compatible if compatible else remaining
-        chosen = max(pool, key=lambda segment: (problem.sensitivity_degree(segment), -segment))
-        remaining.remove(chosen)
-        order.append(chosen)
+        aggressors = problem.aggressors_of(order[-1])
+        chosen = next(
+            (index for index, segment in enumerate(remaining) if segment not in aggressors),
+            0,
+        )
+        order.append(remaining.pop(chosen))
     return order
 
 
@@ -90,26 +101,39 @@ def _candidate_gaps(layout: List[Optional[int]], violating: List[int]) -> List[i
     return gaps
 
 
-def _best_shield_gap(solution: SinoSolution) -> Optional[int]:
-    """Gap index whose shield insertion reduces the total inductive excess most.
+def _panel_state(problem: SinoProblem, layout: Sequence[Optional[int]]) -> IncrementalPanelState:
+    """An incremental state over ``layout`` (greedy never reads its cost)."""
+    # repro.sino.anneal imports this module for greedy_sino.
+    from repro.sino.anneal import DEFAULT_ANNEAL_CONFIG
 
-    Returns ``None`` when no insertion reduces the excess (within tolerance).
+    return IncrementalPanelState(problem, layout, DEFAULT_ANNEAL_CONFIG)
+
+
+def _insert_inductive_shields(state: IncrementalPanelState, max_extra_shields: int) -> None:
+    """Add shields to ``state`` one at a time until every inductive bound holds.
+
+    Each round inserts the shield at the candidate gap with the smallest total
+    excess; a gap must beat the incumbent by more than 1e-12 to win, and the
+    first such gap in :func:`_candidate_gaps` order wins ties.  The loop stops
+    when no gap reduces the excess or after ``max_extra_shields`` rounds.
     """
-    evaluator = solution.problem.evaluator()
-    baseline = evaluator.total_excess(solution.layout)
-    if baseline <= 0.0:
-        return None
-    violating = evaluator.violating_segments(solution.layout)
-    best_gap: Optional[int] = None
-    best_excess = baseline
-    for gap in _candidate_gaps(solution.layout, violating):
-        candidate_layout = list(solution.layout)
-        candidate_layout.insert(gap, SHIELD)
-        excess = evaluator.total_excess(candidate_layout)
-        if excess < best_excess - 1e-12:
-            best_excess = excess
-            best_gap = gap
-    return best_gap
+    segments = state.problem.evaluator().segments
+    for _ in range(max_extra_shields):
+        excess = state.excess_vector()
+        best_excess = float(excess.sum())
+        if best_excess <= 0.0:
+            break
+        violating = [segments[i] for i in np.nonzero(excess > 1e-12)[0]]
+        gaps = _candidate_gaps(state.to_layout(), violating)
+        best_gap: Optional[int] = None
+        for gap, candidate in zip(gaps, state.insert_excess(gaps).tolist()):
+            if candidate < best_excess - 1e-12:
+                best_excess = candidate
+                best_gap = gap
+        if best_gap is None:
+            break
+        state.propose(Move.insert(best_gap))
+        state.commit()
 
 
 def fix_inductive_violations(solution: SinoSolution, max_extra_shields: Optional[int] = None) -> SinoSolution:
@@ -133,22 +157,15 @@ def fix_inductive_violations(solution: SinoSolution, max_extra_shields: Optional
     """
     if max_extra_shields is None:
         max_extra_shields = 2 * solution.num_segments + 2
-    current = solution.copy()
-    evaluator = current.problem.evaluator()
-    for _ in range(max_extra_shields):
-        if evaluator.total_excess(current.layout) <= 0.0:
-            break
-        gap = _best_shield_gap(current)
-        if gap is None:
-            break
-        current.layout.insert(gap, SHIELD)
-    return current
+    state = _panel_state(solution.problem, solution.layout)
+    _insert_inductive_shields(state, max_extra_shields)
+    return state.to_solution()
 
 
 def greedy_sino(problem: SinoProblem) -> SinoSolution:
     """Run the full greedy construction for one panel."""
-    order = greedy_order(problem)
-    layout = insert_capacitive_shields(problem, order)
-    solution = SinoSolution(problem=problem, layout=layout)
-    solution = fix_inductive_violations(solution)
-    return solution.compact()
+    layout = insert_capacitive_shields(problem, greedy_order(problem))
+    state = _panel_state(problem, layout)
+    _insert_inductive_shields(state, 2 * problem.num_segments + 2)
+    solution, _cost, _valid = state.compacted()
+    return solution

@@ -25,7 +25,9 @@ The protocol is ``propose(move) -> delta_cost`` followed by either
 types (swap / relocate / delete / insert).  :meth:`IncrementalPanelState.compacted`
 additionally reproduces :meth:`SinoSolution.compact` — the same right-to-left
 removal walk with the same criteria — using an O(1) capacitive pre-reject and
-delta excess evaluation per candidate shield.
+delta excess evaluation per candidate shield, and
+:meth:`IncrementalPanelState.insert_excess` scores a shield insert at many
+gaps in one vectorised pass (the greedy solver's inner loop).
 """
 
 from __future__ import annotations
@@ -46,6 +48,10 @@ MOVE_KINDS: Tuple[str, ...] = ("swap", "relocate", "delete", "insert")
 #: Tolerance above a segment's Kth bound before it counts as violating
 #: (matches :meth:`SinoSolution.inductive_violations`).
 _KTH_TOLERANCE = 1e-12
+
+#: Gaps scored per (G, n, n) pass of :meth:`IncrementalPanelState.insert_excess`,
+#: which bounds the pass's peak memory at O(chunk * n^2).
+_INSERT_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -420,6 +426,60 @@ class IncrementalPanelState:
     def _excess_of(self, totals: np.ndarray) -> float:
         """Total Kth excess, identically to ``PanelEvaluator.total_excess``."""
         return float(np.maximum(totals - self._bounds_vector, 0.0).sum())
+
+    def excess_vector(self) -> np.ndarray:
+        """Per-segment ``max(0, K_i - Kth_i)`` of the current layout.
+
+        Identical to ``PanelEvaluator.excess_vector`` on :meth:`to_layout`.
+        """
+        return np.maximum(self._state.totals - self._bounds_vector, 0.0)
+
+    def insert_excess(self, gaps: Sequence[int]) -> np.ndarray:
+        """Total Kth excess of the current layout with a shield inserted at each gap.
+
+        Entry ``k`` equals ``PanelEvaluator.total_excess`` of the layout with
+        one shield inserted at gap ``gaps[k]``, bit for bit.  An insert at
+        ``g`` moves every pair that straddles the gap one track apart and
+        puts one more shield between them, so each candidate coupling matrix
+        picks, cell by cell, between the current matrix and one shifted
+        matrix built once for all gaps.  Every cell then holds the value a
+        fresh evaluation computes, and the row sums, the adjacent-shield
+        bonus and the excess sum run the evaluator's own reductions over
+        contiguous rows.  The gaps are scored :data:`_INSERT_CHUNK` at a time
+        in one (G, n, n) numpy pass each.
+        """
+        arrays = self._current
+        pos = arrays.pos
+        num_gaps = len(gaps)
+        if pos.size == 0:
+            return np.zeros(num_gaps)
+        # Non-sensitive cells are 0.0 in both matrices, so the straddle mask
+        # alone selects the cells an insert changes.
+        shifted = np.where(
+            self._sens, self._gathered_coupling(arrays.dist + 1.0, arrays.sb + 1), 0.0
+        )
+        low = np.minimum(pos[:, None], pos[None, :])
+        high = np.maximum(pos[:, None], pos[None, :])
+        # The segments on tracks g - 1 and g become the new shield's
+        # neighbours; padding turns "no segment there" into index -1.
+        padded = np.concatenate(([-1], arrays.occ, [-1]))
+        gap_array = np.asarray(gaps, dtype=np.int64)
+        excess = np.empty(num_gaps)
+        for start in range(0, num_gaps, _INSERT_CHUNK):
+            chunk = gap_array[start : start + _INSERT_CHUNK]
+            edge = chunk[:, None, None]
+            straddle = (low < edge) & (edge <= high)
+            totals = np.where(straddle, shifted, arrays.coupling).sum(axis=2)
+            adjacent = np.repeat(arrays.adj[None, :], chunk.size, axis=0)
+            rows = np.arange(chunk.size)
+            for neighbour in (padded[chunk], padded[chunk + 1]):
+                present = neighbour >= 0
+                adjacent[rows[present], neighbour[present]] = True
+            totals = np.where(adjacent, totals / self._bonus, totals)
+            excess[start : start + chunk.size] = np.maximum(
+                totals - self._bounds_vector, 0.0
+            ).sum(axis=1)
+        return excess
 
     # -- move application -----------------------------------------------------
 

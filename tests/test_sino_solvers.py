@@ -1,5 +1,6 @@
 """Tests for the greedy / annealing SINO solvers and the NO baseline."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,10 +13,55 @@ from repro.sino.greedy import (
     greedy_sino,
     insert_capacitive_shields,
 )
+from repro.sino.incremental import IncrementalPanelState, Move
 from repro.sino.net_ordering import net_ordering_only
 from repro.sino.panel import SHIELD, SinoProblem, SinoSolution
 
 from tests.conftest import make_random_sino_problem
+from tests.oracles.greedy_reference import (
+    fix_inductive_violations_reference,
+    greedy_order_reference,
+    greedy_sino_reference,
+)
+
+
+@st.composite
+def sino_problems(draw, max_segments=48):
+    """Random panels: any size up to ``max_segments``, rate, bound and capacity."""
+    num_segments = draw(st.integers(min_value=0, max_value=max_segments))
+    rate = draw(st.floats(min_value=0.0, max_value=1.0))
+    kth = draw(st.floats(min_value=0.05, max_value=2.5))
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    capacity = draw(st.sampled_from([0, max(1, num_segments), num_segments + 4]))
+    problem = make_random_sino_problem(num_segments, rate, kth, seed=seed)
+    if draw(st.booleans()):
+        # Per-segment bounds around the default, so segments differ in slack.
+        rng = np.random.default_rng(seed)
+        bounds = {segment: kth * float(rng.uniform(0.5, 1.5)) for segment in problem.segments}
+        problem = problem.with_bounds(bounds)
+    return SinoProblem.build(
+        problem.segments,
+        problem.sensitivity,
+        kth=problem.kth,
+        default_kth=kth,
+        capacity=capacity,
+    )
+
+
+def _random_layout(problem, seed):
+    """A random permutation of the segments with random shields, doubled
+    shields and edge shields included."""
+    rng = np.random.default_rng(seed)
+    layout = [int(segment) for segment in rng.permutation(list(problem.segments))]
+    for _ in range(int(rng.integers(0, len(layout) // 2 + 3))):
+        layout.insert(int(rng.integers(0, len(layout) + 1)), SHIELD)
+    return layout
+
+
+def _reference_insert_excess(problem, layout, gap):
+    candidate = list(layout)
+    candidate.insert(gap, SHIELD)
+    return problem.evaluator().total_excess(candidate)
 
 
 class TestGreedyOrder:
@@ -76,6 +122,90 @@ class TestGreedySino:
         start = SinoSolution(problem=problem, layout=list(problem.segments))
         fixed = fix_inductive_violations(start, max_extra_shields=1)
         assert fixed.num_shields <= 1
+
+
+class TestGreedyMatchesReference:
+    """The incremental greedy reproduces the scalar oracle bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(problem=sino_problems())
+    def test_greedy_layout_and_order_equal_reference(self, problem):
+        assert greedy_order(problem) == greedy_order_reference(problem)
+        assert greedy_sino(problem).layout == greedy_sino_reference(problem).layout
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        problem=sino_problems(max_segments=16),
+        seed=st.integers(0, 2**16),
+        guard=st.integers(0, 4),
+    )
+    def test_fix_inductive_equals_reference_from_any_layout(self, problem, seed, guard):
+        start = SinoSolution(problem=problem, layout=_random_layout(problem, seed))
+        fast = fix_inductive_violations(start, max_extra_shields=guard)
+        reference = fix_inductive_violations_reference(start, max_extra_shields=guard)
+        assert fast.layout == reference.layout
+
+    def test_dense_tight_panel_equals_reference(self):
+        problem = make_random_sino_problem(48, 0.9, 0.05, seed=5)
+        assert greedy_sino(problem).layout == greedy_sino_reference(problem).layout
+
+
+class TestInsertExcessKernel:
+    """``IncrementalPanelState.insert_excess`` against fresh evaluations."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(problem=sino_problems(max_segments=24), seed=st.integers(0, 2**16))
+    def test_every_gap_equals_total_excess(self, problem, seed):
+        layout = _random_layout(problem, seed)
+        if seed % 3 == 0:
+            layout = [entry for entry in layout if entry is not SHIELD]
+        state = IncrementalPanelState(problem, layout, AnnealConfig())
+        gaps = list(range(len(layout) + 1))
+        expected = [_reference_insert_excess(problem, layout, gap) for gap in gaps]
+        assert state.insert_excess(gaps).tolist() == expected
+
+    @settings(max_examples=20, deadline=None)
+    @given(problem=sino_problems(max_segments=24), seed=st.integers(0, 2**16))
+    def test_after_committed_inserts(self, problem, seed):
+        """The kernel reads incrementally maintained matrices, not fresh ones."""
+        rng = np.random.default_rng(seed)
+        state = IncrementalPanelState(problem, list(problem.segments), AnnealConfig())
+        for _ in range(int(rng.integers(1, 5))):
+            state.propose(Move.insert(int(rng.integers(0, state.num_tracks + 1))))
+            state.commit()
+        layout = state.to_layout()
+        gaps = list(range(len(layout) + 1))
+        expected = [_reference_insert_excess(problem, layout, gap) for gap in gaps]
+        assert state.insert_excess(gaps).tolist() == expected
+
+    def test_excess_vector_matches_evaluator(self):
+        problem = make_random_sino_problem(14, 0.6, 0.4, seed=2)
+        layout = _random_layout(problem, 3)
+        state = IncrementalPanelState(problem, layout, AnnealConfig())
+        expected = problem.evaluator().excess_vector(layout)
+        assert state.excess_vector().tolist() == expected.tolist()
+
+    def test_empty_panel_and_empty_gap_list(self):
+        empty = SinoProblem.build(segments=[], sensitivity={}, default_kth=1.0)
+        state = IncrementalPanelState(empty, [SHIELD], AnnealConfig())
+        assert state.insert_excess([0, 1]).tolist() == [0.0, 0.0]
+        problem = make_random_sino_problem(5, 0.5, 0.3, seed=1)
+        state = IncrementalPanelState(problem, list(problem.segments), AnnealConfig())
+        assert state.insert_excess([]).size == 0
+
+    def test_chunked_call_equals_unchunked(self, monkeypatch):
+        import repro.sino.incremental as incremental
+
+        problem = make_random_sino_problem(40, 0.7, 0.3, seed=4)
+        layout = _random_layout(problem, 9)
+        state = IncrementalPanelState(problem, layout, AnnealConfig())
+        gaps = list(range(len(layout) + 1))
+        assert len(gaps) > incremental._INSERT_CHUNK
+        chunked = state.insert_excess(gaps).tolist()
+        monkeypatch.setattr(incremental, "_INSERT_CHUNK", len(gaps))
+        assert state.insert_excess(gaps).tolist() == chunked
+        monkeypatch.setattr(incremental, "_INSERT_CHUNK", 3)
+        assert state.insert_excess(gaps).tolist() == chunked
 
 
 class TestNetOrderingBaseline:
