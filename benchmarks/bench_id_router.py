@@ -6,9 +6,17 @@ its pins, and with gamma >> alpha, beta in Formula 2 the final solution has
 essentially no overflow.  The benchmark also compares the GSINO weight
 configuration (shield reservation on) against the baseline configuration to
 show the reservation's effect on the shield-aware utilisation.
+
+``test_router_speedup`` times the router, which reads cached resource
+pressure and per-edge geometry, against the historic loop in
+``tests/oracles/router_reference.py`` on the ibm01 instance the flow
+comparison routes: the routes must be identical and the router at least
+``MIN_ROUTER_SPEEDUP`` faster.
 """
 
 from __future__ import annotations
+
+import time
 
 import pytest
 
@@ -18,6 +26,22 @@ from repro.router.iterative_deletion import route_netlist
 from repro.router.weights import WeightConfig
 
 from conftest import BENCH_SCALE, BENCH_SEED
+from tests.oracles.router_reference import route_netlist_reference
+
+#: Speedup floor of the router against the historic loop.  Measured
+#: 1.5-2.1x at the smoke scale 0.02 on a quiet 2-core machine; half of that
+#: would sit below parity, so the floor keeps a fixed margin under the
+#: lowest reading instead while still failing a return to the old loop.
+MIN_ROUTER_SPEEDUP = 1.2
+
+#: Timed rounds of each side (the best round counts).
+ROUTER_ROUNDS = 5
+
+#: Passes in one timed round, each routing the instance with baseline and
+#: with reserving weights: a single pass takes tens of milliseconds at the
+#: smoke scale, too short a median for the regression gate to tell from
+#: runner noise.
+ROUTER_PASSES = 8
 
 
 @pytest.mark.parametrize("reserve_shields", [False, True], ids=["baseline", "reserving"])
@@ -48,4 +72,42 @@ def test_id_router_properties(benchmark, reserve_shields):
     # Routed length stays near the profile's published average net length.
     assert solution.average_wirelength_um() == pytest.approx(
         circuit.profile.average_net_length, rel=0.35
+    )
+
+
+def test_router_speedup(benchmark):
+    """Wall time of the ID router vs. the historic loop, identical routes."""
+    circuit = generate_circuit("ibm01", sensitivity_rate=0.3, scale=BENCH_SCALE, seed=BENCH_SEED)
+    configs = [WeightConfig(reserve_shields=False), WeightConfig(reserve_shields=True)]
+
+    def passes(router):
+        for _ in range(ROUTER_PASSES):
+            results = [router(circuit.grid, circuit.netlist, config=config) for config in configs]
+        return results
+
+    fast = benchmark.pedantic(passes, args=(route_netlist,), rounds=ROUTER_ROUNDS, iterations=1)
+    fast_seconds = benchmark.stats.stats.min / ROUTER_PASSES
+
+    reference_seconds = float("inf")
+    for _ in range(ROUTER_ROUNDS):
+        start = time.perf_counter()
+        reference = passes(route_netlist_reference)
+        reference_seconds = min(reference_seconds, (time.perf_counter() - start) / ROUTER_PASSES)
+
+    for (solution, report), (expected, expected_report) in zip(fast, reference):
+        for net_id in circuit.netlist.net_ids():
+            assert solution.route(net_id).edges == expected.route(net_id).edges
+        assert (report.deleted_edges, report.kept_edges, report.heap_repushes) == (
+            expected_report.deleted_edges,
+            expected_report.kept_edges,
+            expected_report.heap_repushes,
+        )
+
+    speedup = reference_seconds / fast_seconds
+    benchmark.extra_info["nets"] = circuit.netlist.num_nets
+    benchmark.extra_info["reference_seconds"] = round(reference_seconds, 4)
+    benchmark.extra_info["speedup_vs_reference"] = round(speedup, 2)
+    assert speedup >= MIN_ROUTER_SPEEDUP, (
+        f"ID router only {speedup:.2f}x faster than the reference "
+        f"({fast_seconds:.4f}s vs {reference_seconds:.4f}s per pass)"
     )

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
+from typing import (
+    Any, Callable, Dict, FrozenSet, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
+)
 
 from repro.grid.nets import Net, Netlist
 from repro.grid.regions import HORIZONTAL, VERTICAL, RegionCoord, RoutingGrid
@@ -125,30 +127,46 @@ class RouteTree:
         Raises ``ValueError`` if either endpoint is not part of the route or
         the two are disconnected.
         """
-        if start == goal:
-            return [start]
-        adjacency = self.adjacency()
-        if start not in adjacency or goal not in adjacency:
-            raise ValueError(f"regions {start} / {goal} are not on the route of net {self.net_id}")
+        return self.paths_from(start, [goal])[0]
+
+    def paths_from(
+        self, start: RegionCoord, goals: Sequence[RegionCoord]
+    ) -> List[List[RegionCoord]]:
+        """Tree paths from ``start`` to each of ``goals``, from one search.
+
+        Each path equals :meth:`path_between` of its goal: the breadth-first
+        parents of a region do not depend on when the search stops.
+        """
+        adjacency: Optional[Dict[RegionCoord, List[RegionCoord]]] = None
         parents: Dict[RegionCoord, Optional[RegionCoord]] = {start: None}
-        queue = deque([start])
-        while queue:
-            current = queue.popleft()
-            if current == goal:
-                break
-            for neighbour in adjacency[current]:
-                if neighbour not in parents:
-                    parents[neighbour] = current
-                    queue.append(neighbour)
-        if goal not in parents:
-            raise ValueError(
-                f"regions {start} and {goal} are disconnected on the route of net {self.net_id}"
-            )
-        path: List[RegionCoord] = [goal]
-        while parents[path[-1]] is not None:
-            path.append(parents[path[-1]])
-        path.reverse()
-        return path
+        paths: List[List[RegionCoord]] = []
+        for goal in goals:
+            if start == goal:
+                paths.append([start])
+                continue
+            if adjacency is None:
+                adjacency = self.adjacency()
+                queue = deque([start] if start in adjacency else [])
+                while queue:
+                    current = queue.popleft()
+                    for neighbour in adjacency[current]:
+                        if neighbour not in parents:
+                            parents[neighbour] = current
+                            queue.append(neighbour)
+            if start not in adjacency or goal not in adjacency:
+                raise ValueError(
+                    f"regions {start} / {goal} are not on the route of net {self.net_id}"
+                )
+            if goal not in parents:
+                raise ValueError(
+                    f"regions {start} and {goal} are disconnected on the route of net {self.net_id}"
+                )
+            path: List[RegionCoord] = [goal]
+            while parents[path[-1]] is not None:
+                path.append(parents[path[-1]])
+            path.reverse()
+            paths.append(path)
+        return paths
 
     def __repr__(self) -> str:
         return f"RouteTree(net={self.net_id}, regions={len(self.regions())}, edges={len(self.edges)})"
@@ -169,6 +187,7 @@ class RoutingSolution:
         self.grid = grid
         self.netlist = netlist
         self.routes: Dict[int, RouteTree] = dict(routes)
+        self._memo: Dict[Hashable, Any] = {}
 
     # -- per-net access -------------------------------------------------------
 
@@ -180,6 +199,16 @@ class RoutingSolution:
 
     def __len__(self) -> int:
         return len(self.routes)
+
+    def memo(self, key: Hashable, build: Callable[[], Any]) -> Any:
+        """``build()``, computed once per solution and ``key``.
+
+        For read-only indexes derived from the routes.  Nothing writes
+        ``routes`` after construction, so a memoised index never goes stale.
+        """
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     # -- aggregate metrics -------------------------------------------------------
 

@@ -85,6 +85,90 @@ def panel_coupling_cache(
     return {key: solution.couplings() for key, solution in panels.items()}
 
 
+#: Per sink: the ordered ``(half_length_m, panel_key)`` terms of its tree path.
+SinkTerms = Tuple[Tuple[float, PanelKey], ...]
+
+_NO_COUPLINGS: Mapping[int, float] = {}
+
+
+class SinkPathIndex:
+    """Per-net path geometry of one routing, derived once for every LSK read.
+
+    Equation 1 walks the tree path from a net's source region to each sink
+    region; every path edge contributes half a region span (in metres, times
+    ``length_scale``) times the net's Keff coupling in each of the edge's
+    two panels.  The paths, half lengths and panel keys depend only on the
+    routing and ``length_scale``; only the couplings change between
+    evaluations.  Nothing writes a :class:`RoutingSolution`'s routes after
+    construction, so the index — built per net on first use and memoised on
+    the routing — stays exact, and :meth:`lsk_value` accumulates the same
+    products in the same order as a walk of the paths would.
+    """
+
+    def __init__(self, routing: RoutingSolution, length_scale: float) -> None:
+        # The parts of the routing the index reads, not the routing itself:
+        # memoised on the routing, a back-reference would make a cycle that
+        # only the cyclic collector frees.
+        self.grid = routing.grid
+        self.netlist = routing.netlist
+        self.routes = routing.routes
+        self.length_scale = length_scale
+        # Every (half length, panel) term is stored once and shared by all
+        # the paths through that panel.
+        self._shared_terms: Dict[Tuple[float, PanelKey], Tuple[float, PanelKey]] = {}
+        self._sink_terms: Dict[int, Tuple[SinkTerms, ...]] = {}
+        self._region_lengths: Dict[int, Dict[RegionCoord, float]] = {}
+
+    @classmethod
+    def of(cls, routing: RoutingSolution, length_scale: float = 1.0) -> "SinkPathIndex":
+        """The routing's memoised index for ``length_scale``."""
+        return routing.memo((cls, length_scale), lambda: cls(routing, length_scale))
+
+    def region_lengths_um(self, net_id: int) -> Dict[RegionCoord, float]:
+        """The net's length inside each region it crosses (``l_j``, um)."""
+        lengths = self._region_lengths.get(net_id)
+        if lengths is None:
+            lengths = self.routes[net_id].region_lengths_um(self.grid)
+            self._region_lengths[net_id] = lengths
+        return lengths
+
+    def lsk_value(self, net_id: int, couplings: Mapping[PanelKey, Mapping[int, float]]) -> float:
+        """Worst-sink LSK value of one net under ``couplings``."""
+        sinks = self._sink_terms.get(net_id)
+        if sinks is None:
+            sinks = self._sink_terms[net_id] = self._build_sink_terms(net_id)
+        worst = 0.0
+        for terms in sinks:
+            lsk_value = 0.0
+            for half_length_m, key in terms:
+                lsk_value += half_length_m * couplings.get(key, _NO_COUPLINGS).get(net_id, 0.0)
+            if lsk_value > worst:
+                worst = lsk_value
+        return worst
+
+    def _build_sink_terms(self, net_id: int) -> Tuple[SinkTerms, ...]:
+        """One term sequence per sink of the net, in sink order."""
+        net = self.netlist.net(net_id)
+        route = self.routes[net_id]
+        grid = self.grid
+        source_region = grid.region_of_point(net.source.x, net.source.y).coord
+        sink_regions = [grid.region_of_point(sink.x, sink.y).coord for sink in net.sinks]
+        shared = self._shared_terms
+        sinks = []
+        for path in route.paths_from(source_region, sink_regions):
+            terms = []
+            for coord_a, coord_b in zip(path, path[1:]):
+                direction = grid.edge_direction(coord_a, coord_b)
+                half_length_m = (
+                    grid.edge_length(coord_a, coord_b) / 2.0 * UM_TO_M * self.length_scale
+                )
+                for coord in (coord_a, coord_b):
+                    term = (half_length_m, (coord, direction))
+                    terms.append(shared.setdefault(term, term))
+            sinks.append(tuple(terms))
+        return tuple(sinks)
+
+
 def net_lsk_value(
     net_id: int,
     routing: RoutingSolution,
@@ -97,26 +181,10 @@ def net_lsk_value(
     source region to the sink region: each path edge contributes half a region
     span (converted to metres and scaled by ``length_scale``) times the net's
     Keff coupling in each of the edge's two regions.  The worst sink is
-    returned because the per-sink constraint must hold for all of them.
+    returned because the per-sink constraint must hold for all of them.  The
+    paths come from the routing's :class:`SinkPathIndex`.
     """
-    net = routing.netlist.net(net_id)
-    route = routing.route(net_id)
-    grid = routing.grid
-    source_region = grid.region_of_point(net.source.x, net.source.y).coord
-    worst = 0.0
-    for sink in net.sinks:
-        sink_region = grid.region_of_point(sink.x, sink.y).coord
-        path = route.path_between(source_region, sink_region)
-        lsk_value = 0.0
-        for coord_a, coord_b in zip(path, path[1:]):
-            direction = grid.edge_direction(coord_a, coord_b)
-            half_length_m = grid.edge_length(coord_a, coord_b) / 2.0 * UM_TO_M * length_scale
-            for coord in (coord_a, coord_b):
-                coupling = couplings.get((coord, direction), {}).get(net_id, 0.0)
-                lsk_value += half_length_m * coupling
-        if lsk_value > worst:
-            worst = lsk_value
-    return worst
+    return SinkPathIndex.of(routing, length_scale).lsk_value(net_id, couplings)
 
 
 def net_noise_voltage(
@@ -142,10 +210,11 @@ def evaluate_crosstalk(
     """Evaluate every net of a solution against the crosstalk bound."""
     if couplings is None:
         couplings = panel_coupling_cache(panels)
+    paths = SinkPathIndex.of(routing, length_scale)
     report = CrosstalkReport(bound=bound)
     tolerance = 1e-9
     for net_id in routing.netlist.net_ids():
-        noise = net_noise_voltage(net_id, routing, couplings, lsk_model, length_scale)
+        noise = lsk_model.table.noise_for(paths.lsk_value(net_id, couplings))
         report.net_noise[net_id] = noise
         if noise > bound + tolerance:
             report.violating_nets.append(net_id)

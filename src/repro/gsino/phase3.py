@@ -34,7 +34,7 @@ from repro.grid.regions import RoutingGrid
 from repro.grid.routes import RoutingSolution
 from repro.gsino.budgeting import NetBudget
 from repro.gsino.config import UM_TO_M, GsinoConfig
-from repro.gsino.metrics import PanelKey, net_lsk_value
+from repro.gsino.metrics import PanelKey, SinkPathIndex
 from repro.gsino.phase2 import Phase2Result
 from repro.noise.lsk import LskModel
 from repro.sino.panel import SinoProblem, SinoSolution
@@ -110,6 +110,7 @@ class LocalRefiner:
             key: solution.couplings() for key, solution in self.panels.items()
         }
         self._net_keys: Dict[int, List[PanelKey]] = {}
+        self._paths = SinkPathIndex.of(routing, config.length_scale)
 
     # -- cached lookups ---------------------------------------------------------
 
@@ -135,7 +136,7 @@ class LocalRefiner:
 
     def net_lsk(self, net_id: int) -> float:
         """Worst-sink LSK value of a net under the current panel solutions."""
-        return net_lsk_value(net_id, self.routing, self._couplings, self.config.length_scale)
+        return self._paths.lsk_value(net_id, self._couplings)
 
     def net_noise(self, net_id: int) -> float:
         """Worst-sink noise voltage of a net under the current panel solutions."""
@@ -144,7 +145,7 @@ class LocalRefiner:
     def net_region_length_m(self, net_id: int, key: PanelKey) -> float:
         """Length (metres, electrically scaled) of a net inside one panel's region."""
         coord, _direction = key
-        lengths = self.routing.route(net_id).region_lengths_um(self.grid)
+        lengths = self._paths.region_lengths_um(net_id)
         return lengths.get(coord, 0.0) * UM_TO_M * self.config.length_scale
 
     def replace_panel(self, key: PanelKey, solution: SinoSolution) -> None:

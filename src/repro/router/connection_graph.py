@@ -99,23 +99,28 @@ class ConnectionGraph:
         """
         if len(self.pin_regions) <= 1:
             return True
+        # Compare endpoints directly: leaving an endpoint of the skipped edge,
+        # the other endpoint is blocked; ``None`` blocks nothing.
+        skip_a, skip_b = skip_edge if skip_edge is not None else (None, None)
+        adjacency = self._adjacency
         start = self.pin_regions[0]
         targets = set(self.pin_regions)
+        missing = len(targets) - 1
         seen: Set[RegionCoord] = {start}
         queue = deque([start])
-        found = {start}
-        while queue and len(found) < len(targets):
+        while queue:
             current = queue.popleft()
-            for neighbour in self._adjacency.get(current, set()):
-                if skip_edge is not None and normalize_edge(current, neighbour) == skip_edge:
-                    continue
-                if neighbour in seen:
+            blocked = skip_b if current == skip_a else skip_a if current == skip_b else None
+            for neighbour in adjacency.get(current, ()):
+                if neighbour in seen or neighbour == blocked:
                     continue
                 seen.add(neighbour)
                 if neighbour in targets:
-                    found.add(neighbour)
+                    missing -= 1
+                    if not missing:
+                        return True
                 queue.append(neighbour)
-        return len(found) == len(targets)
+        return False
 
     def is_deletable(self, coord_a: RegionCoord, coord_b: RegionCoord) -> bool:
         """True when removing the edge keeps all pin regions connected."""

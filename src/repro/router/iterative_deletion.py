@@ -16,6 +16,10 @@ Implementation notes
 * The utilisation ``HU = Nns + Nss`` of each (region, direction) is tracked
   incrementally: ``Nns`` as the number of nets still touching the region and
   ``Nss`` through running sums of net sensitivity rates feeding Formula 3.
+  A resource's pressure (density and relative overflow) changes only when a
+  net enters or leaves it, so it is cached and recomputed there, and each
+  grid edge resolves its length and its two resources once per route: a
+  heap pop reads the weight's inputs instead of re-deriving them.
 * An edge that is found non-removable (its removal would disconnect the
   net's pins) can never become removable again — deletions only remove
   alternative paths — so it is discarded permanently.
@@ -27,7 +31,7 @@ import heapq
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.grid.nets import Netlist
 from repro.grid.regions import RegionCoord, RoutingGrid
@@ -44,17 +48,29 @@ ResourceKey = Tuple[RegionCoord, str]
 
 @dataclass
 class _ResourceDemand:
-    """Incrementally maintained utilisation of one (region, direction)."""
+    """Incrementally maintained utilisation of one (region, direction).
+
+    ``density`` and ``relative_overflow`` are cached: a resource's pressure
+    changes only when a net enters or leaves it, so ``add_net`` and
+    ``remove_net`` — the only mutators — recompute them, and every edge
+    weight reads them without evaluating Formula 3.  ``coefficients`` are
+    Formula 3's ``a1 .. a6`` as python floats (``None`` when reservation is
+    off), hoisted out of the estimator once per router.
+    """
 
     capacity: int
+    coefficients: Optional[Tuple[float, ...]] = None
     num_nets: int = 0
     sum_rates: float = 0.0
     sum_rates_sq: float = 0.0
+    density: float = 0.0
+    relative_overflow: float = 0.0
 
     def add_net(self, rate: float) -> None:
         self.num_nets += 1
         self.sum_rates += rate
         self.sum_rates_sq += rate * rate
+        self._refresh()
 
     def remove_net(self, rate: float) -> None:
         self.num_nets -= 1
@@ -62,14 +78,11 @@ class _ResourceDemand:
         self.sum_rates_sq -= rate * rate
         if self.num_nets < 0:
             raise RuntimeError("resource demand went negative; internal accounting error")
+        self._refresh()
 
-    def shield_estimate(self, coefficients: Optional[Tuple[float, ...]]) -> float:
-        """Formula 3 evaluated on the running sums (0 when reservation is off).
-
-        ``coefficients`` are ``a1 .. a6`` as python floats, hoisted out of the
-        estimator once per router.
-        """
-        if coefficients is None or self.num_nets == 0:
+    def shield_estimate(self) -> float:
+        """Formula 3 evaluated on the running sums (0 when reservation is off)."""
+        if self.coefficients is None or self.num_nets == 0:
             return 0.0
         n = float(self.num_nets)
         features = (
@@ -80,24 +93,29 @@ class _ResourceDemand:
             n,
             1.0,
         )
-        value = float(sum(f * c for f, c in zip(features, coefficients)))
+        value = float(sum(f * c for f, c in zip(features, self.coefficients)))
         return max(value, 0.0)
 
-    def utilization(self, coefficients: Optional[Tuple[float, ...]]) -> float:
+    def utilization(self) -> float:
         """``HU = Nns + Nss``."""
-        return self.num_nets + self.shield_estimate(coefficients)
+        return self.num_nets + self.shield_estimate()
 
-    def density(self, coefficients: Optional[Tuple[float, ...]]) -> float:
-        """``HD = HU / HC``."""
+    def _refresh(self) -> None:
+        """Recompute ``HD = HU / HC`` and ``HOFR = max(0, HU - HC) / HC``."""
         if self.capacity <= 0:
-            return 0.0
-        return self.utilization(coefficients) / self.capacity
+            self.density = self.relative_overflow = 0.0
+            return
+        utilization = self.utilization()
+        self.density = utilization / self.capacity
+        self.relative_overflow = max(0.0, utilization - self.capacity) / self.capacity
 
-    def relative_overflow(self, coefficients: Optional[Tuple[float, ...]]) -> float:
-        """``HOFR = max(0, HU - HC) / HC``."""
-        if self.capacity <= 0:
-            return 0.0
-        return max(0.0, self.utilization(coefficients) - self.capacity) / self.capacity
+
+class _EdgeGeometry(NamedTuple):
+    """What a grid edge's weight needs, resolved once per route."""
+
+    length: float
+    keys: Tuple[ResourceKey, ResourceKey]
+    resources: Tuple[_ResourceDemand, _ResourceDemand]
 
 
 @dataclass
@@ -134,8 +152,9 @@ class IterativeDeletionRouter:
             self.estimator: Optional[ShieldEstimator] = shield_estimator or default_shield_estimator()
         else:
             self.estimator = None
-        # Formula 3's coefficients as python floats: the edge weights read
-        # them on every heap pop, and the products are the same either way.
+        # Formula 3's coefficients as python floats: each resource reads them
+        # whenever a net enters or leaves it, and the products are the same
+        # either way.
         self._coefficients: Optional[Tuple[float, ...]] = (
             None
             if self.estimator is None
@@ -144,6 +163,7 @@ class IterativeDeletionRouter:
 
         self._graphs: Dict[int, ConnectionGraph] = {}
         self._demand: Dict[ResourceKey, _ResourceDemand] = {}
+        self._geometry: Dict[GridEdge, _EdgeGeometry] = {}
         self._touch_counts: Dict[Tuple[int, ResourceKey], int] = {}
         self._rsmt_length: Dict[int, float] = {}
         self._sensitivity_rate: Dict[int, float] = {}
@@ -151,52 +171,57 @@ class IterativeDeletionRouter:
     # -- demand bookkeeping ------------------------------------------------------
 
     def _resource(self, key: ResourceKey) -> _ResourceDemand:
-        if key not in self._demand:
+        resource = self._demand.get(key)
+        if resource is None:
             coord, direction = key
             capacity = self.grid.region(coord).capacity(direction)
-            self._demand[key] = _ResourceDemand(capacity=capacity)
-        return self._demand[key]
+            resource = _ResourceDemand(capacity=capacity, coefficients=self._coefficients)
+            self._demand[key] = resource
+        return resource
 
-    def _edge_resources(self, edge: GridEdge) -> Tuple[ResourceKey, ResourceKey]:
-        coord_a, coord_b = edge
-        direction = self.grid.edge_direction(coord_a, coord_b)
-        return (coord_a, direction), (coord_b, direction)
+    def _edge_geometry(self, edge: GridEdge) -> _EdgeGeometry:
+        geometry = self._geometry.get(edge)
+        if geometry is None:
+            coord_a, coord_b = edge
+            direction = self.grid.edge_direction(coord_a, coord_b)
+            key_a, key_b = (coord_a, direction), (coord_b, direction)
+            geometry = _EdgeGeometry(
+                length=self.grid.edge_length(coord_a, coord_b),
+                keys=(key_a, key_b),
+                resources=(self._resource(key_a), self._resource(key_b)),
+            )
+            self._geometry[edge] = geometry
+        return geometry
 
     def _register_edge(self, net_id: int, edge: GridEdge) -> None:
         rate = self._sensitivity_rate[net_id]
-        for key in self._edge_resources(edge):
+        geometry = self._edge_geometry(edge)
+        for key, resource in zip(geometry.keys, geometry.resources):
             count_key = (net_id, key)
             previous = self._touch_counts.get(count_key, 0)
             self._touch_counts[count_key] = previous + 1
             if previous == 0:
-                self._resource(key).add_net(rate)
+                resource.add_net(rate)
 
     def _unregister_edge(self, net_id: int, edge: GridEdge) -> None:
         rate = self._sensitivity_rate[net_id]
-        for key in self._edge_resources(edge):
+        geometry = self._geometry[edge]
+        for key, resource in zip(geometry.keys, geometry.resources):
             count_key = (net_id, key)
             remaining = self._touch_counts.get(count_key, 0) - 1
             if remaining < 0:
                 raise RuntimeError("edge unregistered more times than registered")
             self._touch_counts[count_key] = remaining
             if remaining == 0:
-                self._resource(key).remove_net(rate)
+                resource.remove_net(rate)
 
     # -- weights -------------------------------------------------------------------
 
     def _edge_weight(self, net_id: int, edge: GridEdge) -> float:
-        coord_a, coord_b = edge
-        length = self.grid.edge_length(coord_a, coord_b)
+        length, _keys, (resource_a, resource_b) = self._geometry[edge]
         normalized_length = length / self._rsmt_length[net_id]
-        key_a, key_b = self._edge_resources(edge)
-        resource_a = self._resource(key_a)
-        resource_b = self._resource(key_b)
-        coefficients = self._coefficients
-        density = (resource_a.density(coefficients) + resource_b.density(coefficients)) / 2.0
-        overflow = (
-            resource_a.relative_overflow(coefficients)
-            + resource_b.relative_overflow(coefficients)
-        ) / 2.0
+        density = (resource_a.density + resource_b.density) / 2.0
+        overflow = (resource_a.relative_overflow + resource_b.relative_overflow) / 2.0
         return edge_weight(self.config, normalized_length, density, overflow)
 
     # -- main entry point --------------------------------------------------------------
@@ -224,6 +249,7 @@ class IterativeDeletionRouter:
                 weight = self._edge_weight(net_id, edge)
                 heapq.heappush(heap, (-weight, next(counter), net_id, edge))
 
+        tolerance = self.config.weight_tolerance
         while heap:
             negative_weight, _, net_id, edge = heapq.heappop(heap)
             graph = self._graphs[net_id]
@@ -231,7 +257,7 @@ class IterativeDeletionRouter:
                 continue
             current_weight = self._edge_weight(net_id, edge)
             popped_weight = -negative_weight
-            stale_margin = self.config.weight_tolerance * max(popped_weight, 1.0) + 1e-9
+            stale_margin = tolerance * max(popped_weight, 1.0) + 1e-9
             if current_weight < popped_weight - stale_margin:
                 # Weight dropped noticeably since the entry was pushed; re-queue.
                 heapq.heappush(heap, (-current_weight, next(counter), net_id, edge))

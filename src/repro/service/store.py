@@ -51,7 +51,7 @@ import time
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.engine.signature import SIGNATURE_VERSION, STAGE_SIGNATURE_VERSION
 
@@ -306,6 +306,9 @@ class ResultStore:
         # One stats session per store instance: the uuid keeps two instances
         # of one pid (tests, worker restarts in-process) from sharing a file.
         self._session = f"{os.getpid()}-{uuid.uuid4().hex[:8]}"
+        # Prefix buckets this instance has already created (see _write_blob);
+        # two threads racing on one bucket at worst repeat an idempotent mkdir.
+        self._made_buckets: Set[str] = set()
         self._open()
         # Running size estimate so capped writes stay O(1): scanned once at
         # open, bumped per write, resynced to exact by every gc() pass.  On
@@ -487,16 +490,24 @@ class ResultStore:
 
         With a size cap, eviction is only attempted once the running size
         estimate exceeds it — a full directory scan per write would make a
-        capped store quadratic.
+        capped store quadratic.  A bucket directory is created on this
+        store's first write to it (nothing here removes one); should it have
+        vanished since, the write recreates it and retries once.
         """
         path = self._blob_path(signature)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(path, text)
+        bucket = signature[:2]
+        if bucket not in self._made_buckets:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            self._made_buckets.add(bucket)
+        try:
+            atomic_write_text(path, text)
+        except FileNotFoundError:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            atomic_write_text(path, text)
         with self._lock:
             self._writes += 1
             self._approx_bytes += len(text)
             if self._bucket_bytes is not None:
-                bucket = signature[:2]
                 self._bucket_bytes[bucket] = self._bucket_bytes.get(bucket, 0) + len(text)
             over_cap = self.max_bytes is not None and self._approx_bytes > self.max_bytes
         if over_cap:

@@ -1,13 +1,20 @@
 """Tests for the crosstalk / wire-length / area evaluation metrics."""
 
+import gc
+import weakref
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.grid.nets import Net, Netlist, Pin
-from repro.grid.regions import HORIZONTAL, RoutingGrid
+from repro.grid.regions import HORIZONTAL, VERTICAL, RoutingGrid
 from repro.grid.routes import RouteTree, RoutingSolution
 from repro.gsino.config import GsinoConfig
 from repro.gsino.metrics import (
     CrosstalkReport,
+    SinkPathIndex,
     compute_flow_metrics,
     evaluate_crosstalk,
     net_lsk_value,
@@ -16,7 +23,11 @@ from repro.gsino.metrics import (
     shields_by_region,
 )
 from repro.noise.lsk import LskModel, linear_reference_table
+from repro.router.iterative_deletion import route_netlist
+from repro.router.weights import WeightConfig
 from repro.sino.panel import SHIELD, SinoProblem, SinoSolution
+from tests.conftest import make_random_routing_instance
+from tests.oracles.lsk_reference import net_lsk_value_reference
 
 
 @pytest.fixture
@@ -93,6 +104,88 @@ class TestNetLskAndNoise:
         model = LskModel(table=linear_reference_table(slope=100.0))
         noise = net_noise_voltage(0, routing, panel_coupling_cache(panels), model)
         assert noise == pytest.approx(100.0 * 1.0e-3)
+
+
+def _random_couplings(grid, net_ids, seed):
+    """Random ``{panel: {net: K}}`` maps, some panels and entries missing."""
+    rng = np.random.default_rng(seed)
+    couplings = {}
+    for coord in (region.coord for region in grid.regions()):
+        for direction in (HORIZONTAL, VERTICAL):
+            if rng.random() < 0.7:
+                couplings[(coord, direction)] = {
+                    net_id: float(rng.choice([0.0, rng.uniform(0.0, 3.0)]))
+                    for net_id in net_ids
+                    if rng.random() < 0.6
+                }
+    return couplings
+
+
+class TestSinkPathIndexMatchesReference:
+    """The memoised sink-path index reproduces the per-call BFS exactly."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        num_cols=st.integers(1, 6),
+        num_rows=st.integers(1, 6),
+        num_nets=st.integers(1, 12),
+        seed=st.integers(0, 2**16),
+        length_scale=st.one_of(st.just(1.0), st.floats(0.05, 20.0)),
+    )
+    def test_random_routings_and_panels(self, num_cols, num_rows, num_nets, seed, length_scale):
+        grid, netlist = make_random_routing_instance(
+            num_cols, num_rows, num_nets, capacity=4, sensitivity_rate=0.3, seed=seed
+        )
+        routing, _ = route_netlist(grid, netlist, config=WeightConfig(reserve_shields=False))
+        model = LskModel(table=linear_reference_table(slope=100.0))
+        for couplings_seed in (seed, seed + 1):
+            couplings = _random_couplings(grid, netlist.net_ids(), couplings_seed)
+            report = evaluate_crosstalk(
+                routing, {}, model, bound=0.15, length_scale=length_scale, couplings=couplings
+            )
+            for net_id in netlist.net_ids():
+                for scale in (1.0, length_scale):
+                    assert net_lsk_value(net_id, routing, couplings, scale) == (
+                        net_lsk_value_reference(net_id, routing, couplings, scale)
+                    )
+                expected = net_lsk_value_reference(net_id, routing, couplings, length_scale)
+                assert report.net_noise[net_id] == model.table.noise_for(expected)
+
+    def test_index_is_memoised_per_length_scale(self, setup):
+        _grid, _netlist, routing, _problem = setup
+        index = SinkPathIndex.of(routing, 2.0)
+        assert SinkPathIndex.of(routing, 2.0) is index
+        assert SinkPathIndex.of(routing, 1.0) is not index
+
+    def test_memoised_index_does_not_keep_its_routing_alive(self, setup):
+        grid, netlist, routing, _problem = setup
+        copy = RoutingSolution(grid, netlist, routing.routes)
+        net_lsk_value(0, copy, {})
+        alive = weakref.ref(copy)
+        gc.disable()
+        try:
+            del copy
+            assert alive() is None
+        finally:
+            gc.enable()
+
+    def test_multi_sink_net_takes_its_worst_sink(self):
+        grid = RoutingGrid(
+            num_cols=3,
+            num_rows=1,
+            chip_width=300.0,
+            chip_height=100.0,
+            horizontal_capacity=4,
+            vertical_capacity=4,
+        )
+        net = Net(net_id=0, pins=(Pin(150, 50), Pin(50, 50), Pin(250, 50)))
+        netlist = Netlist([net])
+        edges = frozenset({((0, 0), (1, 0)), ((1, 0), (2, 0))})
+        routing = RoutingSolution(grid, netlist, {0: RouteTree(0, ((1, 0), (0, 0), (2, 0)), edges)})
+        couplings = {((2, 0), HORIZONTAL): {0: 2.0}, ((1, 0), HORIZONTAL): {0: 0.5}}
+        value = net_lsk_value(0, routing, couplings)
+        assert value == net_lsk_value_reference(0, routing, couplings)
+        assert value == pytest.approx(50e-6 * (0.5 + 2.0))
 
 
 class TestEvaluateCrosstalk:

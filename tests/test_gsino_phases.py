@@ -7,7 +7,9 @@ from repro.gsino.budgeting import compute_budgets
 from repro.gsino.metrics import evaluate_crosstalk
 from repro.gsino.phase1 import run_phase1
 from repro.gsino.phase2 import build_panel_problem, run_phase2
-from repro.gsino.phase3 import run_phase3
+from repro.gsino.config import UM_TO_M
+from repro.gsino.phase3 import LocalRefiner, run_phase3
+from tests.oracles.lsk_reference import net_lsk_value_reference
 from repro.gsino.pipeline import compare_flows
 
 
@@ -87,6 +89,20 @@ class TestPhase3:
             length_scale=config.length_scale,
         )
         assert crosstalk.num_violations == 0
+
+    def test_refiner_reads_the_routing_index(self, instance):
+        circuit, config, budgets, phase1 = instance
+        phase2 = run_phase2(phase1.routing, circuit.netlist, budgets, config, solver="sino")
+        refiner = LocalRefiner(phase1.routing, phase2, budgets, circuit.netlist, config)
+        grid = phase1.routing.grid
+        for net_id in circuit.netlist.net_ids():
+            assert refiner.net_lsk(net_id) == net_lsk_value_reference(
+                net_id, phase1.routing, refiner._couplings, config.length_scale
+            )
+            lengths = phase1.routing.route(net_id).region_lengths_um(grid)
+            for key in refiner.panel_keys_of(net_id):
+                expected = lengths.get(key[0], 0.0) * UM_TO_M * config.length_scale
+                assert refiner.net_region_length_m(net_id, key) == expected
 
     def test_pass2_never_increases_shields(self, instance):
         circuit, config, budgets, phase1 = instance

@@ -1,6 +1,8 @@
 """Tests for the connection graphs, Formula 2 weights and the ID router."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.grid.congestion import CongestionMap
 from repro.grid.nets import Net, Netlist, Pin
@@ -9,6 +11,8 @@ from repro.router.connection_graph import ConnectionGraph, build_connection_grap
 from repro.router.iterative_deletion import IterativeDeletionRouter, route_netlist
 from repro.router.realize import prune_to_tree
 from repro.router.weights import WeightConfig, edge_weight
+from tests.conftest import make_random_routing_instance
+from tests.oracles.router_reference import route_netlist_reference
 
 
 @pytest.fixture
@@ -217,3 +221,74 @@ class TestIterativeDeletionRouter:
         congestion = CongestionMap.from_solution(solution)
         assert congestion.max_density() <= 1.0 + 1e-9
         assert congestion.total_overflow() == pytest.approx(0.0)
+
+
+def _assert_same_routing(netlist, fast, reference):
+    fast_solution, fast_report = fast
+    reference_solution, reference_report = reference
+    for net_id in netlist.net_ids():
+        assert fast_solution.route(net_id).edges == reference_solution.route(net_id).edges
+    counters = ("num_nets", "initial_edges", "deleted_edges", "kept_edges", "heap_repushes")
+    assert [getattr(fast_report, name) for name in counters] == [
+        getattr(reference_report, name) for name in counters
+    ]
+
+
+class TestRouterMatchesReference:
+    """The cached-pressure router reproduces the historic loop exactly."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        num_cols=st.integers(1, 6),
+        num_rows=st.integers(1, 6),
+        num_nets=st.integers(1, 14),
+        capacity=st.integers(1, 6),
+        rate=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**16),
+        reserve_shields=st.booleans(),
+        weight_tolerance=st.sampled_from([0.0, WeightConfig().weight_tolerance]),
+        bounding_box_margin=st.sampled_from([0, 1]),
+    )
+    def test_random_instances(
+        self,
+        num_cols,
+        num_rows,
+        num_nets,
+        capacity,
+        rate,
+        seed,
+        reserve_shields,
+        weight_tolerance,
+        bounding_box_margin,
+    ):
+        grid, netlist = make_random_routing_instance(
+            num_cols, num_rows, num_nets, capacity, rate, seed=seed
+        )
+        config = WeightConfig(
+            reserve_shields=reserve_shields,
+            weight_tolerance=weight_tolerance,
+            bounding_box_margin=bounding_box_margin,
+        )
+        _assert_same_routing(
+            netlist,
+            route_netlist(grid, netlist, config=config),
+            route_netlist_reference(grid, netlist, config=config),
+        )
+
+    @pytest.mark.parametrize("reserve_shields", [False, True])
+    @pytest.mark.parametrize("weight_tolerance", [0.0, WeightConfig().weight_tolerance])
+    @pytest.mark.parametrize("bounding_box_margin", [0, 1])
+    def test_generated_circuit(
+        self, small_circuit, reserve_shields, weight_tolerance, bounding_box_margin
+    ):
+        config = WeightConfig(
+            reserve_shields=reserve_shields,
+            weight_tolerance=weight_tolerance,
+            bounding_box_margin=bounding_box_margin,
+        )
+        grid, netlist = small_circuit.grid, small_circuit.netlist
+        _assert_same_routing(
+            netlist,
+            route_netlist(grid, netlist, config=config),
+            route_netlist_reference(grid, netlist, config=config),
+        )

@@ -94,6 +94,31 @@ class TestResultStore:
         store.put_layout("ee" + "2" * 62, (1, 2))
         assert len(store) == 1
 
+    def test_write_recreates_a_removed_bucket(self, tmp_path):
+        import shutil
+
+        store = ResultStore(tmp_path / "store")
+        store.put_layout("bb" + "5" * 62, (1, None, 2))
+        shutil.rmtree(store._blob_path("bb" + "5" * 62).parent)
+        store.put_layout("bb" + "6" * 62, (3, None, 4))
+        assert store.get_layout("bb" + "6" * 62) == (3, None, 4)
+
+    def test_second_write_to_a_bucket_makes_no_directory(self, tmp_path, monkeypatch):
+        store = ResultStore(tmp_path / "store")
+        calls = []
+        original = Path.mkdir
+
+        def counting_mkdir(self, *args, **kwargs):
+            calls.append(self)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "mkdir", counting_mkdir)
+        store.put_layout("cc" + "7" * 62, (1, 2))
+        assert len(calls) == 1
+        store.put_layout("cc" + "8" * 62, (2, 1))
+        assert len(calls) == 1
+        assert store.get_layout("cc" + "8" * 62) == (2, 1)
+
     @pytest.mark.parametrize(
         "payload",
         [
