@@ -39,15 +39,15 @@ from repro.gsino.budgeting import bounds_for_nets, compute_budgets
 from repro.gsino.config import GsinoConfig
 from repro.gsino.phase1 import run_phase1
 from repro.gsino.phase2 import build_panel_problems
-from repro.gsino.reference import (
-    reference_run_gsino,
-    reference_run_id_no,
-    reference_run_isino,
-)
 from repro.service.store import ResultStore
 from repro.sino.panel import SinoProblem
 
 from conftest import BENCH_SCALE, BENCH_SEED
+from tests.oracles.gsino_reference import (
+    reference_run_gsino,
+    reference_run_id_no,
+    reference_run_isino,
+)
 
 #: Minimum warm-over-cold compare speedup (relaxed in CI via the same knob
 #: the annealer benchmark uses).

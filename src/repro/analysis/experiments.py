@@ -77,8 +77,8 @@ class ExperimentConfig:
         Independent annealing chains per panel for the annealing effort
         levels (1 = single-chain search, the historic behaviour).
     batch_k:
-        Candidate moves scored per batched annealing step (the
-        ``anneal-batched`` effort); ``None`` keeps the schedule default.
+        Annealing chain width, the candidate moves scored per step (the
+        annealing efforts); ``None`` keeps the schedule default.
     store_path:
         Optional directory of a persistent result store
         (:class:`repro.service.store.ResultStore`).  Every instance's cache

@@ -192,8 +192,8 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         type=_positive_int,
         default=None,
         metavar="K",
-        help="candidate moves scored per batched annealing step "
-        "(anneal-batched effort; default: the schedule's batch_k)",
+        help="annealing chain width: moves scored per step, the best one "
+        "facing the Metropolis test (annealing efforts only; default: 1)",
     )
 
 

@@ -58,8 +58,7 @@ class PanelTask:
         ``"sino"`` (shield insertion + net ordering) or ``"ordering"``.
     effort:
         One of :data:`repro.sino.anneal.EFFORT_LEVELS` (``"greedy"``,
-        ``"anneal"``, ``"anneal-fast"``, ``"anneal-batched"`` or
-        ``"portfolio"``); forwarded to the SINO solver.
+        ``"anneal"`` or ``"anneal-fast"``); forwarded to the SINO solver.
     seed:
         Per-task seed of the stochastic annealing efforts.  ``None`` keeps
         the schedule's own seed (the serial reference behaviour).

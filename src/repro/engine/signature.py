@@ -50,8 +50,11 @@ if TYPE_CHECKING:  # the grid layer sits below the engine; import only for types
 #: Signature scheme version; bump when the token layout changes so persisted
 #: caches (if any) cannot return solutions hashed under an older scheme.
 #: Version 2 added the chain count to the annealing-schedule token; version 3
-#: added the batched-evaluation width (``batch_k``).
-SIGNATURE_VERSION = 3
+#: added the batched-evaluation width (``batch_k``).  Version 4 merged the two
+#: annealers: under v3, ``effort=anneal`` with ``batch_k=8`` ran the one-move
+#: chain (the width only applied to a separate batched effort), while the same
+#: token now runs the best-of-8 chain, so a v3 layout must not be restored.
+SIGNATURE_VERSION = 4
 
 #: Version of the *stage* signature scheme (instance token + stage token
 #: layout).  Bump whenever either token layout changes so persisted stage

@@ -13,7 +13,8 @@ Both baselines are stage graphs over :mod:`repro.flow` that differ only in
 their panel-solver stage; their shared ancestors — the conventional routing
 run and the budgets — are materialised once per runner, exactly as in the
 paper ("ID-based global router to minimize wire length and congestion only"
-for both).  The pre-refactor monoliths live in :mod:`repro.gsino.reference`.
+for both).  The pre-refactor monoliths live in the test oracle
+``tests/oracles/gsino_reference.py``.
 """
 
 from __future__ import annotations

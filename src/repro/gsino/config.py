@@ -47,11 +47,9 @@ class GsinoConfig:
         regime of the paper is preserved (see DESIGN.md).
     sino_effort:
         Effort level of every per-region SINO solve — one of
-        :data:`repro.sino.anneal.EFFORT_LEVELS`: ``"greedy"``, ``"anneal"``,
-        ``"anneal-fast"`` (quarter-length schedule), ``"anneal-batched"``
-        (best-of-K batched move evaluation, ``AnnealConfig.batch_k`` picks K)
-        or ``"portfolio"`` (greedy plus annealing chains, best feasible
-        wins).
+        :data:`repro.sino.anneal.EFFORT_LEVELS`: ``"greedy"``, ``"anneal"``
+        (chain width ``AnnealConfig.batch_k``) or ``"anneal-fast"``
+        (quarter-length schedule).
     anneal:
         Annealing schedule used by the annealing effort levels, including
         the multi-chain count (``AnnealConfig.chains``) and the batched

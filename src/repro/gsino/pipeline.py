@@ -7,8 +7,8 @@ Since the stage-graph refactor these drivers are thin shims over
 content signature, shares common ancestors across flows and — when a
 persistent store is attached — resumes interrupted runs stage-granular.
 The legacy monolithic implementation is retained verbatim in
-:mod:`repro.gsino.reference` as the golden-equivalence oracle; the staged
-flows are bit-identical to it on every Table 1–3 quantity.
+``tests/oracles/gsino_reference.py`` as the golden-equivalence oracle; the
+staged flows are bit-identical to it on every Table 1–3 quantity.
 """
 
 from __future__ import annotations

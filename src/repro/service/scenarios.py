@@ -72,9 +72,8 @@ class ScenarioSpec:
         0 disables the capacity limit entirely.
     solver / effort / chains / batch_k:
         Forwarded to :class:`~repro.engine.panels.PanelTask`; ``chains > 1``
-        or a non-default ``batch_k`` attaches an annealing schedule (the
-        batched width only takes effect under the ``anneal-batched``
-        effort).
+        or a ``batch_k`` other than 1 attaches an annealing schedule (the
+        chain width only takes effect under the annealing efforts).
     seed:
         Base seed; panel ``i`` derives its structure and task seed from it.
     """
@@ -92,7 +91,7 @@ class ScenarioSpec:
     solver: str = "sino"
     effort: str = "greedy"
     chains: int = 1
-    batch_k: int = 8
+    batch_k: int = 1
     seed: int = 2002
 
     def __post_init__(self) -> None:

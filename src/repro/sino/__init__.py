@@ -10,9 +10,10 @@ a minimum number of shield wires on parallel tracks such that
   bound ``Kth_i``.
 
 The problem is NP-hard, so this package provides a fast greedy constructor
-(:mod:`repro.sino.greedy`), a simulated-annealing improver
-(:mod:`repro.sino.anneal`), the net-ordering-only solver used by the ID+NO
-baseline (:mod:`repro.sino.net_ordering`), a solution checker
+(:mod:`repro.sino.greedy`), one simulated-annealing improver whose chain
+width is ``AnnealConfig.batch_k`` (:mod:`repro.sino.anneal`, scoring wide
+steps through :mod:`repro.sino.batched`), the net-ordering-only solver used
+by the ID+NO baseline (:mod:`repro.sino.net_ordering`), a solution checker
 (:mod:`repro.sino.checker`), and the closed-form shield-count estimator of
 Formula 3 (:mod:`repro.sino.estimate`).
 """
@@ -26,7 +27,6 @@ from repro.sino.anneal import (
     AnnealConfig,
     anneal_sino,
     anneal_sino_multichain,
-    anneal_sino_reference,
     derive_chain_seed,
     reduce_best_feasible,
     solve_min_area_sino,
@@ -51,7 +51,6 @@ __all__ = [
     "AnnealConfig",
     "anneal_sino",
     "anneal_sino_multichain",
-    "anneal_sino_reference",
     "derive_chain_seed",
     "reduce_best_feasible",
     "solve_min_area_sino",

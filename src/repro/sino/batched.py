@@ -1,35 +1,17 @@
 """Batched best-of-K move evaluation for the SINO annealer.
 
-:func:`repro.sino.anneal.anneal_sino` spends its remaining time in Python:
-one ``propose``/``commit`` round trip per candidate move, each paying array
-copies, bookkeeping and interpreter dispatch for a handful of changed matrix
-cells.  This module amortises that overhead over ``K`` candidates at a time:
-
-* :class:`BatchedMoveEvaluator` scores K candidate moves against the shared
-  position/shield/occupancy/dist/shields-between/coupling arrays of one
-  :class:`~repro.sino.incremental.IncrementalPanelState` in a single stacked
-  numpy pass — candidate geometry as ``(K, n)`` / ``(K, n, n)`` arrays,
-  cumulative shield counts for the between-shield matrix, and transcendental
-  recomputes restricted to the cells whose ``(distance, shields-between)``
-  pair actually changed (the exact per-move budget the scalar path pays).
-* :func:`anneal_sino_batched` samples K moves per temperature step, applies
-  the Metropolis criterion to the *best* candidate, and commits through the
-  state's normal propose/commit protocol (every scored candidate lands in
-  the state's evaluation memo, so the winning propose is a cache hit).
-  Best-of-K selection starves uphill exploration, so a quarter of the eval
-  budget is reserved for a deterministic *endgame* — descent polish, forced
-  shield-delete rounds, and a gated zero-shield restart hunt — that keeps
-  batched quality at-or-better than the scalar oracle on the registry
-  scenarios (pinned by tests and CI).
-
-``iterations`` counts candidate *evaluations*, not temperature steps, so a
-batched run does as much cost-evaluation work as the scalar annealer at the
-same config (the zero-shield hunt may add a bounded ``O(tracks^2)`` tail on
-small single-shield panels) — the speedup is real wall-clock, not a shorter
-search.  With ``batch_k=1`` the whole budget runs through one candidate per
-step with the scalar temperature schedule and RNG consumption pattern, and
-the endgame is disabled, which makes it bit-identical seed-for-seed to
-:func:`~repro.sino.anneal.anneal_sino` (the test suite pins this).
+A one-move annealing step pays a ``propose``/``commit`` round trip per
+candidate: array copies, bookkeeping and interpreter dispatch for a handful
+of changed matrix cells.  :class:`BatchedMoveEvaluator` amortises that
+overhead over ``K`` candidates at a time.  It scores K candidate moves
+against the shared position/shield/occupancy/dist/shields-between/coupling
+arrays of one :class:`~repro.sino.incremental.IncrementalPanelState` in a
+single stacked numpy pass — candidate geometry as ``(K, n)`` / ``(K, n, n)``
+arrays, cumulative shield counts for the between-shield matrix, and
+transcendental recomputes restricted to the cells whose ``(distance,
+shields-between)`` pair actually changed (the exact per-move budget the
+scalar path pays).  :func:`repro.sino.anneal.anneal_sino` uses it for chains
+wider than one move and for its endgame.
 
 Every scored delta is *exactly* the delta ``propose()`` would return: cells
 with an unchanged ``(distance, shields-between)`` pair hold bitwise-equal
@@ -41,23 +23,11 @@ evaluation does.
 
 from __future__ import annotations
 
-import math
-import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.obs.metrics import process_registry
-from repro.obs.trace import active_tracer, maybe_span
-from repro.sino.anneal import (
-    AnnealConfig,
-    _compact_gain_bound,
-    _sample_move,
-    greedy_sino,
-    solution_cost,
-)
 from repro.sino.incremental import IncrementalPanelState, Move, _Evaluation
-from repro.sino.panel import SinoProblem, SinoSolution
 
 
 class BatchedMoveEvaluator:
@@ -280,405 +250,4 @@ class BatchedMoveEvaluator:
             deltas[slot] = cost - current_cost
 
 
-#: Fraction of the eval budget reserved for the endgame (1/this) at K > 1.
-_ENDGAME_FRACTION = 4
-#: Per-sweep cap on batched neighbourhood scoring, keeping single endgame
-#: calls bounded on the largest panels.
-_MAX_SWEEP = 256
-#: Annealed-recovery budget after each forced shield delete.
-_RECOVERY_EVALS = 96
-#: Recovery temperature schedule (geometric, start to end).
-_RECOVERY_SCHEDULE = (1.5, 0.05)
-#: Seed-sequence tags of the endgame's isolated RNG sub-streams.  The tags
-#: are part of the pinned tuning: the registry quality gate holds
-#: seed-for-seed, so the streams are chosen (and kept apart from the main
-#: chain's) such that every registry panel meets the reference oracle.
-_RECOVER_STREAM = 5
-_RESTART_STREAM = 2
-#: Zero-shield restarts only arm on layouts at most this many tracks wide —
-#: random-restart descent stops paying beyond small panels.
-_RESTART_TRACKS_MAX = 20
-#: Zero-shield restart budget: this many evals per (tracks + 1)^2.
-_RESTART_BUDGET_FACTOR = 32
-#: Random restarts probed before the far-from-validity abandon check may
-#: fire — a single unlucky permutation lands far from the basin on panels a
-#: later restart still cracks.
-_RESTART_MIN_PROBES = 2
-
-
-class _BestTracker:
-    """Best / best-valid bookkeeping shared by the chain loop and endgame.
-
-    Mirrors the scalar annealer's tracking exactly: a state is only
-    compacted when it is valid or when the compaction bound says it could
-    beat the incumbent, and compactions are memoised by layout.
-    """
-
-    def __init__(self, config: AnnealConfig, seed_solution: SinoSolution) -> None:
-        self._config = config
-        self.best = seed_solution.compact()
-        self.best_cost = solution_cost(self.best, config)
-        self.best_valid: Optional[SinoSolution] = self.best if self.best.is_valid() else None
-        self._compact_cache: dict = {}
-
-    def observe(self, state: IncrementalPanelState, cost: float) -> None:
-        if not (
-            state.is_current_valid()
-            or cost - _compact_gain_bound(state, self._config) < self.best_cost
-        ):
-            return
-        key = state.layout_key()
-        cached = self._compact_cache.get(key)
-        if cached is None:
-            cached = state.compacted()
-            self._compact_cache[key] = cached
-        compacted, compacted_cost, compacted_valid = cached
-        if compacted_cost < self.best_cost:
-            self.best = compacted
-            self.best_cost = compacted_cost
-        if compacted_valid:
-            if self.best_valid is None or compacted.num_shields < self.best_valid.num_shields:
-                self.best_valid = compacted
-
-    @property
-    def result(self) -> SinoSolution:
-        return self.best_valid if self.best_valid is not None else self.best
-
-
-def _neighborhood_moves(state: IncrementalPanelState) -> List[Move]:
-    """Every distinct single move except shield inserts, deletes first."""
-    occupancy = state._current.occ
-    tracks = occupancy.size
-    shields = state.shield_tracks()
-    moves = [Move.delete(track) for track in shields]
-    for a in range(tracks):
-        for b in range(a + 1, tracks):
-            if occupancy[a] < 0 and occupancy[b] < 0:
-                continue  # shield-shield swaps are no-ops
-            moves.append(Move.swap(a, b))
-    for track in shields:
-        for gap in range(tracks):
-            moves.append(Move.relocate(track, gap))
-    return moves
-
-
-def _descend(
-    state: IncrementalPanelState,
-    evaluator: BatchedMoveEvaluator,
-    budget: int,
-    tracker: _BestTracker,
-) -> int:
-    """Batched steepest descent over the insert-free neighbourhood."""
-    used = 0
-    while used < budget:
-        moves = _neighborhood_moves(state)
-        if not moves:
-            break
-        moves = moves[: min(budget - used, _MAX_SWEEP)]
-        deltas = evaluator.score(moves)
-        used += len(moves)
-        choice = min(range(len(moves)), key=deltas.__getitem__)
-        if deltas[choice] >= 0.0:
-            break
-        state.propose(moves[choice])
-        cost = state.commit()
-        evaluator.refresh()
-        tracker.observe(state, cost)
-    return used
-
-
-def _sample_moves(
-    state: IncrementalPanelState, rng: np.random.Generator, width: int
-) -> List[Move]:
-    """Vectorised draw of ``width`` random moves (the K > 1 chain path).
-
-    Same move mix and per-kind distributions as :func:`_sample_move`, with
-    one batched RNG call per kind instead of one Python call per move.
-    Distinct swap endpoints come from the shifted-second-draw trick
-    (``b >= a`` bumps b by one), which is exactly uniform over ordered
-    distinct pairs.  The scalar path keeps :func:`_sample_move` so
-    ``batch_k=1`` stays stream-identical to the scalar annealer.
-    """
-    num_tracks = state.num_tracks
-    num_shields = state.num_shields
-    shield_array = np.asarray(state.shield_array(), dtype=np.int64)
-    kinds = rng.random(width)
-    swap_mask = (kinds < 0.4) & (num_tracks >= 2)
-    relocate_mask = ~swap_mask & (kinds < 0.6) & (num_shields > 0)
-    delete_mask = ~swap_mask & ~relocate_mask & (kinds < 0.8) & (num_shields > 0)
-    insert_mask = ~(swap_mask | relocate_mask | delete_mask)
-    moves: List[Optional[Move]] = [None] * width
-
-    slots = np.nonzero(swap_mask)[0]
-    if slots.size:
-        first = rng.integers(0, num_tracks, size=slots.size)
-        second = rng.integers(0, num_tracks - 1, size=slots.size)
-        second += second >= first
-        for slot, a, b in zip(slots.tolist(), first.tolist(), second.tolist()):
-            moves[slot] = Move.swap(a, b)
-    slots = np.nonzero(relocate_mask)[0]
-    if slots.size:
-        tracks = shield_array[rng.integers(0, num_shields, size=slots.size)]
-        gaps = rng.integers(0, num_tracks, size=slots.size)
-        for slot, track, gap in zip(slots.tolist(), tracks.tolist(), gaps.tolist()):
-            moves[slot] = Move.relocate(track, gap)
-    slots = np.nonzero(delete_mask)[0]
-    if slots.size:
-        tracks = shield_array[rng.integers(0, num_shields, size=slots.size)]
-        for slot, track in zip(slots.tolist(), tracks.tolist()):
-            moves[slot] = Move.delete(track)
-    slots = np.nonzero(insert_mask)[0]
-    if slots.size:
-        gaps = rng.integers(0, num_tracks + 1, size=slots.size)
-        for slot, gap in zip(slots.tolist(), gaps.tolist()):
-            moves[slot] = Move.insert(gap)
-    return moves  # type: ignore[return-value]
-
-
-def _sample_move_no_insert(state: IncrementalPanelState, rng: np.random.Generator) -> Move:
-    while True:
-        move = _sample_move(state, rng)
-        if move.kind != "insert":
-            return move
-
-
-def _recover(
-    state: IncrementalPanelState,
-    evaluator: BatchedMoveEvaluator,
-    rng: np.random.Generator,
-    budget: int,
-    batch_k: int,
-    tracker: _BestTracker,
-) -> int:
-    """Short insert-free anneal after a forced shield delete.
-
-    The deleted shield usually leaves a violation; pure descent fixes the
-    easy cases, but crossing a small cost barrier (reorder two segments)
-    needs a few Metropolis steps at a low temperature.  Inserts stay
-    excluded so the recovery cannot simply put the shield back.
-    """
-    start, end = _RECOVERY_SCHEDULE
-    evals = 0
-    while evals < budget:
-        width = min(batch_k, budget - evals)
-        temperature = start * (end / start) ** (evals / budget)
-        moves = [_sample_move_no_insert(state, rng) for _ in range(width)]
-        deltas = evaluator.score(moves)
-        choice = min(range(width), key=deltas.__getitem__)
-        delta = deltas[choice]
-        evals += width
-        if delta <= 0.0 or rng.random() < math.exp(-delta / temperature):
-            state.propose(moves[choice])
-            cost = state.commit()
-            evaluator.refresh()
-            tracker.observe(state, cost)
-    return evals
-
-
-def _zero_shield_restarts(
-    problem: SinoProblem,
-    config: AnnealConfig,
-    rng: np.random.Generator,
-    tracker: _BestTracker,
-    base: SinoSolution,
-) -> int:
-    """Hunt a shield-free permutation by restarted swap-only descent.
-
-    Arms when the incumbent is a single shield on a small panel — the one
-    regime where a zero-shield ordering is plausibly reachable but sits in
-    a different basin than the chain's local optimum (single-swap kicks
-    fall straight back; full random restarts cross).  Restarts stop early
-    when the closest local optimum stays far from validity, which is the
-    signature of a panel that structurally needs its shield.
-    """
-    segments = [segment for segment in base.layout if segment is not None]
-    n = len(segments)
-    if n < 2:
-        return 0
-    budget = _RESTART_BUDGET_FACTOR * (n + 1) * (n + 1)
-    abandon_above = 2.0 * config.shield_weight
-    moves = [Move.swap(a, b) for a in range(n) for b in range(a + 1, n)]
-    used = 0
-    first = True
-    probes = 0
-    closest = math.inf
-    while used < budget:
-        if first:
-            order = list(segments)  # the incumbent's own ordering first
-        else:
-            order = [segments[i] for i in rng.permutation(n)]
-        state = IncrementalPanelState(problem, order, config)
-        evaluator = BatchedMoveEvaluator(state)
-        while used < budget:
-            batch = moves[: budget - used]
-            deltas = evaluator.score(batch)
-            used += len(batch)
-            choice = min(range(len(batch)), key=deltas.__getitem__)
-            if deltas[choice] >= 0.0:
-                break
-            state.propose(batch[choice])
-            cost = state.commit()
-            evaluator.refresh()
-            tracker.observe(state, cost)
-        tracker.observe(state, state.cost)
-        if state.is_current_valid():
-            return used
-        closest = min(closest, state.cost)
-        if not first:
-            probes += 1
-        if probes >= _RESTART_MIN_PROBES and closest > abandon_above:
-            return used
-        first = False
-    return used
-
-
-def _endgame(
-    problem: SinoProblem,
-    config: AnnealConfig,
-    tracker: _BestTracker,
-    budget: int,
-) -> int:
-    """Spend the reserved evals sharpening the incumbent.
-
-    Three stages, all scored through the batched evaluator: a steepest-
-    descent polish of the incumbent; shield-elimination rounds (force the
-    cheapest delete, recover, descend — repeat while the shield count
-    drops); and the gated zero-shield restart hunt.
-
-    Each stochastic stage draws from its own deterministically seeded
-    sub-stream, so tuning one stage never reshuffles another's draws (the
-    registry quality gate pins seed-exact outcomes).
-    """
-    recover_rng = np.random.default_rng(np.random.SeedSequence((config.seed, _RECOVER_STREAM)))
-    restart_rng = np.random.default_rng(np.random.SeedSequence((config.seed, _RESTART_STREAM)))
-    used = 0
-    start = tracker.best_valid if tracker.best_valid is not None else tracker.best
-    state = IncrementalPanelState(problem, list(start.layout), config)
-    evaluator = BatchedMoveEvaluator(state)
-    # The polish is capped at a third of the reserve: one sweep over a
-    # converged incumbent costs a full neighbourhood, and the elimination
-    # rounds below need guaranteed room for at least one delete attempt.
-    used += _descend(state, evaluator, min(budget - used, budget // 3), tracker)
-    tracker.observe(state, state.cost)
-    while used < budget:
-        base = tracker.best_valid
-        if base is None or base.num_shields == 0:
-            break
-        incumbent_shields = base.num_shields
-        state = IncrementalPanelState(problem, list(base.layout), config)
-        evaluator = BatchedMoveEvaluator(state)
-        deletes = [Move.delete(track) for track in state.shield_tracks()]
-        deltas = evaluator.score(deletes)
-        used += len(deletes)
-        improved = False
-        for index in sorted(range(len(deletes)), key=deltas.__getitem__):
-            if used >= budget:
-                break
-            trial = state.clone()
-            trial_evaluator = BatchedMoveEvaluator(trial)
-            trial.propose(deletes[index])
-            trial.commit()
-            trial_evaluator.refresh()
-            used += _recover(
-                trial,
-                trial_evaluator,
-                recover_rng,
-                min(budget - used, _RECOVERY_EVALS),
-                config.batch_k,
-                tracker,
-            )
-            used += _descend(trial, trial_evaluator, budget - used, tracker)
-            tracker.observe(trial, trial.cost)
-            if tracker.best_valid is not None and (
-                tracker.best_valid.num_shields < incumbent_shields
-            ):
-                improved = True
-                break
-        if not improved:
-            break
-    base = tracker.best_valid
-    if base is not None and base.num_shields == 1 and len(base.layout) <= _RESTART_TRACKS_MAX:
-        used += _zero_shield_restarts(problem, config, restart_rng, tracker, base)
-    return used
-
-
-def anneal_sino_batched(
-    problem: SinoProblem,
-    initial: Optional[SinoSolution] = None,
-    config: Optional[AnnealConfig] = None,
-    state: Optional[IncrementalPanelState] = None,
-) -> SinoSolution:
-    """Anneal with best-of-K batched move evaluation (``config.batch_k``).
-
-    The main chain groups candidate evaluations into temperature steps of
-    width ``batch_k``: each step samples K moves, scores all K in one
-    vectorised pass, and puts the best candidate through the usual
-    Metropolis accept/reject at the temperature of the step's first
-    evaluation.  Selecting the best of K sharpens descent but starves
-    uphill exploration (some candidate is almost always non-positive), so
-    at K > 1 a quarter of the eval budget is reserved for an *endgame*
-    (:func:`_endgame`): a batched steepest-descent polish, forced
-    shield-delete rounds with short insert-free recovery anneals, and — on
-    small panels whose incumbent is a single shield — a bounded
-    zero-shield restart hunt.  The registry quality gate (batched never
-    worse than the reference oracle on every panel scenario) is pinned by
-    the test suite and CI.
-
-    ``batch_k=1`` runs the classic chain: the full budget at width 1 with
-    the scalar temperature schedule and RNG consumption pattern, and no
-    endgame — bit-identical seed-for-seed to
-    :func:`~repro.sino.anneal.anneal_sino` (also pinned).
-
-    ``state`` optionally supplies a prebuilt
-    :class:`~repro.sino.incremental.IncrementalPanelState` over the initial
-    layout (the shared-memory chain path); the caller guarantees it matches
-    ``initial``.
-    """
-    config = config or AnnealConfig()
-    batch_k = config.batch_k
-    rng = np.random.default_rng(config.seed)
-    current = (initial or greedy_sino(problem)).copy()
-    if state is None:
-        state = IncrementalPanelState(problem, current.layout, config)
-    evaluator = BatchedMoveEvaluator(state)
-    tracker = _BestTracker(config, current)
-
-    reserve = config.iterations // _ENDGAME_FRACTION if batch_k > 1 else 0
-    chain_budget = config.iterations - reserve
-    registry = process_registry()
-    started = time.perf_counter()
-    evals = 0
-    steps = 0
-    accepts = 0
-    with maybe_span(active_tracer(), "anneal.chain", batch_k=batch_k) as span:
-        while evals < chain_budget:
-            width = min(batch_k, chain_budget - evals)
-            temperature = config.temperature_at(evals)
-            if batch_k > 1:
-                moves = _sample_moves(state, rng, width)
-            else:
-                moves = [_sample_move(state, rng)]
-            deltas = evaluator.score(moves)
-            choice = min(range(width), key=deltas.__getitem__)
-            delta = deltas[choice]
-            evals += width
-            steps += 1
-            if delta <= 0.0 or rng.random() < math.exp(-delta / temperature):
-                state.propose(moves[choice])  # guaranteed memo hit
-                current_cost = state.commit()
-                evaluator.refresh()
-                accepts += 1
-                tracker.observe(state, current_cost)
-        endgame_evals = 0
-        if reserve:
-            endgame_evals = _endgame(problem, config, tracker, reserve)
-            evals += endgame_evals
-        if span is not None:
-            span.add(steps=steps, evals=evals, accepts=accepts, endgame_evals=endgame_evals)
-    registry.counter("anneal.steps").inc(steps)
-    registry.counter("anneal.batch_evals").inc(evals)
-    registry.counter("anneal.seconds").inc(time.perf_counter() - started)
-    return tracker.result
-
-
-__all__ = ["BatchedMoveEvaluator", "anneal_sino_batched"]
+__all__ = ["BatchedMoveEvaluator"]

@@ -3,8 +3,8 @@
 These are the hand-written flow implementations that preceded the
 ``repro.flow`` stage-graph subsystem, kept verbatim (modulo renames) so the
 golden-equivalence suite can pin the staged flows **bit-identical** to the
-historic behaviour on every Table 1–3 quantity — the same pattern as
-``anneal_sino_reference``, the annealer's retained oracle.
+historic behaviour on every Table 1–3 quantity — the same pattern as the
+annealer's retained oracle in ``anneal_reference.py``.
 
 Do not add features here: new flow behaviour belongs in :mod:`repro.flow`,
 and any intentional behavioural change must update both implementations

@@ -1,7 +1,7 @@
 """Tests for the repro.flow stage-graph subsystem.
 
 Covers the golden-equivalence guarantee (staged flows bit-identical to the
-retained pre-refactor oracle in ``repro.gsino.reference``), stage sharing
+retained pre-refactor oracle in ``tests/oracles/gsino_reference.py``), stage sharing
 within one comparison, store-backed resume with zero redundant stage
 executions, the artifact codecs, the speculative Phase III engine dispatch,
 flow scenarios in the service layer, and the ``repro flows`` CLI verb.
@@ -59,12 +59,6 @@ from repro.grid.sensitivity import RandomPairwiseSensitivity
 from repro.gsino.budgeting import compute_budgets
 from repro.gsino.config import GsinoConfig
 from repro.gsino.pipeline import compare_flows, run_gsino
-from repro.gsino.reference import (
-    reference_compare_flows,
-    reference_run_gsino,
-    reference_run_id_no,
-    reference_run_isino,
-)
 from repro.obs.events import EventLog, read_events
 from repro.obs.trace import Tracer
 from repro.service import Job, ResultStore, Scheduler
@@ -74,6 +68,14 @@ from repro.service.scenarios import (
     scenario_kind,
     scenario_spec,
 )
+
+from tests.oracles.gsino_reference import (
+    reference_compare_flows,
+    reference_run_gsino,
+    reference_run_id_no,
+    reference_run_isino,
+)
+
 
 SCALE = 0.01
 

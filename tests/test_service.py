@@ -21,8 +21,9 @@ from pathlib import Path
 
 import pytest
 
+import repro.engine.signature as signature_module
 from repro.engine import CacheStats, Engine, SolutionCache
-from repro.engine.signature import SIGNATURE_VERSION
+from repro.engine.signature import SIGNATURE_VERSION, panel_signature
 from repro.gsino.config import GsinoConfig
 from repro.gsino.pipeline import compare_flows
 from repro.service import (
@@ -54,6 +55,7 @@ from repro.service.cluster import (
     worker_is_alive,
 )
 from repro.service.store import FORMAT_VERSION, evict_scanned_blobs, scan_blobs
+from repro.sino.anneal import AnnealConfig, anneal_sino
 
 
 def _smoke_tasks():
@@ -254,6 +256,33 @@ class TestTieredCache:
         fresh = SolutionCache(store=store)
         assert Engine(cache=fresh).solve_panel(problem).layout == solution.layout
         assert fresh.stats().store_hits == 1
+
+    def test_v3_anneal_layout_misses_once_then_resolves(
+        self, tmp_path, monkeypatch, random_sino_problem
+    ):
+        """A layout stored under a version-3 key is never restored.
+
+        Under v3, ``effort=anneal`` with ``batch_k=8`` ran the one-move
+        chain; the same token now runs the best-of-8 chain.
+        """
+        problem = random_sino_problem(9, 0.5, 0.85, seed=6)
+        anneal = AnnealConfig(iterations=300, seed=6, batch_k=8)
+        with monkeypatch.context() as patch:
+            patch.setattr(signature_module, "SIGNATURE_VERSION", 3)
+            v3_key = panel_signature(problem, "sino", "anneal", anneal=anneal)
+        assert v3_key != panel_signature(problem, "sino", "anneal", anneal=anneal)
+        store = ResultStore(tmp_path / "store")
+        one_move = anneal_sino(problem, config=AnnealConfig(iterations=300, seed=6))
+        store.put_layout(v3_key, tuple(one_move.layout))
+
+        cold = SolutionCache(store=store)
+        solved = Engine(cache=cold).solve_panel(problem, effort="anneal", anneal=anneal)
+        assert cold.stats() == CacheStats(misses=1)
+        assert solved.layout == anneal_sino(problem, config=anneal).layout
+        warm = SolutionCache(store=store)
+        served = Engine(cache=warm).solve_panel(problem, effort="anneal", anneal=anneal)
+        assert warm.stats() == CacheStats(store_hits=1)
+        assert served.layout == solved.layout
 
     def test_cache_stats_tiers(self):
         stats = CacheStats(hits=2, misses=1, store_hits=3)

@@ -1,11 +1,11 @@
-"""Tests of the batched best-of-K annealer and its shared-memory fan-out.
+"""Tests of the best-of-K annealing chain and its shared-memory fan-out.
 
-Covers the four contracts the batched subsystem makes:
+Covers the four contracts the chain makes at every width:
 
 * the vectorised evaluator scores every move with *exactly* the delta the
   scalar ``propose()`` path computes (property test over random walks);
-* ``batch_k=1`` collapses to the scalar annealer bit-for-bit;
-* the registry quality gate — the batched annealer's final cost meets the
+* ``batch_k=1`` is the scalar reference oracle bit-for-bit;
+* the registry quality gate — the K = 8 chain's final cost meets the
   scalar reference oracle on every panel of every registered panel
   scenario, seed for seed;
 * multi-chain fan-out over a non-shared-memory backend ships panel states
@@ -32,18 +32,18 @@ from repro.sino.anneal import (
     _sample_move,
     anneal_sino,
     anneal_sino_multichain,
-    anneal_sino_reference,
     derive_chain_seed,
     solution_cost,
     solve_min_area_sino,
 )
 from repro.sino.greedy import greedy_sino
-from repro.sino.batched import BatchedMoveEvaluator, anneal_sino_batched
+from repro.sino.batched import BatchedMoveEvaluator
 from repro.sino.incremental import IncrementalPanelState
 from repro.sino.panel import SinoProblem
 from repro.tech.itrs import ITRS_70NM, ITRS_100NM, ITRS_130NM
 
 from tests.conftest import make_random_sino_problem
+from tests.oracles.anneal_reference import anneal_sino_reference
 
 PANEL_SCENARIOS = [name for name, _ in list_scenarios() if scenario_kind(name) == "panels"]
 
@@ -98,18 +98,18 @@ class TestBatchedEvaluatorProperty:
 
 
 class TestWidthOneIdentity:
-    """``batch_k=1`` is the scalar annealer, bit for bit."""
+    """``batch_k=1`` is the scalar reference annealer, bit for bit."""
 
     @pytest.mark.parametrize("seed", [0, 3, 11, 2002])
     def test_batch_k_one_matches_scalar_annealer(self, seed):
         problem = make_random_sino_problem(10, 0.5, 0.85, seed=seed)
         config = AnnealConfig(iterations=600, seed=seed)
-        scalar = anneal_sino(problem, config=config)
-        batched = anneal_sino_batched(problem, config=replace(config, batch_k=1))
-        assert scalar.layout == batched.layout
+        reference = anneal_sino_reference(problem, config=config)
+        chain = anneal_sino(problem, config=replace(config, batch_k=1))
+        assert reference.layout == chain.layout
 
-    def test_default_width_is_documented_eight(self):
-        assert AnnealConfig().batch_k == 8
+    def test_default_width_is_one(self):
+        assert AnnealConfig().batch_k == 1
 
     def test_batch_k_validation(self):
         with pytest.raises(ValueError):
@@ -117,7 +117,7 @@ class TestWidthOneIdentity:
 
 
 class TestRegistryQualityGate:
-    """Batched (K = 8) meets the reference oracle on every registry panel."""
+    """The K = 8 chain meets the reference oracle on every registry panel."""
 
     @pytest.mark.parametrize("name", PANEL_SCENARIOS)
     def test_batched_cost_meets_reference_oracle(self, name):
@@ -126,7 +126,7 @@ class TestRegistryQualityGate:
             config = _scenario_config(task)
             reference = solution_cost(anneal_sino_reference(task.problem, config=config), config)
             batched = solution_cost(
-                anneal_sino_batched(task.problem, config=replace(config, batch_k=8)),
+                anneal_sino(task.problem, config=replace(config, batch_k=8)),
                 config,
             )
             assert batched <= reference + 1e-9, (
@@ -259,14 +259,12 @@ class TestSharedMemoryFanOut:
 
     def test_non_shared_backend_pickles_no_panel_matrices(self):
         problem = self._chain_problem()
-        config = AnnealConfig(iterations=300, seed=4, chains=4)
+        config = AnnealConfig(iterations=300, seed=4, chains=4, batch_k=8)
         backend = _PickleScanBackend()
-        fanned = anneal_sino_multichain(
-            problem, config=config, backend=backend, algorithm="batched"
-        )
-        serial = anneal_sino_multichain(problem, config=config, algorithm="batched")
+        fanned = anneal_sino_multichain(problem, config=config, backend=backend)
+        serial = anneal_sino_multichain(problem, config=config)
         assert backend.tasks_scanned == 4
-        # A chain task is (handle, config, algorithm): a few hundred bytes,
+        # A chain task is (handle, config): a few hundred bytes,
         # however large the panel — nothing quadratic crosses the boundary.
         assert backend.payload_bytes < 4 * 4096
         assert fanned.layout == serial.layout
@@ -274,33 +272,29 @@ class TestSharedMemoryFanOut:
     @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="platform has no /dev/shm")
     def test_process_backend_matches_serial_and_leaks_no_segments(self):
         problem = self._chain_problem()
-        config = AnnealConfig(iterations=300, seed=4, chains=4)
+        config = AnnealConfig(iterations=300, seed=4, chains=4, batch_k=8)
         before = set(os.listdir("/dev/shm"))
         with ProcessBackend(workers=2) as backend:
-            fanned = anneal_sino_multichain(
-                problem, config=config, backend=backend, algorithm="batched"
-            )
-        serial = anneal_sino_multichain(problem, config=config, algorithm="batched")
+            fanned = anneal_sino_multichain(problem, config=config, backend=backend)
+        serial = anneal_sino_multichain(problem, config=config)
         assert fanned.layout == serial.layout
         leaked = set(os.listdir("/dev/shm")) - before
         assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
 
     def test_run_chains_matches_across_backends(self):
         problem = self._chain_problem()
-        config = AnnealConfig(iterations=200, seed=11, chains=3)
-        inline = _run_chains(problem, None, config, None, "batched")
-        scanned = _run_chains(problem, None, config, _PickleScanBackend(), "batched")
+        config = AnnealConfig(iterations=200, seed=11, chains=3, batch_k=8)
+        inline = _run_chains(problem, None, config, None)
+        scanned = _run_chains(problem, None, config, _PickleScanBackend())
         assert [s.layout for s in inline] == [s.layout for s in scanned]
 
 
 class TestEffortDispatch:
-    def test_anneal_batched_effort_runs_the_batched_annealer(self):
+    def test_anneal_effort_runs_the_wide_chain(self):
         problem = make_random_sino_problem(9, 0.5, 0.85, seed=6)
-        config = AnnealConfig(iterations=400, seed=6)
-        via_effort = solve_min_area_sino(
-            problem, effort="anneal-batched", config=config
-        )
-        direct = anneal_sino_batched(problem, config=config)
+        config = AnnealConfig(iterations=400, seed=6, batch_k=8)
+        via_effort = solve_min_area_sino(problem, effort="anneal", config=config)
+        direct = anneal_sino(problem, config=config)
         assert via_effort.layout == direct.layout
         assert via_effort.is_valid()
 
@@ -312,9 +306,7 @@ class TestChainTracing:
         set_active_tracer(tracer)
         try:
             anneal_sino_multichain(
-                problem,
-                config=AnnealConfig(iterations=200, seed=2, chains=2),
-                algorithm="batched",
+                problem, config=AnnealConfig(iterations=200, seed=2, chains=2, batch_k=8)
             )
         finally:
             set_active_tracer(None)
