@@ -22,6 +22,9 @@ A third check runs at a fixed scale where an O(N²) term cannot hide:
   token, not every net pair — and the panel problems built through the
   vectorised sensitivity kernel equal those built pair by pair through the
   scalar ``are_sensitive``.
+* **Panel tokens at scale.**  The same instance's panel signatures (every
+  panel problem plus one bound-mutated copy each) are timed; a token hashes
+  the problem's arrays instead of walking its sensitive pairs.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import time
 
 from repro.bench.ibm import generate_circuit
 from repro.engine import Engine, SolutionCache
-from repro.engine.signature import instance_token
+from repro.engine.signature import instance_token, problem_token
 from repro.flow.flows import FLOW_NAMES, build_context, run_compare
 from repro.grid.congestion import CongestionMap
 from repro.gsino.budgeting import bounds_for_nets, compute_budgets
@@ -206,3 +209,37 @@ def test_instance_token_at_scale(benchmark):
     problems = build_panel_problems(routing, circuit.netlist, budgets, config)
     benchmark.extra_info["panels"] = len(problems)
     assert problems == _scalar_panel_problems(routing, circuit.netlist, budgets, config)
+
+
+def test_problem_tokens_at_scale(benchmark):
+    """Panel signatures hash arrays: every scale-0.15 panel token, twice over.
+
+    Times :func:`problem_token` over every panel problem of the ibm01 ID
+    routing at scale 0.15, plus one :meth:`SinoProblem.with_bounds` copy of
+    each (the shape of a Phase III candidate).  Routing, problem building and
+    the copies are set-up, outside the timed region.
+    """
+    circuit = generate_circuit(
+        FLOW_BENCH_CIRCUIT,
+        sensitivity_rate=FLOW_BENCH_RATE,
+        scale=IDENTITY_SCALE,
+        seed=BENCH_SEED,
+    )
+    config = GsinoConfig(length_scale=1.0 / (IDENTITY_SCALE**0.5))
+    budgets = compute_budgets(circuit.netlist, config)
+    routing = run_phase1(circuit.grid, circuit.netlist, config, budgets=budgets).routing
+    problems = list(build_panel_problems(routing, circuit.netlist, budgets, config).values())
+    copies = [
+        problem.with_bounds({problem.segments[0]: problem.bounds[0] * 0.5})
+        for problem in problems
+    ]
+    everything = problems + copies
+
+    def tokens():
+        return [problem_token(problem) for problem in everything]
+
+    result = benchmark.pedantic(tokens, rounds=20, iterations=1)
+    benchmark.extra_info["panels"] = len(problems)
+    benchmark.extra_info["tokens"] = len(everything)
+    # A tightened bound always changes the token.
+    assert all(a != b for a, b in zip(result[: len(problems)], result[len(problems) :]))

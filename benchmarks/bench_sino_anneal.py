@@ -195,9 +195,6 @@ def test_multichain_quality(benchmark):
 def test_greedy_speedup(benchmark):
     """Wall-time of the incremental greedy solver vs. the scalar oracle."""
     panels = _table3_panels()
-    # Build each panel's evaluator outside both timings: they share it.
-    for problem in panels:
-        problem.evaluator()
 
     def run_greedy():
         for _ in range(GREEDY_PASSES):

@@ -11,7 +11,8 @@ Run with::
 
 from __future__ import annotations
 
-from repro.noise import LskTableBuilder, TableBuildConfig, lsk_fidelity_report
+from repro.noise.fidelity import lsk_fidelity_report
+from repro.noise.table_builder import LskTableBuilder, TableBuildConfig
 from repro.tech import ITRS_100NM
 
 

@@ -102,7 +102,6 @@ from repro.flow.flows import (
 )
 from repro.flow.runner import FlowRunner, StageExecution
 from repro.gsino.config import GsinoConfig
-from repro.noise.table_builder import LskTableBuilder, TableBuildConfig
 from repro.obs.events import follow_events, format_event, iter_events, read_events
 from repro.obs.health import collect_fleet_health, format_health
 from repro.obs.metrics import fleet_metrics_from_events, format_metrics
@@ -794,6 +793,9 @@ def _run_flows(args: argparse.Namespace) -> int:
 
 
 def _run_characterize(args: argparse.Namespace) -> int:
+    # The characterisation sweep pulls in scipy; no other verb needs it.
+    from repro.noise.table_builder import LskTableBuilder, TableBuildConfig
+
     config = TableBuildConfig(num_samples=args.samples, seed=args.seed)
     builder = LskTableBuilder(config)
     table = builder.build()

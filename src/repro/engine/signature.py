@@ -20,10 +20,10 @@ token costs O(nets), not O(nets²): a random oracle is a pure function of
 A signature covers everything that can influence the solution:
 
 * the ordered segment (net) ids of the panel,
-* the symmetric sensitivity relation restricted to those segments,
-* every segment's ``Kth`` bound (hex-encoded floats, so the key is exact —
+* the symmetric sensitivity matrix over those segments,
+* every segment's ``Kth`` bound (the raw float64 bytes, so the key is exact —
   no formatting round-off can alias two different bounds),
-* the default bound and the track capacity,
+* the track capacity,
 * the Keff model parameters,
 * the solver (``"sino"`` / ``"ordering"``), the effort level, the per-task
   seed and the full annealing schedule including its chain count and batched
@@ -40,6 +40,8 @@ from __future__ import annotations
 import hashlib
 from typing import TYPE_CHECKING, Optional, Sequence
 
+import numpy as np
+
 from repro.sino.anneal import AnnealConfig
 from repro.sino.panel import SinoProblem
 
@@ -54,7 +56,9 @@ if TYPE_CHECKING:  # the grid layer sits below the engine; import only for types
 #: annealers: under v3, ``effort=anneal`` with ``batch_k=8`` ran the one-move
 #: chain (the width only applied to a separate batched effort), while the same
 #: token now runs the best-of-8 chain, so a v3 layout must not be restored.
-SIGNATURE_VERSION = 4
+#: Version 5 hashes the problem's arrays (segment ids, packed sensitivity
+#: matrix, bound vector) instead of spelling out sorted pair and bound lists.
+SIGNATURE_VERSION = 5
 
 #: Version of the *stage* signature scheme (instance token + stage token
 #: layout).  Bump whenever either token layout changes so persisted stage
@@ -72,22 +76,16 @@ def _float_token(value: float) -> str:
 def problem_token(problem: SinoProblem) -> str:
     """Canonical string form of one SINO problem (before hashing).
 
-    Exposed separately from :func:`panel_signature` so tests can assert on
-    the canonicalisation (pair symmetry, bound encoding) directly.
+    The segment ids (little-endian int64), the bit-packed sensitivity
+    matrix and the little-endian float64 bound vector are hashed as raw
+    bytes, in segment order; the segment count fixes where one array ends
+    and the next begins.  Exposed separately from :func:`panel_signature`
+    so tests can assert on the canonicalisation directly.
     """
-    segments = ",".join(str(segment) for segment in problem.segments)
-    pairs = sorted(
-        {
-            (min(segment, other), max(segment, other))
-            for segment, others in problem.sensitivity.items()
-            for other in others
-        }
-    )
-    sensitivity = ";".join(f"{a}-{b}" for a, b in pairs)
-    bounds = ";".join(
-        f"{segment}:{_float_token(problem.bound_of(segment))}"
-        for segment in sorted(problem.segments)
-    )
+    arrays = hashlib.sha256()
+    arrays.update(np.asarray(problem.segments, dtype="<i8").tobytes())
+    arrays.update(np.packbits(problem.sens).tobytes())
+    arrays.update(problem.bounds.astype("<f8", copy=False).tobytes())
     model = problem.keff_model
     keff = ",".join(
         _float_token(value)
@@ -100,10 +98,8 @@ def problem_token(problem: SinoProblem) -> str:
     return "|".join(
         (
             f"v{SIGNATURE_VERSION}",
-            f"segments={segments}",
-            f"sensitivity={sensitivity}",
-            f"kth={bounds}",
-            f"default_kth={_float_token(problem.default_kth)}",
+            f"segments={problem.num_segments}",
+            f"arrays={arrays.hexdigest()}",
             f"capacity={problem.capacity}",
             f"keff={keff}",
         )

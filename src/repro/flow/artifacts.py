@@ -25,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, cast
 
+import numpy as np
+
 from repro.flow.graph import FlowContext
 from repro.grid.congestion import CongestionMap
 from repro.grid.routes import RouteTree, RoutingSolution
@@ -220,13 +222,9 @@ def encode_refine(base: Phase2Result, artifact: RefineArtifact) -> Payload:
     """
     bounds: List[List[object]] = []
     for key, problem in artifact.phase2.problems.items():
-        if dict(problem.kth) != dict(base.problems[key].kth):
-            bounds.append(
-                [
-                    _encode_key(key),
-                    [[segment, bound] for segment, bound in sorted(problem.kth.items())],
-                ]
-            )
+        if not np.array_equal(problem.bounds, base.problems[key].bounds):
+            pairs = sorted(zip(problem.segments, problem.bounds.tolist()))
+            bounds.append([_encode_key(key), [[segment, bound] for segment, bound in pairs]])
     report = artifact.report
     return {
         "panels": _encode_layouts(artifact.phase2.panels),

@@ -11,7 +11,7 @@ implements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.grid.regions import RegionCoord, RoutingGrid
 from repro.grid.sensitivity import ExplicitSensitivity, SensitivityOracle
@@ -161,17 +161,6 @@ class Netlist:
     def are_sensitive(self, net_a: int, net_b: int) -> bool:
         """True when the two nets are sensitive to each other."""
         return self.sensitivity.are_sensitive(net_a, net_b)
-
-    def aggressors_among(self, net_id: int, candidates: Iterable[int]) -> Set[int]:
-        """The subset of ``candidates`` that are sensitive to ``net_id``.
-
-        This is the query per-region SINO needs (the nets sharing a region).
-        """
-        return self.sensitivity.aggressors_among(net_id, candidates)
-
-    def local_sensitivity_map(self, net_ids: Iterable[int]) -> Dict[int, Set[int]]:
-        """Pairwise sensitivity restricted to a group of nets."""
-        return self.sensitivity.local_sensitivity_map(net_ids)
 
     def sensitivity_rate(self, net_id: int) -> float:
         """Ratio of the net's aggressor count to the total number of signal nets.

@@ -6,30 +6,31 @@ other signal nets it is sensitive to.  The paper's experiments draw this
 relation at random at a fixed rate (30 % or 50 %) because the real relation
 "depends on logic and physical implementation".
 
-Every oracle answers three queries — one pair (:meth:`are_sensitive`), one
-net against a candidate group (:meth:`aggressors_among`) and the whole
-relation restricted to a group (:meth:`local_sensitivity_map`, what
-per-region SINO needs) — and identifies itself with a :meth:`token`, the
-string the flow layer's instance signature folds in instead of walking every
-net pair.  Two implementations are provided, each with one relation kernel:
+Every oracle answers two queries — one pair (:meth:`are_sensitive`) and the
+whole relation over a group of nets as a boolean matrix
+(:meth:`relation_matrix`, which Phase II passes straight into each panel's
+:class:`~repro.sino.panel.SinoProblem`) — and identifies itself with a
+:meth:`token`, the string the flow layer's instance signature folds in
+instead of walking every net pair.  Two implementations are provided, each
+with one relation kernel:
 
 * :class:`ExplicitSensitivity` — backed by symmetrised aggressor sets; the
-  group queries are set intersections and the token hashes the sorted pair
-  list (tests, small examples and hand-built cases);
+  group query fills the matrix from the sets and the token hashes the sorted
+  pair list (tests, small examples and hand-built cases);
 * :class:`RandomPairwiseSensitivity` — a SplitMix64 hash of the net-id pair
   and the seed decides sensitivity, so arbitrarily large netlists cost O(1)
-  memory and the token is the O(1) ``(rate, seed)`` pair.  The group queries
-  evaluate the hash over whole id arrays in one numpy ``uint64`` pass; the
-  scalar :meth:`~RandomPairwiseSensitivity.are_sensitive` computes the same
-  bits one pair at a time and is the reference the kernel is tested against
-  (used by the IBM-style benchmark generator).
+  memory and the token is the O(1) ``(rate, seed)`` pair.  The group query
+  evaluates the hash over the whole id array in one numpy ``uint64`` pass;
+  the scalar :meth:`~RandomPairwiseSensitivity.are_sensitive` computes the
+  same bits one pair at a time and is the reference the kernel is tested
+  against (used by the IBM-style benchmark generator).
 """
 
 from __future__ import annotations
 
 import hashlib
 from abc import ABC, abstractmethod
-from typing import Dict, FrozenSet, Iterable, Mapping, Set
+from typing import Dict, FrozenSet, List, Mapping, Sequence, Set
 
 import numpy as np
 
@@ -46,14 +47,11 @@ class SensitivityOracle(ABC):
         """Sensitivity rate of a net given the total number of signal nets."""
 
     @abstractmethod
-    def aggressors_among(self, net_id: int, candidates: Iterable[int]) -> Set[int]:
-        """The subset of ``candidates`` that are sensitive to ``net_id``."""
+    def relation_matrix(self, net_ids: Sequence[int]) -> np.ndarray:
+        """The relation over a group of nets as an ``(n, n)`` boolean matrix.
 
-    @abstractmethod
-    def local_sensitivity_map(self, net_ids: Iterable[int]) -> Dict[int, Set[int]]:
-        """Pairwise sensitivity restricted to a group of nets.
-
-        Keys follow the first occurrence of each id in ``net_ids``.
+        Entry ``[i, j]`` is ``are_sensitive(net_ids[i], net_ids[j])``, so the
+        matrix is symmetric with a false diagonal for distinct ids.
         """
 
     @abstractmethod
@@ -99,13 +97,16 @@ class ExplicitSensitivity(SensitivityOracle):
             return 0.0
         return len(self._aggressors.get(net_id, frozenset())) / (num_nets - 1)
 
-    def aggressors_among(self, net_id: int, candidates: Iterable[int]) -> Set[int]:
-        return set(candidates) & self.aggressors_of(net_id)
-
-    def local_sensitivity_map(self, net_ids: Iterable[int]) -> Dict[int, Set[int]]:
-        ids = list(dict.fromkeys(net_ids))
-        group = set(ids)
-        return {net_id: group & self.aggressors_of(net_id) for net_id in ids}
+    def relation_matrix(self, net_ids: Sequence[int]) -> np.ndarray:
+        rows: Dict[int, List[int]] = {}
+        for row, net_id in enumerate(net_ids):
+            rows.setdefault(net_id, []).append(row)
+        matrix = np.zeros((len(net_ids), len(net_ids)), dtype=bool)
+        for net_id, own in rows.items():
+            others = [col for other in self.aggressors_of(net_id) for col in rows.get(other, ())]
+            if others:
+                matrix[np.ix_(own, others)] = True
+        return matrix
 
     def token(self) -> str:
         pairs = sorted(
@@ -176,16 +177,9 @@ class RandomPairwiseSensitivity(SensitivityOracle):
         mixed = _splitmix64_array((low << np.uint64(32)) ^ high ^ np.uint64(self._seed_key))
         return (mixed.astype(np.float64) / _TWO_64 < self.rate) & (rows != cols)
 
-    def aggressors_among(self, net_id: int, candidates: Iterable[int]) -> Set[int]:
-        others = np.asarray(list(candidates), dtype=np.uint64)
-        hits = self._relation(np.asarray([net_id], dtype=np.uint64), others)
-        return set(others[hits].tolist())
-
-    def local_sensitivity_map(self, net_ids: Iterable[int]) -> Dict[int, Set[int]]:
-        ids = list(dict.fromkeys(net_ids))
-        column = np.asarray(ids, dtype=np.uint64)
-        relation = self._relation(column[:, None], column[None, :])
-        return {net_id: set(column[row].tolist()) for net_id, row in zip(ids, relation)}
+    def relation_matrix(self, net_ids: Sequence[int]) -> np.ndarray:
+        column = np.asarray(net_ids, dtype=np.uint64)
+        return self._relation(column[:, None], column[None, :])
 
     def rate_of(self, net_id: int, num_nets: int) -> float:
         # The expected rate equals the nominal rate; using the expectation

@@ -7,7 +7,6 @@ from typing import Optional
 
 from repro.noise.keff import DEFAULT_KEFF_MODEL, KeffModel
 from repro.noise.lsk import LskModel, LskTable, linear_reference_table
-from repro.noise.table_builder import LskTableBuilder, TableBuildConfig
 from repro.router.weights import WeightConfig
 from repro.sino.anneal import EFFORT_LEVELS, AnnealConfig
 from repro.sino.estimate import ShieldEstimator, default_shield_estimator
@@ -129,6 +128,9 @@ class GsinoConfig:
         if self.lsk_table is not None:
             table = self.lsk_table
         elif self.characterize_table:
+            # The characterisation sweep pulls in scipy; import it only here.
+            from repro.noise.table_builder import LskTableBuilder, TableBuildConfig
+
             builder = LskTableBuilder(
                 TableBuildConfig(
                     technology=self.technology,

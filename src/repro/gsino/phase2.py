@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional
 
+import numpy as np
+
 from repro.engine.panels import Engine
 from repro.grid.congestion import CongestionMap
 from repro.grid.nets import Netlist
@@ -63,15 +65,18 @@ def build_panel_problem(
     capacity: int,
     config: GsinoConfig,
 ) -> SinoProblem:
-    """Construct the SINO instance of one panel."""
+    """Construct the SINO instance of one panel.
+
+    The oracle answers the panel's relation as one matrix query; nets
+    without a budget get the panel's largest budgeted bound.
+    """
     nets = sorted(net_ids)
-    sensitivity = netlist.local_sensitivity_map(nets)
     bounds = bounds_for_nets(budgets, nets)
-    return SinoProblem.build(
-        segments=nets,
-        sensitivity=sensitivity,
-        kth=bounds,
-        default_kth=max(bounds.values(), default=1.0),
+    default_kth = max(bounds.values(), default=1.0)
+    return SinoProblem(
+        segments=tuple(nets),
+        sens=netlist.sensitivity.relation_matrix(nets),
+        bounds=np.array([bounds.get(net, default_kth) for net in nets], dtype=np.float64),
         capacity=capacity,
         keff_model=config.keff_model,
     )

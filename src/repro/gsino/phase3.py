@@ -241,7 +241,7 @@ class LocalRefiner:
         """
         problem = self.problems[key]
         relaxed: Dict[int, float] = {}
-        for net_id in problem.segments:
+        for net_id, bound in zip(problem.segments, problem.bounds.tolist()):
             length_m = self.net_region_length_m(net_id, key)
             if length_m <= 0.0:
                 continue
@@ -250,7 +250,7 @@ class LocalRefiner:
                 continue
             extra_coupling = slack_lsk / length_m
             current_coupling = self._couplings[key].get(net_id, 0.0)
-            relaxed_bound = max(problem.bound_of(net_id), current_coupling + extra_coupling)
+            relaxed_bound = max(bound, current_coupling + extra_coupling)
             relaxed[net_id] = relaxed_bound
         return relaxed
 

@@ -14,6 +14,10 @@ This sub-package implements Section 2 of the paper:
 * :mod:`repro.noise.fidelity` — fidelity metrics (rank correlation between
   model and simulated noise) used to validate the model, reproducing the
   Section 2.2 claims.
+
+The last two depend on scipy through the circuit simulator, so the package
+does not re-export them: import them from their submodules, and a flow that
+never characterises a table never loads scipy.
 """
 
 from repro.noise.keff import (
@@ -21,7 +25,6 @@ from repro.noise.keff import (
     PanelOccupant,
     coupling_coefficient,
     panel_couplings,
-    panel_couplings_fast,
     total_coupling,
 )
 from repro.noise.lsk import (
@@ -30,23 +33,15 @@ from repro.noise.lsk import (
     RegionContribution,
     compute_lsk,
 )
-from repro.noise.table_builder import LskTableBuilder, TableBuildConfig
-from repro.noise.fidelity import FidelityReport, kendall_tau, lsk_fidelity_report
 
 __all__ = [
     "KeffModel",
     "PanelOccupant",
     "coupling_coefficient",
     "panel_couplings",
-    "panel_couplings_fast",
     "total_coupling",
     "LskTable",
     "LskModel",
     "RegionContribution",
     "compute_lsk",
-    "LskTableBuilder",
-    "TableBuildConfig",
-    "FidelityReport",
-    "kendall_tau",
-    "lsk_fidelity_report",
 ]

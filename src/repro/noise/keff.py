@@ -27,8 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class PanelOccupant:
@@ -234,86 +232,6 @@ def panel_couplings(
         existing = couplings.get(occupant.net_id)
         if existing is None or value > existing:
             couplings[occupant.net_id] = value
-    return couplings
-
-
-def panel_couplings_fast(
-    occupants: Sequence[PanelOccupant],
-    sensitivity: Mapping[int, Set[int]],
-    model: KeffModel = DEFAULT_KEFF_MODEL,
-) -> Dict[int, float]:
-    """Vectorised equivalent of :func:`panel_couplings`.
-
-    Produces exactly the same values (used by the SINO solvers, whose inner
-    loops evaluate panels of tens of segments thousands of times).  The
-    scalar implementation remains the reference; the two are cross-checked in
-    the test suite.
-    """
-    ordered = _occupants_by_track(occupants)
-    if not ordered:
-        return {}
-    tracks = np.array([occupant.track for occupant in ordered], dtype=float)
-    is_shield = np.array([occupant.is_shield for occupant in ordered], dtype=bool)
-    net_ids = [occupant.net_id for occupant in ordered]
-
-    signal_indices = np.nonzero(~is_shield)[0]
-    if signal_indices.size == 0:
-        return {}
-    shield_tracks = tracks[is_shield]
-    shield_tracks.sort()
-
-    # Pairwise track distances between signal wires.
-    signal_tracks = tracks[signal_indices]
-    distance = np.abs(signal_tracks[:, None] - signal_tracks[None, :])
-
-    # Shields strictly between every pair: prefix counts over shield tracks.
-    if shield_tracks.size:
-        high_tracks = np.maximum(signal_tracks[:, None], signal_tracks[None, :])
-        low_tracks = np.minimum(signal_tracks[:, None], signal_tracks[None, :])
-        # Count shields with low_track < shield < high_track.
-        shields_between = (
-            np.searchsorted(shield_tracks, high_tracks.ravel(), side="left").reshape(distance.shape)
-            - np.searchsorted(shield_tracks, low_tracks.ravel(), side="right").reshape(distance.shape)
-        )
-        shields_between = np.maximum(shields_between, 0)
-        adjacent_shield = np.array([
-            np.any(np.isclose(shield_tracks, track - 1)) or np.any(np.isclose(shield_tracks, track + 1))
-            for track in signal_tracks
-        ])
-    else:
-        shields_between = np.zeros_like(distance, dtype=int)
-        adjacent_shield = np.zeros(signal_tracks.size, dtype=bool)
-
-    # Sensitivity mask between signal pairs.
-    sensitive = np.zeros(distance.shape, dtype=bool)
-    for row, index in enumerate(signal_indices):
-        victim_id = net_ids[index]
-        aggressors = sensitivity.get(victim_id, set())
-        if not aggressors:
-            continue
-        for col, other_index in enumerate(signal_indices):
-            other_id = net_ids[other_index]
-            if other_id != victim_id and other_id in aggressors:
-                sensitive[row, col] = True
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        coupling = np.where(
-            (distance > 0) & sensitive,
-            1.0
-            / np.power(np.maximum(distance, 1.0), model.distance_exponent)
-            / np.power(model.shield_attenuation, shields_between),
-            0.0,
-        )
-    coupling[adjacent_shield, :] /= model.adjacent_shield_bonus
-    totals = coupling.sum(axis=1)
-
-    couplings: Dict[int, float] = {}
-    for row, index in enumerate(signal_indices):
-        net_id = net_ids[index]
-        value = float(totals[row])
-        existing = couplings.get(net_id)
-        if existing is None or value > existing:
-            couplings[net_id] = value
     return couplings
 
 

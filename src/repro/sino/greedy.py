@@ -43,33 +43,35 @@ def greedy_order(problem: SinoProblem) -> List[int]:
     segment is sensitive to the last one, the most constrained is appended
     anyway (a shield will be inserted later).
 
-    ``remaining`` stays sorted most-constrained first (ties by segment id),
-    so the preferred candidate is always the first compatible one.
+    ``remaining`` holds matrix rows, sorted most-constrained first (ties by
+    segment id), so the preferred candidate is always the first compatible
+    one.
     """
-    remaining = sorted(
-        problem.segments,
-        key=lambda segment: (-problem.sensitivity_degree(segment), segment),
-    )
+    segments = problem.segments
+    sens = problem.sens.tolist()
+    degrees = [sum(row) for row in sens]
+    remaining = sorted(range(len(segments)), key=lambda row: (-degrees[row], segments[row]))
     if not remaining:
         return []
     order: List[int] = [remaining.pop(0)]
     while remaining:
-        aggressors = problem.aggressors_of(order[-1])
+        aggressors = sens[order[-1]]
         chosen = next(
-            (index for index, segment in enumerate(remaining) if segment not in aggressors),
+            (index for index, row in enumerate(remaining) if not aggressors[row]),
             0,
         )
         order.append(remaining.pop(chosen))
-    return order
+    return [segments[row] for row in order]
 
 
 def insert_capacitive_shields(problem: SinoProblem, order: Sequence[int]) -> List[Optional[int]]:
     """Insert a shield between every adjacent sensitive pair of an ordering."""
+    rows = problem.rows()
     layout: List[Optional[int]] = []
     for segment in order:
         if layout:
             last = layout[-1]
-            if last is not SHIELD and segment in problem.aggressors_of(last):
+            if last is not SHIELD and problem.sens[rows[last], rows[segment]]:
                 layout.append(SHIELD)
         layout.append(segment)
     return layout
@@ -117,7 +119,7 @@ def _insert_inductive_shields(state: IncrementalPanelState, max_extra_shields: i
     first such gap in :func:`_candidate_gaps` order wins ties.  The loop stops
     when no gap reduces the excess or after ``max_extra_shields`` rounds.
     """
-    segments = state.problem.evaluator().segments
+    segments = state.problem.segments
     for _ in range(max_extra_shields):
         excess = state.excess_vector()
         best_excess = float(excess.sum())

@@ -12,9 +12,10 @@ matrix, and updates only the rows a move actually touches:
 * inserting or deleting a shield changes exactly the sensitive cells whose
   track pair straddles the affected gap.
 
-Every updated cell is computed with the *same* floating-point expression the
-:class:`~repro.sino.evaluator.PanelEvaluator` uses for a fresh evaluation, so
-the incrementally maintained cost is bit-identical to
+Every updated cell is computed with the *same* floating-point expression a
+fresh evaluation (:meth:`SinoProblem.coupling_vector`) uses — the
+:func:`~repro.sino.panel.coupling_matrix` helper — so the incrementally
+maintained cost is bit-identical to
 :func:`repro.sino.anneal.solution_cost` on the equivalent layout — not merely
 close.  That exactness is what lets the incremental annealer reproduce the
 scalar reference annealer seed-for-seed (any rounding drift would eventually
@@ -37,7 +38,14 @@ from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.sino.panel import SHIELD, SinoProblem, SinoSolution
+from repro.sino.panel import (
+    SHIELD,
+    SinoProblem,
+    SinoSolution,
+    adjacent_shield_flags,
+    coupling_matrix,
+    pair_geometry,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (anneal imports us)
     from repro.sino.anneal import AnnealConfig
@@ -189,18 +197,17 @@ class IncrementalPanelState:
         """Set every field derived from the problem/config pair alone."""
         self.problem = problem
         self.config = config
-        evaluator = problem.evaluator()
-        self._segments = evaluator.segments
-        self._sens = evaluator.sensitive_matrix
-        model = evaluator.keff_model
+        self._segments = problem.segments
+        self._sens = problem.sens
+        model = problem.keff_model
         self._atten = model.shield_attenuation
         self._bonus = model.adjacent_shield_bonus
         self._exp = model.distance_exponent
-        self._bounds = [problem.bound_of(segment) for segment in self._segments]
+        self._bounds = problem.bounds.tolist()
         self._thresholds = [bound + _KTH_TOLERANCE for bound in self._bounds]
-        self._bounds_vector = evaluator.bounds_vector
+        self._bounds_vector = problem.bounds
         self._threshold_vector = np.array(self._thresholds)
-        self._index = {segment: i for i, segment in enumerate(self._segments)}
+        self._index = problem.rows()
 
     def _finish_init(self) -> None:
         """Evaluate ``self._current`` and reset the propose/commit machinery."""
@@ -231,44 +238,16 @@ class IncrementalPanelState:
         return state
 
     def _build_arrays(self, layout: List[Optional[int]]) -> _Arrays:
-        evaluator = self.problem.evaluator()
-        positions, shield_tracks = evaluator.layout_arrays(layout)
-        n = positions.size
+        positions, shield_tracks = self.problem.layout_arrays(layout)
         occ = np.full(len(layout), -1, dtype=np.int64)
         for track, entry in enumerate(layout):
             if entry is not SHIELD:
                 occ[track] = self._index[entry]
-        dist = np.abs(positions[:, None] - positions[None, :])
-        if shield_tracks.size:
-            high = np.maximum(positions[:, None], positions[None, :])
-            low = np.minimum(positions[:, None], positions[None, :])
-            sb = (
-                np.searchsorted(shield_tracks, high.ravel(), side="left").reshape(n, n)
-                - np.searchsorted(shield_tracks, low.ravel(), side="right").reshape(n, n)
-            )
-            sb = np.maximum(sb, 0)
-        else:
-            sb = np.zeros((n, n), dtype=np.int64)
-        coupling = self._coupling_values(self._sens, dist, sb)
-        adj = self._adjacent_flags(positions, shield_tracks)
+        dist, sb = pair_geometry(positions, shield_tracks)
+        coupling = coupling_matrix(self._sens, dist, sb, self.problem.keff_model)
+        adj = adjacent_shield_flags(positions, shield_tracks)
         cap = int(np.count_nonzero(self._sens & (dist == 1.0))) // 2
-        return _Arrays(
-            positions, shield_tracks, occ, dist, sb.astype(np.int64), coupling, adj, cap
-        )
-
-    def _coupling_values(self, sensitive, dist, sb):
-        """The evaluator's per-cell coupling expression (kept verbatim).
-
-        No ``errstate`` guard is needed: ``maximum(dist, 1.0)`` keeps every
-        base positive, so the expression never divides by zero.
-        """
-        return np.where(
-            sensitive & (dist > 0),
-            1.0
-            / np.power(np.maximum(dist, 1.0), self._exp)
-            / np.power(self._atten, sb),
-            0.0,
-        )
+        return _Arrays(positions, shield_tracks, occ, dist, sb, coupling, adj, cap)
 
     def clone(self) -> "IncrementalPanelState":
         """An independent copy of the current layout (pending state dropped)."""
@@ -362,27 +341,6 @@ class IncrementalPanelState:
 
     # -- cost evaluation ------------------------------------------------------
 
-    @staticmethod
-    def _adjacent_flags(pos: np.ndarray, shields: np.ndarray) -> np.ndarray:
-        """Which segments have a shield on a directly neighbouring track.
-
-        Boolean-identical to the evaluator's
-        ``isin(pos - 1, shields) | isin(pos + 1, shields)`` but implemented as
-        one binary search against the sorted shield array: no segment track
-        ever coincides with a shield track, so the insertion point of ``pos``
-        has the candidate left neighbour right below it and the candidate
-        right neighbour right at it.
-        """
-        if shields.size == 0 or pos.size == 0:
-            return np.zeros(pos.size, dtype=bool)
-        insertion = np.searchsorted(shields, pos)
-        adjacent = np.zeros(pos.size, dtype=bool)
-        has_left = insertion > 0
-        adjacent[has_left] = shields[insertion[has_left] - 1] == pos[has_left] - 1.0
-        has_right = insertion < shields.size
-        adjacent[has_right] |= shields[insertion[has_right]] == pos[has_right] + 1.0
-        return adjacent
-
     def _evaluate(self, arrays: _Arrays) -> _Evaluation:
         """Full cost evaluation of an array bundle.
 
@@ -424,27 +382,27 @@ class IncrementalPanelState:
         )
 
     def _excess_of(self, totals: np.ndarray) -> float:
-        """Total Kth excess, identically to ``PanelEvaluator.total_excess``."""
+        """Total Kth excess, identically to :meth:`SinoProblem.total_excess`."""
         return float(np.maximum(totals - self._bounds_vector, 0.0).sum())
 
     def excess_vector(self) -> np.ndarray:
         """Per-segment ``max(0, K_i - Kth_i)`` of the current layout.
 
-        Identical to ``PanelEvaluator.excess_vector`` on :meth:`to_layout`.
+        Identical to :meth:`SinoProblem.excess_vector` on :meth:`to_layout`.
         """
         return np.maximum(self._state.totals - self._bounds_vector, 0.0)
 
     def insert_excess(self, gaps: Sequence[int]) -> np.ndarray:
         """Total Kth excess of the current layout with a shield inserted at each gap.
 
-        Entry ``k`` equals ``PanelEvaluator.total_excess`` of the layout with
+        Entry ``k`` equals :meth:`SinoProblem.total_excess` of the layout with
         one shield inserted at gap ``gaps[k]``, bit for bit.  An insert at
         ``g`` moves every pair that straddles the gap one track apart and
         puts one more shield between them, so each candidate coupling matrix
         picks, cell by cell, between the current matrix and one shifted
         matrix built once for all gaps.  Every cell then holds the value a
         fresh evaluation computes, and the row sums, the adjacent-shield
-        bonus and the excess sum run the evaluator's own reductions over
+        bonus and the excess sum run the fresh evaluation's reductions over
         contiguous rows.  The gaps are scored :data:`_INSERT_CHUNK` at a time
         in one (G, n, n) numpy pass each.
         """
@@ -505,7 +463,9 @@ class IncrementalPanelState:
             )
         else:
             sb_rows = np.zeros(dist_rows.shape, dtype=np.int64)
-        coupling_rows = self._coupling_values(self._sens[index], dist_rows, sb_rows)
+        coupling_rows = coupling_matrix(
+            self._sens[index], dist_rows, sb_rows, self.problem.keff_model
+        )
         arrays.dist[index, :] = dist_rows
         arrays.dist[:, index] = dist_rows.T
         arrays.sb[index, :] = sb_rows
@@ -516,7 +476,7 @@ class IncrementalPanelState:
     def _gathered_coupling(self, dist, sb):
         """The coupling expression for gathered sensitive cells (distance >= 1).
 
-        Identical values to :meth:`_coupling_values` on such cells: the
+        Identical values to :func:`~repro.sino.panel.coupling_matrix` on such cells: the
         sensitivity mask is all-True by construction and ``maximum(d, 1.0)``
         is the identity for ``d >= 1``, so both wrappers can be elided.
         """

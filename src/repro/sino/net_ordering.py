@@ -15,27 +15,29 @@ from repro.sino.greedy import greedy_order
 from repro.sino.panel import SinoProblem, SinoSolution
 
 
-def _adjacent_sensitive_pairs(problem: SinoProblem, order: List[int]) -> int:
-    """Number of adjacent sensitive pairs in a pure ordering (no shields)."""
-    count = 0
-    for first, second in zip(order, order[1:]):
-        if second in problem.aggressors_of(first):
-            count += 1
-    return count
+def _adjacent_sensitive_pairs(sens: List[List[bool]], order: List[int]) -> int:
+    """Number of adjacent sensitive pairs in a pure ordering of matrix rows."""
+    return sum(1 for first, second in zip(order, order[1:]) if sens[first][second])
 
 
 def _improve_by_swaps(problem: SinoProblem, order: List[int], max_passes: int = 4) -> List[int]:
-    """Local pairwise-swap improvement of the adjacency count."""
-    current = list(order)
-    best_cost = _adjacent_sensitive_pairs(problem, current)
+    """Local pairwise-swap improvement of the adjacency count.
+
+    The swap pass runs on matrix rows against the problem's sensitivity
+    matrix; the result is mapped back to segment ids.
+    """
+    sens = problem.sens.tolist()
+    rows = problem.rows()
+    current = [rows[segment] for segment in order]
+    best_cost = _adjacent_sensitive_pairs(sens, current)
     for _ in range(max_passes):
         improved = False
         for i in range(len(current)):
             if best_cost == 0:
-                return current
+                return [problem.segments[row] for row in current]
             for j in range(i + 1, len(current)):
                 current[i], current[j] = current[j], current[i]
-                cost = _adjacent_sensitive_pairs(problem, current)
+                cost = _adjacent_sensitive_pairs(sens, current)
                 if cost < best_cost:
                     best_cost = cost
                     improved = True
@@ -43,7 +45,7 @@ def _improve_by_swaps(problem: SinoProblem, order: List[int], max_passes: int = 
                     current[i], current[j] = current[j], current[i]
         if not improved:
             break
-    return current
+    return [problem.segments[row] for row in current]
 
 
 def net_ordering_only(problem: SinoProblem) -> SinoSolution:

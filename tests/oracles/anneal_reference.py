@@ -15,9 +15,11 @@ from typing import Optional
 
 import numpy as np
 
-from repro.sino.anneal import AnnealConfig, solution_cost
+from repro.sino.anneal import AnnealConfig
 from repro.sino.greedy import greedy_sino
 from repro.sino.panel import SHIELD, SinoProblem, SinoSolution
+
+from tests.oracles.panel_reference import PanelReference
 
 
 def _propose(solution: SinoSolution, rng: np.random.Generator) -> SinoSolution:
@@ -47,7 +49,7 @@ def _propose(solution: SinoSolution, rng: np.random.Generator) -> SinoSolution:
     return candidate
 
 
-def _reference_compact(solution: SinoSolution) -> SinoSolution:
+def _reference_compact(solution: SinoSolution, reference: PanelReference) -> SinoSolution:
     """The historic compaction pass, preserved verbatim for the oracle.
 
     Identical decisions (and therefore identical layouts) to
@@ -56,22 +58,15 @@ def _reference_compact(solution: SinoSolution) -> SinoSolution:
     through freshly built occupant records — so the reference annealer keeps
     the historic cost profile the benchmarks measure speedups against.
     """
-    evaluator = solution.problem.evaluator()
     layout = list(solution.layout)
-    excess = evaluator.total_excess(layout)
-    capacitive = len(
-        SinoSolution(problem=solution.problem, layout=layout).capacitive_violation_pairs()
-    )
+    excess = reference.total_excess(layout)
+    capacitive = reference.capacitive(layout)
     index = len(layout) - 1
     while index >= 0:
         if layout[index] is SHIELD:
             candidate = layout[:index] + layout[index + 1 :]
-            candidate_excess = evaluator.total_excess(candidate)
-            candidate_capacitive = len(
-                SinoSolution(
-                    problem=solution.problem, layout=candidate
-                ).capacitive_violation_pairs()
-            )
+            candidate_excess = reference.total_excess(candidate)
+            candidate_capacitive = reference.capacitive(candidate)
             if candidate_excess <= excess + 1e-12 and candidate_capacitive <= capacitive:
                 layout = candidate
                 excess = candidate_excess
@@ -94,27 +89,28 @@ def anneal_sino_reference(
     ``bench_sino_anneal`` benchmark both assert that equivalence.
     """
     config = config or AnnealConfig()
+    reference = PanelReference(problem)
     rng = np.random.default_rng(config.seed)
     current = (initial or greedy_sino(problem)).copy()
-    current_cost = solution_cost(current, config)
-    best = _reference_compact(current)
-    best_cost = solution_cost(best, config)
-    best_valid: Optional[SinoSolution] = best if best.is_valid() else None
+    current_cost = reference.cost(current, config)
+    best = _reference_compact(current, reference)
+    best_cost = reference.cost(best, config)
+    best_valid: Optional[SinoSolution] = best if reference.is_valid(best) else None
 
     for step in range(config.iterations):
         temperature = config.temperature_at(step)
         candidate = _propose(current, rng)
-        candidate_cost = solution_cost(candidate, config)
+        candidate_cost = reference.cost(candidate, config)
         delta = candidate_cost - current_cost
         if delta <= 0.0 or rng.random() < math.exp(-delta / temperature):
             current = candidate
             current_cost = candidate_cost
-            compacted = _reference_compact(current)
-            compacted_cost = solution_cost(compacted, config)
+            compacted = _reference_compact(current, reference)
+            compacted_cost = reference.cost(compacted, config)
             if compacted_cost < best_cost:
                 best = compacted
                 best_cost = compacted_cost
-            if compacted.is_valid():
+            if reference.is_valid(compacted):
                 if best_valid is None or compacted.num_shields < best_valid.num_shields:
                     best_valid = compacted
     return best_valid if best_valid is not None else best

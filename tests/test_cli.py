@@ -112,6 +112,21 @@ class TestParser:
                      "--idle-exit", "0.2"]) == 0
 
 
+class TestImportCost:
+    def test_cli_import_does_not_load_scipy(self):
+        """Only the table characterisation needs scipy; starting the CLI must
+        not pay for it."""
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        probe = "import sys, repro.cli; print('scipy.linalg' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env, check=True, capture_output=True, text=True, timeout=60,
+        )
+        assert result.stdout.strip() == "False"
+
+
 class TestCommands:
     def test_compare_command_runs(self, capsys):
         exit_code = main(

@@ -556,7 +556,7 @@ class TestCodecs:
             k: s.layout for k, s in artifact.phase2.panels.items()
         }
         for key, problem in artifact.phase2.problems.items():
-            assert dict(decoded.phase2.problems[key].kth) == dict(problem.kth)
+            assert decoded.phase2.problems[key] == problem
 
     def test_metrics_roundtrip(self, artifacts):
         _context, values = artifacts

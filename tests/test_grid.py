@@ -155,15 +155,15 @@ class TestNetlist:
         assert netlist.sensitivity_rate(0) == pytest.approx(1 / 3)
         assert netlist.average_sensitivity_rate() == pytest.approx(1 / 3)
 
-    def test_local_sensitivity_map(self):
+    def test_relation_matrix(self):
         netlist = self.make_netlist()
-        local = netlist.local_sensitivity_map([0, 1, 2])
-        assert local[0] == {1}
-        assert local[2] == set()
-
-    def test_aggressors_among(self):
-        netlist = self.make_netlist()
-        assert netlist.aggressors_among(0, [1, 2, 3]) == {1}
+        matrix = netlist.sensitivity.relation_matrix([0, 1, 2, 3])
+        assert matrix.tolist() == [
+            [False, True, False, False],
+            [True, False, False, False],
+            [False, False, False, True],
+            [False, False, True, False],
+        ]
 
     def test_with_sensitivity_replaces_oracle(self):
         netlist = self.make_netlist()
@@ -217,10 +217,10 @@ class TestSensitivityOracles:
 
     def test_local_map_symmetry(self):
         oracle = RandomPairwiseSensitivity(rate=0.5, seed=2)
-        local = oracle.local_sensitivity_map(range(10))
-        for net, others in local.items():
-            for other in others:
-                assert net in local[other]
+        matrix = oracle.relation_matrix(list(range(10)))
+        assert np.array_equal(matrix, matrix.T)
+        assert not matrix.diagonal().any()
+        assert matrix.any()
 
     @given(
         st.floats(min_value=0.0, max_value=1.0),
@@ -268,17 +268,15 @@ def _with_duplicates(ids, data):
 
 
 class TestSensitivityKernels:
-    """The group queries equal the scalar ``are_sensitive`` pair for pair."""
+    """The group query equals the scalar ``are_sensitive`` pair for pair."""
 
     @staticmethod
     def assert_matches_scalar(oracle, ids):
-        local = oracle.local_sensitivity_map(ids)
-        assert list(local) == list(dict.fromkeys(ids))
-        for net in local:
-            expected = {other for other in ids if oracle.are_sensitive(net, other)}
-            assert local[net] == expected
-            assert oracle.aggressors_among(net, ids) == expected
-            assert all(type(other) is int for other in local[net])
+        matrix = oracle.relation_matrix(ids)
+        assert matrix.dtype == np.bool_
+        assert matrix.shape == (len(ids), len(ids))
+        expected = [[oracle.are_sensitive(a, b) for b in ids] for a in ids]
+        assert matrix.tolist() == expected
 
     @given(_net_ids, _rates, st.integers(min_value=-(2**63), max_value=2**63), st.data())
     @settings(max_examples=150, deadline=None)
@@ -302,16 +300,79 @@ class TestSensitivityKernels:
 
     def test_rate_extremes(self):
         ids = [0, 3, 2**32, 2**32 + 3, 2**40]
-        full = RandomPairwiseSensitivity(rate=1.0, seed=9).local_sensitivity_map(ids)
-        assert full == {net: set(ids) - {net} for net in ids}
-        empty = RandomPairwiseSensitivity(rate=0.0, seed=9).local_sensitivity_map(ids)
-        assert empty == {net: set() for net in ids}
+        full = RandomPairwiseSensitivity(rate=1.0, seed=9).relation_matrix(ids)
+        assert np.array_equal(full, ~np.eye(len(ids), dtype=bool))
+        empty = RandomPairwiseSensitivity(rate=0.0, seed=9).relation_matrix(ids)
+        assert not empty.any()
 
     def test_empty_groups(self):
-        oracle = RandomPairwiseSensitivity(rate=0.5, seed=1)
-        assert oracle.local_sensitivity_map([]) == {}
-        assert oracle.aggressors_among(4, []) == set()
-        assert oracle.aggressors_among(4, [4, 4]) == set()
+        for oracle in (RandomPairwiseSensitivity(rate=0.5, seed=1), ExplicitSensitivity({4: {5}})):
+            assert oracle.relation_matrix([]).shape == (0, 0)
+            assert not oracle.relation_matrix([4, 4]).any()
+
+
+def _old_local_map(oracle, ids):
+    """The group query ``local_sensitivity_map`` as it was, for one oracle."""
+    ids = list(dict.fromkeys(ids))
+    if isinstance(oracle, RandomPairwiseSensitivity):
+        column = np.asarray(ids, dtype=np.uint64)
+        relation = oracle._relation(column[:, None], column[None, :])
+        return {net: set(column[row].tolist()) for net, row in zip(ids, relation)}
+    group = set(ids)
+    return {net: group & oracle.aggressors_of(net) for net in ids}
+
+
+def _old_symmetric_closure(segments, sensitivity):
+    """The panel problem's old ``_normalise_sensitivity``, inlined."""
+    present = set(segments)
+    symmetric = {segment: set() for segment in segments}
+    for segment in segments:
+        for other in sensitivity.get(segment, set()):
+            if other in present and other != segment:
+                symmetric[segment].add(other)
+                symmetric[other].add(segment)
+    return {segment: frozenset(others) for segment, others in symmetric.items()}
+
+
+class TestRelationMatrixMatchesOldRelation:
+    """``relation_matrix`` equals the relation the dict-of-sets path built."""
+
+    @staticmethod
+    def assert_matches_old(oracle, ids):
+        closure = _old_symmetric_closure(ids, _old_local_map(oracle, ids))
+        matrix = oracle.relation_matrix(ids)
+        expected = [[b in closure[a] for b in ids] for a in ids]
+        assert matrix.tolist() == expected
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=2**40), unique=True, max_size=30),
+        _rates,
+        st.integers(min_value=-(2**63), max_value=2**63),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_oracle(self, ids, rate, seed):
+        self.assert_matches_old(RandomPairwiseSensitivity(rate, seed), ids)
+
+    @given(
+        st.dictionaries(
+            st.integers(min_value=0, max_value=40),
+            st.sets(st.integers(min_value=0, max_value=40), max_size=8),
+            max_size=12,
+        ),
+        st.lists(st.integers(min_value=0, max_value=45), unique=True, max_size=20),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_explicit_oracle_from_directional_map(self, aggressors, ids):
+        self.assert_matches_old(ExplicitSensitivity(aggressors), ids)
+
+    def test_directional_example(self):
+        oracle = ExplicitSensitivity({1: {2}, 3: {1}})
+        self.assert_matches_old(oracle, [3, 2, 1, 7])
+        assert oracle.relation_matrix([3, 2, 1]).tolist() == [
+            [False, False, True],
+            [False, False, True],
+            [True, True, False],
+        ]
 
 
 class TestSteiner:

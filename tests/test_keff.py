@@ -1,9 +1,6 @@
 """Tests and property checks for the Keff coupling model."""
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.noise.keff import (
     DEFAULT_KEFF_MODEL,
@@ -12,7 +9,6 @@ from repro.noise.keff import (
     capacitive_violations,
     coupling_coefficient,
     panel_couplings,
-    panel_couplings_fast,
     total_coupling,
 )
 
@@ -131,45 +127,3 @@ class TestCapacitiveViolations:
     def test_insensitive_adjacency_is_fine(self):
         occupants = [PanelOccupant(track=0, net_id=1), PanelOccupant(track=1, net_id=2)]
         assert capacitive_violations(occupants, {}) == []
-
-
-@st.composite
-def random_panel(draw):
-    """A random panel layout with sensitivity map, for equivalence testing."""
-    num_tracks = draw(st.integers(min_value=1, max_value=12))
-    kinds = draw(st.lists(st.booleans(), min_size=num_tracks, max_size=num_tracks))
-    occupants = []
-    net_ids = []
-    for track, is_shield in enumerate(kinds):
-        if is_shield:
-            occupants.append(PanelOccupant(track=track, net_id=None))
-        else:
-            net_id = 100 + track
-            occupants.append(PanelOccupant(track=track, net_id=net_id))
-            net_ids.append(net_id)
-    sensitivity = {}
-    for net_id in net_ids:
-        others = [other for other in net_ids if other != net_id]
-        if others:
-            chosen = draw(st.lists(st.sampled_from(others), unique=True, max_size=len(others)))
-            sensitivity[net_id] = set(chosen)
-    return occupants, sensitivity
-
-
-class TestFastEquivalence:
-    @settings(max_examples=80, deadline=None)
-    @given(random_panel())
-    def test_fast_matches_reference(self, panel):
-        occupants, sensitivity = panel
-        reference = panel_couplings(occupants, sensitivity)
-        fast = panel_couplings_fast(occupants, sensitivity)
-        assert set(reference) == set(fast)
-        for net_id, value in reference.items():
-            assert fast[net_id] == pytest.approx(value, abs=1e-12)
-
-    @settings(max_examples=40, deadline=None)
-    @given(random_panel())
-    def test_couplings_are_non_negative(self, panel):
-        occupants, sensitivity = panel
-        for value in panel_couplings_fast(occupants, sensitivity).values():
-            assert value >= 0.0

@@ -11,6 +11,7 @@ restart of crashed fleet members.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -257,6 +258,62 @@ class TestTieredCache:
         assert Engine(cache=fresh).solve_panel(problem).layout == solution.layout
         assert fresh.stats().store_hits == 1
 
+    def test_v4_pair_list_layout_misses_once_then_resolves(self, tmp_path, random_sino_problem):
+        """A layout stored under a version-4 key is never restored.
+
+        Version 4 spelled the relation and bounds out as sorted pair and
+        bound lists; the key is rebuilt here with that exact layout, and a
+        wrong layout is stored under it so a stale hit would show.
+        """
+        problem = random_sino_problem(9, 0.5, 0.85, seed=6)
+        pairs = sorted(
+            (problem.segments[i], problem.segments[j])
+            for i, j in zip(*problem.sens.nonzero())
+            if problem.segments[i] < problem.segments[j]
+        )
+        model = problem.keff_model
+        v4_token = "|".join(
+            (
+                "v4",
+                "segments=" + ",".join(str(segment) for segment in problem.segments),
+                "sensitivity=" + ";".join(f"{a}-{b}" for a, b in pairs),
+                "kth="
+                + ";".join(
+                    f"{segment}:{problem.bound_of(segment).hex()}"
+                    for segment in sorted(problem.segments)
+                ),
+                f"default_kth={(0.85).hex()}",  # the bound the problem was built with
+                f"capacity={problem.capacity}",
+                "keff="
+                + ",".join(
+                    value.hex()
+                    for value in (
+                        model.shield_attenuation,
+                        model.adjacent_shield_bonus,
+                        model.distance_exponent,
+                    )
+                ),
+                "solver=sino",
+                "effort=greedy",
+                "seed=-",
+                "anneal=-",
+            )
+        )
+        v4_key = hashlib.sha256(v4_token.encode("utf-8")).hexdigest()
+        assert v4_key != panel_signature(problem, "sino", "greedy")
+        store = ResultStore(tmp_path / "store")
+        stale = [None, *problem.segments]
+        store.put_layout(v4_key, tuple(stale))
+
+        cold = SolutionCache(store=store)
+        solved = Engine(cache=cold).solve_panel(problem)
+        assert cold.stats() == CacheStats(misses=1)
+        assert solved.layout != stale
+        warm = SolutionCache(store=store)
+        served = Engine(cache=warm).solve_panel(problem)
+        assert warm.stats() == CacheStats(store_hits=1)
+        assert served.layout == solved.layout
+
     def test_v3_anneal_layout_misses_once_then_resolves(
         self, tmp_path, monkeypatch, random_sino_problem
     ):
@@ -359,8 +416,8 @@ class TestScenarios:
         tight = generate_scenario("node-70nm")[0].problem
         loose = generate_scenario("node-130nm", {"seed": scenario_spec("node-70nm").seed})[0]
         # Same seed, same structure; only the Vdd-proportional bound scale differs.
-        ratio = loose.problem.default_kth / tight.default_kth
-        assert ratio == pytest.approx(1.2 / 0.9)
+        ratio = loose.problem.bounds / tight.bounds
+        assert ratio.tolist() == pytest.approx([1.2 / 0.9] * tight.num_segments)
 
 
 # -- scheduler -----------------------------------------------------------------------

@@ -1,10 +1,13 @@
-"""Tests for the SINO problem / solution datatypes and the fast evaluator."""
+"""Tests for the SINO problem / solution datatypes and the fresh evaluation."""
+
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.noise.keff import PanelOccupant, panel_couplings
-from repro.sino.evaluator import PanelEvaluator
 from repro.sino.panel import SHIELD, SinoProblem, SinoSolution
 
 
@@ -126,6 +129,8 @@ class TestSinoSolution:
 
 
 class TestPanelEvaluator:
+    """The problem's fresh layout evaluation against the scalar Keff model."""
+
     def test_matches_solution_couplings_random(self, random_sino_problem):
         for seed in range(5):
             problem = random_sino_problem(7, 0.5, 1.0, seed=seed)
@@ -136,8 +141,7 @@ class TestPanelEvaluator:
             for _ in range(2):
                 layout.insert(int(rng.integers(0, len(layout) + 1)), SHIELD)
             solution = SinoSolution(problem=problem, layout=layout)
-            evaluator = problem.evaluator()
-            fast = evaluator.couplings(layout)
+            fast = problem.couplings(layout)
             reference = panel_couplings(
                 solution.occupants(),
                 {s: set(problem.aggressors_of(s)) for s in problem.segments},
@@ -149,19 +153,75 @@ class TestPanelEvaluator:
         problem = SinoProblem.build(
             segments=[0, 1], sensitivity={0: {1}}, default_kth=0.5
         )
-        evaluator = problem.evaluator()
-        assert evaluator.total_excess([0, 1]) == pytest.approx(1.0)  # two nets, each 0.5 over
-        assert set(evaluator.violating_segments([0, 1])) == {0, 1}
-        assert evaluator.total_excess([0, None, 1]) == pytest.approx(0.0)
+        assert problem.total_excess([0, 1]) == pytest.approx(1.0)  # two nets, each 0.5 over
+        assert problem.excess_vector([0, 1]).tolist() == pytest.approx([0.5, 0.5])
+        assert set(SinoSolution(problem, [0, 1]).inductive_violations()) == {0, 1}
+        assert problem.total_excess([0, None, 1]) == pytest.approx(0.0)
+        assert problem.capacitive_count([0, 1]) == 1
+        assert problem.capacitive_count([0, None, 1]) == 0
 
     def test_layout_validation(self):
         problem = SinoProblem.build(segments=[0, 1], sensitivity={}, default_kth=1.0)
-        evaluator = problem.evaluator()
         with pytest.raises(ValueError):
-            evaluator.couplings([0])
+            problem.couplings([0])
         with pytest.raises(ValueError):
-            evaluator.couplings([0, 1, 7])
+            problem.couplings([0, 1, 7])
 
-    def test_evaluator_is_cached_on_problem(self):
-        problem = SinoProblem.build(segments=[0, 1], sensitivity={}, default_kth=1.0)
-        assert problem.evaluator() is problem.evaluator()
+
+_mappings = st.dictionaries(
+    st.integers(min_value=0, max_value=30),
+    st.sets(st.integers(min_value=0, max_value=30), max_size=8),
+    max_size=12,
+)
+
+
+class TestRelationMatrix:
+    """``SinoProblem`` holds one symmetric matrix, whatever the mapping."""
+
+    @given(_mappings, st.lists(st.integers(min_value=0, max_value=30), unique=True, max_size=15))
+    @settings(max_examples=150, deadline=None)
+    def test_build_symmetrises_and_restricts_any_mapping(self, mapping, segments):
+        problem = SinoProblem.build(segments=segments, sensitivity=mapping, default_kth=1.0)
+        sens = problem.sens
+        assert sens.shape == (len(segments), len(segments))
+        assert np.array_equal(sens, sens.T)
+        assert not sens.diagonal().any()
+        for i, a in enumerate(segments):
+            for j, b in enumerate(segments):
+                expected = a != b and (b in mapping.get(a, ()) or a in mapping.get(b, ()))
+                assert sens[i, j] == expected
+
+    def test_directional_mapping_with_foreign_ids(self):
+        problem = SinoProblem.build(
+            segments=[5, 2, 9], sensitivity={2: {5, 2, 40}, 40: {9}}, default_kth=1.0
+        )
+        assert problem.sens.tolist() == [
+            [False, True, False],
+            [True, False, False],
+            [False, False, False],
+        ]
+        assert problem.aggressors_of(5) == frozenset({2})
+        assert problem.aggressors_of(9) == frozenset()
+
+    def test_constructor_rejects_malformed_arrays(self):
+        bounds = np.ones(2)
+        asymmetric = np.array([[False, True], [False, False]])
+        with pytest.raises(ValueError):
+            SinoProblem(segments=(0, 1), sens=asymmetric, bounds=bounds)
+        with pytest.raises(ValueError):
+            SinoProblem(segments=(0, 1), sens=np.eye(2, dtype=bool), bounds=bounds)
+        with pytest.raises(ValueError):
+            SinoProblem(segments=(0, 1), sens=np.zeros((2, 2), dtype=bool), bounds=np.ones(3))
+
+    def test_equality_pickle_and_shared_matrix(self, triangle_problem):
+        copy = pickle.loads(pickle.dumps(triangle_problem))
+        assert copy == triangle_problem
+        assert copy != triangle_problem.with_bounds({1: 0.7})
+        tightened = triangle_problem.with_bounds({1: 0.7})
+        assert tightened.sens is triangle_problem.sens
+        assert tightened.bounds.tolist() == [1.2, 0.7, 1.2]
+        assert triangle_problem.bounds.tolist() == [1.2, 1.2, 1.2]
+        with pytest.raises(ValueError):
+            triangle_problem.sens[0, 1] = False
+        with pytest.raises(ValueError):
+            triangle_problem.with_bounds({99: 1.0})

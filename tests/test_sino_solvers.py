@@ -1,5 +1,7 @@
 """Tests for the greedy / annealing SINO solvers and the NO baseline."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from tests.oracles.greedy_reference import (
     greedy_order_reference,
     greedy_sino_reference,
 )
+from tests.oracles.panel_reference import PanelReference
 
 
 @st.composite
@@ -39,13 +42,7 @@ def sino_problems(draw, max_segments=48):
         rng = np.random.default_rng(seed)
         bounds = {segment: kth * float(rng.uniform(0.5, 1.5)) for segment in problem.segments}
         problem = problem.with_bounds(bounds)
-    return SinoProblem.build(
-        problem.segments,
-        problem.sensitivity,
-        kth=problem.kth,
-        default_kth=kth,
-        capacity=capacity,
-    )
+    return dataclasses.replace(problem, capacity=capacity)
 
 
 def _random_layout(problem, seed):
@@ -61,7 +58,7 @@ def _random_layout(problem, seed):
 def _reference_insert_excess(problem, layout, gap):
     candidate = list(layout)
     candidate.insert(gap, SHIELD)
-    return problem.evaluator().total_excess(candidate)
+    return PanelReference(problem).total_excess(candidate)
 
 
 class TestGreedyOrder:
@@ -182,7 +179,7 @@ class TestInsertExcessKernel:
         problem = make_random_sino_problem(14, 0.6, 0.4, seed=2)
         layout = _random_layout(problem, 3)
         state = IncrementalPanelState(problem, layout, AnnealConfig())
-        expected = problem.evaluator().excess_vector(layout)
+        expected = PanelReference(problem).excess_vector(layout)
         assert state.excess_vector().tolist() == expected.tolist()
 
     def test_empty_panel_and_empty_gap_list(self):
