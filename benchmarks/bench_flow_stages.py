@@ -25,6 +25,10 @@ A third check runs at a fixed scale where an O(N²) term cannot hide:
 * **Panel tokens at scale.**  The same instance's panel signatures (every
   panel problem plus one bound-mutated copy each) are timed; a token hashes
   the problem's arrays instead of walking its sensitive pairs.
+* **Warm compare at scale.**  The same instance's compare, reopening a
+  store one cold compare filled: the median of three warm compares, each
+  restoring all ten stages (routing decode, one panel index and one set of
+  panel skeletons per routing, problem rebuilds, metrics decode).
 """
 
 from __future__ import annotations
@@ -37,13 +41,11 @@ from repro.bench.ibm import generate_circuit
 from repro.engine import Engine, SolutionCache
 from repro.engine.signature import instance_token, problem_token
 from repro.flow.flows import FLOW_NAMES, build_context, run_compare
-from repro.grid.congestion import CongestionMap
-from repro.gsino.budgeting import bounds_for_nets, compute_budgets
+from repro.gsino.budgeting import compute_budgets
 from repro.gsino.config import GsinoConfig
 from repro.gsino.phase1 import run_phase1
 from repro.gsino.phase2 import build_panel_problems
 from repro.service.store import ResultStore
-from repro.sino.panel import SinoProblem
 
 from conftest import BENCH_SCALE, BENCH_SEED
 from tests.oracles.gsino_reference import (
@@ -51,6 +53,7 @@ from tests.oracles.gsino_reference import (
     reference_run_id_no,
     reference_run_isino,
 )
+from tests.oracles.panel_index_reference import scalar_panel_problems as _scalar_panel_problems
 
 #: Minimum warm-over-cold compare speedup (relaxed in CI via the same knob
 #: the annealer benchmark uses).
@@ -158,29 +161,6 @@ def test_warm_compare_speedup_from_stage_store(benchmark, tmp_path):
     assert speedup >= MIN_SPEEDUP
 
 
-def _scalar_panel_problems(routing, netlist, budgets, config):
-    """``build_panel_problems`` with the relation decided pair by pair."""
-    problems = {}
-    for coord, direction, usage in CongestionMap.from_solution(routing).entries():
-        if not usage.nets:
-            continue
-        nets = sorted(usage.nets)
-        sensitivity = {
-            net: {other for other in nets if netlist.are_sensitive(net, other)}
-            for net in nets
-        }
-        bounds = bounds_for_nets(budgets, nets)
-        problems[(coord, direction)] = SinoProblem.build(
-            segments=nets,
-            sensitivity=sensitivity,
-            kth=bounds,
-            default_kth=max(bounds.values(), default=1.0),
-            capacity=usage.capacity,
-            keff_model=config.keff_model,
-        )
-    return problems
-
-
 def test_instance_token_at_scale(benchmark):
     """O(nets) instance identity at 1959 nets; kernel-built panels exact."""
     circuit = generate_circuit(
@@ -243,3 +223,31 @@ def test_problem_tokens_at_scale(benchmark):
     benchmark.extra_info["tokens"] = len(everything)
     # A tightened bound always changes the token.
     assert all(a != b for a, b in zip(result[: len(problems)], result[len(problems) :]))
+
+
+def test_warm_compare_at_scale(benchmark, tmp_path):
+    """The scale-0.15 compare restored from a filled store, results unchanged."""
+    circuit = generate_circuit(
+        FLOW_BENCH_CIRCUIT,
+        sensitivity_rate=FLOW_BENCH_RATE,
+        scale=IDENTITY_SCALE,
+        seed=BENCH_SEED,
+    )
+    config = GsinoConfig(length_scale=1.0 / (IDENTITY_SCALE**0.5))
+    root = tmp_path / "store"
+
+    def compare_with_store():
+        store = ResultStore(root)
+        context = build_context(
+            circuit.grid, circuit.netlist, config, Engine(cache=SolutionCache(store=store))
+        )
+        return run_compare(context, store=store)
+
+    cold = compare_with_store()
+    warm = benchmark.pedantic(compare_with_store, rounds=3, iterations=1)
+
+    benchmark.extra_info["nets"] = circuit.netlist.num_nets
+    assert warm.runner.restored_count == 10
+    assert warm.runner.executed_count == 0
+    for flow in FLOW_NAMES:
+        assert warm.results[flow].metrics.summary() == cold.results[flow].metrics.summary()

@@ -730,6 +730,12 @@ def _run_compare(args: argparse.Namespace) -> int:
             f"runtime={result.runtime_seconds:.2f}s{cache_note}"
         )
         print(f"         stages: {_stage_note(outcome.runner.executions_for(name))}")
+    refine = results["gsino"].phase3_report
+    if refine is not None:
+        print(
+            f"  gsino phase III: unfixable_nets={len(refine.unfixable_nets)} "
+            f"pass1_capped={refine.pass1_capped} pass2_capped={refine.pass2_capped}"
+        )
     _print_stage_graph_summary(outcome.runner)
     if engine.cache is not None:
         print(f"  panel cache: {engine.cache_stats()} over {len(engine.cache)} entries")

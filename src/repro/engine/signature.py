@@ -61,11 +61,13 @@ if TYPE_CHECKING:  # the grid layer sits below the engine; import only for types
 SIGNATURE_VERSION = 5
 
 #: Version of the *stage* signature scheme (instance token + stage token
-#: layout).  Bump whenever either token layout changes so persisted stage
-#: artifacts hashed under an older scheme can never be restored.  Version 2
-#: replaced the instance token's full sensitivity pair list with the
-#: oracle's token; stores filled under version 1 re-execute once.
-STAGE_SIGNATURE_VERSION = 2
+#: layout) and of the stage payload formats.  Bump whenever either token
+#: layout or a payload format changes so persisted stage artifacts written
+#: under an older scheme can never be restored.  Version 2 replaced the
+#: instance token's full sensitivity pair list with the oracle's token;
+#: stores filled under version 1 re-execute once.  Version 3 stores routes
+#: as flat int lists and adds the Phase III cap flags to the refine payload.
+STAGE_SIGNATURE_VERSION = 3
 
 
 def _float_token(value: float) -> str:

@@ -4,10 +4,10 @@ Each codec pair turns one stage artifact into a JSON-safe payload and back.
 Two rules keep restored artifacts **bit-identical** to computed ones:
 
 * Only what the instance cannot re-derive is stored.  Routings store route
-  trees, not grids; panel artifacts store track layouts, not problems (the
-  problems are rebuilt deterministically from the decoded routing and
-  budgets); metrics store the evaluated numbers plus the per-panel shield
-  counts the congestion map needs.  Floats pass through JSON unchanged —
+  trees as flat int lists, not grids; panel artifacts store track layouts,
+  not problems (the problems are rebuilt deterministically from the decoded
+  routing and budgets); metrics store the evaluated numbers plus the
+  per-panel shield counts the congestion map needs.  Floats pass through JSON unchanged —
   Python serialises the shortest round-tripping representation, so decoded
   values compare equal bit for bit.
 * Mapping insertion orders are preserved.  Several downstream quantities
@@ -23,7 +23,7 @@ recomputing the stage; a bad blob can cost time, never correctness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, cast
+from typing import Dict, List, Mapping, Optional, Tuple, cast
 
 import numpy as np
 
@@ -118,14 +118,18 @@ def decode_budgets(payload: Payload) -> Dict[int, NetBudget]:
 
 
 def encode_routing(artifact: RoutingArtifact) -> Payload:
-    """Serialise route trees (insertion order) and the router report."""
+    """Serialise route trees (insertion order) and the router report.
+
+    Each route is ``[net_id, [x0, y0, x1, y1, ...], [ax, ay, bx, by, ...]]``:
+    its pin regions in order, then its edges sorted, as flat int lists.
+    """
     routes = []
     for net_id, route in artifact.routing.routes.items():
         routes.append(
             [
                 net_id,
-                [[ix, iy] for ix, iy in route.pin_regions],
-                sorted([[a[0], a[1]], [b[0], b[1]]] for a, b in route.edges),
+                [value for coord in route.pin_regions for value in coord],
+                [value for edge in sorted(route.edges) for coord in edge for value in coord],
             ]
         )
     report = artifact.report
@@ -145,16 +149,18 @@ def encode_routing(artifact: RoutingArtifact) -> Payload:
 def decode_routing(context: FlowContext, payload: Payload) -> RoutingArtifact:
     """Rebuild a routing against the context's own grid and netlist."""
     routes: Dict[int, RouteTree] = {}
-    for net_id, pin_regions, edges in cast(List[List[object]], payload["routes"]):
-        routes[int(cast(int, net_id))] = RouteTree(
-            net_id=int(cast(int, net_id)),
-            pin_regions=tuple(
-                (int(ix), int(iy)) for ix, iy in cast(List[List[int]], pin_regions)
-            ),
-            edges=frozenset(
-                ((int(a[0]), int(a[1])), (int(b[0]), int(b[1])))
-                for a, b in cast(List[List[List[int]]], edges)
-            ),
+    for raw_id, pins, edges in cast(List[Tuple[int, List[int], List[int]]], payload["routes"]):
+        if len(pins) % 2 or len(edges) % 4:
+            raise ValueError(f"route of net {raw_id} has a malformed coordinate list")
+        net_id = int(raw_id)
+        # zip(it, it) pairs consecutive items: values into coords, coords into edges.
+        pin_values = map(int, pins)
+        edge_values = map(int, edges)
+        ends = zip(edge_values, edge_values)
+        routes[net_id] = RouteTree(
+            net_id=net_id,
+            pin_regions=tuple(zip(pin_values, pin_values)),
+            edges=frozenset(zip(ends, ends)),
         )
     report_raw = cast(Dict[str, object], payload["report"])
     report = RouterReport(
@@ -240,6 +246,8 @@ def encode_refine(base: Phase2Result, artifact: RefineArtifact) -> Payload:
             "shields_after": report.shields_after,
             "pass2_regions_examined": report.pass2_regions_examined,
             "pass2_regions_relaxed": report.pass2_regions_relaxed,
+            "pass1_capped": report.pass1_capped,
+            "pass2_capped": report.pass2_capped,
         },
     }
 
@@ -279,6 +287,8 @@ def decode_refine(base: Phase2Result, payload: Payload) -> RefineArtifact:
         shields_after=int(cast(int, report_raw["shields_after"])),
         pass2_regions_examined=int(cast(int, report_raw["pass2_regions_examined"])),
         pass2_regions_relaxed=int(cast(int, report_raw["pass2_regions_relaxed"])),
+        pass1_capped=bool(report_raw["pass1_capped"]),
+        pass2_capped=bool(report_raw["pass2_capped"]),
     )
     return RefineArtifact(phase2=refined, report=report)
 

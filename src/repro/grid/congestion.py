@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.grid.regions import HORIZONTAL, VERTICAL, RegionCoord, RoutingGrid
-from repro.grid.routes import RoutingSolution
+from repro.grid.routes import PanelIndex, RoutingSolution
 
 
 @dataclass
@@ -88,13 +88,13 @@ class CongestionMap:
 
         ``shields`` optionally supplies the number of shield tracks per
         (region, direction), e.g. from the per-region SINO solutions or the
-        Formula 3 estimate.
+        Formula 3 estimate.  Net memberships come from the routing's
+        memoised :class:`~repro.grid.routes.PanelIndex`; each map gets its
+        own sets, filled in route-insertion order.
         """
         congestion = cls(solution.grid)
-        for net_id, route in solution.routes.items():
-            for coord, directions in route.direction_usage(solution.grid).items():
-                for direction in directions:
-                    congestion.usage(coord, direction).nets.add(net_id)
+        for key, panel in PanelIndex.of(solution).panels.items():
+            congestion._usage[key].nets = set(panel.nets)
         if shields:
             for (coord, direction), count in shields.items():
                 congestion.usage(coord, direction).shields = float(count)

@@ -10,10 +10,21 @@ of one region span, half of which lies in each of the two regions.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import (
-    Any, Callable, Dict, FrozenSet, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
+    Any,
+    Callable,
+    DefaultDict,
+    Dict,
+    FrozenSet,
+    Hashable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
 )
 
 from repro.grid.nets import Net, Netlist
@@ -22,6 +33,9 @@ from repro.grid.regions import HORIZONTAL, VERTICAL, RegionCoord, RoutingGrid
 #: A grid edge between two adjacent regions, stored with sorted endpoints so
 #: (a, b) and (b, a) compare equal.
 GridEdge = Tuple[RegionCoord, RegionCoord]
+
+#: Key identifying one routing panel: region coordinate plus direction.
+PanelKey = Tuple[RegionCoord, str]
 
 
 def normalize_edge(coord_a: RegionCoord, coord_b: RegionCoord) -> GridEdge:
@@ -230,15 +244,67 @@ class RoutingSolution:
         """Ids of nets that occupy a track of ``direction`` in a region."""
         if direction not in (HORIZONTAL, VERTICAL):
             raise ValueError(f"unknown direction {direction!r}")
-        present: List[int] = []
-        for net_id in sorted(self.routes):
-            usage = self.routes[net_id].direction_usage(self.grid)
-            if direction in usage.get(coord, set()):
-                present.append(net_id)
-        return present
+        panel = PanelIndex.of(self).panels.get((coord, direction))
+        return [] if panel is None else list(panel.segments)
 
     def __repr__(self) -> str:
         return (
             f"RoutingSolution(nets={len(self.routes)}, "
             f"avg_wl={self.average_wirelength_um():.1f}um)"
         )
+
+
+@dataclass(frozen=True)
+class PanelMembers:
+    """The nets occupying one (region, direction) panel of a routing.
+
+    ``nets`` is in route-insertion order (the order a walk of
+    ``routes.items()`` meets them), ``segments`` the same ids sorted.
+    """
+
+    nets: Tuple[int, ...]
+    segments: Tuple[int, ...]
+    capacity: int
+
+
+class PanelIndex:
+    """Which nets occupy which panels of one routing, derived once.
+
+    One pass over every route's :meth:`RouteTree.direction_usage`, in
+    ``routes`` order, yields both directions of the relation: per occupied
+    panel its :class:`PanelMembers`, per net its panel keys in exactly the
+    order ``direction_usage`` yields them.  Panels are listed in the grid's
+    region order, horizontal before vertical (the order of
+    :class:`~repro.grid.congestion.CongestionMap` entries); unoccupied
+    panels are absent.  Nothing writes a :class:`RoutingSolution`'s routes
+    after construction, so the index, memoised on the routing, stays exact.
+    """
+
+    def __init__(self, routing: RoutingSolution) -> None:
+        grid = routing.grid
+        members: DefaultDict[PanelKey, List[int]] = defaultdict(list)
+        self.net_keys: Dict[int, Tuple[PanelKey, ...]] = {}
+        for net_id, route in routing.routes.items():
+            keys = [
+                (coord, direction)
+                for coord, directions in route.direction_usage(grid).items()
+                for direction in directions
+            ]
+            for key in keys:
+                members[key].append(net_id)
+            self.net_keys[net_id] = tuple(keys)
+        self.panels: Dict[PanelKey, PanelMembers] = {}
+        for region in grid.regions():
+            for direction in (HORIZONTAL, VERTICAL):
+                nets = members.get((region.coord, direction))
+                if nets:
+                    self.panels[(region.coord, direction)] = PanelMembers(
+                        nets=tuple(nets),
+                        segments=tuple(sorted(nets)),
+                        capacity=region.capacity(direction),
+                    )
+
+    @classmethod
+    def of(cls, routing: RoutingSolution) -> "PanelIndex":
+        """The routing's memoised index."""
+        return routing.memo(cls, lambda: cls(routing))

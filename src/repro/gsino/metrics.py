@@ -18,13 +18,10 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from repro.grid.area import AreaReport, routing_area
 from repro.grid.congestion import CongestionMap
 from repro.grid.regions import RegionCoord
-from repro.grid.routes import RoutingSolution
+from repro.grid.routes import PanelKey, RoutingSolution
 from repro.gsino.config import UM_TO_M, GsinoConfig
 from repro.noise.lsk import LskModel
 from repro.sino.panel import SinoSolution
-
-#: Key identifying one routing panel: region coordinate plus direction.
-PanelKey = Tuple[RegionCoord, str]
 
 
 @dataclass

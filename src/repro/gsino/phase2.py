@@ -15,14 +15,13 @@ baseline routing (``solver="sino"``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.engine.panels import Engine
-from repro.grid.congestion import CongestionMap
 from repro.grid.nets import Netlist
-from repro.grid.routes import RoutingSolution
+from repro.grid.routes import PanelIndex, RoutingSolution
 from repro.gsino.budgeting import NetBudget, bounds_for_nets
 from repro.gsino.config import GsinoConfig
 from repro.gsino.metrics import PanelKey
@@ -58,6 +57,18 @@ class Phase2Result:
         return sum(1 for solution in self.panels.values() if not solution.is_valid())
 
 
+#: The budget-independent part of one panel's problem: its sorted segment
+#: ids, their sensitivity matrix and the panel's track capacity.
+PanelSkeleton = Tuple[Tuple[int, ...], np.ndarray, int]
+
+
+def _bounds_vector(budgets: Mapping[int, NetBudget], nets: Sequence[int]) -> np.ndarray:
+    """Per-segment ``Kth`` bounds; nets without a budget get the panel's largest."""
+    bounds = bounds_for_nets(budgets, nets)
+    default_kth = max(bounds.values(), default=1.0)
+    return np.array([bounds.get(net, default_kth) for net in nets], dtype=np.float64)
+
+
 def build_panel_problem(
     net_ids,
     netlist: Netlist,
@@ -71,15 +82,32 @@ def build_panel_problem(
     without a budget get the panel's largest budgeted bound.
     """
     nets = sorted(net_ids)
-    bounds = bounds_for_nets(budgets, nets)
-    default_kth = max(bounds.values(), default=1.0)
     return SinoProblem(
         segments=tuple(nets),
         sens=netlist.sensitivity.relation_matrix(nets),
-        bounds=np.array([bounds.get(net, default_kth) for net in nets], dtype=np.float64),
+        bounds=_bounds_vector(budgets, nets),
         capacity=capacity,
         keff_model=config.keff_model,
     )
+
+
+def panel_skeletons(routing: RoutingSolution) -> Dict[PanelKey, PanelSkeleton]:
+    """One skeleton per occupied panel of a routing, memoised on the routing.
+
+    Every flow over the routing (ID+NO and iSINO share the baseline one)
+    builds its problems from these, so the oracle's ``relation_matrix`` runs
+    once per panel per routing.  The matrices are read-only once the first
+    :class:`SinoProblem` over them is built, so sharing them is safe.
+    """
+
+    def build() -> Dict[PanelKey, PanelSkeleton]:
+        relation_matrix = routing.netlist.sensitivity.relation_matrix
+        return {
+            key: (panel.segments, relation_matrix(panel.segments), panel.capacity)
+            for key, panel in PanelIndex.of(routing).panels.items()
+        }
+
+    return routing.memo(panel_skeletons, build)
 
 
 def build_panel_problems(
@@ -88,20 +116,23 @@ def build_panel_problems(
     budgets: Mapping[int, NetBudget],
     config: GsinoConfig,
 ) -> Dict[PanelKey, SinoProblem]:
-    """Construct the SINO instance of every occupied panel of a routing."""
-    congestion = CongestionMap.from_solution(routing)
-    problems: Dict[PanelKey, SinoProblem] = {}
-    for coord, direction, usage in congestion.entries():
-        if not usage.nets:
-            continue
-        problems[(coord, direction)] = build_panel_problem(
-            usage.nets,
-            netlist,
-            budgets,
-            capacity=usage.capacity,
-            config=config,
+    """Construct the SINO instance of every occupied panel of a routing.
+
+    The problems are the routing's shared :func:`panel_skeletons` plus this
+    call's bound vectors; ``netlist`` must be the routing's own.
+    """
+    if netlist is not routing.netlist:
+        raise ValueError("build_panel_problems needs the netlist the routing was built on")
+    return {
+        key: SinoProblem(
+            segments=segments,
+            sens=sens,
+            bounds=_bounds_vector(budgets, segments),
+            capacity=capacity,
+            keff_model=config.keff_model,
         )
-    return problems
+        for key, (segments, sens, capacity) in panel_skeletons(routing).items()
+    }
 
 
 def run_phase2(

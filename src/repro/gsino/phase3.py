@@ -30,8 +30,7 @@ from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.engine.panels import Engine, PanelTask
 from repro.grid.nets import Netlist
-from repro.grid.regions import RoutingGrid
-from repro.grid.routes import RoutingSolution
+from repro.grid.routes import PanelIndex, RoutingSolution
 from repro.gsino.budgeting import NetBudget
 from repro.gsino.config import UM_TO_M, GsinoConfig
 from repro.gsino.metrics import PanelKey, SinkPathIndex
@@ -63,6 +62,12 @@ class Phase3Report:
         to fix violations), and after pass 2 (which only removes them).
     pass2_regions_examined / pass2_regions_relaxed:
         Congested panels pass 2 looked at / successfully relaxed.
+    pass1_capped:
+        Pass 1 stopped at ``max_pass1_iterations`` while violating nets it
+        had not given up on were left.
+    pass2_capped:
+        Pass 2 stopped at ``max_pass2_regions`` while shielded panels it had
+        not examined were left.
     """
 
     violations_before: int = 0
@@ -75,6 +80,8 @@ class Phase3Report:
     shields_after: int = 0
     pass2_regions_examined: int = 0
     pass2_regions_relaxed: int = 0
+    pass1_capped: bool = False
+    pass2_capped: bool = False
 
 
 class LocalRefiner:
@@ -90,7 +97,6 @@ class LocalRefiner:
         lsk_model: Optional[LskModel] = None,
         engine: Optional[Engine] = None,
     ) -> None:
-        self.routing = routing
         self.panels = phase2.panels
         self.problems = phase2.problems
         self.budgets = budgets
@@ -105,27 +111,17 @@ class LocalRefiner:
         self.engine = engine or Engine()
         self.lsk_model = lsk_model or config.lsk_model()
         self.bound = config.resolved_bound()
-        self.grid: RoutingGrid = routing.grid
         self._couplings: Dict[PanelKey, Dict[int, float]] = {
             key: solution.couplings() for key, solution in self.panels.items()
         }
-        self._net_keys: Dict[int, List[PanelKey]] = {}
+        self._panel_index = PanelIndex.of(routing)
         self._paths = SinkPathIndex.of(routing, config.length_scale)
 
     # -- cached lookups ---------------------------------------------------------
 
     def panel_keys_of(self, net_id: int) -> List[PanelKey]:
         """The (region, direction) panels a net is routed through."""
-        if net_id not in self._net_keys:
-            usage = self.routing.route(net_id).direction_usage(self.grid)
-            keys = [
-                (coord, direction)
-                for coord, directions in usage.items()
-                for direction in directions
-                if (coord, direction) in self.panels
-            ]
-            self._net_keys[net_id] = keys
-        return self._net_keys[net_id]
+        return [key for key in self._panel_index.net_keys[net_id] if key in self.panels]
 
     def density_of(self, key: PanelKey) -> float:
         """Current track density of a panel (segments + shields over capacity)."""
@@ -327,7 +323,10 @@ class LocalRefiner:
                     violations.pop(other, None)
 
         report.unfixable_nets = sorted(unfixable)
-        report.violations_after = len(self.violating_nets())
+        report.pass1_capped = (
+            report.pass1_outer_iterations >= self.config.max_pass1_iterations
+            and any(net not in unfixable for net in violations)
+        )
 
     # -- pass 2: reduce routing congestion ---------------------------------------------
 
@@ -397,6 +396,14 @@ class LocalRefiner:
                 self._couplings[key] = old_couplings
                 continue
             report.pass2_regions_relaxed += 1
+
+        report.pass2_capped = (
+            report.pass2_regions_examined >= self.config.max_pass2_regions
+            and any(
+                solution.num_shields > 0 and key not in processed
+                for key, solution in self.panels.items()
+            )
+        )
 
 
 def run_phase3(

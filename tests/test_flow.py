@@ -31,6 +31,7 @@ import repro.engine.signature as signature_module
 import repro.service.store as store_module
 from repro.engine.signature import STAGE_SIGNATURE_VERSION, instance_token, stage_signature
 from repro.flow.artifacts import (
+    RoutingArtifact,
     decode_budgets,
     decode_metrics,
     decode_panels,
@@ -55,12 +56,16 @@ from repro.flow.flows import (
 )
 from repro.flow.graph import FlowGraph, Stage
 from repro.flow.runner import FlowRunner
+from repro.grid.nets import Net, Netlist, Pin
+from repro.grid.regions import RoutingGrid
+from repro.grid.routes import RouteTree, RoutingSolution
 from repro.grid.sensitivity import RandomPairwiseSensitivity
 from repro.gsino.budgeting import compute_budgets
 from repro.gsino.config import GsinoConfig
 from repro.gsino.pipeline import compare_flows, run_gsino
 from repro.obs.events import EventLog, read_events
 from repro.obs.trace import Tracer
+from repro.router.iterative_deletion import RouterReport
 from repro.service import Job, ResultStore, Scheduler
 from repro.service.scenarios import (
     FlowScenarioSpec,
@@ -528,6 +533,52 @@ class TestCodecs:
             decoded.routing.total_wirelength_um() == artifact.routing.total_wirelength_um()
         )
 
+    def test_routing_payload_is_flat_ints(self, flow_config):
+        """A pin-only route and a route over several pin regions round-trip."""
+        grid = RoutingGrid(
+            num_cols=3,
+            num_rows=3,
+            chip_width=300.0,
+            chip_height=210.0,
+            horizontal_capacity=4,
+            vertical_capacity=4,
+        )
+        netlist = Netlist(
+            [
+                Net(net_id=5, pins=(Pin(10.0, 10.0), Pin(20.0, 30.0))),
+                Net(net_id=2, pins=(Pin(250.0, 10.0), Pin(10.0, 10.0), Pin(150.0, 180.0))),
+            ]
+        )
+        routes = {
+            5: RouteTree(net_id=5, pin_regions=((0, 0),)),
+            2: RouteTree(
+                net_id=2,
+                pin_regions=((2, 0), (0, 0), (1, 2)),
+                edges=frozenset(
+                    {((1, 0), (0, 0)), ((2, 0), (1, 0)), ((1, 0), (1, 1)), ((1, 2), (1, 1))}
+                ),
+            ),
+        }
+        artifact = RoutingArtifact(
+            routing=RoutingSolution(grid, netlist, routes),
+            report=RouterReport(num_nets=2, initial_edges=9, deleted_edges=5, kept_edges=4),
+        )
+        payload = self._roundtrip(encode_routing(artifact))
+        assert payload["routes"] == [
+            [5, [0, 0], []],
+            [2, [2, 0, 0, 0, 1, 2], [0, 0, 1, 0, 1, 0, 1, 1, 1, 0, 2, 0, 1, 1, 1, 2]],
+        ]
+        context = build_context(grid, netlist, flow_config, Engine())
+        decoded = decode_routing(context, payload)
+        assert decoded.report == artifact.report
+        assert list(decoded.routing.routes) == [5, 2]
+        for net_id, route in routes.items():
+            assert decoded.routing.routes[net_id].pin_regions == route.pin_regions
+            assert decoded.routing.routes[net_id].edges == route.edges
+        payload["routes"][1][2] = payload["routes"][1][2][:-1]
+        with pytest.raises(ValueError):
+            decode_routing(context, payload)
+
     def test_panels_roundtrip(self, artifacts):
         _context, values = artifacts
         artifact = values[PANELS_GSINO]
@@ -566,6 +617,20 @@ class TestCodecs:
         assert decoded.metrics.summary() == artifact.metrics.summary()
         assert decoded.metrics.crosstalk.net_noise == artifact.metrics.crosstalk.net_noise
         assert decoded.congestion.total_overflow() == artifact.congestion.total_overflow()
+
+
+class TestPhase3Caps:
+    def test_pass2_cap_is_reported(self, flow_circuit, flow_config):
+        capped = run_gsino(
+            flow_circuit.grid,
+            flow_circuit.netlist,
+            dataclasses.replace(flow_config, max_pass2_regions=1),
+        ).phase3_report
+        assert capped.pass2_regions_examined == 1
+        assert capped.pass2_capped
+        default = run_gsino(flow_circuit.grid, flow_circuit.netlist, flow_config).phase3_report
+        assert not default.pass2_capped
+        assert not default.pass1_capped
 
 
 class TestSpeculativePhase3:
