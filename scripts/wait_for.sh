@@ -81,15 +81,12 @@ echo "wait_for.sh: TIMEOUT after ${timeout}s (${attempts} attempts): ${desc}" >&
 if [ -n "$root" ]; then
     echo "wait_for.sh: last events under ${root}:" >&2
     repro events --root "$root" --tail 50 >&2 || true
-    # Raw per-stream tails as well: the merged CLI view can itself be the
-    # broken thing, and on sharded roots the failure is often visible only
-    # in one shard's stream.
-    for log in "$root"/events/log.jsonl "$root"/events/s*/log.jsonl; do
-        if [ -f "$log" ]; then
-            echo "wait_for.sh: == ${log} ==" >&2
-            tail -n 20 "$log" >&2 || true
-        fi
-    done
+    # The raw tail as well: the CLI reader can itself be the broken thing.
+    log="$root/events/log.jsonl"
+    if [ -f "$log" ]; then
+        echo "wait_for.sh: == ${log} ==" >&2
+        tail -n 20 "$log" >&2 || true
+    fi
 fi
 if [ -n "${REPRO_GATEWAY_URL:-}" ]; then
     echo "wait_for.sh: gateway health at ${REPRO_GATEWAY_URL}/healthz:" >&2

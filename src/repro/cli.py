@@ -67,7 +67,7 @@ tails it and ``metrics`` aggregates the fleet's snapshots (see DESIGN.md
     python -m repro.cli flows   --run gsino --trace
 
 ``watch`` (with the ``[tui]`` extra installed) opens a live terminal
-dashboard over the same data — worker liveness, per-shard queue depth and
+dashboard over the same data — worker liveness, queue depth and
 throughput, an event tail, and keyboard cancel/requeue::
 
     python -m repro.cli watch --root svc
@@ -107,13 +107,11 @@ from repro.obs.health import collect_fleet_health, format_health
 from repro.obs.metrics import fleet_metrics_from_events, format_metrics
 from repro.obs.trace import Tracer, maybe_span, set_active_tracer
 from repro.service import (
-    MAX_SHARDS,
     ClusterConfig,
     ClusterSupervisor,
     ClusterWorker,
     ResultStore,
     WorkerConfig,
-    ensure_layout,
     gc_service,
     list_scenarios,
     request_cancel,
@@ -123,6 +121,7 @@ from repro.service import (
     wait_for_job,
 )
 from repro.service.cluster import format_loadgen_report
+from repro.service.daemon import refuse_sharded_root
 from repro.service.gateway import (
     GatewayConfig,
     format_http_loadgen_report,
@@ -322,20 +321,10 @@ def _add_serve_parser(subparsers: argparse._SubParsersAction) -> None:
     parser.add_argument(
         "--poll", type=_positive_float, default=0.5, metavar="SECONDS", help="spool poll interval"
     )
-    parser.add_argument(
-        "--shards",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="split the spool into N hash-keyed shards (migrating the root "
-        "in place if needed); workers drain their home shard first and "
-        "steal from the others when idle (default: keep the root's layout)",
-    )
     # Internal: how the supervisor names each fleet member.  Operators use
-    # `--workers K`; these exist so a worker process is just another
+    # `--workers K`; this exists so a worker process is just another
     # `repro serve` invocation.
     parser.add_argument("--worker-label", default="worker", help=argparse.SUPPRESS)
-    parser.add_argument("--home-shard", type=int, default=None, help=argparse.SUPPRESS)
     parser.add_argument(
         "--store-max-mb",
         type=_positive_float,
@@ -401,7 +390,7 @@ def _add_status_parser(subparsers: argparse._SubParsersAction) -> None:
     parser.add_argument(
         "--health",
         action="store_true",
-        help="include typed per-worker / per-shard health verdicts",
+        help="include typed per-worker health verdicts and the queue record",
     )
 
 
@@ -536,12 +525,6 @@ def _add_events_parser(subparsers: argparse._SubParsersAction) -> None:
     )
     parser.add_argument(
         "--job", default=None, metavar="ID", help="only events touching one job id"
-    )
-    parser.add_argument(
-        "--shard",
-        default=None,
-        metavar="sNN",
-        help="only events tagged with one spool shard (sharded roots)",
     )
     parser.add_argument(
         "--json", action="store_true", help="one raw JSON record per line (JSONL)"
@@ -839,7 +822,6 @@ def _run_serve(args: argparse.Namespace) -> int:
                 poll_interval=args.poll,
                 lease_ttl=args.lease_ttl,
                 store_max_bytes=_mb_to_bytes(args.store_max_mb),
-                shards=args.shards,
             )
         )
         print(
@@ -853,9 +835,7 @@ def _run_serve(args: argparse.Namespace) -> int:
             f"({supervisor.restarts} restart(s))"
         )
         return 0
-    # One in-process worker.  Migrating first keeps `serve --shards N` able
-    # to reshard a root; the worker itself never changes the shard count.
-    ensure_layout(args.root, args.shards)
+    # One in-process worker.
     worker = ClusterWorker(
         WorkerConfig(
             root=args.root,
@@ -865,7 +845,6 @@ def _run_serve(args: argparse.Namespace) -> int:
             poll_interval=args.poll,
             lease_ttl=args.lease_ttl,
             store_max_bytes=_mb_to_bytes(args.store_max_mb),
-            home_shard=args.home_shard,
         )
     )
     print(f"worker {worker.identity.worker_id} serving {args.root}", flush=True)
@@ -1080,17 +1059,11 @@ def _render_cluster(cluster: Optional[Dict[str, object]]) -> str:
             f"reclaimed={heartbeat.get('jobs_reclaimed', 0)} "
             f"throughput={info.get('throughput_jobs_per_s', 0.0):.2f} jobs/s lease={lease}"
         )
-    for shard_name, depth in sorted((cluster.get("shards") or {}).items()):
-        lines.append(
-            f"  shard {shard_name}: queued={depth.get('queued', 0)} "
-            f"leased={depth.get('leased', 0)}"
-        )
     for lease in cluster.get("leases") or []:
         expires = lease.get("expires_in")
         expiry_note = f", expires in {expires:.1f}s" if expires is not None else ""
-        shard_note = f" in {lease['shard']}" if lease.get("shard") else ""
         lines.append(
-            f"  lease: {lease['job_id']} held by {lease['worker_id']}{shard_note} "
+            f"  lease: {lease['job_id']} held by {lease['worker_id']} "
             f"(age {lease['age_seconds']:.1f}s{expiry_note})"
         )
     return "\n".join(lines)
@@ -1118,13 +1091,11 @@ def _run_events(args: argparse.Namespace) -> int:
             for record in follow_events(args.root, poll_interval=args.poll):
                 if args.job is not None and record.get("job") != args.job:
                     continue
-                if args.shard is not None and record.get("shard") != args.shard:
-                    continue
                 print(render(record), flush=True)
         except KeyboardInterrupt:
             pass
         return 0
-    records = read_events(args.root, job_id=args.job, shard=args.shard, tail=args.tail)
+    records = read_events(args.root, job_id=args.job, tail=args.tail)
     for record in records:
         print(render(record))
     if not records and not args.json:
@@ -1197,10 +1168,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # each worker is --backend-workers and needs a parallel backend.
         if args.backend_workers is not None and args.backend == "serial":
             parser.error("--backend-workers requires a parallel backend (thread|process)")
-        if args.shards is not None and args.shards > MAX_SHARDS:
-            parser.error(f"--shards must be at most {MAX_SHARDS}")
-        if args.home_shard is not None and args.home_shard < 0:
-            parser.error("--home-shard must be non-negative")
     elif getattr(args, "workers", None) is not None and args.backend == "serial":
         parser.error("--workers requires a parallel backend (--backend thread|process)")
     if getattr(args, "store", None) is not None and getattr(args, "no_cache", False):
@@ -1230,6 +1197,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if handler is None:
         parser.error(f"unknown command {args.command!r}")
         return 2
+    if getattr(args, "root", None) is not None:
+        try:
+            refuse_sharded_root(args.root)
+        except RuntimeError as error:
+            raise SystemExit(f"repro {args.command}: {error}") from None
     try:
         return handler(args)
     except BrokenPipeError:

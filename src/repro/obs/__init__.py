@@ -1,21 +1,21 @@
 """repro.obs — dependency-light observability: events, traces, metrics, snapshots.
 
-Six small, stdlib-only modules threaded through engine, flow, service and
+Five small, stdlib-only modules threaded through engine, flow, service and
 cluster:
 
 * :mod:`repro.obs.events` — crash-safe append-only JSONL event log per
   service root (atomic line appends, rotation, per-writer sequence numbers,
-  schema-versioned records; per-shard streams on sharded roots);
-* :mod:`repro.obs.aggregate` — the merge-reader presenting a root's N
-  event streams as one globally-ordered iterator / incremental cursor;
+  schema-versioned records) with a replaying reader and an incremental
+  cursor;
 * :mod:`repro.obs.trace` — nestable span tracing for solves and flow
   stages, with a JSON trace tree and a flamegraph-style text report;
 * :mod:`repro.obs.metrics` — process-local counters/gauges/histograms
   snapshotted into the event log at heartbeat boundaries;
 * :mod:`repro.obs.snapshot` — typed ``ServiceSnapshot``/``WorkerSnapshot``
   objects behind ``repro status``, plus event-log job-status replay;
-* :mod:`repro.obs.health` — per-worker / per-shard health verdicts folded
-  from heartbeats and the merged event stream (``repro watch``'s model).
+* :mod:`repro.obs.health` — per-worker health verdicts and one queue
+  record folded from heartbeats and the event log (``repro watch``'s
+  model).
 
 Layering: engine and flow code may import :mod:`repro.obs` (it is
 stdlib-only at module level); :mod:`repro.obs.snapshot` and
@@ -23,7 +23,6 @@ stdlib-only at module level); :mod:`repro.obs.snapshot` and
 functions, so no import cycle exists.
 """
 
-from repro.obs.aggregate import MergedEventCursor, iter_merged_events, stream_dirs
 from repro.obs.events import (
     EVENT_SCHEMA_VERSION,
     EventCursor,
@@ -36,7 +35,7 @@ from repro.obs.events import (
 )
 from repro.obs.health import (
     FleetHealth,
-    ShardHealth,
+    QueueHealth,
     WorkerHealth,
     classify_worker,
     collect_fleet_health,
@@ -67,16 +66,13 @@ __all__ = [
     "EVENT_SCHEMA_VERSION",
     "EventCursor",
     "EventLog",
-    "MergedEventCursor",
     "event_log_for",
     "follow_events",
     "format_event",
     "iter_events",
-    "iter_merged_events",
     "read_events",
-    "stream_dirs",
     "FleetHealth",
-    "ShardHealth",
+    "QueueHealth",
     "WorkerHealth",
     "classify_worker",
     "collect_fleet_health",

@@ -9,29 +9,11 @@ snapshots, loadgen derives latency percentiles from it, and the typed
 status snapshot (:mod:`repro.obs.snapshot`) can reconstruct per-job status
 from it without re-scanning the spool.
 
-On-disk layout (flat root)::
+On-disk layout::
 
     <root>/events/
         log.jsonl                        # current segment (all writers append)
         log-000001-<pid>-<nonce>.jsonl   # rotated segments, oldest first
-
-On a *sharded* root (PR 7's ``shards.json`` marker) every writer appends
-to one per-shard stream instead, so event appends never contend across
-shards — the same degenerate-case rule as the spool: one shard *is* the
-flat layout above, byte-identical::
-
-    <root>/events/
-        log.jsonl                        # pre-migration history + stray clients
-        s00/log.jsonl                    # shard-0 stream (own rotation)
-        s01/log.jsonl                    # ...
-
-A cluster worker appends to its home shard; any other writer (gateway,
-clients) picks a stable shard by hashing its writer name.  The flat
-stream remains a legitimate member of the set — it holds everything
-written before the migration, the ``resharded`` record itself, and
-appends from clients whose cached log predates the marker — so readers
-always merge ``events/`` plus every ``events/s*/`` stream
-(:mod:`repro.obs.aggregate`), presenting one globally-ordered iterator.
 
 Durability and concurrency rules:
 
@@ -46,8 +28,10 @@ Durability and concurrency rules:
 * **Size-based rotation.**  A writer that finds the current segment over
   ``max_segment_bytes`` renames it to a fresh uniquely-named segment
   (atomic; concurrent rotators race the rename and exactly one wins) and
-  appends to a new current file.  Readers merge segments in name order,
-  current segment last.
+  appends to a new current file.  Readers take rotated segments in
+  rotation-index order, current segment last; two segments sharing an
+  index (see :meth:`EventLog._rotate`) are ordered by their first
+  record's timestamp.
 * **Corrupt-tail tolerance.**  A torn or garbage line (crash mid-write,
   disk-full truncation) is skipped and counted by readers, never fatal —
   the records before and after it are still served.  Writers self-heal a
@@ -62,13 +46,13 @@ Durability and concurrency rules:
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 import os
 import threading
 import time
 import uuid
+from collections import Counter
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Union
 
@@ -88,47 +72,49 @@ Event = Dict[str, object]
 
 
 def events_dir(root: Union[str, Path]) -> Path:
-    """The (flat) events directory of a service root."""
+    """The events directory of a service root."""
     return Path(root) / EVENTS_DIR_NAME
 
 
-def _shard_count(root: Union[str, Path]) -> int:
-    """Shard count of a root per its ``shards.json`` marker; 1 when flat.
+def _rotation_index(path: Path) -> str:
+    """The zero-padded index of a rotated segment (``log-<index>-…``)."""
+    return path.name.split("-", 2)[1]
 
-    Parsed locally (not via :func:`repro.service.sharding.read_layout`)
-    because the sharding module imports this one at module level, and an
-    event writer must never fail to append over an unreadable marker —
-    any problem degrades to the flat stream, which readers always merge.
-    """
+
+def _first_ts(path: Path) -> float:
+    """Timestamp of a segment's first readable record (0.0 if it has none)."""
     try:
-        payload = json.loads((Path(root) / "shards.json").read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
-        return 1
-    if not isinstance(payload, dict) or payload.get("layout_version") != 1:
-        return 1
-    shards = payload.get("shards")
-    return shards if isinstance(shards, int) and shards > 1 else 1
-
-
-def _writer_shard_index(writer: str, shards: int) -> int:
-    """Stable stream assignment of a writer name (same hash as the spool's)."""
-    if shards <= 1:
-        return 0
-    digest = hashlib.blake2b(writer.encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "big") % shards
-
-
-def stream_dir(root: Union[str, Path], shard: Optional[int]) -> Path:
-    """Directory of one event stream: the flat one (``shard=None``) or ``sNN``."""
-    base = events_dir(root)
-    return base if shard is None else base / f"s{shard:02d}"
+        with open(path, "rb") as handle:
+            for line in handle:
+                record = _parse_line(line.decode("utf-8", errors="replace"))
+                if record is not None:
+                    ts = record.get("ts")
+                    return float(ts) if isinstance(ts, (int, float)) else 0.0
+    except OSError:
+        pass
+    return 0.0
 
 
 def _segment_paths(directory: Path) -> List[Path]:
-    """Every log segment, rotated segments first (name order), current last."""
+    """Every log segment, oldest first: rotated segments, then the current one.
+
+    Rotated segments go in rotation-index order.  Two rotators can pick
+    the same index (see :meth:`EventLog._rotate`); only then is each tied
+    segment's first line read, and the one whose first record is older
+    goes first, because it was the current segment first.
+    """
     if not directory.exists():
         return []
     rotated = sorted(directory.glob("log-*.jsonl"))
+    ties = Counter(_rotation_index(path) for path in rotated)
+    if len(ties) < len(rotated):
+        # A stable sort: untied segments keep their name order.
+        rotated.sort(
+            key=lambda path: (
+                _rotation_index(path),
+                _first_ts(path) if ties[_rotation_index(path)] > 1 else 0.0,
+            )
+        )
     current = directory / _CURRENT_NAME
     return rotated + ([current] if current.exists() else [])
 
@@ -141,13 +127,9 @@ class EventLog:
     so rotation by a concurrent process is picked up immediately and no
     stale descriptor can resurrect a rotated file.
 
-    On a sharded root the log appends to one per-shard stream, resolved
-    once at construction: the explicit ``shard`` (a cluster worker's home
-    shard) or, absent that, a stable hash of the writer name.  A flat root
-    ignores ``shard`` entirely and appends to ``events/log.jsonl`` exactly
-    as before.  ``nonce`` is this instance's start nonce: it rides every
-    ``metrics`` snapshot so aggregators can tell generations of a reused
-    writer label apart instead of silently keeping only the latest.
+    ``nonce`` is this instance's start nonce: it rides every ``metrics``
+    snapshot so aggregators can tell generations of a reused writer label
+    apart instead of silently keeping only the latest.
     """
 
     def __init__(
@@ -155,20 +137,12 @@ class EventLog:
         root: Union[str, Path],
         writer: Optional[str] = None,
         max_segment_bytes: int = DEFAULT_MAX_SEGMENT_BYTES,
-        shard: Optional[int] = None,
     ) -> None:
         if max_segment_bytes < 1:
             raise ValueError(f"max_segment_bytes must be positive, got {max_segment_bytes}")
         self.root = Path(root)
         self.writer = writer or f"proc-{os.getpid()}-{uuid.uuid4().hex[:6]}"
-        shards = _shard_count(self.root)
-        if shards <= 1:
-            self.shard: Optional[int] = None
-        elif shard is not None:
-            self.shard = shard % shards
-        else:
-            self.shard = _writer_shard_index(self.writer, shards)
-        self.dir = stream_dir(self.root, self.shard)
+        self.dir = events_dir(self.root)
         self.nonce = uuid.uuid4().hex[:8]
         self.max_segment_bytes = max_segment_bytes
         self._seq = 0
@@ -231,11 +205,14 @@ class EventLog:
     def _rotate(self, current: Path) -> None:
         """Rename the oversized current segment aside (exactly one racer wins).
 
-        The target name embeds the next rotation index (for name-order
+        The target name embeds the next rotation index (for ordered
         reads), this pid and a random nonce, so two concurrent rotators can
         never rename onto each other's segment; the loser's rename fails
         with ``ENOENT`` (the source is gone) and it simply appends to the
-        fresh current file.
+        fresh current file.  A rotator that lists the segments, then loses
+        the CPU while a peer rotates and appends, renames the peer's fresh
+        segment under the same index as the peer's; readers break that tie
+        by each segment's first timestamp (:func:`_segment_paths`).
         """
         rotated = sorted(self.dir.glob("log-*.jsonl"))
         index = len(rotated) + 1
@@ -281,57 +258,40 @@ def _parse_line(line: str) -> Optional[Event]:
     return record
 
 
-def iter_stream(directory: Path) -> Iterator[Event]:
-    """Every readable event of ONE stream directory, in append order."""
-    for path in _segment_paths(directory):
+def iter_events(
+    root: Union[str, Path],
+    job_id: Optional[str] = None,
+    event: Optional[str] = None,
+) -> Iterator[Event]:
+    """Every readable event of a root in append order, optionally filtered.
+
+    ``job_id`` keeps only records whose ``job`` field matches; ``event``
+    keeps only records of one event type.  Unreadable lines are skipped.
+    """
+    for path in _segment_paths(events_dir(root)):
         try:
             text = path.read_text(encoding="utf-8")
         except OSError:
             continue
         for line in text.splitlines():
             record = _parse_line(line)
-            if record is not None:
-                yield record
-
-
-def iter_events(
-    root: Union[str, Path],
-    job_id: Optional[str] = None,
-    event: Optional[str] = None,
-    shard: Optional[str] = None,
-) -> Iterator[Event]:
-    """Every readable event of a root, oldest first, optionally filtered.
-
-    On a sharded root this is the merge of the flat stream and every
-    per-shard stream, globally ordered (:mod:`repro.obs.aggregate`); a
-    flat root reads its single stream in plain append order, exactly as
-    before sharding existed.  ``job_id`` keeps only records whose ``job``
-    field matches; ``event`` keeps only records of one event type;
-    ``shard`` keeps only records tagged with one spool shard (``s00``…,
-    emitted on sharded roots).  Unreadable lines are skipped.
-    """
-    # Lazy import: aggregate builds on this module's stream primitives.
-    from repro.obs.aggregate import iter_merged_events
-
-    for record in iter_merged_events(root):
-        if job_id is not None and record.get("job") != job_id:
-            continue
-        if event is not None and record.get("event") != event:
-            continue
-        if shard is not None and record.get("shard") != shard:
-            continue
-        yield record
+            if record is None:
+                continue
+            if job_id is not None and record.get("job") != job_id:
+                continue
+            if event is not None and record.get("event") != event:
+                continue
+            yield record
 
 
 def read_events(
     root: Union[str, Path],
     job_id: Optional[str] = None,
     event: Optional[str] = None,
-    shard: Optional[str] = None,
     tail: Optional[int] = None,
 ) -> List[Event]:
     """Events of a root as a list; ``tail=N`` keeps only the newest N."""
-    records = list(iter_events(root, job_id=job_id, event=event, shard=shard))
+    records = list(iter_events(root, job_id=job_id, event=event))
     if tail is not None and tail >= 0:
         records = records[len(records) - min(tail, len(records)) :]
     return records
@@ -346,14 +306,10 @@ class EventCursor:
     ever skipped or double-delivered across a rotation.  A partial last
     line (a write caught mid-flight) is left unconsumed until it gains its
     terminating newline.
-
-    One cursor watches ONE stream directory — the flat one by default.
-    On sharded roots use :class:`repro.obs.aggregate.MergedEventCursor`,
-    which holds one of these per stream and merges their polls.
     """
 
-    def __init__(self, root: Union[str, Path], directory: Optional[Path] = None) -> None:
-        self.dir = events_dir(root) if directory is None else directory
+    def __init__(self, root: Union[str, Path]) -> None:
+        self.dir = events_dir(root)
         self._offsets: Dict[int, int] = {}
         self.skipped = 0  # unreadable (torn/foreign) lines seen
 
@@ -400,8 +356,7 @@ def follow_events(
     """Yield events as they are appended (the ``repro events --follow`` loop).
 
     Replays the existing log first, then polls for new records until
-    ``stop()`` returns True (or forever).  Reads through the merge cursor,
-    so per-shard streams of a sharded root are followed too.
+    ``stop()`` returns True (or forever).
 
     Idle polls back off exponentially: every empty poll doubles the sleep,
     up to ``max_interval`` (default: the larger of ``poll_interval`` and
@@ -413,9 +368,7 @@ def follow_events(
         raise ValueError(f"poll_interval must be positive, got {poll_interval}")
     if max_interval is None:
         max_interval = max(poll_interval, MAX_IDLE_POLL_INTERVAL)
-    from repro.obs.aggregate import MergedEventCursor
-
-    cursor = MergedEventCursor(root)
+    cursor = EventCursor(root)
     delay = poll_interval
     while True:
         records = cursor.poll()
@@ -454,8 +407,6 @@ __all__ = [
     "EventCursor",
     "event_log_for",
     "events_dir",
-    "stream_dir",
-    "iter_stream",
     "iter_events",
     "read_events",
     "follow_events",

@@ -1,12 +1,11 @@
-"""Fleet health: typed per-worker / per-shard verdicts from one merged read.
+"""Fleet health: typed per-worker verdicts and one queue record from one read.
 
 ``status --cluster`` reports raw facts (heartbeat ages, lease files);
-this module folds those facts plus the merged event stream into
-*verdicts* an operator (or the ``repro watch`` dashboard, or an alerting
-gateway) can act on without re-deriving thresholds: every worker gets
-one of five states, every shard gets queue depth, claim-latency
-percentiles and reclaim/steal rates, and the fleet gets the worst-worker
-rollup.
+this module folds those facts plus the event log into *verdicts* an
+operator (or the ``repro watch`` dashboard, or an alerting gateway) can
+act on without re-deriving thresholds: every worker gets one of five
+states, the spool queue gets its depth, claim-latency percentiles and
+reclaim count, and the fleet gets the worst-worker rollup.
 
 Worker state machine — driven entirely by the heartbeat, with the same
 staleness bound reclaim uses (``worker_is_alive``), so health can never
@@ -23,12 +22,11 @@ worker.  The ``lagging``/``stalled`` split matters operationally: a
 lagging worker still holds its leases (peers must not steal), a stalled
 one is already being reclaimed from.
 
-Shard statistics replay the merged event stream once: claim latency is
-``claimed.ts - submitted.ts`` per job, steal/reclaim counts come from
-the tagged ``claimed``/``reclaimed`` records, and the queue trend
-compares submissions against claims over the newest half of the window
-(``rising`` / ``falling`` / ``flat``).  Flat roots fold everything into
-the pseudo-shard ``"-"``.
+Queue statistics replay the event log once: claim latency is
+``claimed.ts - submitted.ts`` per job, the reclaim count comes from the
+``reclaimed`` records, and the queue trend compares submissions against
+claims over the newest half of the window (``rising`` / ``falling`` /
+``flat``).
 
 Stdlib-only, read-only; service-layer imports happen lazily inside
 :func:`collect_fleet_health`, same as :mod:`repro.obs.snapshot`.
@@ -53,9 +51,6 @@ STATE_STOPPED = "stopped"
 #: Severity order of the rollup; ``stopped`` is informational, not ill.
 _SEVERITY = (STATE_OK, STATE_STOPPED, STATE_LAGGING, STATE_STALLED, STATE_DEAD)
 
-#: Name of the pseudo-shard all flat-root activity folds into.
-FLAT_SHARD = "-"
-
 
 @dataclass
 class WorkerHealth:
@@ -69,7 +64,6 @@ class WorkerHealth:
     jobs_reclaimed: int = 0
     throughput_jobs_per_s: float = 0.0
     lease: Optional[str] = None
-    home_shard: Optional[str] = None
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -81,21 +75,18 @@ class WorkerHealth:
             "jobs_reclaimed": self.jobs_reclaimed,
             "throughput_jobs_per_s": self.throughput_jobs_per_s,
             "lease": self.lease,
-            "home_shard": self.home_shard,
         }
 
 
 @dataclass
-class ShardHealth:
-    """One spool shard's queue and claim statistics from the event stream."""
+class QueueHealth:
+    """The spool queue's depth and claim statistics from the event log."""
 
-    shard: str
     queued: int = 0
     leased: int = 0
     submitted: int = 0
     claims: int = 0
     releases: int = 0
-    steals: int = 0
     reclaims: int = 0
     claim_latency_p50: Optional[float] = None
     claim_latency_p95: Optional[float] = None
@@ -103,13 +94,11 @@ class ShardHealth:
 
     def to_dict(self) -> Dict[str, object]:
         return {
-            "shard": self.shard,
             "queued": self.queued,
             "leased": self.leased,
             "submitted": self.submitted,
             "claims": self.claims,
             "releases": self.releases,
-            "steals": self.steals,
             "reclaims": self.reclaims,
             "claim_latency_p50": self.claim_latency_p50,
             "claim_latency_p95": self.claim_latency_p95,
@@ -119,17 +108,17 @@ class ShardHealth:
 
 @dataclass
 class FleetHealth:
-    """The whole fleet: per-worker verdicts, per-shard stats, one rollup."""
+    """The whole fleet: per-worker verdicts, the queue record, one rollup."""
 
     verdict: str = "idle"
     workers: Dict[str, WorkerHealth] = field(default_factory=dict)
-    shards: Dict[str, ShardHealth] = field(default_factory=dict)
+    queue: QueueHealth = field(default_factory=QueueHealth)
 
     def to_dict(self) -> Dict[str, object]:
         return {
             "verdict": self.verdict,
             "workers": {wid: worker.to_dict() for wid, worker in sorted(self.workers.items())},
-            "shards": {name: shard.to_dict() for name, shard in sorted(self.shards.items())},
+            "queue": self.queue.to_dict(),
         }
 
 
@@ -160,7 +149,7 @@ def _sorted_percentile(values: List[float], fraction: float) -> float:
 
 
 def collect_fleet_health(root: Union[str, Path], now: Optional[float] = None) -> FleetHealth:
-    """Fold heartbeats + merged events into one :class:`FleetHealth`.
+    """Fold heartbeats + the event log into one :class:`FleetHealth`.
 
     Pure reads; meaningful on any root (an event-less, worker-less root
     yields the ``idle`` verdict with empty tables).
@@ -179,7 +168,6 @@ def collect_fleet_health(root: Union[str, Path], now: Optional[float] = None) ->
         updated = float(heartbeat.get("updated_at", now))
         uptime = max(1e-9, updated - started)
         lease = heartbeat.get("lease")
-        home = heartbeat.get("home_shard")
         health.workers[worker_id] = WorkerHealth(
             worker_id=worker_id,
             state=state,
@@ -189,15 +177,15 @@ def collect_fleet_health(root: Union[str, Path], now: Optional[float] = None) ->
             jobs_reclaimed=int(heartbeat.get("jobs_reclaimed", 0)),
             throughput_jobs_per_s=round(int(heartbeat.get("jobs_done", 0)) / uptime, 4),
             lease=lease if isinstance(lease, str) else None,
-            home_shard=home if isinstance(home, str) else None,
         )
 
-    # One replay of the merged stream feeds every per-shard statistic.
+    # One replay of the event log feeds every queue statistic.
+    queue = health.queue
     submitted_ts: Dict[str, float] = {}
-    latencies: Dict[str, List[float]] = {}
-    flow: List[Tuple[float, str, int]] = []  # (ts, shard, +1 submit / -1 claim)
-    outstanding: Dict[str, str] = {}  # job -> shard of jobs submitted, not yet terminal
-    leased_jobs: Dict[str, str] = {}
+    latencies: List[float] = []
+    flow: List[Tuple[float, int]] = []  # (ts, +1 submit / -1 claim)
+    outstanding: set = set()  # jobs submitted, not yet terminal
+    leased_jobs: set = set()
     for record in iter_events(root):
         kind = record.get("event")
         job = record.get("job")
@@ -205,56 +193,42 @@ def collect_fleet_health(root: Union[str, Path], now: Optional[float] = None) ->
             continue
         if not isinstance(job, str):
             continue
-        tag = record.get("shard")
-        shard_name = tag if isinstance(tag, str) else FLAT_SHARD
         ts = float(record.get("ts", 0.0))
-        shard = health.shards.get(shard_name)
-        if shard is None:
-            shard = health.shards[shard_name] = ShardHealth(shard=shard_name)
         if kind == "submitted":
-            shard.submitted += 1
+            queue.submitted += 1
             submitted_ts[job] = ts
-            outstanding[job] = shard_name
-            flow.append((ts, shard_name, 1))
+            outstanding.add(job)
+            flow.append((ts, 1))
         elif kind == "claimed":
-            shard.claims += 1
-            if record.get("steal"):
-                shard.steals += 1
+            queue.claims += 1
             if job in submitted_ts:
-                latencies.setdefault(shard_name, []).append(ts - submitted_ts[job])
-            leased_jobs[job] = shard_name
-            flow.append((ts, shard_name, -1))
+                latencies.append(ts - submitted_ts[job])
+            leased_jobs.add(job)
+            flow.append((ts, -1))
         elif kind == "reclaimed":
-            shard.reclaims += 1
-            leased_jobs.pop(job, None)
+            queue.reclaims += 1
+            leased_jobs.discard(job)
             if record.get("status") == "queued":
-                flow.append((ts, shard_name, 1))
+                flow.append((ts, 1))
         else:  # released
-            shard.releases += 1
-            leased_jobs.pop(job, None)
-            status = record.get("status")
-            if status == "queued":  # retry requeue: back in line
-                flow.append((ts, shard_name, 1))
+            queue.releases += 1
+            leased_jobs.discard(job)
+            if record.get("status") == "queued":  # retry requeue: back in line
+                flow.append((ts, 1))
             else:
-                outstanding.pop(job, None)
+                outstanding.discard(job)
 
-    for job, shard_name in outstanding.items():
-        if job in leased_jobs:
-            health.shards[shard_name].leased += 1
-        else:
-            health.shards[shard_name].queued += 1
-    for shard_name, values in latencies.items():
-        values.sort()
-        shard = health.shards[shard_name]
-        shard.claim_latency_p50 = _sorted_percentile(values, 0.50)
-        shard.claim_latency_p95 = _sorted_percentile(values, 0.95)
+    queue.leased = len(outstanding & leased_jobs)
+    queue.queued = len(outstanding) - queue.leased
+    if latencies:
+        latencies.sort()
+        queue.claim_latency_p50 = _sorted_percentile(latencies, 0.50)
+        queue.claim_latency_p95 = _sorted_percentile(latencies, 0.95)
     if flow:
         # Trend = net queue movement over the newest half of the window.
         flow.sort(key=lambda entry: entry[0])
-        half = flow[len(flow) // 2 :]
-        for shard_name, shard in health.shards.items():
-            net = sum(delta for _ts, name, delta in half if name == shard_name)
-            shard.queue_trend = "rising" if net > 0 else ("falling" if net < 0 else "flat")
+        net = sum(delta for _ts, delta in flow[len(flow) // 2 :])
+        queue.queue_trend = "rising" if net > 0 else ("falling" if net < 0 else "flat")
 
     live = [w for w in health.workers.values() if w.state != STATE_STOPPED]
     if live:
@@ -271,24 +245,24 @@ def format_health(health: FleetHealth) -> str:
     lines = [f"health: {health.verdict}"]
     for worker_id, worker in sorted(health.workers.items()):
         lease = worker.lease or "-"
-        home = f" home={worker.home_shard}" if worker.home_shard else ""
         lines.append(
             f"  {worker_id:24s} {worker.state:8s} hb={worker.heartbeat_age:.1f}s "
             f"done={worker.jobs_done} failed={worker.jobs_failed} "
             f"reclaimed={worker.jobs_reclaimed} "
-            f"throughput={worker.throughput_jobs_per_s:.2f} jobs/s lease={lease}{home}"
+            f"throughput={worker.throughput_jobs_per_s:.2f} jobs/s lease={lease}"
         )
-    for name, shard in sorted(health.shards.items()):
+    queue = health.queue
+    if queue.submitted or queue.claims or queue.releases or queue.reclaims:
         latency = ""
-        if shard.claim_latency_p50 is not None and shard.claim_latency_p95 is not None:
+        if queue.claim_latency_p50 is not None and queue.claim_latency_p95 is not None:
             latency = (
-                f" claim_p50={shard.claim_latency_p50:.3f}s"
-                f" claim_p95={shard.claim_latency_p95:.3f}s"
+                f" claim_p50={queue.claim_latency_p50:.3f}s"
+                f" claim_p95={queue.claim_latency_p95:.3f}s"
             )
         lines.append(
-            f"  shard {name}: queued={shard.queued} leased={shard.leased} "
-            f"claims={shard.claims} steals={shard.steals} reclaims={shard.reclaims} "
-            f"trend={shard.queue_trend}{latency}"
+            f"  queue: queued={queue.queued} leased={queue.leased} "
+            f"claims={queue.claims} reclaims={queue.reclaims} "
+            f"trend={queue.queue_trend}{latency}"
         )
     if len(lines) == 1:
         lines.append("  (no workers or events recorded)")
@@ -301,9 +275,8 @@ __all__ = [
     "STATE_STALLED",
     "STATE_DEAD",
     "STATE_STOPPED",
-    "FLAT_SHARD",
     "WorkerHealth",
-    "ShardHealth",
+    "QueueHealth",
     "FleetHealth",
     "classify_worker",
     "collect_fleet_health",

@@ -62,59 +62,40 @@ class WorkerSnapshot:
 
 @dataclass
 class LeaseSnapshot:
-    """One active lease (a job claimed by a worker).
-
-    ``shard`` names the spool shard the lease lives in on a sharded root;
-    it stays ``None`` — and out of ``to_dict`` — on flat roots, keeping
-    the historical JSON shape byte-identical there.
-    """
+    """One active lease (a job claimed by a worker)."""
 
     job_id: str
     worker_id: str
     age_seconds: float = 0.0
     expires_in: float = 0.0
     attempts: int = 0
-    shard: Optional[str] = None
 
     def to_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
+        return {
             "job_id": self.job_id,
             "worker_id": self.worker_id,
             "age_seconds": self.age_seconds,
             "expires_in": self.expires_in,
             "attempts": self.attempts,
         }
-        if self.shard is not None:
-            payload["shard"] = self.shard
-        return payload
 
 
 @dataclass
 class ClusterSnapshot:
-    """Fleet view: workers keyed by id plus active leases.
-
-    ``shards`` maps shard name → ``{"queued": N, "leased": N}`` queue
-    depths on a sharded root; ``None`` (and absent from ``to_dict``) on a
-    flat one, so pre-sharding consumers of the cluster section see the
-    exact shape they always did.
-    """
+    """Fleet view: workers keyed by id plus active leases."""
 
     workers: Dict[str, WorkerSnapshot] = field(default_factory=dict)
     leases: List[LeaseSnapshot] = field(default_factory=list)
-    shards: Optional[Dict[str, Dict[str, int]]] = None
 
     @property
     def alive_workers(self) -> List[WorkerSnapshot]:
         return [worker for worker in self.workers.values() if worker.alive]
 
     def to_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
+        return {
             "workers": {wid: worker.to_dict() for wid, worker in self.workers.items()},
             "leases": [lease.to_dict() for lease in self.leases],
         }
-        if self.shards is not None:
-            payload["shards"] = self.shards
-        return payload
 
 
 @dataclass
@@ -188,7 +169,7 @@ class ServiceSnapshot:
         Jobs claimed under leases are reported as ``running`` and the
         ``cluster`` section carries per-worker liveness, throughput and the
         active leases.  ``with_health=True`` adds the
-        fleet-health fold (one extra pass over the merged event stream).
+        fleet-health fold (one extra pass over the event log).
         """
         # Lazy import: the service layer imports repro.obs for its emitters.
         from repro.service.daemon import _jobs_dir, _load_jobs, _load_leased_jobs
@@ -266,7 +247,6 @@ def collect_cluster(root: Union[str, Path]) -> Optional[ClusterSnapshot]:
         return None
     # Lazy import — see module docstring.
     from repro.service.cluster import active_leases, read_worker_heartbeats, worker_is_alive
-    from repro.service.sharding import read_layout
 
     snapshot = ClusterSnapshot()
     now = time.time()
@@ -281,23 +261,7 @@ def collect_cluster(root: Union[str, Path]) -> Optional[ClusterSnapshot]:
             throughput_jobs_per_s=round(int(heartbeat.get("jobs_done", 0)) / uptime, 4),
             heartbeat=heartbeat,
         )
-    layout = read_layout(root)
-    depths: Optional[Dict[str, Dict[str, int]]] = None
-    if layout.sharded:
-        depths = {}
-        for shard in range(layout.shards):
-            directory = layout.jobs_dir(shard)
-            queued = 0
-            for path in directory.glob("*.json") if directory.exists() else []:
-                try:
-                    record = json.loads(path.read_text(encoding="utf-8"))
-                except (OSError, json.JSONDecodeError):
-                    continue  # mid-write; next status call sees it
-                if isinstance(record, dict) and record.get("status") == "queued":
-                    queued += 1
-            depths[layout.shard_name(shard)] = {"queued": queued, "leased": 0}
     for lease in active_leases(root):
-        shard = lease.get("shard")
         snapshot.leases.append(
             LeaseSnapshot(
                 job_id=str(lease.get("job_id", "")),
@@ -305,12 +269,8 @@ def collect_cluster(root: Union[str, Path]) -> Optional[ClusterSnapshot]:
                 age_seconds=float(lease.get("age_seconds", 0.0)),
                 expires_in=float(lease.get("expires_in", 0.0)),
                 attempts=int(lease.get("attempts", 0)),
-                shard=shard if isinstance(shard, str) else None,
             )
         )
-        if depths is not None and isinstance(shard, str) and shard in depths:
-            depths[shard]["leased"] += 1
-    snapshot.shards = depths
     return snapshot
 
 
@@ -323,8 +283,7 @@ def job_statuses_from_events(root: Union[str, Path]) -> Optional[Dict[str, str]]
     back in line, e.g. from ``repro watch``) → queued,
     ``released``/``reclaimed`` → the status carried by the event (terminal
     statuses stick; a ``released`` back to ``queued`` — a retry — puts the
-    job back in line).  On sharded roots the replay runs over the merged
-    multi-shard stream, so it stays spool-exact across per-shard logs.
+    job back in line).
     """
     if not events_dir(root).exists():
         return None

@@ -2,8 +2,8 @@
 
 The engine layer (:mod:`repro.engine`) made panel solves dispatchable and
 cacheable *within* one process; this layer makes them durable *across*
-processes.  It is the subsystem every future scaling step (sharding, remote
-backends) builds on:
+processes.  It is the subsystem every future scaling step (remote backends)
+builds on:
 
 * :mod:`repro.service.store` — :class:`ResultStore`, a disk-backed,
   content-addressed store of solved panel layouts that plugs in as the
@@ -15,17 +15,14 @@ backends) builds on:
   :class:`~repro.engine.backends.ExecutionBackend`;
 * :mod:`repro.service.scenarios` — the scenario registry generating diverse
   synthetic workloads far beyond the paper's three tables;
-* :mod:`repro.service.daemon` — the file-based job spool and the client
+* :mod:`repro.service.daemon` — the file-based job spool (one flat
+  ``jobs/`` directory and one ``leases/`` tree per root) and the client
   helpers behind the ``repro submit`` / ``status`` / ``cancel`` / ``gc``
   CLI verbs, so submitters never need a network connection;
 * :mod:`repro.service.cluster` — the spool's one consumer: atomic
   lease-based claiming, per-worker heartbeats, crash reclaim, the lone
   worker behind ``repro serve``, the ``repro serve --workers K`` local
   fleet supervisor and the ``repro loadgen`` burst harness;
-* :mod:`repro.service.sharding` — the spool partitioning layer under both:
-  :class:`SpoolLayout` maps job ids to hash-keyed shards (``--shards N``),
-  with an in-place flat↔sharded migration and the work-stealing scan order
-  cluster workers drain it in;
 * :mod:`repro.service.gateway` — the HTTP front door (``repro gateway``):
   an asyncio JSON API that rate-limits, queues, and micro-batches remote
   submissions into the same spool, with an HTTP mode for ``repro loadgen``.
@@ -78,16 +75,6 @@ from repro.service.scenarios import (
     scenario_spec,
 )
 from repro.service.scheduler import JobOutcome, Scheduler, batch_compatible
-from repro.service.sharding import (
-    MAX_SHARDS,
-    SHARD_LAYOUT_VERSION,
-    SpoolLayout,
-    adopt_stray_records,
-    ensure_layout,
-    migrate_layout,
-    read_layout,
-    shard_index,
-)
 from repro.service.store import ResultStore, StoreStats, read_cumulative_store_stats
 
 __all__ = [
@@ -115,14 +102,6 @@ __all__ = [
     "register_scenario",
     "scenario_kind",
     "scenario_spec",
-    "MAX_SHARDS",
-    "SHARD_LAYOUT_VERSION",
-    "SpoolLayout",
-    "shard_index",
-    "read_layout",
-    "ensure_layout",
-    "migrate_layout",
-    "adopt_stray_records",
     "SubmitRequest",
     "submit_job",
     "submit_jobs",

@@ -9,15 +9,6 @@ no network — by adding two directories next to ``jobs/``::
         leases/<worker_id>/<job_id>.json    # claimed (running) records
         workers/<worker_id>.json            # per-worker heartbeats
 
-On a sharded root (``repro serve --shards N``, see
-:mod:`repro.service.sharding`) ``jobs/`` and ``leases/`` split into N
-hash-assigned shard directories (``jobs/s00/…``, ``leases/s00/<worker>/…``)
-and every worker gets a *home shard* (assigned round-robin by the
-supervisor) that it drains first, probing the other shards in a
-deterministic rotated order — work-stealing — only when its home is empty.
-All claim/reclaim/cancel/gc semantics below are per shard and unchanged;
-heartbeats stay unsharded (one per process).
-
 **Claiming is an atomic rename.**  A worker claims a queued job by renaming
 ``jobs/<id>.json`` into its own lease directory.  The filesystem serialises
 renames of one source path, so exactly one of N racing workers wins (the
@@ -72,20 +63,21 @@ from typing import Dict, List, Optional, Tuple, Union
 from repro.engine.backends import create_backend
 from repro.engine.cache import SolutionCache
 from repro.engine.panels import Engine
-from repro.obs.aggregate import MergedEventCursor
-from repro.obs.events import EventLog
+from repro.obs.events import EventCursor, EventLog
 from repro.obs.metrics import MetricsRegistry, fleet_metrics_from_events, process_registry
-from repro.service.daemon import _round_latency, submit_job
+from repro.service.daemon import (
+    _jobs_dir,
+    _round_latency,
+    cancel_path,
+    iter_lease_files,
+    job_path,
+    leases_dir,
+    refuse_sharded_root,
+    submit_job,
+)
 from repro.service.queue import TERMINAL_STATUSES, Job
 from repro.service.scheduler import Scheduler
 from repro.service.scenarios import scenario_spec
-from repro.service.sharding import (
-    MAX_SHARDS,
-    SpoolLayout,
-    adopt_stray_records,
-    ensure_layout,
-    read_layout,
-)
 from repro.service.store import ResultStore, atomic_write_text
 
 #: Worker heartbeats older than this are stale (scaled by the poll interval,
@@ -169,7 +161,6 @@ class LeaseManager:
         identity: WorkerIdentity,
         lease_ttl: float = DEFAULT_LEASE_TTL,
         events: Optional[EventLog] = None,
-        layout: Optional[SpoolLayout] = None,
     ) -> None:
         if lease_ttl <= 0:
             raise ValueError(f"lease_ttl must be positive, got {lease_ttl}")
@@ -177,28 +168,20 @@ class LeaseManager:
         self.identity = identity
         self.lease_ttl = lease_ttl
         self.events = events
-        self.layout = layout if layout is not None else read_layout(self.root)
-        # One lease directory per shard (just `leases/<worker_id>` flat).
-        self.my_dirs = self.layout.worker_lease_dirs(identity.worker_id)
-        for directory in self.my_dirs:
-            directory.mkdir(parents=True, exist_ok=True)
+        self.my_dir = leases_dir(self.root) / identity.worker_id
+        self.my_dir.mkdir(parents=True, exist_ok=True)
 
     # -- paths --------------------------------------------------------------------
 
-    @property
-    def my_dir(self) -> Path:
-        """This worker's lease directory on a flat root (shard 0)."""
-        return self.my_dirs[0]
-
     def _job_path(self, job_id: str) -> Path:
-        return self.layout.job_path(job_id)
+        return job_path(self.root, job_id)
 
     def lease_path(self, job_id: str) -> Path:
-        return self.my_dirs[self.layout.shard_of(job_id)] / f"{job_id}.json"
+        return self.my_dir / f"{job_id}.json"
 
     # -- claim / refresh / release --------------------------------------------------
 
-    def claim(self, job_id: str, stolen: bool = False) -> Optional[Job]:
+    def claim(self, job_id: str) -> Optional[Job]:
         """Try to claim a queued job; ``None`` when another worker won.
 
         The rename is the claim: after it succeeds this worker owns the
@@ -206,10 +189,6 @@ class LeaseManager:
         ``running``, attempts incremented, execution entry appended) is
         race-free.  A record that turns out to be unusable (unparsable,
         not queued) is put back where it was found.
-
-        ``stolen`` marks a cross-shard claim (the job lives outside the
-        claiming worker's home shard); it only affects the event tag and
-        the executions audit entry — the rename semantics are identical.
         """
         source = self._job_path(job_id)
         lease = self.lease_path(job_id)
@@ -232,7 +211,7 @@ class LeaseManager:
             return None
         job.status = "running"
         job.attempts += 1
-        job.record_claim(self.identity.worker_id, shard=self.layout.shard_tag(job_id))
+        job.record_claim(self.identity.worker_id)
         self.write_lease(job)
         if self.events is not None:
             self.events.emit(
@@ -240,8 +219,6 @@ class LeaseManager:
                 job=job.job_id,
                 worker=self.identity.worker_id,
                 attempt=job.attempts,
-                shard=self.layout.shard_tag(job_id),
-                steal=True if (stolen and self.layout.sharded) else None,
             )
         return job
 
@@ -309,7 +286,6 @@ class LeaseManager:
                 worker=self.identity.worker_id,
                 status=job.status,
                 latency=_round_latency(job.latency_seconds()),
-                shard=self.layout.shard_tag(job.job_id),
                 traceback=traceback_text,
             )
         return True
@@ -330,7 +306,7 @@ class LeaseManager:
         heartbeats = read_worker_heartbeats(self.root)
         reclaimed = 0
         scanned = 0
-        for lease_path, owner, shard in self._foreign_leases():
+        for lease_path, owner in self._foreign_leases():
             if max_scan is not None and scanned >= max_scan:
                 break
             scanned += 1
@@ -353,15 +329,15 @@ class LeaseManager:
             owner_heartbeat = heartbeats.get(owner)
             if owner_heartbeat is not None and worker_is_alive(owner_heartbeat):
                 continue  # owner is alive, merely slow; never steal
-            if self._reclaim_one(lease_path, shard):
+            if self._reclaim_one(lease_path):
                 reclaimed += 1
         return reclaimed
 
-    def _foreign_leases(self) -> List[Tuple[Path, str, int]]:
-        """(lease path, owner worker id, shard) of every other worker's lease."""
+    def _foreign_leases(self) -> List[Tuple[Path, str]]:
+        """(lease path, owner worker id) of every other worker's lease."""
         return [
-            (path, owner, shard)
-            for path, owner, shard in self.layout.iter_lease_files()
+            (path, owner)
+            for path, owner in iter_lease_files(self.root)
             if owner != self.identity.worker_id
         ]
 
@@ -380,12 +356,10 @@ class LeaseManager:
         except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError):
             return self.lease_ttl
 
-    def _reclaim_one(self, lease_path: Path, shard: int = 0) -> bool:
+    def _reclaim_one(self, lease_path: Path) -> bool:
         """Atomically steal one expired lease and resolve its job."""
-        # The `.reclaim` suffix keeps the stolen file out of `*.json` scans;
-        # the temp lives in this worker's directory *of the job's shard* so
-        # a crash strands it where a migration would route it anyway.
-        stolen = self.my_dirs[shard] / f"{lease_path.stem}.{os.getpid()}.reclaim"
+        # The `.reclaim` suffix keeps the stolen file out of `*.json` scans.
+        stolen = self.my_dir / f"{lease_path.stem}.{os.getpid()}.reclaim"
         try:
             os.rename(lease_path, stolen)
         except OSError:
@@ -429,7 +403,6 @@ class LeaseManager:
                     worker=worker,
                     by=self.identity.worker_id,
                     status=job.status,
-                    shard=self.layout.shard_tag(job.job_id),
                 )
         try:
             stolen.unlink()
@@ -484,15 +457,10 @@ def scan_spool_records(
 
 
 def active_leases(root: Union[str, Path]) -> List[Dict[str, object]]:
-    """Snapshot of every live lease (for ``status --cluster``); pure reads.
-
-    On a sharded root each entry also carries the shard the lease lives in
-    (flat roots keep the pre-sharding dict shape).
-    """
+    """Snapshot of every live lease (for ``status --cluster``); pure reads."""
     now = time.time()
     leases: List[Dict[str, object]] = []
-    layout = read_layout(root)
-    for path, worker_id, shard in layout.iter_lease_files():
+    for path, worker_id in iter_lease_files(root):
         try:
             stat = path.stat()
             payload = json.loads(path.read_text(encoding="utf-8"))
@@ -500,16 +468,15 @@ def active_leases(root: Union[str, Path]) -> List[Dict[str, object]]:
             continue
         record = payload.get("job", payload) if isinstance(payload, dict) else {}
         ttl = payload.get("lease_ttl") if isinstance(payload, dict) else None
-        entry: Dict[str, object] = {
-            "job_id": path.stem,
-            "worker_id": worker_id,
-            "age_seconds": max(0.0, now - stat.st_mtime),
-            "expires_in": (stat.st_mtime + float(ttl) - now if ttl is not None else None),
-            "attempts": record.get("attempts") if isinstance(record, dict) else None,
-        }
-        if layout.sharded:
-            entry["shard"] = layout.shard_name(shard)
-        leases.append(entry)
+        leases.append(
+            {
+                "job_id": path.stem,
+                "worker_id": worker_id,
+                "age_seconds": max(0.0, now - stat.st_mtime),
+                "expires_in": (stat.st_mtime + float(ttl) - now if ttl is not None else None),
+                "attempts": record.get("attempts") if isinstance(record, dict) else None,
+            }
+        )
     return leases
 
 
@@ -530,18 +497,12 @@ class WorkerConfig:
     poll_interval: float = 0.2
     lease_ttl: float = DEFAULT_LEASE_TTL
     store_max_bytes: Optional[int] = None
-    #: Shard this worker drains first on a sharded root (``None`` → 0);
-    #: taken modulo the layout's shard count, so round-robin assignment
-    #: by slot number needs no knowledge of the count.
-    home_shard: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.poll_interval <= 0:
             raise ValueError(f"poll_interval must be positive, got {self.poll_interval}")
         if self.lease_ttl <= 0:
             raise ValueError(f"lease_ttl must be positive, got {self.lease_ttl}")
-        if self.home_shard is not None and self.home_shard < 0:
-            raise ValueError(f"home_shard must be >= 0, got {self.home_shard}")
         self.root = Path(self.root)
 
 
@@ -560,19 +521,14 @@ class ClusterWorker:
     def __init__(self, config: WorkerConfig, identity: Optional[WorkerIdentity] = None) -> None:
         self.config = config
         root = Path(config.root)
-        # Workers never change the shard count; they serve whatever layout
-        # the root's marker records (stamping the flat default if absent).
-        self.layout = ensure_layout(root)
-        self.home_shard = (config.home_shard or 0) % self.layout.shards
+        refuse_sharded_root(root)
+        _jobs_dir(root).mkdir(parents=True, exist_ok=True)
         _workers_dir(root).mkdir(parents=True, exist_ok=True)
         self.identity = identity or WorkerIdentity.create(config.label)
-        # On a sharded root the worker's events go to its home-shard stream,
-        # so appends from different workers never contend on one file.
-        self.events = EventLog(root, writer=self.identity.worker_id, shard=self.home_shard)
+        self.events = EventLog(root, writer=self.identity.worker_id)
         self.metrics = MetricsRegistry()
         self.lease = LeaseManager(
-            root, self.identity, lease_ttl=config.lease_ttl, events=self.events,
-            layout=self.layout,
+            root, self.identity, lease_ttl=config.lease_ttl, events=self.events
         )
         self.store = ResultStore(root / "store", max_bytes=config.store_max_bytes)
         self.engine = Engine(
@@ -604,38 +560,22 @@ class ClusterWorker:
         # Terminal spool records already seen, keyed by record mtime, so an
         # idle worker's candidate scan never re-parses spool history; a
         # rewritten file (id reuse after a purge) no longer matches its
-        # mtime and is re-read.  One memo per shard — each shard directory
-        # is scanned independently.
-        self._known_terminal: Dict[int, Dict[str, int]] = {
-            shard: {} for shard in range(self.layout.shards)
-        }
+        # mtime and is re-read.
+        self._known_terminal: Dict[str, int] = {}
 
     # -- spool scanning -------------------------------------------------------------
 
-    def _shard_scan_order(self) -> List[int]:
-        """Home shard first, then the others in rotated (wrap-around) order.
+    def _queued_candidates(self) -> List[str]:
+        """Claimable job ids, best first: priority desc, then submit order.
 
-        The rotation is deterministic per home shard, so a worker's steal
-        probes always visit shards in the same sequence — reproducible in
-        tests — while workers with *different* homes start their probes at
-        different shards, spreading steal pressure instead of dogpiling.
-        """
-        home = self.home_shard
-        shards = self.layout.shards
-        return [(home + offset) % shards for offset in range(shards)]
-
-    def _shard_candidates(self, shard: int) -> List[str]:
-        """Claimable job ids of one shard, best first: priority desc, then
-        submit order.
-
-        Every worker scans a shard in the same deterministic order, so
+        Every worker scans the spool in the same deterministic order, so
         racers converge on the same head-of-line job and the claim rename
         picks the single winner; losers fall through to the next
         candidate.  The memoized scan never re-reads terminal history (see
         :func:`scan_spool_records`).
         """
         records, _terminal, _unreadable = scan_spool_records(
-            self.layout.jobs_dir(shard), self._known_terminal[shard]
+            _jobs_dir(self.config.root), self._known_terminal
         )
         candidates = sorted(
             (
@@ -646,48 +586,23 @@ class ClusterWorker:
             for record in records
             if record.get("status") == "queued"
         )
-        if self.layout.sharded:
-            # Per-shard queue depth gauges ride the metrics snapshots.
-            self.metrics.gauge(f"spool.queued.{self.layout.shard_name(shard)}").set(
-                len(candidates)
-            )
         return [job_id for _priority, _created, job_id in candidates]
 
-    def _queued_candidates(self) -> List[str]:
-        """Claimable job ids across every shard, home shard's first."""
-        adopt_stray_records(self.layout)
-        job_ids: List[str] = []
-        for shard in self._shard_scan_order():
-            job_ids.extend(self._shard_candidates(shard))
-        self.metrics.gauge("spool.queued").set(len(job_ids))
-        return job_ids
-
     def _claim_next(self) -> Optional[Job]:
-        """Race for the best claim: drain home, then steal in rotation.
-
-        Shards are scanned lazily — a worker whose home shard still has
-        claimable work never pays for probing the others; only an empty
-        (or fully-contended) home falls through to stealing.  Records a
-        racing submitter dropped on the flat paths are adopted into their
-        home shard first, so they compete like any other candidate.
-        """
-        adopt_stray_records(self.layout)
-        depth = 0
-        for shard in self._shard_scan_order():
-            candidates = self._shard_candidates(shard)
-            depth += len(candidates)
-            for job_id in candidates:
-                job = self.lease.claim(job_id, stolen=shard != self.home_shard)
-                if job is not None:
-                    return job
-        self.metrics.gauge("spool.queued").set(depth)
+        """Race for the best claim; ``None`` when nothing is claimable."""
+        candidates = self._queued_candidates()
+        for job_id in candidates:
+            job = self.lease.claim(job_id)
+            if job is not None:
+                return job
+        self.metrics.gauge("spool.queued").set(len(candidates))
         return None
 
     # -- execution ------------------------------------------------------------------
 
     def _on_batch(self, job: Job) -> None:
         """Between-batch pulse: keep the lease and heartbeat alive, see cancels."""
-        marker = self.layout.cancel_path(job.job_id)
+        marker = cancel_path(self.config.root, job.job_id)
         if marker.exists():
             # Raise the flag only; the marker itself is consumed by the
             # ownership-gated sweep at the end of _run_claimed, so a worker
@@ -724,7 +639,7 @@ class ClusterWorker:
         """Execute one claimed job and write its outcome back to the spool."""
         with self._pulse_lock:
             self._current = job
-        marker = self.layout.cancel_path(job.job_id)
+        marker = cancel_path(self.config.root, job.job_id)
         if marker.exists():
             # Cancelled while queued; the claim just makes it terminal.
             # (Flag only — the marker is consumed by the ownership-gated
@@ -736,9 +651,7 @@ class ClusterWorker:
                 status = "cancelled"
                 result = None
             else:
-                outcome = self.scheduler.execute_job(
-                    job, shard=self.layout.shard_tag(job.job_id)
-                )
+                outcome = self.scheduler.execute_job(job)
                 status = "cancelled" if job.cancel_requested else "done"
                 result = outcome.to_dict()
         except Exception as error:  # noqa: BLE001 — any job error means retry/fail
@@ -810,8 +723,6 @@ class ClusterWorker:
                 "store_hits": stats.store_hits,
             },
         }
-        if self.layout.sharded:
-            payload["home_shard"] = self.layout.shard_name(self.home_shard)
         atomic_write_text(
             _workers_dir(Path(self.config.root)) / f"{self.identity.worker_id}.json",
             json.dumps(payload, indent=2) + "\n",
@@ -858,7 +769,9 @@ class ClusterWorker:
         return self._run_claimed(job)
 
     def _spool_has_queued_work(self) -> bool:
-        return bool(self._queued_candidates())
+        candidates = self._queued_candidates()
+        self.metrics.gauge("spool.queued").set(len(candidates))
+        return bool(candidates)
 
     def run(self, max_jobs: Optional[int] = None, idle_exit: Optional[float] = None) -> int:
         """Serve until ``max_jobs`` terminal outcomes or idle too long.
@@ -873,9 +786,6 @@ class ClusterWorker:
             "worker-started",
             worker=self.identity.worker_id,
             pid=self.identity.pid,
-            home_shard=(
-                self.layout.shard_name(self.home_shard) if self.layout.sharded else None
-            ),
         )
         self._heartbeat(force=True)
         self._pulse_stop.clear()
@@ -940,17 +850,12 @@ class ClusterConfig:
     #: Worker restarts the supervisor will perform before giving up on a
     #: slot that keeps dying (per run, across all slots).
     max_restarts: int = 10
-    #: Spool shard count to (migrate to and) serve; ``None`` keeps the
-    #: root's recorded layout.  Home shards are dealt round-robin by slot.
-    shards: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError(f"workers must be positive, got {self.workers}")
         if self.poll_interval <= 0:
             raise ValueError(f"poll_interval must be positive, got {self.poll_interval}")
-        if self.shards is not None and not 1 <= self.shards <= MAX_SHARDS:
-            raise ValueError(f"shards must be in 1..{MAX_SHARDS}, got {self.shards}")
         self.root = Path(self.root)
 
 
@@ -966,20 +871,16 @@ class ClusterSupervisor:
 
     def __init__(self, config: ClusterConfig) -> None:
         self.config = config
-        # The supervisor is the only fleet process allowed to change the
-        # shard count: migration happens here, before any worker spawns,
-        # so workers always open a settled layout.
-        self.layout = ensure_layout(config.root, config.shards)
+        refuse_sharded_root(config.root)
+        _jobs_dir(config.root).mkdir(parents=True, exist_ok=True)
         self.restarts = 0
         self._stopping = False
         self._terminated = False
         self._procs: Dict[int, subprocess.Popen] = {}
         # Terminal records already counted, keyed by mtime (the workers'
         # scheme): the ~10 Hz monitor loop must not re-parse a reused
-        # root's entire history every tick.  One memo per shard.
-        self._terminal_seen: Dict[int, Dict[str, int]] = {
-            shard: {} for shard in range(self.layout.shards)
-        }
+        # root's entire history every tick.
+        self._terminal_seen: Dict[str, int] = {}
 
     def request_stop(self) -> None:
         """Ask a running :meth:`run` loop to shut the fleet down and exit."""
@@ -1004,11 +905,6 @@ class ClusterSupervisor:
             "--backend",
             config.backend,
         ]
-        if self.layout.sharded:
-            # Round-robin home shards: slot k drains shard k mod N first
-            # and steals from the rest, so every shard has a primary
-            # drainer whenever workers >= shards.
-            command += ["--home-shard", str(slot % self.layout.shards)]
         if config.backend_workers is not None:
             command += ["--backend-workers", str(config.backend_workers)]
         if config.store_max_bytes is not None:
@@ -1081,18 +977,11 @@ class ClusterSupervisor:
         Terminal records are remembered by mtime and never re-parsed, so
         the monitor tick stays proportional to new work, not history.
         """
-        terminal = 0
-        active_records = 0
-        unreadable = 0
-        for shard in range(self.layout.shards):
-            records, shard_terminal, shard_unreadable = scan_spool_records(
-                self.layout.jobs_dir(shard), self._terminal_seen[shard]
-            )
-            terminal += shard_terminal
-            unreadable += shard_unreadable
-            active_records += len(records)
+        records, terminal, unreadable = scan_spool_records(
+            _jobs_dir(self.config.root), self._terminal_seen
+        )
         # Unreadable records are mid-write: assume active until readable.
-        active = active_records + unreadable + len(active_leases(self.config.root))
+        active = len(records) + unreadable + len(active_leases(self.config.root))
         return terminal, active
 
     def run(self, max_jobs: Optional[int] = None, idle_exit: Optional[float] = None) -> int:
@@ -1214,28 +1103,6 @@ class LoadgenReport:
         return payload
 
 
-def _striped_job_id(layout: SpoolLayout, burst: str, index: int) -> str:
-    """The ``index``-th job id of a burst, striped across the shards.
-
-    Flat roots keep the plain ``load-<burst>-<index>`` ids.  On a sharded
-    root the burst must exercise *every* shard round-robin — that is the
-    whole point of a sharded load test — so a nonce suffix is searched
-    until the stable hash lands the id on shard ``index mod N``.  The
-    search is geometric with success chance 1/N per try; the cap is
-    astronomically far beyond any plausible run, and on the (effectively
-    impossible) miss the plain id is still a valid, merely unstriped, job.
-    """
-    job_id = f"load-{burst}-{index:03d}"
-    if not layout.sharded:
-        return job_id
-    want = index % layout.shards
-    for nonce in range(1, 10_000):
-        if layout.shard_of(job_id) == want:
-            return job_id
-        job_id = f"load-{burst}-{index:03d}x{nonce}"
-    return f"load-{burst}-{index:03d}"
-
-
 def run_loadgen(
     root: Union[str, Path],
     scenario: str = "smoke",
@@ -1272,11 +1139,9 @@ def run_loadgen(
     report = LoadgenReport(scenario=scenario, submitted=jobs)
     submitted: List[Job] = []
     root = Path(root)
-    layout = read_layout(root)
     # Open the cursor before submitting so no terminal event can be missed;
     # the first poll() drains (and discards) whatever history the log holds.
-    # The merged cursor covers every per-shard stream on sharded roots.
-    cursor = MergedEventCursor(root)
+    cursor = EventCursor(root)
     cursor.poll()
     start = time.perf_counter()
     for index in range(jobs):
@@ -1290,7 +1155,7 @@ def run_loadgen(
                 params=job_params,
                 priority=priority,
                 max_attempts=max_attempts,
-                job_id=_striped_job_id(layout, burst, index),
+                job_id=f"load-{burst}-{index:03d}",
             )
         )
     if not wait:
@@ -1354,12 +1219,9 @@ def _loadgen_spool_check(root: Path, submitted: List[Job]) -> Dict[str, object]:
     """
     counts = {"done": 0, "failed": 0, "cancelled": 0}
     latencies: List[float] = []
-    layout = read_layout(root)
     for job in submitted:
         try:
-            record = json.loads(
-                layout.job_path(job.job_id).read_text(encoding="utf-8")
-            )
+            record = json.loads(job_path(root, job.job_id).read_text(encoding="utf-8"))
             settled = Job.from_dict(record)
         except (OSError, json.JSONDecodeError, KeyError, ValueError):
             continue  # still leased or never finished; not a settled job

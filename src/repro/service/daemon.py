@@ -7,13 +7,10 @@ One directory is the whole service state, so ``repro submit`` / ``status`` /
         store/                # ResultStore (persistent solution tier)
         jobs/<job_id>.json    # one Job record each (atomic writes)
         jobs/<job_id>.cancel  # cancellation marker dropped by `repro cancel`
+        leases/<worker>/<job_id>.json  # records claimed by a cluster worker
 
-On a sharded root (``repro serve --shards N``, see
-:mod:`repro.service.sharding`) the spool splits into hash-assigned shard
-directories — ``jobs/s00/<job_id>.json`` etc., recorded by a
-``shards.json`` marker — and all spool paths below go through the root's
-:class:`~repro.service.sharding.SpoolLayout`.  A flat root is simply the
-1-shard layout.
+Every spool path is computed by the helpers below; nothing else assumes
+where a job record, cancel marker or lease file lives.
 
 Submitters drop ``queued`` job records into ``jobs/``.  The only consumer is
 the lease-claiming :class:`~repro.service.cluster.ClusterWorker`: ``repro
@@ -32,13 +29,12 @@ import time
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.obs.events import EventLog, event_log_for
 from repro.obs.snapshot import ServiceSnapshot
 from repro.service.queue import Job
 from repro.service.scenarios import scenario_spec
-from repro.service.sharding import SpoolLayout, read_layout
 from repro.service.store import atomic_write_text, evict_lru_blobs
 
 #: Heartbeats older than this are reported as a dead/stale process.
@@ -57,9 +53,68 @@ def heartbeat_is_fresh(heartbeat: Dict[str, object]) -> bool:
     return age < max(STALE_HEARTBEAT_SECONDS, 3.0 * float(heartbeat.get("poll_interval", 0.0)))
 
 
-def _jobs_dir(root: Path) -> Path:
-    """Base spool directory (shard subdirectories live under it when sharded)."""
-    return root / "jobs"
+def _jobs_dir(root: Union[str, Path]) -> Path:
+    return Path(root) / "jobs"
+
+
+def job_path(root: Union[str, Path], job_id: str) -> Path:
+    """Spool record of one job (queued or terminal)."""
+    return _jobs_dir(root) / f"{job_id}.json"
+
+
+def cancel_path(root: Union[str, Path], job_id: str) -> Path:
+    """Cancellation marker of one job; it lives beside the job's record."""
+    return _jobs_dir(root) / f"{job_id}.cancel"
+
+
+def leases_dir(root: Union[str, Path]) -> Path:
+    """Parent of every worker's lease directory."""
+    return Path(root) / "leases"
+
+
+def lease_files(root: Union[str, Path], job_id: str) -> List[Path]:
+    """Every worker's lease file for one job (at most one, normally)."""
+    directory = leases_dir(root)
+    if not directory.exists():
+        return []
+    return sorted(directory.glob(f"*/{job_id}.json"))
+
+
+def iter_lease_files(root: Union[str, Path]) -> Iterator[Tuple[Path, str]]:
+    """Yield ``(path, worker_id)`` for every lease file, in path order."""
+    directory = leases_dir(root)
+    if not directory.exists():
+        return
+    for path in sorted(directory.glob("*/*.json")):
+        if path.is_file():
+            yield path, path.parent.name
+
+
+def refuse_sharded_root(root: Union[str, Path]) -> None:
+    """Raise :class:`RuntimeError` if ``root`` holds a sharded spool.
+
+    The previous release stamped ``shards.json`` =
+    ``{"layout_version": 1, "shards": 1}`` on every root it served, flat
+    ones included; such a root is flat and is served as it is.  A marker
+    with more shards, another version or an unreadable count means the
+    jobs sit in per-shard directories this release never reads.  Called
+    once where a root is opened, never per job.
+    """
+    path = Path(root) / "shards.json"
+    try:
+        marker = json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        return
+    except (OSError, ValueError):
+        marker = None
+    if isinstance(marker, dict) and marker.get("layout_version") == 1 and marker.get("shards") == 1:
+        return
+    raise RuntimeError(
+        f"{root} holds a sharded spool ({path.name} = {marker!r}), which this "
+        f"release cannot serve; drain it with the previous release and delete "
+        f"{path.name}, or migrate it back to one shard with the previous "
+        f"release's `repro serve --root {root} --shards 1`"
+    )
 
 
 def _round_latency(latency: Optional[float]) -> Optional[float]:
@@ -67,22 +122,15 @@ def _round_latency(latency: Optional[float]) -> Optional[float]:
     return None if latency is None else round(latency, 6)
 
 
-def _write_job(layout: SpoolLayout, job: Job) -> None:
-    atomic_write_text(layout.job_path(job.job_id), json.dumps(job.to_dict(), indent=2) + "\n")
-
-
-def _spool_record_paths(layout: SpoolLayout, pattern: str = "*.json") -> List[Path]:
-    """Matching spool files across every shard, sorted by file name."""
-    paths: List[Path] = []
-    for directory in layout.jobs_dirs():
-        if directory.exists():
-            paths.extend(directory.glob(pattern))
-    return sorted(paths, key=lambda path: path.name)
+def _spool_record_paths(root: Path, pattern: str = "*.json") -> List[Path]:
+    """Matching spool files, sorted by file name."""
+    directory = _jobs_dir(root)
+    return sorted(directory.glob(pattern)) if directory.exists() else []
 
 
 def _load_jobs(root: Path) -> List[Job]:
     jobs = []
-    for path in _spool_record_paths(read_layout(root)):
+    for path in _spool_record_paths(root):
         try:
             jobs.append(Job.from_dict(json.loads(path.read_text(encoding="utf-8"))))
         except (OSError, json.JSONDecodeError, KeyError, ValueError):
@@ -112,10 +160,10 @@ def submit_jobs(
     """Validate and drop a batch of job records into the spool.
 
     The batched entry point behind both ``submit_job`` and the gateway's
-    micro-batcher: the spool layout is read once, shard directories are
-    created once each, and one event-log handle emits every ``submitted``
-    event — so a burst of N submissions does not pay N times the
-    per-submission setup cost on the atomic-rename hot path.
+    micro-batcher: the root is checked once, the spool directory is created
+    once, and one event-log handle emits every ``submitted`` event — so a
+    burst of N submissions does not pay N times the per-submission setup
+    cost on the atomic-rename hot path.
 
     The whole batch is validated (scenario, params, duplicate job ids —
     against the spool *and* within the batch) before any record is
@@ -125,7 +173,7 @@ def submit_jobs(
     process's shared client log.
     """
     root = Path(root)
-    layout = read_layout(root)
+    refuse_sharded_root(root)
     jobs: List[Job] = []
     seen_ids: set = set()
     for request in requests:
@@ -138,25 +186,15 @@ def submit_jobs(
             priority=request.priority,
             max_attempts=request.max_attempts,
         )
-        if job.job_id in seen_ids or layout.job_path(job.job_id).exists():
+        if job.job_id in seen_ids or job_path(root, job.job_id).exists():
             raise ValueError(f"job id {job.job_id!r} already exists in {root}")
         seen_ids.add(job.job_id)
         jobs.append(job)
     log = events if events is not None else event_log_for(root)
-    made_dirs: set = set()
+    _jobs_dir(root).mkdir(parents=True, exist_ok=True)
     for job in jobs:
-        record = layout.job_path(job.job_id)
-        if record.parent not in made_dirs:
-            record.parent.mkdir(parents=True, exist_ok=True)
-            made_dirs.add(record.parent)
-        _write_job(layout, job)
-        log.emit(
-            "submitted",
-            job=job.job_id,
-            scenario=job.scenario,
-            priority=job.priority,
-            shard=layout.shard_tag(job.job_id),
-        )
+        atomic_write_text(job_path(root, job.job_id), json.dumps(job.to_dict(), indent=2) + "\n")
+        log.emit("submitted", job=job.job_id, scenario=job.scenario, priority=job.priority)
     return jobs
 
 
@@ -191,23 +229,21 @@ def request_cancel(root: Union[str, Path], job_id: str) -> bool:
     boundary.
     """
     root = Path(root)
-    layout = read_layout(root)
-    path = layout.job_path(job_id)
     try:
-        job = Job.from_dict(json.loads(path.read_text(encoding="utf-8")))
+        job = Job.from_dict(json.loads(job_path(root, job_id).read_text(encoding="utf-8")))
     except FileNotFoundError:
         # Claimed by a cluster worker?  The record then lives in a lease.
-        if not layout.lease_files(job_id):
+        if not lease_files(root, job_id):
             return False
         job = None
     except (OSError, json.JSONDecodeError, KeyError, ValueError):
         job = None
     if job is not None and job.is_terminal:
         return False
-    marker = layout.cancel_path(job_id)
+    marker = cancel_path(root, job_id)
     marker.parent.mkdir(parents=True, exist_ok=True)
     atomic_write_text(marker, "")
-    event_log_for(root).emit("cancel-requested", job=job_id, shard=layout.shard_tag(job_id))
+    event_log_for(root).emit("cancel-requested", job=job_id)
     return True
 
 
@@ -219,13 +255,10 @@ def wait_for_job(
     Raises ``TimeoutError`` when the deadline passes first (the job record's
     last observed state is attached to the message).
     """
-    root = Path(root)
+    path = job_path(root, job_id)
     deadline = time.monotonic() + timeout
     job: Optional[Job] = None
     while True:
-        # Re-resolve the layout each poll: a `serve --shards N` migration
-        # may legitimately move the record mid-wait.
-        path = read_layout(root).job_path(job_id)
         try:
             job = Job.from_dict(json.loads(path.read_text(encoding="utf-8")))
         except (OSError, json.JSONDecodeError, KeyError, ValueError):
@@ -245,7 +278,7 @@ def wait_for_job(
 def _load_leased_jobs(root: Path) -> List[Job]:
     """Jobs currently held under cluster worker leases (all ``running``)."""
     jobs: List[Job] = []
-    for path, _worker_id, _shard in read_layout(root).iter_lease_files():
+    for path, _worker_id in iter_lease_files(root):
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
             record = payload.get("job", payload) if isinstance(payload, dict) else None
@@ -288,7 +321,6 @@ def _sweep_dead_workers(root: Path) -> int:
     from repro.service.cluster import worker_is_alive
 
     removed = 0
-    layout = read_layout(root)
     workers_dir = root / "workers"
     for heartbeat_path in sorted(workers_dir.glob("*.json")) if workers_dir.exists() else []:
         try:
@@ -297,20 +329,12 @@ def _sweep_dead_workers(root: Path) -> int:
             continue
         if not isinstance(heartbeat, dict) or worker_is_alive(heartbeat):
             continue
-        # A worker holds one lease directory per shard; the heartbeat may
-        # only go once every one of them is empty (or already gone) — a
-        # pending lease in *any* shard still needs the owner's staleness.
-        blocked = False
-        for lease_dir in layout.worker_lease_dirs(heartbeat_path.stem):
-            if not lease_dir.exists():
-                continue
+        lease_dir = leases_dir(root) / heartbeat_path.stem
+        if lease_dir.exists():
             try:
                 lease_dir.rmdir()  # only ever removes an *empty* directory
             except OSError:
-                blocked = True
-                break  # stale leases pending reclaim; keep the heartbeat
-        if blocked:
-            continue
+                continue  # stale leases pending reclaim; keep the heartbeat
         try:
             heartbeat_path.unlink()
             removed += 1
@@ -340,7 +364,6 @@ def gc_service(
     live worker's cache.
     """
     root = Path(root)
-    layout = read_layout(root)
     evicted = 0
     if max_bytes is not None and (root / "store").exists():
         evicted, _total = evict_lru_blobs(root / "store" / "blobs", max_bytes)
@@ -349,21 +372,20 @@ def gc_service(
         for job in _load_jobs(root):
             if job.is_terminal:
                 try:
-                    layout.job_path(job.job_id).unlink()
+                    job_path(root, job.job_id).unlink()
                     purged += 1
                 except OSError:
                     pass
         # Orphaned cancel markers (their job finished before the cancel was
         # seen, or was purged above) would instantly cancel a future
-        # resubmission reusing the id; sweep them with the records — across
-        # *every* shard, since a marker lives beside its job's record.  A
+        # resubmission reusing the id; sweep them with the records.  A
         # marker whose job is claimed under a cluster lease is *pending*,
         # not orphaned — the leaseholder honours it at its next batch
         # boundary, so it must survive the sweep.
-        for marker in _spool_record_paths(layout, "*.cancel"):
-            if layout.job_path(marker.stem).exists():
+        for marker in _spool_record_paths(root, "*.cancel"):
+            if job_path(root, marker.stem).exists():
                 continue
-            if layout.lease_files(marker.stem):
+            if lease_files(root, marker.stem):
                 continue
             try:
                 marker.unlink()

@@ -16,7 +16,7 @@ tests can cover the policy math without opening a socket:
   Accumulates admitted items and releases them as one batch either when
   ``max_batch`` is reached (flush-on-size) or when the oldest item has
   waited ``max_delay`` seconds (flush-on-deadline), so a burst of N
-  submissions costs one spool-layout read and one executor hop instead
+  submissions costs one root check and one executor hop instead
   of N.
 
 All classes take explicit ``now`` timestamps instead of reading the

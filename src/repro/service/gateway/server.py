@@ -24,7 +24,7 @@ Admission pipeline for a ``POST /v1/jobs`` (policy classes live in
    :class:`~repro.service.gateway.policy.MicroBatcher` and writes each
    batch with one :func:`~repro.service.daemon.submit_jobs` call
    (flush-on-size or flush-on-deadline), so a concurrent burst costs one
-   layout read + executor hop per batch instead of per job.  Only after
+   executor hop per batch instead of per job.  Only after
    the spool write lands does the client get its ``202`` with the job id
    — an accepted submission is durably queued, never in-memory-only.
 
@@ -56,13 +56,17 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 from urllib.parse import parse_qs, urlsplit
 
-from repro.obs.aggregate import MergedEventCursor
-from repro.obs.events import EventLog
+from repro.obs.events import EventCursor, EventLog
 from repro.obs.metrics import MetricsRegistry
-from repro.service.daemon import SubmitRequest, submit_jobs
+from repro.service.daemon import (
+    SubmitRequest,
+    job_path,
+    lease_files,
+    refuse_sharded_root,
+    submit_jobs,
+)
 from repro.service.queue import Job
 from repro.service.scenarios import scenario_spec
-from repro.service.sharding import read_layout
 from repro.service.store import atomic_write_text
 
 #: Upper bound on request bodies (a submission is a few hundred bytes).
@@ -167,6 +171,7 @@ class Gateway:
 
     async def start(self) -> None:
         """Bind the listening socket and start the batcher/heartbeat tasks."""
+        refuse_sharded_root(self.root)
         self._wake = asyncio.Event()
         self._server = await asyncio.start_server(
             self._serve_connection, host=self.config.host, port=self.config.port
@@ -484,12 +489,7 @@ class Gateway:
             job = await asyncio.wait_for(pending.future, timeout=self.config.submit_timeout)
         except asyncio.TimeoutError:
             raise _HttpError(503, "spool write timed out; job may still land")
-        return {
-            "job_id": job.job_id,
-            "status": job.status,
-            "scenario": job.scenario,
-            "shard": read_layout(self.root).shard_tag(job.job_id),
-        }
+        return {"job_id": job.job_id, "status": job.status, "scenario": job.scenario}
 
     def _rejection(self, client: str, reason: str, retry_after: float) -> _HttpError:
         """Record one 429 (counter + event) and build its response."""
@@ -503,13 +503,10 @@ class Gateway:
 
     def _job_status(self, job_id: str) -> Dict[str, object]:
         """Spool-record view of one job; lease-aware like `repro status`."""
-        layout = read_layout(self.root)
-        record = layout.job_path(job_id)
         try:
-            job = Job.from_dict(json.loads(record.read_text(encoding="utf-8")))
+            job = Job.from_dict(json.loads(job_path(self.root, job_id).read_text(encoding="utf-8")))
         except FileNotFoundError:
-            leases = layout.lease_files(job_id)
-            if leases:
+            if lease_files(self.root, job_id):
                 return {"job_id": job_id, "status": "running", "leased": True}
             raise _HttpError(404, f"unknown job {job_id!r}")
         except (OSError, json.JSONDecodeError, KeyError, ValueError):
@@ -522,9 +519,9 @@ class Gateway:
     async def _stream_events(
         self, writer: asyncio.StreamWriter, job_id: str, query: Dict[str, List[str]]
     ) -> None:
-        """Chunked JSONL stream of one job's events via the merged reader.
+        """Chunked JSONL stream of one job's events via an event cursor.
 
-        Replays the job's history from the merged event log, then follows
+        Replays the job's history from the event log, then follows
         until a terminal transition (``released``/``reclaimed`` carrying a
         terminal status, or the job record going terminal), the client
         disconnecting, or ``timeout`` (query param, capped by config).
@@ -541,7 +538,7 @@ class Gateway:
             "Connection: close\r\n\r\n"
         )
         writer.write(head.encode("latin-1"))
-        cursor = MergedEventCursor(self.root)
+        cursor = EventCursor(self.root)
         deadline = time.monotonic() + timeout
         finished = False
         while True:

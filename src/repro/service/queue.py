@@ -83,21 +83,11 @@ class Job:
         """True once the job can no longer change status."""
         return self.status in TERMINAL_STATUSES
 
-    def record_claim(self, worker_id: str, shard: Optional[str] = None) -> None:
-        """Append one execution entry (call right after ``attempts`` bumps).
-
-        ``shard`` records which spool shard the claim rename happened in on
-        a sharded root (``None`` — and no key at all — on a flat one), so
-        the executions audit trail shows where every attempt was claimed.
-        """
-        entry: Dict[str, object] = {
-            "worker": worker_id,
-            "attempt": self.attempts,
-            "claimed_at": round(time.time(), 6),
-        }
-        if shard is not None:
-            entry["shard"] = shard
-        self.executions.append(entry)
+    def record_claim(self, worker_id: str) -> None:
+        """Append one execution entry (call right after ``attempts`` bumps)."""
+        self.executions.append(
+            {"worker": worker_id, "attempt": self.attempts, "claimed_at": round(time.time(), 6)}
+        )
 
     def finish_execution(self) -> None:
         """Stamp the end of the latest execution, however it ended."""

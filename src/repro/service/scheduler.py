@@ -142,7 +142,7 @@ class Scheduler:
         self.metrics = metrics
         self.events = events
 
-    def execute_job(self, job: Job, shard: Optional[str] = None) -> JobOutcome:
+    def execute_job(self, job: Job) -> JobOutcome:
         """Execute one already-claimed (``running``) job; raises on failure.
 
         The claim itself — winning a lease rename — happened before this
@@ -150,11 +150,6 @@ class Scheduler:
         batch, with ``on_batch`` firing between batches.  Timing and the
         job's share of cache traffic are recorded on the returned outcome.
         Callers own the status transition (done / cancelled / retry / fail).
-
-        ``shard`` is the spool shard the job was claimed from on a sharded
-        root; it feeds the per-shard throughput counters that ``repro
-        metrics`` aggregates into the fleet view (flat roots pass ``None``
-        and record nothing extra).
         """
         start = time.perf_counter()
         stats_before = self.engine.cache_stats()
@@ -165,8 +160,6 @@ class Scheduler:
             self.metrics.histogram("solve.seconds").observe(outcome.runtime_seconds)
             self.metrics.counter("solve.batches").inc(outcome.batches)
             self.metrics.counter("solve.panels").inc(outcome.panels)
-            if shard is not None:
-                self.metrics.counter(f"shard.{shard}.jobs").inc()
         return outcome
 
     def _execute(self, job: Job) -> JobOutcome:

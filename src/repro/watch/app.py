@@ -8,8 +8,8 @@ Layout::
 
     ┌ workers ────────────────────────────┐
     │ worker │ state │ hb │ done │ lease  │
-    ├ shards ─────────────────────────────┤
-    │ shard │ queued │ trend │ depth ▁▃▅ │ claims ▂▄█ │
+    ├ queue ──────────────────────────────┤
+    │ queued │ leased │ trend │ depth ▁▃▅ │ claims ▂▄█ │
     ├ jobs ───────────────────────────────┤
     │ job │ status │ attempts │ scenario  │
     ├ events ─────────────────────────────┤
@@ -45,7 +45,7 @@ from repro.watch.data import (
     requeue_job,
 )
 
-#: Sparkline width used by the shard table columns.
+#: Sparkline width used by the queue table columns.
 _SPARK_WIDTH = 20
 
 
@@ -91,7 +91,7 @@ class WatchApp(App):
         yield Header(show_clock=False)
         yield Static("", id="summary")
         yield DataTable(id="workers")
-        yield DataTable(id="shards")
+        yield DataTable(id="queue")
         yield DataTable(id="jobs")
         yield Static("", id="events")
         yield Footer()
@@ -99,8 +99,8 @@ class WatchApp(App):
     def on_mount(self) -> None:
         workers = self.query_one("#workers", DataTable)
         workers.add_columns("worker", "state", "hb age", "done", "failed", "reclaimed", "lease")
-        shards = self.query_one("#shards", DataTable)
-        shards.add_columns("shard", "queued", "leased", "trend", "depth", "claims/tick")
+        queue = self.query_one("#queue", DataTable)
+        queue.add_columns("queued", "leased", "trend", "depth", "claims/tick")
         jobs = self.query_one("#jobs", DataTable)
         jobs.add_columns("job", "status", "attempts", "scenario")
         jobs.cursor_type = "row"
@@ -129,17 +129,15 @@ class WatchApp(App):
                 str(worker.jobs_reclaimed),
                 format_lease(worker.lease),
             )
-        shards = self.query_one("#shards", DataTable)
-        shards.clear()
-        for name, shard in sorted(frame.health.shards.items()):
-            shards.add_row(
-                name,
-                str(shard.queued),
-                str(shard.leased),
-                shard.queue_trend,
-                frame.queue_sparkline(name, _SPARK_WIDTH),
-                frame.claim_sparkline(name, _SPARK_WIDTH),
-            )
+        queue = self.query_one("#queue", DataTable)
+        queue.clear()
+        queue.add_row(
+            str(frame.health.queue.queued),
+            str(frame.health.queue.leased),
+            frame.health.queue.queue_trend,
+            frame.queue_sparkline(_SPARK_WIDTH),
+            frame.claim_sparkline(_SPARK_WIDTH),
+        )
         jobs = self.query_one("#jobs", DataTable)
         jobs.clear()
         self._job_ids = []

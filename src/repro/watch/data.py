@@ -2,8 +2,8 @@
 
 Everything the dashboard renders comes through one :class:`WatchPoller`:
 each ``poll()`` folds the current fleet health, job table and new event
-records into a :class:`WatchFrame`, and keeps a bounded per-shard history
-of queue depth and claim throughput for the sparkline columns.  The
+records into a :class:`WatchFrame`, and keeps a bounded history of queue
+depth and claim throughput for the sparkline columns.  The
 Textual layer (:mod:`repro.watch.app`) is a thin view over these frames;
 keeping the model here means every dashboard behaviour — including the
 cancel/requeue keyboard actions — has plain synchronous tests that run
@@ -22,16 +22,15 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Deque, Dict, List, Optional, Tuple, Union
+from typing import Deque, Dict, List, Tuple, Union
 
-from repro.obs.aggregate import MergedEventCursor
-from repro.obs.events import EventLog, format_event, iter_events
+from repro.obs.events import EventCursor, EventLog, format_event, iter_events
 from repro.obs.health import FleetHealth, collect_fleet_health
 
 #: Sparkline glyphs, lowest to highest (space = zero / no sample).
 SPARK_GLYPHS = " ▁▂▃▄▅▆▇█"
 
-#: Points of history kept per shard for the sparkline columns.
+#: Points of history kept for the sparkline columns.
 HISTORY_POINTS = 30
 
 #: Events kept in the live tail.
@@ -61,14 +60,14 @@ class WatchFrame:
     health: FleetHealth
     jobs: List[Dict[str, object]] = field(default_factory=list)
     tail: List[Dict[str, object]] = field(default_factory=list)
-    queue_history: Dict[str, List[float]] = field(default_factory=dict)
-    claim_history: Dict[str, List[float]] = field(default_factory=dict)
+    queue_history: List[float] = field(default_factory=list)
+    claim_history: List[float] = field(default_factory=list)
 
-    def queue_sparkline(self, shard: str, width: int = HISTORY_POINTS) -> str:
-        return sparkline(self.queue_history.get(shard, []), width)
+    def queue_sparkline(self, width: int = HISTORY_POINTS) -> str:
+        return sparkline(self.queue_history, width)
 
-    def claim_sparkline(self, shard: str, width: int = HISTORY_POINTS) -> str:
-        return sparkline(self.claim_history.get(shard, []), width)
+    def claim_sparkline(self, width: int = HISTORY_POINTS) -> str:
+        return sparkline(self.claim_history, width)
 
 
 class WatchPoller:
@@ -76,54 +75,40 @@ class WatchPoller:
 
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
-        self._cursor = MergedEventCursor(self.root)
+        self._cursor = EventCursor(self.root)
         self._tail: Deque[Dict[str, object]] = deque(maxlen=TAIL_EVENTS)
-        self._queue_history: Dict[str, Deque[float]] = {}
-        self._claim_history: Dict[str, Deque[float]] = {}
-        self._claims_seen: Dict[str, int] = {}
-
-    def _history(self, table: Dict[str, Deque[float]], shard: str) -> Deque[float]:
-        series = table.get(shard)
-        if series is None:
-            series = table[shard] = deque(maxlen=HISTORY_POINTS)
-        return series
+        self._queue_history: Deque[float] = deque(maxlen=HISTORY_POINTS)
+        self._claim_history: Deque[float] = deque(maxlen=HISTORY_POINTS)
+        self._claims_seen = 0
 
     def poll(self) -> WatchFrame:
         """Fold new events + current health/jobs into the next frame."""
         self._tail.extend(self._cursor.poll())
         health = collect_fleet_health(self.root)
-        for name, shard in health.shards.items():
-            self._history(self._queue_history, name).append(float(shard.queued))
-            claims_before = self._claims_seen.get(name, 0)
-            self._history(self._claim_history, name).append(
-                float(max(0, shard.claims - claims_before))
-            )
-            self._claims_seen[name] = shard.claims
+        queue = health.queue
+        self._queue_history.append(float(queue.queued))
+        self._claim_history.append(float(max(0, queue.claims - self._claims_seen)))
+        self._claims_seen = queue.claims
         return WatchFrame(
             health=health,
             jobs=read_job_table(self.root),
             tail=list(self._tail),
-            queue_history={k: list(v) for k, v in self._queue_history.items()},
-            claim_history={k: list(v) for k, v in self._claim_history.items()},
+            queue_history=list(self._queue_history),
+            claim_history=list(self._claim_history),
         )
 
 
 def read_job_table(root: Union[str, Path]) -> List[Dict[str, object]]:
-    """Every spool job record (newest submissions last), across shard layouts."""
-    from repro.service.sharding import read_layout
-
-    layout = read_layout(Path(root))
+    """Every spool job record, newest submissions last."""
     records: List[Dict[str, object]] = []
-    for spool_dir in layout.jobs_dirs():
-        if not spool_dir.is_dir():
+    spool_dir = Path(root) / "jobs"
+    for path in spool_dir.glob("*.json") if spool_dir.is_dir() else []:
+        try:
+            record = json.loads(path.read_text(encoding="utf-8"))
+        except (OSError, json.JSONDecodeError):
             continue
-        for path in spool_dir.glob("*.json"):
-            try:
-                record = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError):
-                continue
-            if isinstance(record, dict) and record.get("job_id"):
-                records.append(record)
+        if isinstance(record, dict) and record.get("job_id"):
+            records.append(record)
     records.sort(key=lambda record: float(record.get("created_at", 0.0)))
     return records
 
@@ -147,43 +132,28 @@ def requeue_job(root: Union[str, Path], job_id: str) -> bool:
     state an operator can sensibly retry.  Appends a ``requeued`` event so
     the audit trail and ``job_statuses_from_events`` replay both agree.
     """
-    from repro.service.sharding import read_layout
+    from repro.service.daemon import cancel_path, job_path
     from repro.service.store import atomic_write_text
 
-    root = Path(root)
-    layout = read_layout(root)
-    for spool_dir in layout.jobs_dirs():
-        path = spool_dir / f"{job_id}.json"
-        if not path.is_file():
-            continue
-        try:
-            record = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            return False
-        if record.get("status") not in ("failed", "cancelled"):
-            return False
-        record["status"] = "queued"
-        record["attempts"] = 0
-        record["cancel_requested"] = False
-        record["error"] = None
-        atomic_write_text(path, json.dumps(record, indent=2) + "\n")
-        # A lingering cancel marker would re-cancel the job instantly.
-        cancel_marker = path.with_suffix(".cancel")
-        try:
-            cancel_marker.unlink()
-        except OSError:
-            pass
-        EventLog(root, writer="watch").emit(
-            "requeued", job=job_id, shard=_shard_tag(spool_dir)
-        )
-        return True
-    return False
-
-
-def _shard_tag(spool_dir: Path) -> Optional[str]:
-    """The ``sNN`` tag of a sharded spool dir, or ``None`` on flat roots."""
-    name = spool_dir.name
-    return name if len(name) == 3 and name[0] == "s" and name[1:].isdigit() else None
+    path = job_path(root, job_id)
+    try:
+        record = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError):
+        return False
+    if record.get("status") not in ("failed", "cancelled"):
+        return False
+    record["status"] = "queued"
+    record["attempts"] = 0
+    record["cancel_requested"] = False
+    record["error"] = None
+    atomic_write_text(path, json.dumps(record, indent=2) + "\n")
+    # A lingering cancel marker would re-cancel the job instantly.
+    try:
+        cancel_path(root, job_id).unlink()
+    except OSError:
+        pass
+    EventLog(root, writer="watch").emit("requeued", job=job_id)
+    return True
 
 
 def format_lease(lease: Optional[str]) -> str:

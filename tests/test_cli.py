@@ -13,6 +13,14 @@ from repro.cli import build_parser, main
 from repro.noise.lsk import LskTable
 
 
+def _src_env() -> dict:
+    """This environment with the checkout's ``src`` first on PYTHONPATH."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    return env
+
+
 class TestParser:
     def test_requires_a_command(self):
         parser = build_parser()
@@ -116,13 +124,10 @@ class TestImportCost:
     def test_cli_import_does_not_load_scipy(self):
         """Only the table characterisation needs scipy; starting the CLI must
         not pay for it."""
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
         probe = "import sys, repro.cli; print('scipy.linalg' in sys.modules)"
         result = subprocess.run(
             [sys.executable, "-c", probe],
-            env=env, check=True, capture_output=True, text=True, timeout=60,
+            env=_src_env(), check=True, capture_output=True, text=True, timeout=60,
         )
         assert result.stdout.strip() == "False"
 
@@ -269,27 +274,42 @@ class TestServiceCommands:
         assert main(["gc", "--root", root, "--purge-jobs"]) == 0
         assert "purged 1 job(s)" in capsys.readouterr().out
 
-    def test_lone_worker_serve_migrates_a_flat_root(self, tmp_path, capsys):
+    def test_lone_worker_serve_drains_a_flat_root(self, tmp_path, capsys):
         """`repro serve` without --workers is one lease-claiming worker."""
-        from repro.service import read_layout, submit_job, wait_for_job
+        from repro.service import submit_job, wait_for_job
 
         root = tmp_path / "svc"
         job = submit_job(root, "smoke")  # a flat root with one queued job
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
         subprocess.run(
             [sys.executable, "-m", "repro.cli", "serve", "--root", str(root),
-             "--shards", "2", "--max-jobs", "1", "--idle-exit", "30", "--poll", "0.05"],
-            env=env, check=True, capture_output=True, text=True, timeout=120,
+             "--max-jobs", "1", "--idle-exit", "30", "--poll", "0.05"],
+            env=_src_env(), check=True, capture_output=True, text=True, timeout=120,
         )
-        assert read_layout(root).shards == 2
         assert wait_for_job(root, job.job_id, timeout=5.0).status == "done"
-        # The worker's heartbeat is the only liveness file; none at the top.
+        # The worker's heartbeat is the only liveness file; none at the top,
+        # and a freshly served root carries no layout marker.
         assert len(list((root / "workers").glob("*.json"))) == 1
-        assert [path.name for path in root.glob("*.json")] == ["shards.json"]
+        assert list(root.glob("*.json")) == []
         assert main(["status", "--root", str(root)]) == 0
         assert "workers: 0 alive, 1 stopped" in capsys.readouterr().out
+
+    def test_sharded_root_is_refused_with_the_migration_hint(self, tmp_path):
+        root = tmp_path / "svc"
+        (root / "jobs" / "s00").mkdir(parents=True)
+        (root / "shards.json").write_text('{"layout_version": 1, "shards": 4}\n')
+        for argv in (
+            ["serve", "--root", str(root), "--max-jobs", "1", "--idle-exit", "1"],
+            ["serve", "--root", str(root), "--workers", "2", "--idle-exit", "1"],
+            ["submit", "--root", str(root), "--scenario", "smoke"],
+            ["status", "--root", str(root)],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            message = str(excinfo.value.code)
+            assert message.startswith(f"repro {argv[0]}: ")
+            assert "--shards 1" in message and "drain" in message
+        assert not (root / "workers").exists()  # nothing was served
+        assert list((root / "jobs").glob("*.json")) == []  # nothing was submitted
 
     def test_cancel_command(self, tmp_path, capsys):
         root = str(tmp_path / "svc")

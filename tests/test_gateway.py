@@ -18,8 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs.aggregate import iter_merged_events
-from repro.obs.events import EventLog
+from repro.obs.events import EventLog, iter_events
 from repro.obs.snapshot import collect_gateway
 from repro.service import (
     ClusterWorker,
@@ -209,13 +208,13 @@ class TestSubmitJobs:
         assert len({job.job_id for job in jobs}) == 3
         records = sorted(path.stem for path in (tmp_path / "jobs").glob("*.json"))
         assert records == sorted(job.job_id for job in jobs)
-        submitted = [e for e in iter_merged_events(tmp_path) if e["event"] == "submitted"]
+        submitted = [e for e in iter_events(tmp_path) if e["event"] == "submitted"]
         assert sorted(e["job"] for e in submitted) == sorted(job.job_id for job in jobs)
 
     def test_batch_events_use_the_callers_writer(self, tmp_path):
         log = EventLog(tmp_path, writer="front-door")
         submit_jobs(tmp_path, [SubmitRequest(scenario="smoke")], events=log)
-        (event,) = [e for e in iter_merged_events(tmp_path) if e["event"] == "submitted"]
+        (event,) = [e for e in iter_events(tmp_path) if e["event"] == "submitted"]
         assert event["writer"] == "front-door"
 
     def test_invalid_request_rejects_the_whole_batch(self, tmp_path):
@@ -361,7 +360,7 @@ class TestGatewayServer:
             # Exactly the two admitted jobs exist; the rejected ones left no trace.
             assert len(list((tmp_path / "jobs").glob("*.json"))) == 2
             rejected = [
-                e for e in iter_merged_events(tmp_path) if e["event"] == "gateway-rejected"
+                e for e in iter_events(tmp_path) if e["event"] == "gateway-rejected"
             ]
             assert len(rejected) == 2
             assert {e["reason"] for e in rejected} == {"rate"}
@@ -431,7 +430,7 @@ class TestGatewayServer:
                 thread.join(timeout=30.0)
             assert sorted(status for status, _, _ in results) == [202, 202, 202]
             rejected = [
-                e for e in iter_merged_events(tmp_path) if e["event"] == "gateway-rejected"
+                e for e in iter_events(tmp_path) if e["event"] == "gateway-rejected"
             ]
             assert [e["reason"] for e in rejected] == ["queue"]
         finally:
@@ -446,7 +445,7 @@ class TestGatewayServer:
             records = sorted(path.stem for path in (tmp_path / "jobs").glob("*.json"))
             assert records == sorted(report.job_ids)  # exactly-once, no extras
             admitted_events = [
-                e for e in iter_merged_events(tmp_path) if e["event"] == "gateway-admitted"
+                e for e in iter_events(tmp_path) if e["event"] == "gateway-admitted"
             ]
             assert sorted(e["job"] for e in admitted_events) == records
             # Micro-batching amortized the writes: far fewer batches than jobs.
@@ -511,7 +510,7 @@ class TestGatewayServer:
             _request(runner.port, "POST", "/v1/jobs", {"scenario": "smoke"})
         finally:
             runner.stop()
-        events = list(iter_merged_events(tmp_path))
+        events = list(iter_events(tmp_path))
         names = [e["event"] for e in events]
         assert "gateway-started" in names
         assert "gateway-admitted" in names

@@ -1,8 +1,9 @@
-"""Tests for repro.obs — event log, tracing spans, metrics and snapshots.
+"""Tests for repro.obs — event log, tracing spans, metrics, snapshots and health.
 
 The event-log tests enforce the layer's headline guarantees: atomic line
 appends under thread *and* process concurrency (no torn lines, gapless
-per-writer sequence numbers), size rotation that loses nothing mid-burst,
+per-writer sequence numbers), size rotation that loses nothing mid-burst
+and keeps each writer's order when two writers rotate at once,
 corrupt-tail tolerance on read, and incremental cursors that never skip or
 double-deliver across a rotation.  The snapshot tests prove the event log
 is a faithful second source: per-job statuses replayed from events match
@@ -12,6 +13,7 @@ the spool, and loadgen's event-derived report matches a spool scan.
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 import threading
@@ -27,13 +29,25 @@ from repro.obs.events import (
     EventLog,
     event_log_for,
     events_dir,
+    follow_events,
     format_event,
     iter_events,
     read_events,
 )
+from repro.obs.health import (
+    STATE_DEAD,
+    STATE_LAGGING,
+    STATE_OK,
+    STATE_STALLED,
+    STATE_STOPPED,
+    classify_worker,
+    collect_fleet_health,
+    format_health,
+)
 from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
+    fleet_metrics_from_events,
     format_metrics,
     merge_snapshots,
     snapshot_percentile,
@@ -53,7 +67,7 @@ from repro.service import (
     service_status,
     submit_job,
 )
-from repro.service.cluster import format_loadgen_report
+from repro.service.cluster import WORKER_STALE_SECONDS, format_loadgen_report
 
 # -- event log: basics ----------------------------------------------------------------
 
@@ -122,6 +136,43 @@ class TestEventLogRotation:
         seen += [r["n"] for r in cursor.poll()]
         assert seen == list(range(40))
         assert cursor.poll() == []
+
+    def test_flat_root_layout_is_byte_identical(self, tmp_path):
+        EventLog(tmp_path, writer="w").emit("submitted", job="j1")
+        assert [path.name for path in events_dir(tmp_path).iterdir()] == ["log.jsonl"]
+        (line,) = (events_dir(tmp_path) / "log.jsonl").read_text().splitlines()
+        assert list(json.loads(line)) == ["v", "seq", "ts", "writer", "event", "job"]
+        assert [r["job"] for r in iter_events(tmp_path)] == ["j1"]
+
+    def test_racing_rotators_keep_each_writers_records_in_order(self, tmp_path, monkeypatch):
+        """A rotator that listed the segments before a peer rotated and
+        appended renames the peer's fresh segment under the peer's index;
+        readers must still return each writer's records in seq order."""
+        real_rename = os.rename
+        for trial in range(24):
+            root = tmp_path / f"trial-{trial}"
+            peer = EventLog(root, writer="peer", max_segment_bytes=1)
+            late = EventLog(root, writer="late", max_segment_bytes=1)
+            peer.emit("tick")  # the first segment; every later emit rotates
+            pending = [True]
+
+            def racing_rename(source, target):
+                # `late` has listed the segments and picked its index; the
+                # peer rotates (same index) and appends before `late` renames.
+                if pending and Path(target).name.startswith("log-"):
+                    pending.clear()
+                    peer.emit("tick")
+                real_rename(source, target)
+
+            monkeypatch.setattr(os, "rename", racing_rename)
+            late.emit("tick")
+            monkeypatch.setattr(os, "rename", real_rename)
+            peer.emit("tick")
+            rotated = sorted(path.name[:10] for path in events_dir(root).glob("log-*.jsonl"))
+            assert rotated[0] == rotated[1], "the forced interleaving did not happen"
+            for records in (read_events(root), EventCursor(root).poll()):
+                assert [r["seq"] for r in records if r["writer"] == "peer"] == [0, 1, 2]
+                assert [r["seq"] for r in records if r["writer"] == "late"] == [0]
 
 
 # -- event log: corruption tolerance --------------------------------------------------
@@ -407,6 +458,15 @@ class TestSnapshots:
     def test_job_statuses_from_events_none_without_a_log(self, tmp_path):
         assert job_statuses_from_events(tmp_path / "empty") is None
 
+    def test_requeued_event_replays_to_queued(self, tmp_path):
+        root = tmp_path / "svc"
+        log = EventLog(root, writer="w")
+        log.emit("submitted", job="j")
+        log.emit("claimed", job="j")
+        log.emit("released", job="j", status="failed")
+        log.emit("requeued", job="j")
+        assert job_statuses_from_events(root) == {"j": "queued"}
+
     def test_daemon_emits_the_full_job_lifecycle(self, tmp_path):
         root = tmp_path / "svc"
         job = submit_job(root, "smoke")
@@ -460,6 +520,191 @@ class TestSnapshots:
         assert report.anneal_steps_per_s > 0.0
         assert report.to_dict()["anneal_steps_per_s"] == round(report.anneal_steps_per_s, 1)
         assert "mean anneal step rate" in "\n".join(format_loadgen_report(report))
+
+
+# -- follow backoff -------------------------------------------------------------------
+
+
+class TestFollowBackoff:
+    def test_rejects_nonpositive_poll_interval(self, tmp_path):
+        with pytest.raises(ValueError):
+            next(follow_events(tmp_path, poll_interval=0.0))
+
+    def test_idle_polls_back_off_and_activity_resets(self, tmp_path, monkeypatch):
+        root = tmp_path / "svc"
+        log = EventLog(root, writer="w")
+        delays: list = []
+        monkeypatch.setattr(time, "sleep", delays.append)
+        calls = {"n": 0}
+
+        def stop() -> bool:
+            calls["n"] += 1
+            if calls["n"] == 4:
+                log.emit("ping")  # activity lands between polls
+            return calls["n"] >= 6
+
+        records = list(follow_events(root, poll_interval=0.1, stop=stop))
+        assert [r["event"] for r in records] == ["ping"]
+        # Empty polls double the delay up to the 1s idle ceiling; the poll
+        # that saw the ping snaps back to the configured interval.
+        assert delays == [
+            pytest.approx(0.2),
+            pytest.approx(0.4),
+            pytest.approx(0.8),
+            pytest.approx(1.0),
+            pytest.approx(0.1),
+        ]
+
+    def test_events_parser_honours_poll_flag(self, tmp_path):
+        from repro.cli import build_parser
+
+        args = build_parser().parse_args(
+            ["events", "--root", str(tmp_path), "--follow", "--poll", "0.05"]
+        )
+        assert args.poll == pytest.approx(0.05)
+
+
+# -- metrics generations --------------------------------------------------------------
+
+
+class TestMetricsGenerations:
+    def _metrics_record(self, writer: str, nonce: str, value: float) -> dict:
+        return {
+            "writer": writer,
+            "nonce": nonce,
+            "metrics": {"jobs.done": {"type": "counter", "value": value}},
+        }
+
+    def test_generations_of_a_reused_writer_label_sum(self, tmp_path):
+        records = [
+            self._metrics_record("w", "gen-a", 3.0),
+            self._metrics_record("w", "gen-a", 5.0),  # later snapshot, same life
+            self._metrics_record("w", "gen-b", 2.0),  # restarted under same label
+        ]
+        merged, writers = fleet_metrics_from_events(records)
+        assert merged["jobs.done"]["value"] == 7.0  # 5 (latest of a) + 2 (b)
+        assert writers == ["w"]
+
+    def test_legacy_records_without_nonce_keep_latest(self, tmp_path):
+        records = [
+            {"writer": "w", "metrics": {"jobs.done": {"type": "counter", "value": 3.0}}},
+            {"writer": "w", "metrics": {"jobs.done": {"type": "counter", "value": 5.0}}},
+        ]
+        merged, _writers = fleet_metrics_from_events(records)
+        assert merged["jobs.done"]["value"] == 5.0
+
+    def test_event_log_round_trip_sums_across_restarts(self, tmp_path):
+        root = tmp_path / "svc"
+        for done in (4.0, 2.0):  # two process generations, same writer label
+            log = EventLog(root, writer="daemon-fixed")
+            registry = MetricsRegistry()
+            registry.counter("jobs.done").inc(done)
+            log.emit("metrics", nonce=log.nonce, metrics=registry.snapshot())
+        merged, writers = fleet_metrics_from_events(iter_events(root, event="metrics"))
+        assert merged["jobs.done"]["value"] == 6.0
+        assert writers == ["daemon-fixed"]
+
+
+# -- health model ---------------------------------------------------------------------
+
+
+class TestHealthModel:
+    def _heartbeat(self, age: float, now: float, **extra: object) -> dict:
+        beat = {"updated_at": now - age, "poll_interval": 0.1, "started_at": now - 60.0}
+        beat.update(extra)
+        return beat
+
+    def test_worker_state_machine_boundaries(self):
+        now = 1000.0
+        bound = WORKER_STALE_SECONDS  # poll_interval is small; bound = 5s
+        assert classify_worker(self._heartbeat(0.1, now), now)[0] == STATE_OK
+        assert classify_worker(self._heartbeat(0.6 * bound, now), now)[0] == STATE_LAGGING
+        assert classify_worker(self._heartbeat(2.0 * bound, now), now)[0] == STATE_STALLED
+        assert classify_worker(self._heartbeat(4.0 * bound, now), now)[0] == STATE_DEAD
+        assert (
+            classify_worker(self._heartbeat(0.1, now, stopped=True), now)[0] == STATE_STOPPED
+        )
+
+    def test_fleet_verdict_is_worst_live_worker(self, tmp_path):
+        root = tmp_path / "svc"
+        workers = root / "workers"
+        workers.mkdir(parents=True)
+        now = time.time()
+        for name, age, stopped in (("w-ok", 0.1, False), ("w-gone", 99.0, False)):
+            (workers / f"{name}.json").write_text(
+                json.dumps(
+                    {
+                        "updated_at": now - age,
+                        "started_at": now - 120.0,
+                        "poll_interval": 0.1,
+                        "stopped": stopped,
+                        "jobs_done": 3,
+                    }
+                )
+            )
+        health = collect_fleet_health(root, now=now)
+        assert health.workers["w-ok"].state == STATE_OK
+        assert health.workers["w-gone"].state == STATE_DEAD
+        assert health.verdict == STATE_DEAD
+        assert health.workers["w-ok"].throughput_jobs_per_s > 0.0
+
+    def test_all_stopped_fleet_reports_stopped(self, tmp_path):
+        root = tmp_path / "svc"
+        workers = root / "workers"
+        workers.mkdir(parents=True)
+        (workers / "w.json").write_text(
+            json.dumps({"updated_at": time.time(), "stopped": True})
+        )
+        assert collect_fleet_health(root).verdict == STATE_STOPPED
+
+    def test_queue_statistics_from_event_replay(self, tmp_path):
+        root = tmp_path / "svc"
+        log = EventLog(root, writer="w")
+        for n in range(3):
+            log.emit("submitted", job=f"j{n}")
+        log.emit("claimed", job="j0")
+        log.emit("released", job="j0", status="done", latency=0.1)
+        log.emit("claimed", job="j1")
+        queue = collect_fleet_health(root).queue
+        assert queue.submitted == 3 and queue.claims == 2 and queue.releases == 1
+        assert queue.queued == 1  # j2 never claimed
+        assert queue.leased == 1  # j1 claimed, not yet released
+        assert queue.claim_latency_p50 is not None
+        assert queue.claim_latency_p50 <= queue.claim_latency_p95
+        assert queue.queue_trend in ("rising", "falling", "flat")
+
+    def test_flat_root_has_one_queue_record(self, tmp_path):
+        root = tmp_path / "svc"
+        log = EventLog(root, writer="w")
+        log.emit("submitted", job="j")
+        health = collect_fleet_health(root)
+        assert health.to_dict()["queue"]["queued"] == 1
+        assert "shards" not in health.to_dict()
+        assert "  queue: queued=1 leased=0 claims=0 reclaims=0 trend=rising" in (
+            format_health(health)
+        )
+
+    def test_empty_root_is_idle_and_renders(self, tmp_path):
+        health = collect_fleet_health(tmp_path / "empty")
+        assert health.verdict == "idle"
+        assert "no workers" in format_health(health)
+
+    def test_snapshot_health_is_opt_in(self, tmp_path):
+        root = tmp_path / "svc"
+        EventLog(root, writer="w").emit("submitted", job="j")
+        plain = ServiceSnapshot.collect(root).to_dict()
+        assert "health" not in plain
+        with_health = ServiceSnapshot.collect(root, with_health=True).to_dict()
+        assert with_health["health"]["verdict"] == "idle"
+
+    def test_status_health_verb_prints_verdict(self, tmp_path, capsys):
+        root = tmp_path / "svc"
+        EventLog(root, writer="w").emit("submitted", job="j")
+        assert main(["status", "--root", str(root), "--health"]) == 0
+        assert "health:" in capsys.readouterr().out
+        assert main(["status", "--root", str(root), "--health", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["health"]["verdict"] == "idle"
 
 
 # -- CLI verbs ------------------------------------------------------------------------

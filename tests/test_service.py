@@ -6,7 +6,9 @@ run over the same workload with the persistent store enabled performs
 worker restarts, and across real CLI processes.  The cluster tests at the
 bottom enforce the multi-worker guarantees: exactly-one claim winner under
 contention, lease-expiry reclaim from dead workers only, and supervisor
-restart of crashed fleet members.
+restart of crashed fleet members.  The flat-spool tests pin the record
+paths and shapes and the refusal of roots an earlier release sharded; the
+last class covers the store's per-bucket gc accounting.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from repro.engine import CacheStats, Engine, SolutionCache
 from repro.engine.signature import SIGNATURE_VERSION, panel_signature
 from repro.gsino.config import GsinoConfig
 from repro.gsino.pipeline import compare_flows
+from repro.obs.events import read_events
 from repro.service import (
     SCENARIO_NAMES,
     Job,
@@ -55,7 +58,15 @@ from repro.service.cluster import (
     read_worker_heartbeats,
     worker_is_alive,
 )
-from repro.service.store import FORMAT_VERSION, evict_scanned_blobs, scan_blobs
+from repro.service.daemon import SubmitRequest, cancel_path, job_path, submit_jobs
+from repro.service.gateway import GatewayConfig, GatewayRunner
+from repro.service.store import (
+    FORMAT_VERSION,
+    bucket_disk_usage,
+    evict_scanned_blobs,
+    scan_blobs,
+    scan_bucket_blobs,
+)
 from repro.sino.anneal import AnnealConfig, anneal_sino
 
 
@@ -1384,7 +1395,7 @@ class TestClusterRobustness:
         assert worker.step().status == "done"
         # The terminal record is remembered by mtime: later scans skip it...
         assert worker._queued_candidates() == []
-        assert any("nightly" in memo for memo in worker._known_terminal.values())
+        assert "nightly" in worker._known_terminal
         gc_service(root, purge_jobs=True)
         # ...but a purged-and-reused id is a brand-new submission.
         submit_job(root, "smoke", job_id="nightly", params={"seed": 9})
@@ -1476,18 +1487,15 @@ class TestClusterRobustness:
         supervisor = ClusterSupervisor(
             ClusterConfig(root=root, workers=1, poll_interval=0.05, lease_ttl=5.0)
         )
-        def memo_size():
-            return sum(len(memo) for memo in supervisor._terminal_seen.values())
-
         assert supervisor._spool_counts() == (3, 0)
-        assert memo_size() == 3  # parsed once...
+        assert len(supervisor._terminal_seen) == 3  # parsed once...
         assert supervisor._spool_counts() == (3, 0)  # ...then served from mtime cache
         fresh = submit_job(root, "smoke", params={"seed": 99})
         assert supervisor._spool_counts() == (3, 1)
         gc_service(root, purge_jobs=True)
         assert supervisor._spool_counts() == (0, 1)
-        assert memo_size() == 0
-        assert all(fresh.job_id not in memo for memo in supervisor._terminal_seen.values())
+        assert supervisor._terminal_seen == {}
+        assert fresh.job_id not in supervisor._terminal_seen
 
     def test_refresh_never_resurrects_a_reclaimed_lease(self, tmp_path):
         """A disowned job's pulse/batch refresh must not recreate the lease."""
@@ -1637,3 +1645,224 @@ class TestClusterRobustness:
 
         monkeypatch.setattr(peer, "_lease_ttl_of", boom)
         assert peer.reclaim_expired() == 0  # one stat, no read
+
+
+# -- the flat spool and the refusal of sharded roots -----------------------------------
+
+#: The marker the previous release stamped on every root it served.
+_ONE_SHARD_MARKER = '{\n  "layout_version": 1,\n  "shards": 1\n}\n'
+
+
+def _finish_job(root: Path, job_id: str, status: str = "done") -> None:
+    """Rewrite a spool record into a terminal status (simulating a serve)."""
+    path = job_path(root, job_id)
+    record = json.loads(path.read_text(encoding="utf-8"))
+    record["status"] = status
+    path.write_text(json.dumps(record), encoding="utf-8")
+
+
+class TestFlatSpool:
+    def test_flat_layout_reproduces_legacy_paths(self, tmp_path):
+        assert job_path(tmp_path, "j1") == tmp_path / "jobs" / "j1.json"
+        assert cancel_path(tmp_path, "j1") == tmp_path / "jobs" / "j1.cancel"
+        manager = LeaseManager(tmp_path, WorkerIdentity("w0", pid=1, started_at=0.0))
+        assert manager.lease_path("j1") == tmp_path / "leases" / "w0" / "j1.json"
+
+    def test_flat_root_claims_carry_no_shard_or_steal_tags(self, tmp_path):
+        root = tmp_path / "svc"
+        job = submit_job(root, "smoke")
+        worker = ClusterWorker(WorkerConfig(root=root, poll_interval=0.02))
+        assert worker.step().status == "done"
+        (claim,) = read_events(root, event="claimed")
+        assert "shard" not in claim and "steal" not in claim
+        record = json.loads((root / "jobs" / f"{job.job_id}.json").read_text())
+        assert "shard" not in record["executions"][0]
+
+    def test_flat_ids_are_the_plain_burst_ids(self, tmp_path):
+        root = tmp_path / "svc"
+        report = run_loadgen(root, "smoke", jobs=3, wait=False)
+        assert report.submitted == 3
+        ids = sorted(path.stem for path in (root / "jobs").glob("*.json"))
+        burst = ids[0].split("-")[1]
+        assert ids == [f"load-{burst}-{index:03d}" for index in range(3)]
+
+    def test_flat_status_keeps_the_legacy_shape(self, tmp_path):
+        root = tmp_path / "svc"
+        job = submit_job(root, "smoke")
+        manager = LeaseManager(root, WorkerIdentity.create("w"), lease_ttl=30.0)
+        assert manager.claim(job.job_id) is not None
+        cluster = service_status(root)["cluster"]
+        assert set(cluster) == {"workers", "leases"}
+        (lease,) = cluster["leases"]
+        assert set(lease) == {"job_id", "worker_id", "age_seconds", "expires_in", "attempts"}
+
+    def test_gc_purge_sweeps_orphan_markers_but_keeps_pending_ones(self, tmp_path):
+        root = tmp_path / "svc"
+        for job_id in ("first", "second"):
+            submit_job(root, "smoke", job_id=job_id)
+            _finish_job(root, job_id)
+            cancel_path(root, job_id).write_text("", encoding="utf-8")
+        # A marker of a *leased* job is pending, not orphaned: it survives.
+        submit_job(root, "smoke", job_id="pending")
+        manager = LeaseManager(root, WorkerIdentity.create("w"), lease_ttl=30.0)
+        assert manager.claim("pending") is not None
+        cancel_path(root, "pending").write_text("", encoding="utf-8")
+        report = gc_service(root, purge_jobs=True)
+        assert report["purged_jobs"] == 2
+        assert not cancel_path(root, "first").exists()
+        assert not cancel_path(root, "second").exists()
+        assert cancel_path(root, "pending").exists()
+
+    def test_gc_sweeps_dead_worker_lease_dir(self, tmp_path):
+        root = tmp_path / "svc"
+        _write_stale_heartbeat(root, "w-dead")
+        (root / "leases" / "w-dead").mkdir(parents=True)
+        assert gc_service(root)["purged_workers"] == 1
+        assert not (root / "workers" / "w-dead.json").exists()
+        assert not (root / "leases" / "w-dead").exists()
+
+    def test_gc_keeps_dead_worker_with_a_pending_lease(self, tmp_path):
+        root = tmp_path / "svc"
+        job = submit_job(root, "smoke")
+        manager = LeaseManager(root, WorkerIdentity.create("w"), lease_ttl=30.0)
+        assert manager.claim(job.job_id) is not None
+        _write_stale_heartbeat(root, manager.identity.worker_id)
+        assert gc_service(root)["purged_workers"] == 0
+        assert _worker_heartbeat_path(root, manager.identity.worker_id).exists()
+
+    def test_fresh_served_root_gets_no_layout_marker(self, tmp_path):
+        root = tmp_path / "svc"
+        submit_job(root, "smoke")
+        ClusterWorker(WorkerConfig(root=root, poll_interval=0.01)).run(max_jobs=1)
+        ClusterSupervisor(ClusterConfig(root=root, workers=1))
+        GatewayRunner(GatewayConfig(root=root, port=0)).start().stop()
+        assert not (root / "shards.json").exists()
+
+    def test_one_shard_marker_root_is_served(self, tmp_path):
+        root = tmp_path / "svc"
+        root.mkdir()
+        (root / "shards.json").write_text(_ONE_SHARD_MARKER)
+        job = submit_job(root, "smoke")
+        worker = ClusterWorker(WorkerConfig(root=root, poll_interval=0.01))
+        assert worker.run(max_jobs=1) == 1
+        assert wait_for_job(root, job.job_id, timeout=5.0).status == "done"
+        ClusterSupervisor(ClusterConfig(root=root, workers=1))
+        GatewayRunner(GatewayConfig(root=root, port=0)).start().stop()
+        assert (root / "shards.json").read_text() == _ONE_SHARD_MARKER
+
+    @pytest.mark.parametrize(
+        "marker",
+        [
+            '{"layout_version": 1, "shards": 4}',
+            '{"layout_version": 99, "shards": 1}',
+            '{"layout_version": 1, "shards": "many"}',
+            "{not json",
+        ],
+    )
+    def test_sharded_root_is_refused_where_it_is_opened(self, tmp_path, marker):
+        root = tmp_path / "svc"
+        root.mkdir()
+        (root / "shards.json").write_text(marker)
+        hint = "--shards 1"
+        with pytest.raises(RuntimeError, match=hint):
+            ClusterWorker(WorkerConfig(root=root))
+        with pytest.raises(RuntimeError, match=hint):
+            ClusterSupervisor(ClusterConfig(root=root, workers=1))
+        with pytest.raises(RuntimeError, match=hint):
+            submit_jobs(root, [SubmitRequest(scenario="smoke")])
+        with pytest.raises(RuntimeError, match=hint):
+            GatewayRunner(GatewayConfig(root=root, port=0)).start()
+        assert sorted(path.name for path in root.iterdir()) == ["shards.json"]
+
+
+# -- store: per-bucket gc accounting -----------------------------------------------
+
+
+class TestBucketedStoreGc:
+    def _fill(self, store, prefixes, per_bucket=3, mtime_base=1000):
+        signatures = []
+        clock = mtime_base
+        for prefix in prefixes:
+            for index in range(per_bucket):
+                signature = f"{prefix}{index:x}" + "e" * (64 - len(prefix) - 1)
+                store.put_layout(signature, tuple(range(16)))
+                os.utime(store._blob_path(signature), (clock, clock))
+                signatures.append(signature)
+                clock += 1
+        return signatures
+
+    def test_capped_store_accounts_per_bucket(self, tmp_path):
+        store = ResultStore(tmp_path / "store", max_bytes=10**9)
+        self._fill(store, ["aa", "bb"])
+        assert set(store._bucket_bytes) == {"aa", "bb"}
+        for bucket, size in store._bucket_bytes.items():
+            assert size == bucket_disk_usage(tmp_path / "store" / "blobs" / bucket)[1]
+
+    def test_gc_stats_only_the_buckets_it_may_evict_from(self, tmp_path, monkeypatch):
+        from repro.service import store as store_module
+
+        store = ResultStore(tmp_path / "store", max_bytes=10**9)
+        self._fill(store, ["aa", "bb", "cc", "dd"])
+        total = store.total_bytes()
+        scanned = []
+        real = scan_bucket_blobs
+        monkeypatch.setattr(
+            store_module,
+            "scan_bucket_blobs",
+            lambda directory: (scanned.append(directory.name), real(directory))[1],
+        )
+        evicted = store.gc(total - 8)  # just over: one bucket covers the overflow
+        assert evicted >= 1
+        assert len(scanned) == 1  # three of four buckets were never statted
+        assert store.total_bytes() <= total - 8
+
+    def test_gc_accounting_resyncs_to_exact_after_eviction(self, tmp_path):
+        store = ResultStore(tmp_path / "store", max_bytes=10**9)
+        self._fill(store, ["aa", "bb"])
+        store.gc(store.total_bytes() // 2)
+        blobs = tmp_path / "store" / "blobs"
+        for bucket, size in store._bucket_bytes.items():
+            assert size == bucket_disk_usage(blobs / bucket)[1]
+        assert store._approx_bytes == sum(store._bucket_bytes.values())
+
+    def test_write_cap_bounds_the_store_across_buckets(self, tmp_path):
+        store = ResultStore(tmp_path / "store", max_bytes=600)
+        for index in range(24):
+            signature = f"{index % 8:02x}" + "f" * 62
+            store.put_layout(signature, (index,))
+        assert store.total_bytes() <= 600
+        assert store.stats().evictions >= 1
+        # Whatever survived the churn still round-trips.
+        survivors = store.signatures()
+        assert survivors
+        assert store.get_layout(survivors[0]) is not None
+
+    def test_disk_usage_resyncs_drift_from_concurrent_deletes(self, tmp_path):
+        store = ResultStore(tmp_path / "store", max_bytes=10**9)
+        signatures = self._fill(store, ["aa", "bb"], per_bucket=2)
+        store._blob_path(signatures[0]).unlink()  # a concurrent gc got it
+        entries, total = store.disk_usage()
+        assert entries == 3
+        assert store._approx_bytes == total
+        assert set(store._bucket_bytes) == {"aa", "bb"}
+
+    def test_gc_trusts_the_account_when_under_cap(self, tmp_path, monkeypatch):
+        from repro.service import store as store_module
+
+        store = ResultStore(tmp_path / "store", max_bytes=10**9)
+        self._fill(store, ["aa", "bb"])
+        monkeypatch.setattr(
+            store_module,
+            "scan_bucket_blobs",
+            lambda directory: pytest.fail("under-cap gc must not stat any bucket"),
+        )
+        assert store.gc() == 0  # account says we fit: zero filesystem scans
+
+    def test_uncapped_store_keeps_exact_global_lru(self, tmp_path):
+        """No account to consult: explicit-cap gc stays strict oldest-first."""
+        store = ResultStore(tmp_path / "store")
+        assert store._bucket_bytes is None
+        signatures = self._fill(store, ["aa", "bb"], per_bucket=2)
+        blob_size = store.total_bytes() // 4
+        assert store.gc(max_bytes=2 * blob_size) == 2
+        assert store.signatures() == sorted(signatures[2:])  # the two oldest went

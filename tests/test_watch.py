@@ -2,8 +2,7 @@
 
 The data layer (:mod:`repro.watch.data`) is stdlib-only and tested
 unconditionally: sparkline rendering, the incremental WatchPoller frames,
-the job table across shard layouts, and the cancel/requeue operator
-actions.  The Textual TUI tests run only when the optional ``[tui]``
+the job table, and the cancel/requeue operator actions.  The Textual TUI tests run only when the optional ``[tui]``
 extra is installed (``pytest.importorskip``): CI's watch-smoke job
 installs it and drives the app headless through Textual's ``run_test``
 pilot; the core test job skips them.
@@ -22,7 +21,7 @@ import pytest
 from repro.cli import main
 from repro.obs.events import EventLog, iter_events
 from repro.service import ClusterWorker, WorkerConfig, submit_job
-from repro.service.sharding import ensure_layout, read_layout
+from repro.service.daemon import cancel_path, job_path
 from repro.watch.data import (
     HISTORY_POINTS,
     WatchPoller,
@@ -74,15 +73,14 @@ class TestWatchPoller:
         poller = WatchPoller(root)
         for _n in range(HISTORY_POINTS + 5):
             frame = poller.poll()
-        for series in frame.queue_history.values():
-            assert len(series) <= HISTORY_POINTS
+        assert len(frame.queue_history) == HISTORY_POINTS
+        assert len(frame.claim_history) == HISTORY_POINTS
         # A second poll delivers no duplicate tail events.
         tail_lengths = [len(poller.poll().tail) for _n in range(2)]
         assert tail_lengths[0] == tail_lengths[1]
 
-    def test_job_table_spans_shard_directories(self, tmp_path):
+    def test_job_table_lists_every_record_oldest_first(self, tmp_path):
         root = tmp_path / "svc"
-        ensure_layout(root, shards=4)
         jobs = [submit_job(root, "smoke") for _n in range(5)]
         table = read_job_table(root)
         assert sorted(r["job_id"] for r in table) == sorted(j.job_id for j in jobs)
@@ -102,8 +100,7 @@ class TestOperatorActions:
         root = tmp_path / "svc"
         job = submit_job(root, "smoke")
         assert cancel_job(root, job.job_id) is True
-        layout = read_layout(root)
-        assert layout.cancel_path(job.job_id).exists()
+        assert cancel_path(root, job.job_id).exists()
 
     def test_cancel_missing_job_is_refused(self, tmp_path):
         root = tmp_path / "svc"
@@ -111,8 +108,7 @@ class TestOperatorActions:
         assert cancel_job(root, "no-such-job") is False
 
     def _fail_job(self, root: Path, job_id: str) -> Path:
-        layout = read_layout(root)
-        path = layout.job_path(job_id)
+        path = job_path(root, job_id)
         record = json.loads(path.read_text())
         record["status"] = "failed"
         record["attempts"] = 2
@@ -137,14 +133,16 @@ class TestOperatorActions:
         assert requeue_job(root, job.job_id) is False
         assert requeue_job(root, "no-such-job") is False
 
-    def test_requeue_works_on_sharded_roots(self, tmp_path):
+    def test_requeue_works_on_a_one_shard_marker_root(self, tmp_path):
+        """Roots served by the previous release carry a one-shard marker."""
         root = tmp_path / "svc"
-        ensure_layout(root, shards=4)
+        root.mkdir()
+        (root / "shards.json").write_text('{"layout_version": 1, "shards": 1}\n')
         job = submit_job(root, "smoke")
         self._fail_job(root, job.job_id)
         assert requeue_job(root, job.job_id) is True
-        requeued = list(iter_events(root, job_id=job.job_id, event="requeued"))
-        assert requeued and str(requeued[0]["shard"]).startswith("s")
+        (requeued,) = iter_events(root, job_id=job.job_id, event="requeued")
+        assert "shard" not in requeued
 
 
 class TestWatchCli:
@@ -191,7 +189,7 @@ def _dashboard_root(tmp_path: Path) -> Path:
 
 @needs_textual
 class TestWatchApp:
-    def test_dashboard_renders_workers_shards_and_jobs(self, tmp_path):
+    def test_dashboard_renders_workers_queue_and_jobs(self, tmp_path):
         from textual.widgets import DataTable, Static
 
         from repro.watch.app import WatchApp
@@ -204,7 +202,7 @@ class TestWatchApp:
                 await pilot.pause()
                 assert app.query_one("#workers", DataTable).row_count == 3
                 assert app.query_one("#jobs", DataTable).row_count == 3
-                assert app.query_one("#shards", DataTable).row_count >= 1
+                assert app.query_one("#queue", DataTable).row_count == 1
                 summary = str(app.query_one("#summary", Static).renderable)
                 assert "workers(live): 3" in summary
 
@@ -223,8 +221,7 @@ class TestWatchApp:
                 assert job_id is not None
                 await pilot.press("c")
                 await pilot.pause()
-                layout = read_layout(root)
-                assert layout.cancel_path(job_id).exists()
+                assert cancel_path(root, job_id).exists()
 
         asyncio.run(scenario())
 
