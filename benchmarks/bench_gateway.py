@@ -1,10 +1,11 @@
 """Experiment G1 — gateway submit throughput/latency over live HTTP.
 
-PR 10's claim is that the gateway's micro-batcher amortizes the spool's
-atomic-rename hot path across a concurrent burst: N clients submitting
-simultaneously cost one layout read and one executor hop per *batch*
-instead of per job, so batched submission sustains at least the
-throughput of a gateway forced to write one job per flush.
+The claim is that the gateway's group commit amortizes the spool's
+atomic-rename hot path across a concurrent burst: submissions that queue
+while one spool write is in flight go out together in the next, so N
+clients submitting simultaneously cost one layout read and one executor
+hop per *batch* instead of per job, and batched submission sustains at
+least the throughput of a gateway forced to write one job per batch.
 
 Both benchmarks drive a real in-process gateway (bound to an ephemeral
 port) through :func:`repro.service.gateway.run_http_loadgen` — the same
@@ -39,11 +40,8 @@ ATTEMPTS = int(os.environ.get("REPRO_BENCH_GATEWAY_ATTEMPTS", "2"))
 
 
 def _gateway_config(root: Path, **overrides) -> GatewayConfig:
-    # batch_max matches the in-flight concurrency (each keep-alive client
-    # has one request outstanding), so bursts flush on size the moment the
-    # queue drains rather than waiting out the deadline.  batch_delay only
-    # backstops stragglers — the same tuning guidance DESIGN.md gives
-    # operators: batch_max ~ expected concurrent clients.
+    # batch_max matches the in-flight concurrency: each keep-alive client
+    # has one request outstanding, so no batch can hold more than CLIENTS.
     defaults = dict(
         root=root,
         port=0,
@@ -51,7 +49,6 @@ def _gateway_config(root: Path, **overrides) -> GatewayConfig:
         burst=1_000_000.0,
         queue_depth=max(256, JOBS * 2),
         batch_max=CLIENTS,
-        batch_delay=0.002,
         heartbeat_interval=60.0,  # keep heartbeat I/O out of the measurement
     )
     defaults.update(overrides)
@@ -114,13 +111,13 @@ def test_gateway_submit_latency(benchmark, tmp_path):
 
 
 def test_batched_submit_beats_unbatched(benchmark, tmp_path):
-    """Micro-batching must not lose to one-spool-write-per-job.
+    """Group commit must not lose to one-spool-write-per-job.
 
     ``batch_max=1`` forces every admission through its own executor hop,
-    layout read and rename; the default batcher amortizes those across
-    up to 16 jobs.  Host speed cancels in the ratio.
+    layout read and rename; group commit amortizes those across up to
+    ``CLIENTS`` jobs.  Host speed cancels in the ratio.
     """
-    unbatched = _best_burst(tmp_path, "unbatched", batch_max=1, batch_delay=0.0)
+    unbatched = _best_burst(tmp_path, "unbatched", batch_max=1)
 
     batched_reports = []
 

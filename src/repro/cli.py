@@ -50,7 +50,7 @@ liveness, leases and throughput, and ``loadgen`` measures the fleet::
     python -m repro.cli status  --root svc --cluster
 
 ``gateway`` serves the same spool to remote clients over HTTP/JSON with
-per-client rate limits, a bounded admission queue and micro-batched spool
+per-client rate limits, a bounded admission queue and group-committed spool
 writes; ``loadgen --http`` drives it with concurrent clients::
 
     python -m repro.cli gateway --root svc --port 8750 --rate 50 --burst 100 &
@@ -319,7 +319,11 @@ def _add_serve_parser(subparsers: argparse._SubParsersAction) -> None:
         "reclaimed by any live or restarted worker",
     )
     parser.add_argument(
-        "--poll", type=_positive_float, default=0.5, metavar="SECONDS", help="spool poll interval"
+        "--poll",
+        type=_positive_float,
+        default=0.5,
+        metavar="SECONDS",
+        help="fallback poll interval when no doorbell ring arrives",
     )
     # Internal: how the supervisor names each fleet member.  Operators use
     # `--workers K`; this exists so a worker process is just another
@@ -492,14 +496,7 @@ def _add_gateway_parser(subparsers: argparse._SubParsersAction) -> None:
         type=_positive_int,
         default=16,
         metavar="N",
-        help="spool-write micro-batch size cap",
-    )
-    parser.add_argument(
-        "--batch-delay",
-        type=float,
-        default=0.05,
-        metavar="SECONDS",
-        help="max time an admitted submission waits for its batch to fill",
+        help="most submissions written to the spool in one batch",
     )
 
 
@@ -920,7 +917,6 @@ def _run_gateway(args: argparse.Namespace) -> int:
         burst=args.burst,
         queue_depth=args.queue_depth,
         batch_max=args.batch_max,
-        batch_delay=max(0.0, args.batch_delay),
     )
     counters = run_gateway(config)
     admitted = counters.get("gateway.admitted", 0)

@@ -8,7 +8,7 @@ states, the spool queue gets its depth, claim-latency percentiles and
 reclaim count, and the fleet gets the worst-worker rollup.
 
 Worker state machine — driven entirely by the heartbeat, with the same
-staleness bound reclaim uses (``worker_is_alive``), so health can never
+staleness bound reclaim uses (``heartbeat_is_fresh``), so health can never
 call a worker dead that reclaim would still respect::
 
     stopped   heartbeat marked stopped=True (clean shutdown)
@@ -129,9 +129,9 @@ def classify_worker(heartbeat: Dict[str, object], now: Optional[float] = None) -
     age = max(0.0, now - float(heartbeat.get("updated_at", 0.0)))
     if heartbeat.get("stopped"):
         return STATE_STOPPED, age
-    # Same bound worker_is_alive uses, looked up lazily to keep this module
-    # importable below the service layer.
-    from repro.service.cluster import WORKER_STALE_SECONDS
+    # Same bound reclaim passes to heartbeat_is_fresh, looked up lazily to
+    # keep this module importable below the service layer.
+    from repro.service.daemon import WORKER_STALE_SECONDS
 
     bound = max(WORKER_STALE_SECONDS, 3.0 * float(heartbeat.get("poll_interval", 0.0)))
     if age <= 0.5 * bound:

@@ -221,7 +221,8 @@ def collect_gateway(root: Union[str, Path]) -> Optional[GatewaySnapshot]:
     """Gateway snapshot, or ``None`` on roots no gateway ever served.
 
     Gateway heartbeats carry ``poll_interval`` (the heartbeat cadence), which
-    the ``heartbeat_is_fresh`` liveness rule scales its threshold by.
+    the ``heartbeat_is_fresh`` liveness rule scales its threshold by;
+    the gateway's staleness bound is ``STALE_HEARTBEAT_SECONDS``.
     """
     root = Path(root)
     try:
@@ -231,10 +232,10 @@ def collect_gateway(root: Union[str, Path]) -> Optional[GatewaySnapshot]:
     if not isinstance(heartbeat, dict):
         return None
     # Lazy import — see module docstring.
-    from repro.service.daemon import heartbeat_is_fresh
+    from repro.service.daemon import STALE_HEARTBEAT_SECONDS, heartbeat_is_fresh
 
     return GatewaySnapshot(
-        alive=heartbeat_is_fresh(heartbeat),
+        alive=heartbeat_is_fresh(heartbeat, STALE_HEARTBEAT_SECONDS),
         heartbeat_age=max(0.0, time.time() - float(heartbeat.get("updated_at", 0.0))),
         heartbeat=heartbeat,
     )
@@ -246,7 +247,8 @@ def collect_cluster(root: Union[str, Path]) -> Optional[ClusterSnapshot]:
     if not (root / "workers").exists() and not (root / "leases").exists():
         return None
     # Lazy import — see module docstring.
-    from repro.service.cluster import active_leases, read_worker_heartbeats, worker_is_alive
+    from repro.service.cluster import active_leases, read_worker_heartbeats
+    from repro.service.daemon import WORKER_STALE_SECONDS, heartbeat_is_fresh
 
     snapshot = ClusterSnapshot()
     now = time.time()
@@ -256,7 +258,7 @@ def collect_cluster(root: Union[str, Path]) -> Optional[ClusterSnapshot]:
         uptime = max(1e-9, updated - started)
         snapshot.workers[worker_id] = WorkerSnapshot(
             worker_id=worker_id,
-            alive=worker_is_alive(heartbeat),
+            alive=heartbeat_is_fresh(heartbeat, WORKER_STALE_SECONDS),
             heartbeat_age=max(0.0, now - float(heartbeat.get("updated_at", 0.0))),
             throughput_jobs_per_s=round(int(heartbeat.get("jobs_done", 0)) / uptime, 4),
             heartbeat=heartbeat,

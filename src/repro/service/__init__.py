@@ -24,7 +24,7 @@ builds on:
   worker behind ``repro serve``, the ``repro serve --workers K`` local
   fleet supervisor and the ``repro loadgen`` burst harness;
 * :mod:`repro.service.gateway` — the HTTP front door (``repro gateway``):
-  an asyncio JSON API that rate-limits, queues, and micro-batches remote
+  an asyncio JSON API that rate-limits, queues, and group-commits remote
   submissions into the same spool, with an HTTP mode for ``repro loadgen``.
 
 Every lifecycle transition in this layer (submit, claim, release, reclaim,

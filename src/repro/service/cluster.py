@@ -8,6 +8,7 @@ no network — by adding two directories next to ``jobs/``::
         jobs/<job_id>.json                  # queued + terminal records (unchanged)
         leases/<worker_id>/<job_id>.json    # claimed (running) records
         workers/<worker_id>.json            # per-worker heartbeats
+        workers/doorbell                    # FIFO rung by every submit
 
 **Claiming is an atomic rename.**  A worker claims a queued job by renaming
 ``jobs/<id>.json`` into its own lease directory.  The filesystem serialises
@@ -33,6 +34,12 @@ preserved — or fails it when the retry budget is spent — and any surviving
 peer picks it up.  See DESIGN.md §"Cluster layer" for the full lease
 state machine.
 
+**Idle workers wait on a doorbell.**  Every submit writes one byte to the
+``workers/doorbell`` FIFO after its records land; an idle worker
+``select``s on the FIFO with its poll interval as the timeout, so a new
+job is claimed as soon as it is submitted, and the poll remains the
+fallback for a missed ring or a worker that cannot open the FIFO.
+
 ``repro serve`` runs one :class:`ClusterWorker` in-process; N=1 needs no
 special case, because a lone worker follows the same claim and reclaim
 rules as a fleet member.  :class:`ClusterSupervisor` runs the local fleet
@@ -47,9 +54,12 @@ throughput — the measurement harness of
 
 from __future__ import annotations
 
+import errno
 import json
 import os
+import select
 import signal
+import stat
 import subprocess
 import sys
 import threading
@@ -66,9 +76,12 @@ from repro.engine.panels import Engine
 from repro.obs.events import EventCursor, EventLog
 from repro.obs.metrics import MetricsRegistry, fleet_metrics_from_events, process_registry
 from repro.service.daemon import (
+    WORKER_STALE_SECONDS,
     _jobs_dir,
     _round_latency,
     cancel_path,
+    doorbell_path,
+    heartbeat_is_fresh,
     iter_lease_files,
     job_path,
     leases_dir,
@@ -80,11 +93,6 @@ from repro.service.scheduler import Scheduler
 from repro.service.scenarios import scenario_spec
 from repro.service.store import ResultStore, atomic_write_text
 
-#: Worker heartbeats older than this are stale (scaled by the poll interval,
-#: like the gateway's threshold, but tighter: crashed workers should be
-#: detected — and their leases reclaimed — promptly).
-WORKER_STALE_SECONDS = 5.0
-
 #: Default seconds a lease stays valid without a refresh.
 DEFAULT_LEASE_TTL = 30.0
 
@@ -94,17 +102,12 @@ def _workers_dir(root: Path) -> Path:
 
 
 def worker_is_alive(heartbeat: Dict[str, object]) -> bool:
-    """Whether a worker heartbeat indicates a live process.
+    """:func:`~repro.service.daemon.heartbeat_is_fresh` at the worker bound.
 
-    Same contract as :func:`~repro.service.daemon.heartbeat_is_fresh`
-    (a ``stopped`` heartbeat is never alive; the age threshold scales with
-    the poll interval) but with the tighter cluster staleness bound — the
-    single definition both ``status --cluster`` and lease reclaim use.
+    The public shorthand for scripts outside the package (perfbench's
+    readiness probe imports it); package code calls the rule directly.
     """
-    if heartbeat.get("stopped"):
-        return False
-    age = time.time() - float(heartbeat.get("updated_at", 0.0))
-    return age < max(WORKER_STALE_SECONDS, 3.0 * float(heartbeat.get("poll_interval", 0.0)))
+    return heartbeat_is_fresh(heartbeat, WORKER_STALE_SECONDS)
 
 
 def read_worker_heartbeats(root: Union[str, Path]) -> Dict[str, Dict[str, object]]:
@@ -327,7 +330,9 @@ class LeaseManager:
             if now < mtime + ttl:
                 continue  # still within its TTL
             owner_heartbeat = heartbeats.get(owner)
-            if owner_heartbeat is not None and worker_is_alive(owner_heartbeat):
+            if owner_heartbeat is not None and heartbeat_is_fresh(
+                owner_heartbeat, WORKER_STALE_SECONDS
+            ):
                 continue  # owner is alive, merely slow; never steal
             if self._reclaim_one(lease_path):
                 reclaimed += 1
@@ -773,12 +778,56 @@ class ClusterWorker:
         self.metrics.gauge("spool.queued").set(len(candidates))
         return bool(candidates)
 
+    def _open_doorbell(self) -> Optional[int]:
+        """Open (creating if needed) the doorbell FIFO; ``None`` means poll.
+
+        ``O_RDWR`` makes this worker a writer of its own FIFO too, so the
+        FIFO never reads EOF and ``select`` wakes only on a ring.  A worker
+        that cannot create or open it says so once, in a
+        ``doorbell-unavailable`` event, and falls back to polling.
+        """
+        path = doorbell_path(self.config.root)
+        try:
+            try:
+                os.mkfifo(path)
+            except FileExistsError:
+                pass  # made by a peer or an earlier run
+            fd = os.open(path, os.O_RDWR | os.O_NONBLOCK)
+            if not stat.S_ISFIFO(os.fstat(fd).st_mode):
+                os.close(fd)
+                raise FileExistsError(errno.EEXIST, "exists and is not a FIFO", str(path))
+        except OSError as error:
+            self.events.emit(
+                "doorbell-unavailable", worker=self.identity.worker_id, error=str(error)
+            )
+            return None
+        return fd
+
+    def _wait_for_work(self, doorbell: Optional[int]) -> None:
+        """Idle until the doorbell rings or one poll interval passes.
+
+        A ring is drained whole, so any number of submissions since the
+        last wait cost one spool scan; the spool, not the ring, says what
+        is claimable.
+        """
+        if doorbell is None:
+            time.sleep(self.config.poll_interval)
+        elif select.select([doorbell], [], [], self.config.poll_interval)[0]:
+            try:
+                while os.read(doorbell, 4096):
+                    pass
+            except BlockingIOError:
+                pass  # drained
+            self.metrics.counter("worker.wake.doorbell").inc()
+            return
+        self.metrics.counter("worker.wake.poll").inc()
+
     def run(self, max_jobs: Optional[int] = None, idle_exit: Optional[float] = None) -> int:
         """Serve until ``max_jobs`` terminal outcomes or idle too long.
 
         Retries released back to the spool do not count as finished work;
         the idle deadline re-checks the spool one final time before exiting,
-        so a submission landing during the last poll sleep is served, not
+        so a submission landing during the last wait is served, not
         stranded.
         """
         self._install_signal_handler()
@@ -793,6 +842,7 @@ class ClusterWorker:
             target=self._pulse, name=f"pulse-{self.identity.worker_id}", daemon=True
         )
         self._pulse_thread.start()
+        doorbell = self._open_doorbell()
         finished = 0
         idle_since: Optional[float] = None
         try:
@@ -810,11 +860,13 @@ class ClusterWorker:
                     idle_since = now
                 if idle_exit is not None and now - idle_since >= idle_exit:
                     if self._spool_has_queued_work():
-                        idle_since = None  # a submission landed during the last sleep
+                        idle_since = None  # a submission landed during the last wait
                         continue
                     break
-                time.sleep(self.config.poll_interval)
+                self._wait_for_work(doorbell)
         finally:
+            if doorbell is not None:
+                os.close(doorbell)
             self._pulse_stop.set()
             self._pulse_thread.join(timeout=5.0)
             self.engine.shutdown()
@@ -943,7 +995,11 @@ class ClusterSupervisor:
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
             heartbeats = read_worker_heartbeats(self.config.root)
-            fresh = sum(1 for heartbeat in heartbeats.values() if worker_is_alive(heartbeat))
+            fresh = sum(
+                1
+                for heartbeat in heartbeats.values()
+                if heartbeat_is_fresh(heartbeat, WORKER_STALE_SECONDS)
+            )
             if fresh >= self.config.workers:
                 return True
             time.sleep(0.05)

@@ -8,23 +8,30 @@ One directory is the whole service state, so ``repro submit`` / ``status`` /
         jobs/<job_id>.json    # one Job record each (atomic writes)
         jobs/<job_id>.cancel  # cancellation marker dropped by `repro cancel`
         leases/<worker>/<job_id>.json  # records claimed by a cluster worker
+        workers/doorbell      # FIFO that wakes idle workers after a submit
 
 Every spool path is computed by the helpers below; nothing else assumes
-where a job record, cancel marker or lease file lives.
+where a job record, cancel marker, lease file or the doorbell lives.
 
-Submitters drop ``queued`` job records into ``jobs/``.  The only consumer is
-the lease-claiming :class:`~repro.service.cluster.ClusterWorker`: ``repro
-serve`` runs one in-process, ``repro serve --workers K`` supervises K of
-them.  A worker that dies mid-job leaves its lease behind; any worker
-reclaims it once the lease TTL has passed and the owner's heartbeat is
-stale (attempt count preserved), so at-least-once execution holds across
-crashes — and is harmless, because results are content-addressed and
-idempotent.
+Submitters drop ``queued`` job records into ``jobs/`` and then ring the
+doorbell.  The only consumer is the lease-claiming
+:class:`~repro.service.cluster.ClusterWorker`: ``repro serve`` runs one
+in-process, ``repro serve --workers K`` supervises K of them.  The
+doorbell only says "look now"; the spool stays the one source of truth,
+so a missed ring costs an idle worker at most one poll interval.
+
+A worker that dies mid-job leaves its lease behind; any worker reclaims it
+once the lease TTL has passed and the owner's heartbeat is stale (attempt
+count preserved), so at-least-once execution holds across crashes — and
+is harmless, because results are content-addressed and idempotent.
 """
 
 from __future__ import annotations
 
+import errno
 import json
+import os
+import stat
 import time
 import uuid
 from dataclasses import dataclass
@@ -37,20 +44,33 @@ from repro.service.queue import Job
 from repro.service.scenarios import scenario_spec
 from repro.service.store import atomic_write_text, evict_lru_blobs
 
-#: Heartbeats older than this are reported as a dead/stale process.
+#: Gateway heartbeats older than this are reported as a dead/stale process.
 STALE_HEARTBEAT_SECONDS = 10.0
 
+#: Worker heartbeats older than this are stale: tighter than the gateway's
+#: bound, because crashed workers should be detected — and their leases
+#: reclaimed — promptly.
+WORKER_STALE_SECONDS = 5.0
 
-def heartbeat_is_fresh(heartbeat: Dict[str, object]) -> bool:
-    """Whether a ``gateway.json`` heartbeat indicates a live gateway.
+#: Doorbell errors a submitter ignores: no worker holds the FIFO open
+#: (ENXIO), the pipe is full so a ring is already pending (EAGAIN), or no
+#: worker has created it yet (ENOENT).
+_QUIET_DOORBELL_ERRORS = (errno.ENXIO, errno.EAGAIN, errno.ENOENT)
 
-    A ``stopped`` heartbeat is never fresh, and a slow-polling process
-    heartbeats rarely, so the age threshold scales with its poll interval.
+
+def heartbeat_is_fresh(heartbeat: Dict[str, object], stale_seconds: float) -> bool:
+    """Whether a heartbeat indicates a live process: the one liveness rule.
+
+    A ``stopped`` heartbeat is never fresh.  Otherwise the heartbeat is
+    fresh while younger than ``stale_seconds`` -- the gateway passes
+    :data:`STALE_HEARTBEAT_SECONDS`, workers :data:`WORKER_STALE_SECONDS`
+    -- or, for a slow-polling process that heartbeats rarely, three poll
+    intervals.
     """
     if heartbeat.get("stopped"):
         return False
     age = time.time() - float(heartbeat.get("updated_at", 0.0))
-    return age < max(STALE_HEARTBEAT_SECONDS, 3.0 * float(heartbeat.get("poll_interval", 0.0)))
+    return age < max(stale_seconds, 3.0 * float(heartbeat.get("poll_interval", 0.0)))
 
 
 def _jobs_dir(root: Union[str, Path]) -> Path:
@@ -88,6 +108,32 @@ def iter_lease_files(root: Union[str, Path]) -> Iterator[Tuple[Path, str]]:
     for path in sorted(directory.glob("*/*.json")):
         if path.is_file():
             yield path, path.parent.name
+
+
+def doorbell_path(root: Union[str, Path]) -> Path:
+    """The FIFO idle workers wait on; submitters write one byte to it."""
+    return Path(root) / "workers" / "doorbell"
+
+
+def ring_doorbell(root: Union[str, Path]) -> None:
+    """Wake idle workers after a submit, without ever blocking or failing.
+
+    One non-blocking write of one byte.  A missing FIFO, a FIFO no worker
+    holds open, and a full pipe are all ignored: the records are already
+    in the spool, and workers fall back to polling it.  A path that is not
+    a FIFO is left untouched (the workers report it as
+    ``doorbell-unavailable``).
+    """
+    try:
+        fd = os.open(doorbell_path(root), os.O_WRONLY | os.O_NONBLOCK)
+        try:
+            if stat.S_ISFIFO(os.fstat(fd).st_mode):
+                os.write(fd, b"\0")
+        finally:
+            os.close(fd)
+    except OSError as error:
+        if error.errno not in _QUIET_DOORBELL_ERRORS:
+            raise
 
 
 def refuse_sharded_root(root: Union[str, Path]) -> None:
@@ -159,11 +205,12 @@ def submit_jobs(
 ) -> List[Job]:
     """Validate and drop a batch of job records into the spool.
 
-    The batched entry point behind both ``submit_job`` and the gateway's
-    micro-batcher: the root is checked once, the spool directory is created
-    once, and one event-log handle emits every ``submitted`` event — so a
-    burst of N submissions does not pay N times the per-submission setup
-    cost on the atomic-rename hot path.
+    The one write path behind ``submit_job``, both loadgens and the
+    gateway's group commit: the root is checked once, the spool directory
+    is created once, one event-log handle emits every ``submitted`` event,
+    and one doorbell ring wakes idle workers once the records have landed
+    -- so a burst of N submissions does not pay N times the per-submission
+    setup cost on the atomic-rename hot path.
 
     The whole batch is validated (scenario, params, duplicate job ids —
     against the spool *and* within the batch) before any record is
@@ -195,6 +242,7 @@ def submit_jobs(
     for job in jobs:
         atomic_write_text(job_path(root, job.job_id), json.dumps(job.to_dict(), indent=2) + "\n")
         log.emit("submitted", job=job.job_id, scenario=job.scenario, priority=job.priority)
+    ring_doorbell(root)
     return jobs
 
 
@@ -317,9 +365,6 @@ def _sweep_dead_workers(root: Path) -> int:
     their lease directory is empty — pending leases keep both so reclaim
     still sees the owner's staleness.  Returns heartbeats removed.
     """
-    # Imported lazily: the cluster module builds on this one.
-    from repro.service.cluster import worker_is_alive
-
     removed = 0
     workers_dir = root / "workers"
     for heartbeat_path in sorted(workers_dir.glob("*.json")) if workers_dir.exists() else []:
@@ -327,7 +372,7 @@ def _sweep_dead_workers(root: Path) -> int:
             heartbeat = json.loads(heartbeat_path.read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError):
             continue
-        if not isinstance(heartbeat, dict) or worker_is_alive(heartbeat):
+        if not isinstance(heartbeat, dict) or heartbeat_is_fresh(heartbeat, WORKER_STALE_SECONDS):
             continue
         lease_dir = leases_dir(root) / heartbeat_path.stem
         if lease_dir.exists():

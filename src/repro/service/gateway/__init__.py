@@ -2,11 +2,12 @@
 
 Split in three so the policy math stays import-light and socket-free:
 
-* :mod:`repro.service.gateway.policy` — token buckets, the bounded
-  admission queue, and the micro-batcher (plain classes, explicit
-  clocks, fully covered by tier-1 tests).
+* :mod:`repro.service.gateway.policy` — token buckets and the bounded
+  admission queue (plain classes, explicit clocks, fully covered by
+  tier-1 tests).
 * :mod:`repro.service.gateway.server` — the asyncio HTTP/1.1 server
-  that wires those policies in front of the spool.
+  that wires those policies in front of the spool and group-commits
+  admitted submissions to it.
 * :mod:`repro.service.gateway.loadgen` — concurrent stdlib HTTP
   clients for ``repro loadgen --http`` and ``bench_gateway.py``.
 """
@@ -18,7 +19,6 @@ from repro.service.gateway.loadgen import (
 )
 from repro.service.gateway.policy import (
     AdmissionQueue,
-    MicroBatcher,
     TokenBucket,
     TokenBucketTable,
 )
@@ -36,7 +36,6 @@ __all__ = [
     "GatewayConfig",
     "GatewayRunner",
     "HttpLoadgenReport",
-    "MicroBatcher",
     "TokenBucket",
     "TokenBucketTable",
     "format_http_loadgen_report",

@@ -1,7 +1,7 @@
 """Backpressure policy for the gateway tier: plain, socket-free classes.
 
 The HTTP server in :mod:`repro.service.gateway.server` is a thin shell
-around three decisions, each made by a class in this module so tier-1
+around two decisions, each made by a class in this module so tier-1
 tests can cover the policy math without opening a socket:
 
 * :class:`TokenBucket` / :class:`TokenBucketTable` — *may this client
@@ -10,24 +10,18 @@ tests can cover the policy math without opening a socket:
   seconds until the next token, which the server surfaces as
   ``Retry-After``.
 * :class:`AdmissionQueue` — *is there room to hold the submission until
-  the batcher drains it?*  A bounded FIFO; ``offer`` never blocks, it
-  just says no when full (the server turns that into a 429).
-* :class:`MicroBatcher` — *when do queued submissions hit the spool?*
-  Accumulates admitted items and releases them as one batch either when
-  ``max_batch`` is reached (flush-on-size) or when the oldest item has
-  waited ``max_delay`` seconds (flush-on-deadline), so a burst of N
-  submissions costs one root check and one executor hop instead
-  of N.
+  the server's group commit writes it?*  A bounded FIFO; ``offer`` never
+  blocks, it just says no when full (the server turns that into a 429).
 
-All classes take explicit ``now`` timestamps instead of reading the
-clock, which makes refill/deadline math deterministic under test.  None
-of them lock: the gateway drives them from a single asyncio event loop.
+The buckets take explicit ``now`` timestamps instead of reading the
+clock, which makes refill math deterministic under test.  None of the
+classes lock: the gateway drives them from a single asyncio event loop.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional
+from typing import Any, List, Optional
 
 
 class TokenBucket:
@@ -101,7 +95,7 @@ class TokenBucketTable:
 
 
 class AdmissionQueue:
-    """Bounded FIFO between the HTTP handlers and the batcher.
+    """Bounded FIFO between the HTTP handlers and the spool writer.
 
     ``offer`` is non-blocking: it returns False when the queue is at
     capacity, and the server answers 429 (queue full).  ``take`` pops in
@@ -141,59 +135,3 @@ class AdmissionQueue:
 
     def __len__(self) -> int:
         return len(self._items)
-
-
-class MicroBatcher:
-    """Accumulate admitted submissions into spool-write batches.
-
-    ``add`` returns a full batch the moment ``max_batch`` items have
-    accumulated; otherwise items wait until ``poll`` sees the oldest one
-    exceed ``max_delay`` seconds.  ``next_deadline`` tells the event loop
-    how long it may sleep before a deadline flush is due.
-    """
-
-    def __init__(self, max_batch: int, max_delay: float) -> None:
-        if max_batch < 1:
-            raise ValueError(f"batch size must be >= 1, got {max_batch}")
-        if max_delay < 0:
-            raise ValueError(f"batch delay must be >= 0, got {max_delay}")
-        self.max_batch = max_batch
-        self.max_delay = float(max_delay)
-        self.batches = 0
-        self._items: List[Any] = []
-        self._oldest: Optional[float] = None
-
-    def add(self, item: Any, now: float) -> Optional[List[Any]]:
-        """Buffer ``item``; returns the batch when it reaches ``max_batch``."""
-        if not self._items:
-            self._oldest = now
-        self._items.append(item)
-        if len(self._items) >= self.max_batch:
-            return self.flush()
-        return None
-
-    def poll(self, now: float) -> Optional[List[Any]]:
-        """Returns the pending batch if the oldest item is past ``max_delay``."""
-        if self._items and self._oldest is not None and now - self._oldest >= self.max_delay:
-            return self.flush()
-        return None
-
-    def next_deadline(self) -> Optional[float]:
-        """Monotonic time of the pending deadline flush, or None when empty."""
-        if not self._items or self._oldest is None:
-            return None
-        return self._oldest + self.max_delay
-
-    def flush(self) -> List[Any]:
-        """Release whatever is buffered (possibly empty) as one batch."""
-        items, self._items = self._items, []
-        self._oldest = None
-        if items:
-            self.batches += 1
-        return items
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def to_dict(self) -> Dict[str, int]:
-        return {"pending": len(self._items), "max_batch": self.max_batch, "batches": self.batches}

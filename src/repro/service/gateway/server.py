@@ -19,14 +19,17 @@ Admission pipeline for a ``POST /v1/jobs`` (policy classes live in
    ``scenario_spec(...).with_params`` gate as a local ``repro submit``;
    a bad request is a ``400`` before it costs the spool anything.
 3. **Admission queue** — a bounded FIFO between handlers and the
-   batcher.  A full queue is the fleet saturated: ``429`` + Retry-After.
-4. **Micro-batch** — one background task drains the queue through a
-   :class:`~repro.service.gateway.policy.MicroBatcher` and writes each
-   batch with one :func:`~repro.service.daemon.submit_jobs` call
-   (flush-on-size or flush-on-deadline), so a concurrent burst costs one
-   executor hop per batch instead of per job.  Only after
-   the spool write lands does the client get its ``202`` with the job id
-   — an accepted submission is durably queued, never in-memory-only.
+   batch writer.  A full queue is the fleet saturated: ``429`` +
+   Retry-After.
+4. **Group commit** — one background task writes the queued
+   submissions, up to ``batch_max``, with one
+   :func:`~repro.service.daemon.submit_jobs` call as soon as no spool
+   write is in flight.  A lone submission goes out at once; whatever
+   queues while a write is in flight goes out together in the next one,
+   so a concurrent burst costs one executor hop per batch instead of per
+   job without any submission waiting on a timer.  Only after the spool
+   write lands does the client get its ``202`` with the job id — an
+   accepted submission is durably queued, never in-memory-only.
 
 Everything the front door does is observable: ``gateway-started`` /
 ``gateway-admitted`` / ``gateway-rejected`` / ``gateway-stopped`` events
@@ -89,13 +92,16 @@ class GatewayConfig:
     rate: float = 50.0  # tokens/second per client
     burst: float = 100.0  # bucket capacity per client
     queue_depth: int = 256
-    batch_max: int = 16
-    batch_delay: float = 0.05
+    batch_max: int = 16  # submissions per spool write
     max_clients: int = 1024
     submit_timeout: float = 30.0  # handler wait for its batch to land
     heartbeat_interval: float = 2.0
     stream_poll: float = 0.2  # event-stream follow cadence
     stream_timeout: float = 300.0
+
+    def __post_init__(self) -> None:
+        if self.batch_max < 1:
+            raise ValueError(f"batch size must be >= 1, got {self.batch_max}")
 
 
 @dataclass
@@ -137,7 +143,7 @@ class Gateway:
     All coroutine methods run on one event loop.  The only off-loop work
     is the spool write itself (``submit_fn`` in a thread-pool executor,
     because it is blocking file I/O); ``submit_fn`` is injectable so
-    tests can wedge the batcher and observe queue overflow
+    tests can wedge a write and observe group commit and queue overflow
     deterministically.
     """
 
@@ -146,7 +152,7 @@ class Gateway:
         config: GatewayConfig,
         submit_fn: Optional[Callable[..., List[Job]]] = None,
     ) -> None:
-        from repro.service.gateway.policy import AdmissionQueue, MicroBatcher, TokenBucketTable
+        from repro.service.gateway.policy import AdmissionQueue, TokenBucketTable
 
         self.config = config
         self.root = Path(config.root)
@@ -155,7 +161,6 @@ class Gateway:
         self.metrics = MetricsRegistry()
         self.buckets = TokenBucketTable(config.rate, config.burst, max_clients=config.max_clients)
         self.queue = AdmissionQueue(config.queue_depth)
-        self.batcher = MicroBatcher(config.batch_max, config.batch_delay)
         self._submit_fn = submit_fn or submit_jobs
         self._server: Optional[asyncio.base_events.Server] = None
         self._batch_task: Optional["asyncio.Task[None]"] = None
@@ -170,7 +175,7 @@ class Gateway:
     # -- lifecycle ---------------------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind the listening socket and start the batcher/heartbeat tasks."""
+        """Bind the listening socket and start the batch/heartbeat tasks."""
         refuse_sharded_root(self.root)
         self._wake = asyncio.Event()
         self._server = await asyncio.start_server(
@@ -232,31 +237,23 @@ class Gateway:
     # -- batching ----------------------------------------------------------------------
 
     async def _batch_loop(self) -> None:
-        """Drain the admission queue through the micro-batcher until stopped."""
-        assert self._wake is not None
-        while not self._stopping:
-            deadline = self.batcher.next_deadline()
-            try:
-                if deadline is None:
-                    await self._wake.wait()
-                else:
-                    timeout = max(0.0, deadline - time.monotonic())
-                    await asyncio.wait_for(self._wake.wait(), timeout)
-            except asyncio.TimeoutError:
-                pass
-            self._wake.clear()
-            await self._drain()
-        await self._drain(final=True)
+        """Group commit: write what queued while the last write ran, until stopped.
 
-    async def _drain(self, final: bool = False) -> None:
-        now = time.monotonic()
-        for pending in self.queue.take():
-            batch = self.batcher.add(pending, now)
+        Submissions admitted during a write wait for it, and the next write
+        takes them together (up to ``batch_max``); an idle loop sleeps until
+        a handler queues one.  After a stop the loop writes out everything
+        already admitted before it returns.
+        """
+        assert self._wake is not None
+        while True:
+            batch = self.queue.take(self.config.batch_max)
             if batch:
                 await self._write_batch(batch)
-        due = self.batcher.flush() if final else self.batcher.poll(time.monotonic())
-        if due:
-            await self._write_batch(due)
+                continue
+            if self._stopping:
+                return
+            await self._wake.wait()
+            self._wake.clear()
 
     async def _write_batch(self, batch: List[_Pending]) -> None:
         """One spool write for the whole batch; resolve every waiting handler."""
@@ -325,7 +322,7 @@ class Gateway:
         return {name: int(self.metrics.counter(name).value) for name in names}
 
     def _write_heartbeat(self, stopped: bool) -> None:
-        depth = len(self.queue) + len(self.batcher)
+        depth = len(self.queue)
         self.metrics.gauge("gateway.queue.depth").set(depth)
         payload = {
             "pid": os.getpid(),
@@ -449,7 +446,7 @@ class Gateway:
             "root": str(self.root),
             "uptime": round(time.time() - self._started_at, 3),
             "queue": {
-                "depth": len(self.queue) + len(self.batcher),
+                "depth": len(self.queue),
                 "capacity": self.queue.capacity,
             },
             "counters": self.counters(),
@@ -483,7 +480,7 @@ class Gateway:
         future: "asyncio.Future[Job]" = asyncio.get_running_loop().create_future()
         pending = _Pending(request=request, client=client, future=future)
         if not self.queue.offer(pending):
-            raise self._rejection(client, "queue", max(self.config.batch_delay, 1.0))
+            raise self._rejection(client, "queue", 1.0)
         self._wake.set()
         try:
             job = await asyncio.wait_for(pending.future, timeout=self.config.submit_timeout)

@@ -1,11 +1,12 @@
 """Tests for the gateway tier (policy classes, batch submit, HTTP server, loadgen).
 
-The policy section is the tier-1 contract the ISSUE asks for: token-bucket
-refill/burst math, bounded-queue overflow ordering and batcher flush
-semantics, all with explicit clocks so nothing sleeps.  The socket-level
-section proves the properties that matter end-to-end: a rejected client's
-job never reaches the spool, admitted work is exactly-once in the spool
-and event log, and a stopping gateway flushes what it admitted.
+The policy section pins token-bucket refill/burst math and bounded-queue
+overflow ordering with explicit clocks, so nothing sleeps.  The group-commit
+section wedges one spool write in flight to observe batching
+deterministically.  The socket-level section proves the properties that
+matter end-to-end: a rejected client's job never reaches the spool,
+admitted work is exactly-once in the spool and event log, and a stopping
+gateway flushes what it admitted.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import http.client
 import json
 import threading
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -32,7 +34,6 @@ from repro.service.gateway import (
     AdmissionQueue,
     GatewayConfig,
     GatewayRunner,
-    MicroBatcher,
     TokenBucket,
     TokenBucketTable,
     format_http_loadgen_report,
@@ -152,49 +153,113 @@ class TestAdmissionQueue:
             AdmissionQueue(max_depth=0)
 
 
-# -- micro-batcher ---------------------------------------------------------------------
+# -- micro-batching by group commit -----------------------------------------------------
+
+
+class _WedgedSubmit:
+    """A ``submit_fn`` whose first spool write blocks until released.
+
+    While the first write is wedged in flight, later submissions can only
+    queue, which makes what the next write takes deterministic.  Every
+    call's batch size is recorded.
+    """
+
+    def __init__(self) -> None:
+        self.in_flight = threading.Event()
+        self.release = threading.Event()
+        self.sizes = []
+
+    def __call__(self, root, requests, events=None):
+        self.sizes.append(len(requests))
+        if len(self.sizes) == 1:
+            self.in_flight.set()
+            assert self.release.wait(timeout=30.0)
+        return submit_jobs(root, requests, events=events)
+
+
+def _post_in_background(runner, seeds, results):
+    """POST one smoke job per seed, each from its own thread."""
+
+    def post(seed):
+        payload = {"scenario": "smoke", "params": {"seed": seed}}
+        results.append(_request(runner.port, "POST", "/v1/jobs", payload, client=f"c{seed}"))
+
+    threads = [threading.Thread(target=post, args=(seed,)) for seed in seeds]
+    for thread in threads:
+        thread.start()
+    return threads
+
+
+def _wait_until(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert predicate()
+
+
+def _wedge_then_queue(runner, wedge, queued, results):
+    """Wedge seed 0's write in flight, then queue ``queued`` more POSTs behind it."""
+    threads = _post_in_background(runner, [0], results)
+    assert wedge.in_flight.wait(timeout=10.0)
+    threads += _post_in_background(runner, range(1, queued + 1), results)
+    _wait_until(lambda: len(runner.gateway.queue) == queued)
+    return threads
 
 
 class TestMicroBatcher:
-    def test_flush_on_size(self):
-        batcher = MicroBatcher(max_batch=3, max_delay=60.0)
-        assert batcher.add("a", now=0.0) is None
-        assert batcher.add("b", now=0.0) is None
-        assert batcher.add("c", now=0.0) == ["a", "b", "c"]
-        assert len(batcher) == 0
+    def test_submissions_during_a_write_go_out_as_one_batch(self, tmp_path):
+        wedge = _WedgedSubmit()
+        runner = _gateway(tmp_path, submit_fn=wedge, batch_max=16)
+        results = []
+        try:
+            threads = _wedge_then_queue(runner, wedge, 4, results)
+            wedge.release.set()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            wedge.release.set()
+            runner.stop()
+        assert sorted(status for status, _, _ in results) == [202] * 5
+        assert wedge.sizes == [1, 4]
+        admitted = [e for e in iter_events(tmp_path) if e["event"] == "gateway-admitted"]
+        assert sorted(e["batch"] for e in admitted) == [1, 4, 4, 4, 4]
 
-    def test_flush_on_deadline_uses_oldest_item_age(self):
-        batcher = MicroBatcher(max_batch=100, max_delay=0.5)
-        batcher.add("a", now=0.0)
-        batcher.add("b", now=0.4)  # newer item must not extend the deadline
-        assert batcher.poll(now=0.49) is None
-        assert batcher.poll(now=0.5) == ["a", "b"]
-        assert batcher.poll(now=1.0) is None  # empty again
+    def test_flush_on_size(self, tmp_path):
+        """``batch_max`` caps each write; the rest goes out in the next one."""
+        wedge = _WedgedSubmit()
+        runner = _gateway(tmp_path, submit_fn=wedge, batch_max=3)
+        results = []
+        try:
+            threads = _wedge_then_queue(runner, wedge, 5, results)
+            wedge.release.set()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            wedge.release.set()
+            runner.stop()
+        assert sorted(status for status, _, _ in results) == [202] * 6
+        assert wedge.sizes == [1, 3, 2]
+        assert len(list((tmp_path / "jobs").glob("*.json"))) == 6
 
-    def test_next_deadline_tracks_oldest_item(self):
-        batcher = MicroBatcher(max_batch=100, max_delay=2.0)
-        assert batcher.next_deadline() is None
-        batcher.add("a", now=10.0)
-        batcher.add("b", now=11.0)
-        assert batcher.next_deadline() == pytest.approx(12.0)
-        batcher.flush()
-        assert batcher.next_deadline() is None
-
-    def test_flush_counts_batches(self):
-        batcher = MicroBatcher(max_batch=2, max_delay=60.0)
-        batcher.add("a", now=0.0)
-        batcher.add("b", now=0.0)
-        batcher.add("c", now=0.0)
-        batcher.flush()
-        assert batcher.batches == 2  # the size flush and the manual flush
-        assert batcher.flush() == []
-        assert batcher.batches == 2  # empty flushes do not count
+    def test_flush_counts_batches(self, tmp_path):
+        """A lone submission is one write; a stop with nothing queued writes none."""
+        wedge = _WedgedSubmit()
+        wedge.release.set()
+        runner = _gateway(tmp_path, submit_fn=wedge)
+        try:
+            for seed in range(2):
+                status, _, _ = _request(
+                    runner.port, "POST", "/v1/jobs", {"scenario": "smoke", "params": {"seed": seed}}
+                )
+                assert status == 202
+        finally:
+            runner.stop()  # the final flush finds an empty queue
+        assert wedge.sizes == [1, 1]
+        assert runner.gateway.counters()["gateway.batches"] == 2
 
     def test_invalid_parameters_raise(self):
         with pytest.raises(ValueError):
-            MicroBatcher(max_batch=0, max_delay=1.0)
-        with pytest.raises(ValueError):
-            MicroBatcher(max_batch=1, max_delay=-0.1)
+            GatewayConfig(root=".", batch_max=0)
 
 
 # -- batched submission ----------------------------------------------------------------
@@ -255,7 +320,6 @@ def _gateway(tmp_path, submit_fn=None, **overrides):
         port=0,
         rate=1000.0,
         burst=1000.0,
-        batch_delay=0.01,
         heartbeat_interval=0.2,
     )
     defaults.update(overrides)
@@ -385,48 +449,18 @@ class TestGatewayServer:
 
     def test_full_admission_queue_answers_429_queue(self, tmp_path):
         """Wedge the spool write; the bounded queue must reject, not grow."""
-        release = threading.Event()
-        started = threading.Event()
-
-        def slow_submit(root, requests, events=None):
-            started.set()
-            assert release.wait(timeout=30.0)
-            return submit_jobs(root, requests, events=events)
-
-        runner = _gateway(
-            tmp_path, submit_fn=slow_submit, queue_depth=2, batch_max=1, batch_delay=0.0
-        )
+        wedge = _WedgedSubmit()
+        runner = _gateway(tmp_path, submit_fn=wedge, queue_depth=2, batch_max=1)
         results = []
-
-        def post(seed):
-            results.append(
-                _request(
-                    runner.port,
-                    "POST",
-                    "/v1/jobs",
-                    {"scenario": "smoke", "params": {"seed": seed}},
-                    client=f"c{seed}",
-                )
-            )
-
         try:
-            first = threading.Thread(target=post, args=(0,))
-            first.start()
-            assert started.wait(timeout=10.0)  # batch 1 is wedged in the executor
-            backlog = [threading.Thread(target=post, args=(seed,)) for seed in (1, 2)]
-            for thread in backlog:
-                thread.start()
-            deadline = time.monotonic() + 10.0
-            while len(runner.gateway.queue) < 2 and time.monotonic() < deadline:
-                time.sleep(0.01)
+            threads = _wedge_then_queue(runner, wedge, 2, results)
             status, headers, _ = _request(
                 runner.port, "POST", "/v1/jobs", {"scenario": "smoke"}, client="late"
             )
             assert status == 429
-            assert "Retry-After" in headers
-            release.set()
-            first.join(timeout=30.0)
-            for thread in backlog:
+            assert headers["Retry-After"] == "1"
+            wedge.release.set()
+            for thread in threads:
                 thread.join(timeout=30.0)
             assert sorted(status for status, _, _ in results) == [202, 202, 202]
             rejected = [
@@ -434,11 +468,11 @@ class TestGatewayServer:
             ]
             assert [e["reason"] for e in rejected] == ["queue"]
         finally:
-            release.set()
+            wedge.release.set()
             runner.stop()
 
     def test_concurrent_burst_is_batched_and_exactly_once(self, tmp_path):
-        runner = _gateway(tmp_path, batch_max=16, batch_delay=0.2)
+        runner = _gateway(tmp_path, batch_max=16)
         try:
             report = run_http_loadgen(runner.url, jobs=12, clients=4, wait=False)
             assert report.admitted == 12 and report.errors == 0
@@ -448,37 +482,34 @@ class TestGatewayServer:
                 e for e in iter_events(tmp_path) if e["event"] == "gateway-admitted"
             ]
             assert sorted(e["job"] for e in admitted_events) == records
-            # Micro-batching amortized the writes: far fewer batches than jobs.
-            assert runner.gateway.batcher.batches < 12
+            # Each write of b jobs admits exactly b jobs tagged batch=b, and
+            # the batch counter agrees with the events.
+            sizes = Counter(e["batch"] for e in admitted_events)
+            assert all(count % size == 0 for size, count in sizes.items())
+            batches = sum(count // size for size, count in sizes.items())
+            assert runner.gateway.counters()["gateway.batches"] == batches
         finally:
             runner.stop()
 
     def test_stop_flushes_admitted_submissions(self, tmp_path):
         """An accepted 202 must never be lost to a graceful shutdown."""
-        runner = _gateway(tmp_path, batch_max=100, batch_delay=60.0)
+        wedge = _WedgedSubmit()
+        runner = _gateway(tmp_path, submit_fn=wedge)
         responses = []
-
-        def post(seed):
-            responses.append(
-                _request(
-                    runner.port, "POST", "/v1/jobs", {"scenario": "smoke", "params": {"seed": seed}}
-                )
-            )
-
-        threads = [threading.Thread(target=post, args=(seed,)) for seed in range(2)]
-        for thread in threads:
-            thread.start()
-        deadline = time.monotonic() + 10.0
-        while time.monotonic() < deadline:
-            depth = len(runner.gateway.queue) + len(runner.gateway.batcher)
-            if depth >= 2:
-                break
-            time.sleep(0.01)
-        runner.stop()  # graceful stop: final drain writes the wedged batch
+        threads = _wedge_then_queue(runner, wedge, 2, responses)
+        stopper = threading.Thread(target=runner.stop)
+        stopper.start()
+        try:
+            _wait_until(lambda: runner.gateway._stopping)
+        finally:
+            wedge.release.set()  # the stop must still write what was queued
+        stopper.join(timeout=30.0)
+        assert not stopper.is_alive()
         for thread in threads:
             thread.join(timeout=30.0)
-        assert [status for status, _, _ in responses] == [202, 202]
-        assert len(list((tmp_path / "jobs").glob("*.json"))) == 2
+        assert [status for status, _, _ in responses] == [202, 202, 202]
+        assert wedge.sizes == [1, 2]
+        assert len(list((tmp_path / "jobs").glob("*.json"))) == 3
 
     def test_event_stream_replays_job_history(self, tmp_path):
         runner = _gateway(tmp_path)
@@ -567,7 +598,7 @@ class TestHttpLoadgen:
         assert payload["submit_rate"] == 2.0
 
     def test_over_rate_burst_sees_429_and_retries_to_completion(self, tmp_path):
-        runner = _gateway(tmp_path, rate=5.0, burst=1, batch_delay=0.0)
+        runner = _gateway(tmp_path, rate=5.0, burst=1)
         try:
             report = run_http_loadgen(
                 runner.url, jobs=5, clients=1, wait=False, timeout=60.0

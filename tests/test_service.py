@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -54,11 +55,20 @@ from repro.service import (
     run_loadgen,
 )
 from repro.service.cluster import (
+    WORKER_STALE_SECONDS,
     active_leases,
     read_worker_heartbeats,
     worker_is_alive,
 )
-from repro.service.daemon import SubmitRequest, cancel_path, job_path, submit_jobs
+from repro.service.daemon import (
+    STALE_HEARTBEAT_SECONDS,
+    SubmitRequest,
+    cancel_path,
+    doorbell_path,
+    heartbeat_is_fresh,
+    job_path,
+    submit_jobs,
+)
 from repro.service.gateway import GatewayConfig, GatewayRunner
 from repro.service.store import (
     FORMAT_VERSION,
@@ -1007,12 +1017,19 @@ class TestLeaseManager:
 
     def test_heartbeat_staleness_detection(self):
         now = time.time()
-        assert worker_is_alive({"updated_at": now, "poll_interval": 0.1, "stopped": False})
-        assert not worker_is_alive({"updated_at": now, "stopped": True})
-        assert not worker_is_alive({"updated_at": now - 3600, "stopped": False})
-        # The threshold scales with the poll interval of a slow worker.
-        assert worker_is_alive({"updated_at": now - 20, "poll_interval": 10.0})
-        assert not worker_is_alive({"updated_at": now - 40, "poll_interval": 10.0})
+        for bound in (WORKER_STALE_SECONDS, STALE_HEARTBEAT_SECONDS):
+            fresh = {"updated_at": now, "poll_interval": 0.1, "stopped": False}
+            assert heartbeat_is_fresh(fresh, bound)
+            assert not heartbeat_is_fresh({"updated_at": now, "stopped": True}, bound)
+            assert not heartbeat_is_fresh({"updated_at": now - 3600, "stopped": False}, bound)
+            # The threshold scales with the poll interval of a slow process.
+            assert heartbeat_is_fresh({"updated_at": now - 20, "poll_interval": 10.0}, bound)
+            assert not heartbeat_is_fresh({"updated_at": now - 40, "poll_interval": 10.0}, bound)
+        # Between the two bounds: a stale worker, but a live gateway.
+        between = {"updated_at": now - 7.0, "poll_interval": 0.1}
+        assert not heartbeat_is_fresh(between, WORKER_STALE_SECONDS)
+        assert heartbeat_is_fresh(between, STALE_HEARTBEAT_SECONDS)
+        assert worker_is_alive(between) == heartbeat_is_fresh(between, WORKER_STALE_SECONDS)
 
 
 # -- cluster: worker loop -------------------------------------------------------------
@@ -1142,6 +1159,108 @@ class TestClusterWorker:
         # idle_exit=0: the deadline fires on the very first idle cycle, so
         # only the final spool re-check can see the racing submission.
         assert worker.run(max_jobs=1, idle_exit=0.0) == 1
+
+    def _run_counting_scans(self, worker: ClusterWorker, **run_kwargs):
+        """Run ``worker`` on a thread, timestamping each spool scan.
+
+        Returns ``(thread, scan_times, first_scan)``; ``first_scan`` is set
+        once the idle worker has scanned the spool at least once.
+        """
+        scan_times = []
+        first_scan = threading.Event()
+        real_scan = worker._queued_candidates
+
+        def counting_scan():
+            candidates = real_scan()
+            scan_times.append(time.monotonic())
+            first_scan.set()
+            return candidates
+
+        worker._queued_candidates = counting_scan
+        thread = threading.Thread(target=worker.run, kwargs=run_kwargs, daemon=True)
+        thread.start()
+        return thread, scan_times, first_scan
+
+    def _queue_wait(self, root: Path, job_id: str) -> float:
+        record = json.loads(job_path(root, job_id).read_text())
+        return record["executions"][0]["claimed_at"] - record["created_at"]
+
+    def test_doorbell_wakes_an_idle_worker(self, tmp_path):
+        """A slow-polling idle worker claims a new submission at once."""
+        root = tmp_path / "svc"
+        worker = self._worker(root, poll_interval=30.0)
+        thread, _scans, first_scan = self._run_counting_scans(worker, max_jobs=1)
+        try:
+            assert first_scan.wait(timeout=30.0)  # the worker has gone idle
+            (job,) = submit_jobs(root, [SubmitRequest(scenario="smoke")])
+            thread.join(timeout=60.0)
+            assert not thread.is_alive()
+            assert self._queue_wait(root, job.job_id) < 2.0
+            assert worker.metrics.counter("worker.wake.doorbell").value >= 1
+        finally:
+            worker.request_stop()
+            thread.join(timeout=60.0)
+
+    def test_worker_without_a_doorbell_polls_and_says_so(self, tmp_path):
+        """A path that is no FIFO: one event, then the poll serves the job."""
+        root = tmp_path / "svc"
+        bell = doorbell_path(root)
+        bell.parent.mkdir(parents=True)
+        bell.write_bytes(b"")  # a regular file where the FIFO belongs
+        worker = self._worker(root, poll_interval=0.5)
+        thread, _scans, first_scan = self._run_counting_scans(worker, max_jobs=1)
+        try:
+            assert first_scan.wait(timeout=30.0)
+            job = submit_job(root, "smoke")  # the ring must not fail the submit
+            thread.join(timeout=60.0)
+            assert not thread.is_alive()
+            # One poll interval, plus slack for the scan and the claim.
+            assert self._queue_wait(root, job.job_id) < 2 * worker.config.poll_interval
+        finally:
+            worker.request_stop()
+            thread.join(timeout=60.0)
+        (event,) = read_events(root, event="doorbell-unavailable")
+        assert event["worker"] == worker.identity.worker_id
+        assert "not a FIFO" in event["error"]
+        assert worker.metrics.counter("worker.wake.poll").value >= 1
+        assert "worker.wake.doorbell" not in worker.metrics.snapshot()
+        assert bell.read_bytes() == b""  # the submitter never wrote into it
+
+    def test_idle_worker_scans_once_per_poll(self, tmp_path):
+        """No busy loop: T idle seconds cost at most ceil(T / poll) + 1 scans."""
+        root = tmp_path / "svc"
+        worker = self._worker(root, poll_interval=0.1)
+        window = 1.0
+        thread, scan_times, first_scan = self._run_counting_scans(worker)
+        try:
+            assert first_scan.wait(timeout=30.0)
+            time.sleep(window + 0.2)
+        finally:
+            worker.request_stop()
+            thread.join(timeout=30.0)
+        assert not thread.is_alive()
+        start = scan_times[0]
+        in_window = [t for t in scan_times if t - start <= window]
+        assert len(in_window) <= math.ceil(window / worker.config.poll_interval) + 1
+        assert worker.metrics.counter("worker.wake.poll").value >= 1
+
+    def test_ring_never_blocks_or_fails_a_submit(self, tmp_path):
+        """No FIFO (ENOENT), no listener (ENXIO), a full pipe (EAGAIN)."""
+        root = tmp_path / "svc"
+        submit_job(root, "smoke")  # no workers/ directory yet
+        bell = doorbell_path(root)
+        bell.parent.mkdir(parents=True)
+        os.mkfifo(bell)
+        submit_job(root, "smoke")  # a FIFO nobody holds open
+        listener = os.open(bell, os.O_RDWR | os.O_NONBLOCK)
+        try:
+            with pytest.raises(BlockingIOError):
+                while True:
+                    os.write(listener, b"\0" * 65536)
+            submit_job(root, "smoke")  # a full pipe: a ring is already pending
+        finally:
+            os.close(listener)
+        assert len(list((root / "jobs").glob("*.json"))) == 3
 
     def test_status_reports_leased_job_as_running(self, tmp_path):
         root = tmp_path / "svc"
