@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.service import ClusterConfig, ClusterSupervisor, run_loadgen
+from repro.service.cluster import ClusterConfig, ClusterSupervisor, run_loadgen
 
 #: Minimum 3-worker-over-1-worker throughput ratio (relaxable in CI, same
 #: pattern as the other harness knobs).

@@ -8,7 +8,7 @@ hop per *batch* instead of per job, and batched submission sustains at
 least the throughput of a gateway forced to write one job per batch.
 
 Both benchmarks drive a real in-process gateway (bound to an ephemeral
-port) through :func:`repro.service.gateway.run_http_loadgen` — the same
+port) through :func:`repro.service.gateway.loadgen.run_http_loadgen` — the same
 concurrent stdlib clients ``repro loadgen --http`` uses — so the medians
 seeded into ``benchmarks/baseline.json`` gate the code path remote users
 actually hit.  Rate limits are set far above the burst: this experiment
@@ -26,7 +26,8 @@ import json
 import os
 from pathlib import Path
 
-from repro.service.gateway import GatewayConfig, GatewayRunner, run_http_loadgen
+from repro.service.gateway.loadgen import run_http_loadgen
+from repro.service.gateway.server import GatewayConfig, GatewayRunner
 
 #: Jobs per burst and concurrent clients driving it.
 JOBS = int(os.environ.get("REPRO_BENCH_GATEWAY_JOBS", "48"))

@@ -42,7 +42,6 @@ setup(
     install_requires=[
         "numpy",
         "scipy",
-        "networkx",
     ],
     extras_require={
         "test": [

@@ -3,29 +3,15 @@
 :mod:`repro.analysis.experiments` regenerates the rows of the paper's Tables
 1–3 (and the model-validation studies) from the synthetic benchmark suite;
 :mod:`repro.analysis.report` renders them as aligned plain-text tables the
-way the paper prints them.
+way the paper prints them.  The package re-exports only the report
+helpers: the experiment drivers load the whole flow stack, so callers
+import them from :mod:`repro.analysis.experiments` when they run tables.
 """
 
-from repro.analysis.report import format_table, format_percentage, render_comparison
-from repro.analysis.experiments import (
-    CircuitComparison,
-    ExperimentConfig,
-    run_circuit_comparison,
-    table1_rows,
-    table2_rows,
-    table3_rows,
-    run_table_suite,
-)
+from repro.analysis.report import format_percentage, format_table, render_comparison
 
 __all__ = [
     "format_table",
     "format_percentage",
     "render_comparison",
-    "CircuitComparison",
-    "ExperimentConfig",
-    "run_circuit_comparison",
-    "table1_rows",
-    "table2_rows",
-    "table3_rows",
-    "run_table_suite",
 ]

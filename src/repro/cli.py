@@ -83,14 +83,9 @@ import time
 from pathlib import Path
 from typing import Dict, Optional, Sequence
 
-from repro.analysis.experiments import (
-    DEFAULT_CIRCUITS,
-    ExperimentConfig,
-    render_all_tables,
-    run_table_suite,
-)
 from repro.analysis.report import format_percentage
 from repro.bench.ibm import generate_circuit
+from repro.bench.profiles import list_profiles
 from repro.engine import BACKEND_NAMES, Engine, SolutionCache, create_backend
 from repro.flow.flows import (
     FLOW_NAMES,
@@ -106,29 +101,16 @@ from repro.obs.events import follow_events, format_event, iter_events, read_even
 from repro.obs.health import collect_fleet_health, format_health
 from repro.obs.metrics import fleet_metrics_from_events, format_metrics
 from repro.obs.trace import Tracer, maybe_span, set_active_tracer
-from repro.service import (
-    ClusterConfig,
-    ClusterSupervisor,
-    ClusterWorker,
-    ResultStore,
-    WorkerConfig,
+from repro.service.daemon import (
     gc_service,
-    list_scenarios,
+    refuse_sharded_root,
     request_cancel,
-    run_loadgen,
     service_status,
     submit_job,
     wait_for_job,
 )
-from repro.service.cluster import format_loadgen_report
-from repro.service.daemon import refuse_sharded_root
-from repro.service.gateway import (
-    GatewayConfig,
-    format_http_loadgen_report,
-    run_gateway,
-    run_http_loadgen,
-)
-from repro.service.store import read_cumulative_store_stats
+from repro.service.scenarios import list_scenarios
+from repro.service.store import ResultStore, read_cumulative_store_stats
 from repro.sino.anneal import EFFORT_LEVELS, AnnealConfig
 
 
@@ -202,7 +184,7 @@ def _add_tables_parser(subparsers: argparse._SubParsersAction) -> None:
     parser.add_argument(
         "--circuits",
         nargs="+",
-        default=list(DEFAULT_CIRCUITS),
+        default=list_profiles(),
         help="benchmark circuits to include (ibm01..ibm06)",
     )
     parser.add_argument(
@@ -603,6 +585,8 @@ def _mb_to_bytes(megabytes: Optional[float]) -> Optional[int]:
 
 
 def _run_tables(args: argparse.Namespace) -> int:
+    from repro.analysis.experiments import ExperimentConfig, render_all_tables, run_table_suite
+
     config = ExperimentConfig(
         circuits=tuple(args.circuits),
         sensitivity_rates=tuple(args.rates),
@@ -809,6 +793,8 @@ def _parse_params(pairs: Sequence[str]) -> Dict[str, object]:
 
 
 def _run_serve(args: argparse.Namespace) -> int:
+    from repro.service.cluster import ClusterConfig, ClusterSupervisor, ClusterWorker, WorkerConfig
+
     if args.workers is not None:
         supervisor = ClusterSupervisor(
             ClusterConfig(
@@ -858,6 +844,8 @@ def _run_loadgen(args: argparse.Namespace) -> int:
         return _run_http_loadgen(args)
     if args.root is None:
         raise SystemExit("loadgen needs --root DIR (or --http URL for a live gateway)")
+    from repro.service.cluster import format_loadgen_report, run_loadgen
+
     try:
         report = run_loadgen(
             args.root,
@@ -883,6 +871,8 @@ def _run_loadgen(args: argparse.Namespace) -> int:
 def _run_http_loadgen(args: argparse.Namespace) -> int:
     if args.verify:
         raise SystemExit("--verify needs spool access; it cannot be combined with --http")
+    from repro.service.gateway.loadgen import format_http_loadgen_report, run_http_loadgen
+
     try:
         report = run_http_loadgen(
             args.http,
@@ -909,6 +899,8 @@ def _run_http_loadgen(args: argparse.Namespace) -> int:
 
 
 def _run_gateway(args: argparse.Namespace) -> int:
+    from repro.service.gateway.server import GatewayConfig, run_gateway
+
     config = GatewayConfig(
         root=args.root,
         host=args.host,

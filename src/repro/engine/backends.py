@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 import os
 from abc import ABC, abstractmethod
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from functools import partial
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
@@ -140,9 +139,9 @@ class _PooledBackend(ExecutionBackend):
     The pool is created lazily on first dispatch and reused for every
     subsequent batch, so the three flows of a comparison (and the many
     phases within each) pay worker startup once per backend instance.
+    Subclasses import their executor class where they build the pool, so
+    a serial run never loads :mod:`concurrent.futures`.
     """
-
-    _executor_factory = None  # set by subclasses
 
     def __init__(self, workers: Optional[int] = None) -> None:
         if workers is not None and workers < 1:
@@ -156,8 +155,12 @@ class _PooledBackend(ExecutionBackend):
 
     def _ensure_executor(self):
         if self._executor is None:
-            self._executor = type(self)._executor_factory(max_workers=self._workers)
+            self._executor = self._make_executor()
         return self._executor
+
+    @abstractmethod
+    def _make_executor(self):
+        """A new executor pool of ``num_workers`` workers."""
 
     def submit_batch(
         self, fn: Callable[[Any], Any], chunks: Sequence[List[Any]]
@@ -181,7 +184,11 @@ class ThreadBackend(_PooledBackend):
     """
 
     name = "thread"
-    _executor_factory = ThreadPoolExecutor
+
+    def _make_executor(self):
+        from concurrent.futures import ThreadPoolExecutor
+
+        return ThreadPoolExecutor(max_workers=self._workers)
 
 
 class ProcessBackend(_PooledBackend):
@@ -193,7 +200,11 @@ class ProcessBackend(_PooledBackend):
     """
 
     name = "process"
-    _executor_factory = ProcessPoolExecutor
+
+    def _make_executor(self):
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor(max_workers=self._workers)
 
     @property
     def shares_memory(self) -> bool:

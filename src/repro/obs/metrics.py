@@ -26,6 +26,7 @@ per observation.
 
 from __future__ import annotations
 
+import math
 import threading
 from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -196,6 +197,37 @@ def process_registry() -> MetricsRegistry:
     return _PROCESS_REGISTRY
 
 
+def snapshot_delta(
+    snapshot: Dict[str, Dict[str, object]],
+    baseline: Dict[str, Dict[str, object]],
+) -> Dict[str, Dict[str, object]]:
+    """What ``snapshot`` recorded since ``baseline`` (an earlier snapshot of
+    the same registry).
+
+    Counters and histograms report only the growth since the baseline;
+    gauges are last-written values and pass through unchanged.
+    """
+    delta: Dict[str, Dict[str, object]] = {}
+    for name, record in snapshot.items():
+        before = baseline.get(name)
+        kind = record.get("type")
+        if before is None or before.get("type") != kind or kind == "gauge":
+            delta[name] = record
+        elif kind == "counter":
+            delta[name] = {**record, "value": float(record["value"]) - float(before["value"])}
+        elif kind == "histogram":
+            delta[name] = {
+                **record,
+                "bucket_counts": [
+                    now - then
+                    for now, then in zip(record["bucket_counts"], before["bucket_counts"])
+                ],
+                "sum": round(float(record["sum"]) - float(before["sum"]), 6),
+                "count": int(record["count"]) - int(before["count"]),
+            }
+    return delta
+
+
 def merge_snapshots(
     snapshots: Iterable[Dict[str, Dict[str, object]]],
 ) -> Dict[str, Dict[str, object]]:
@@ -272,6 +304,20 @@ def snapshot_percentile(record: Dict[str, object], fraction: float) -> Optional[
     return _bucket_percentile(bounds, counts, int(record["count"]), fraction)
 
 
+def nearest_rank(values: Iterable[float], fraction: float) -> Optional[float]:
+    """The nearest-rank percentile: the ``ceil(fraction * n)``-th smallest of
+    ``n`` samples (rank clamped to ``1..n``), or ``None`` for no samples.
+
+    The product is rounded to 9 places first, so float noise such as
+    ``0.07 * 100 == 7.000000000000001`` cannot push the rank up by one.
+    """
+    ordered = sorted(values)
+    if not ordered:
+        return None
+    rank = math.ceil(round(fraction * len(ordered), 9))
+    return ordered[min(len(ordered), max(1, rank)) - 1]
+
+
 def format_metrics(snapshot: Dict[str, Dict[str, object]]) -> str:
     """Human-readable rendering of a (possibly merged) snapshot."""
     if not snapshot:
@@ -304,7 +350,9 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "process_registry",
+    "snapshot_delta",
     "merge_snapshots",
+    "nearest_rank",
     "fleet_metrics_from_events",
     "snapshot_percentile",
     "format_metrics",

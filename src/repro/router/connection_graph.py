@@ -5,18 +5,15 @@ The paper defines the net connection graph ``G_i = (V_i, E_i)`` of net
 net's pins, with an edge between every pair of adjacent regions.  The ID
 router deletes edges from these graphs until each becomes a tree.
 
-The implementation keeps its own light-weight adjacency structure rather than
-a :mod:`networkx` graph because the router's inner loop (deletability checks
-and incremental edge removal) dominates run time; networkx remains available
-for analysis and tests via :meth:`ConnectionGraph.to_networkx`.
+The implementation keeps its own light-weight adjacency structure because
+the router's inner loop (deletability checks and incremental edge removal)
+dominates run time.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from typing import Dict, Iterable, List, Optional, Set, Tuple
-
-import networkx as nx
 
 from repro.grid.nets import Net
 from repro.grid.regions import RegionCoord, RoutingGrid
@@ -148,13 +145,6 @@ class ConnectionGraph:
                     visited.add(neighbour)
                     stack.append((neighbour, current))
         return True
-
-    def to_networkx(self) -> nx.Graph:
-        """Export the current graph for analysis or visualisation."""
-        graph = nx.Graph()
-        graph.add_nodes_from(self._adjacency)
-        graph.add_edges_from(self._edges)
-        return graph
 
 
 def build_connection_graph(

@@ -32,87 +32,11 @@ cancel, gc, worker start/stop) is also appended to the root's event log
 (:mod:`repro.obs.events`), which ``repro events`` / ``repro metrics`` and
 the typed :class:`repro.obs.snapshot.ServiceSnapshot` consume.
 
+The package itself imports nothing: a caller imports each name from the
+module that defines it, so a process loads only the layers it runs (a
+compare that opens the store never loads the cluster or the asyncio
+gateway).
+
 See DESIGN.md §"Service layer" / §"Cluster layer" / §"Observability layer"
 for the on-disk formats and versioning rules.
 """
-
-from repro.service.cluster import (
-    ClusterConfig,
-    ClusterSupervisor,
-    ClusterWorker,
-    LeaseManager,
-    LoadgenReport,
-    WorkerConfig,
-    WorkerIdentity,
-    run_loadgen,
-)
-from repro.service.daemon import (
-    SubmitRequest,
-    gc_service,
-    request_cancel,
-    service_status,
-    submit_job,
-    submit_jobs,
-    wait_for_job,
-)
-from repro.service.gateway import (
-    Gateway,
-    GatewayConfig,
-    GatewayRunner,
-    HttpLoadgenReport,
-    run_gateway,
-    run_http_loadgen,
-)
-from repro.service.queue import JOB_STATUSES, Job
-from repro.service.scenarios import (
-    SCENARIO_NAMES,
-    FlowScenarioSpec,
-    ScenarioSpec,
-    generate_scenario,
-    list_scenarios,
-    register_scenario,
-    scenario_kind,
-    scenario_spec,
-)
-from repro.service.scheduler import JobOutcome, Scheduler, batch_compatible
-from repro.service.store import ResultStore, StoreStats, read_cumulative_store_stats
-
-__all__ = [
-    "ResultStore",
-    "StoreStats",
-    "read_cumulative_store_stats",
-    "ClusterConfig",
-    "ClusterSupervisor",
-    "ClusterWorker",
-    "LeaseManager",
-    "LoadgenReport",
-    "WorkerConfig",
-    "WorkerIdentity",
-    "run_loadgen",
-    "Job",
-    "JOB_STATUSES",
-    "Scheduler",
-    "JobOutcome",
-    "batch_compatible",
-    "ScenarioSpec",
-    "FlowScenarioSpec",
-    "SCENARIO_NAMES",
-    "generate_scenario",
-    "list_scenarios",
-    "register_scenario",
-    "scenario_kind",
-    "scenario_spec",
-    "SubmitRequest",
-    "submit_job",
-    "submit_jobs",
-    "request_cancel",
-    "wait_for_job",
-    "service_status",
-    "gc_service",
-    "Gateway",
-    "GatewayConfig",
-    "GatewayRunner",
-    "HttpLoadgenReport",
-    "run_gateway",
-    "run_http_loadgen",
-]

@@ -74,7 +74,13 @@ from repro.engine.backends import create_backend
 from repro.engine.cache import SolutionCache
 from repro.engine.panels import Engine
 from repro.obs.events import EventCursor, EventLog
-from repro.obs.metrics import MetricsRegistry, fleet_metrics_from_events, process_registry
+from repro.obs.metrics import (
+    MetricsRegistry,
+    fleet_metrics_from_events,
+    nearest_rank,
+    process_registry,
+    snapshot_delta,
+)
 from repro.service.daemon import (
     WORKER_STALE_SECONDS,
     _jobs_dir,
@@ -550,6 +556,9 @@ class ClusterWorker:
         self.jobs_failed = 0
         self.jobs_cancelled = 0
         self.jobs_reclaimed = 0
+        # The process registry as it stood before this worker served; its
+        # metrics events report only what grew since (see run()).
+        self._registry_baseline = process_registry().snapshot()
         self._current: Optional[Job] = None
         self._last_heartbeat = 0.0
         self._stop_requested = False
@@ -740,10 +749,11 @@ class ClusterWorker:
             self.metrics.gauge("cache.store_hits").set(stats.store_hits)
             self.store.persist_stats()
             # The solver hot paths (the anneal chain loop, shm attaches)
-            # record into the process-wide default registry; fold that
-            # snapshot in so the fleet view includes them, with the
-            # worker's own instruments winning any name collision.
-            snapshot = process_registry().snapshot()
+            # record into the process-wide default registry; fold in what
+            # they recorded since this worker started serving, so work
+            # the process did before is not reported as the worker's, with
+            # the worker's own instruments winning any name collision.
+            snapshot = snapshot_delta(process_registry().snapshot(), self._registry_baseline)
             snapshot.update(self.metrics.snapshot())
             # The nonce keys this process generation: aggregation sums
             # snapshots across generations of a reused writer label instead
@@ -831,6 +841,7 @@ class ClusterWorker:
         stranded.
         """
         self._install_signal_handler()
+        self._registry_baseline = process_registry().snapshot()
         self.events.emit(
             "worker-started",
             worker=self.identity.worker_id,
@@ -1094,15 +1105,6 @@ class ClusterSupervisor:
 # -- load generation -------------------------------------------------------------------
 
 
-def _nearest_rank(values: List[float], fraction: float) -> Optional[float]:
-    """Nearest-rank percentile of a sample (``None`` on an empty one)."""
-    if not values:
-        return None
-    ordered = sorted(values)
-    rank = min(len(ordered) - 1, max(0, int(fraction * len(ordered))))
-    return ordered[rank]
-
-
 @dataclass
 class LoadgenReport:
     """Aggregate outcome of one submitted burst (JSON-safe via ``to_dict``).
@@ -1134,7 +1136,7 @@ class LoadgenReport:
 
     def latency_percentile(self, fraction: float) -> Optional[float]:
         """Nearest-rank latency percentile over the finished jobs."""
-        return _nearest_rank(self.latencies, fraction)
+        return nearest_rank(self.latencies, fraction)
 
     def to_dict(self) -> Dict[str, object]:
         payload: Dict[str, object] = {
@@ -1288,9 +1290,9 @@ def _loadgen_spool_check(root: Path, submitted: List[Job]) -> Dict[str, object]:
             latencies.append(latency)
     return {
         **counts,
-        "latency_p50": _nearest_rank(latencies, 0.50),
-        "latency_p90": _nearest_rank(latencies, 0.90),
-        "latency_p99": _nearest_rank(latencies, 0.99),
+        "latency_p50": nearest_rank(latencies, 0.50),
+        "latency_p90": nearest_rank(latencies, 0.90),
+        "latency_p99": nearest_rank(latencies, 0.99),
     }
 
 

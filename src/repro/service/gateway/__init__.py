@@ -10,36 +10,7 @@ Split in three so the policy math stays import-light and socket-free:
   admitted submissions to it.
 * :mod:`repro.service.gateway.loadgen` — concurrent stdlib HTTP
   clients for ``repro loadgen --http`` and ``bench_gateway.py``.
+
+The package imports none of them, so loading the policy or the loadgen
+never starts asyncio; import each name from its module.
 """
-
-from repro.service.gateway.loadgen import (
-    HttpLoadgenReport,
-    format_http_loadgen_report,
-    run_http_loadgen,
-)
-from repro.service.gateway.policy import (
-    AdmissionQueue,
-    TokenBucket,
-    TokenBucketTable,
-)
-from repro.service.gateway.server import (
-    Gateway,
-    GatewayConfig,
-    GatewayRunner,
-    read_gateway_heartbeat,
-    run_gateway,
-)
-
-__all__ = [
-    "AdmissionQueue",
-    "Gateway",
-    "GatewayConfig",
-    "GatewayRunner",
-    "HttpLoadgenReport",
-    "TokenBucket",
-    "TokenBucketTable",
-    "format_http_loadgen_report",
-    "read_gateway_heartbeat",
-    "run_gateway",
-    "run_http_loadgen",
-]

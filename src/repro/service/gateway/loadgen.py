@@ -20,22 +20,14 @@ import json
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 from urllib.parse import urlsplit
 
+from repro.obs.metrics import nearest_rank
 from repro.service.scenarios import scenario_spec
 
 #: Job statuses that end a wait-for-completion poll.
 TERMINAL_STATUSES = frozenset({"done", "failed", "cancelled"})
-
-
-def _nearest_rank(values: List[float], fraction: float) -> Optional[float]:
-    """Nearest-rank percentile (same convention as the spool loadgen)."""
-    if not values:
-        return None
-    ordered = sorted(values)
-    rank = max(1, min(len(ordered), round(fraction * len(ordered) + 0.5)))
-    return ordered[rank - 1]
 
 
 @dataclass
@@ -61,7 +53,7 @@ class HttpLoadgenReport:
 
     def submit_percentile(self, fraction: float) -> Optional[float]:
         """Nearest-rank percentile of per-request submit latency (seconds)."""
-        return _nearest_rank(self.submit_latencies, fraction)
+        return nearest_rank(self.submit_latencies, fraction)
 
     @property
     def submit_rate(self) -> float:

@@ -68,6 +68,7 @@ from repro.service.daemon import (
     refuse_sharded_root,
     submit_jobs,
 )
+from repro.service.gateway.policy import AdmissionQueue, TokenBucketTable
 from repro.service.queue import Job
 from repro.service.scenarios import scenario_spec
 from repro.service.store import atomic_write_text
@@ -152,8 +153,6 @@ class Gateway:
         config: GatewayConfig,
         submit_fn: Optional[Callable[..., List[Job]]] = None,
     ) -> None:
-        from repro.service.gateway.policy import AdmissionQueue, TokenBucketTable
-
         self.config = config
         self.root = Path(config.root)
         self.root.mkdir(parents=True, exist_ok=True)

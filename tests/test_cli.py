@@ -120,16 +120,65 @@ class TestParser:
                      "--idle-exit", "0.2"]) == 0
 
 
+#: Modules the compare start-up probe (``perfbench``'s set-up import) and a
+#: whole compare must never load: none of them runs in a compare.
+_NOT_IN_COMPARE = (
+    "networkx",
+    "scipy",
+    "asyncio",
+    "http.client",
+    "concurrent.futures",
+    "multiprocessing",
+    "repro.service.gateway",
+    "repro.service.cluster",
+    "repro.service.scheduler",
+)
+_COMPARE_PROBE = "import repro.flow.flows, repro.service.store"
+_RUN_COMPARE = """
+import tempfile
+from repro.bench.ibm import generate_circuit
+from repro.engine.cache import SolutionCache
+from repro.engine.panels import Engine
+from repro.flow.flows import build_context, run_compare
+from repro.gsino.config import GsinoConfig
+from repro.service.store import ResultStore
+
+circuit = generate_circuit("ibm01", sensitivity_rate=0.3, scale=0.01, seed=3)
+config = GsinoConfig(length_scale=1.0 / 0.01 ** 0.5)
+with tempfile.TemporaryDirectory() as directory:
+    store = ResultStore(directory)
+    engine = Engine(cache=SolutionCache(store=store))
+    with engine:
+        context = build_context(circuit.grid, circuit.netlist, config, engine)
+        run_compare(context, store=store)
+"""
+#: case -> (code run in a fresh interpreter, modules it must leave unloaded)
+_IMPORT_CASES = {
+    "probe": (_COMPARE_PROBE, _NOT_IN_COMPARE),
+    "compare": (_COMPARE_PROBE + "\n" + _RUN_COMPARE, _NOT_IN_COMPARE),
+    "cli": ("import repro.cli", ("networkx", "scipy", "asyncio", "repro.service.gateway.server")),
+    "serve": (
+        "import repro.cli, repro.service.cluster",
+        ("asyncio", "http.client", "repro.service.gateway"),
+    ),
+}
+
+
 class TestImportCost:
-    def test_cli_import_does_not_load_scipy(self):
-        """Only the table characterisation needs scipy; starting the CLI must
-        not pay for it."""
-        probe = "import sys, repro.cli; print('scipy.linalg' in sys.modules)"
+    @pytest.mark.parametrize("case", sorted(_IMPORT_CASES))
+    def test_entry_point_loads_only_what_it_runs(self, case):
+        """Each entry point imports only the layers it executes (a module
+        set, not a timing: start-up seconds are too noisy to gate)."""
+        code, absent = _IMPORT_CASES[case]
+        probe = (
+            f"{code}\nimport json, sys\n"
+            f"print(json.dumps([name for name in {absent!r} if name in sys.modules]))"
+        )
         result = subprocess.run(
             [sys.executable, "-c", probe],
-            env=_src_env(), check=True, capture_output=True, text=True, timeout=60,
+            env=_src_env(), check=True, capture_output=True, text=True, timeout=120,
         )
-        assert result.stdout.strip() == "False"
+        assert json.loads(result.stdout.splitlines()[-1]) == []
 
 
 class TestCommands:
@@ -276,7 +325,7 @@ class TestServiceCommands:
 
     def test_lone_worker_serve_drains_a_flat_root(self, tmp_path, capsys):
         """`repro serve` without --workers is one lease-claiming worker."""
-        from repro.service import submit_job, wait_for_job
+        from repro.service.daemon import submit_job, wait_for_job
 
         root = tmp_path / "svc"
         job = submit_job(root, "smoke")  # a flat root with one queued job
@@ -323,7 +372,7 @@ class TestServiceCommands:
         """loadgen drains through a cluster worker; status --cluster reports it."""
         import threading
 
-        from repro.service import ClusterWorker, WorkerConfig
+        from repro.service.cluster import ClusterWorker, WorkerConfig
 
         root = tmp_path / "svc"
         worker = ClusterWorker(WorkerConfig(root=root, poll_interval=0.02, lease_ttl=5.0))

@@ -16,30 +16,22 @@ import json
 import threading
 import time
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
 from repro.obs.events import EventLog, iter_events
 from repro.obs.snapshot import collect_gateway
-from repro.service import (
-    ClusterWorker,
-    SubmitRequest,
-    WorkerConfig,
-    service_status,
-    submit_job,
-    submit_jobs,
-)
-from repro.service.gateway import (
-    AdmissionQueue,
-    GatewayConfig,
-    GatewayRunner,
-    TokenBucket,
-    TokenBucketTable,
+from repro.service.cluster import ClusterWorker, WorkerConfig
+from repro.service.daemon import SubmitRequest, service_status, submit_job, submit_jobs
+from repro.obs.metrics import nearest_rank
+from repro.service.cluster import LoadgenReport
+from repro.service.gateway.loadgen import (
+    HttpLoadgenReport,
     format_http_loadgen_report,
     run_http_loadgen,
 )
-from repro.service.gateway.loadgen import HttpLoadgenReport, _nearest_rank
+from repro.service.gateway.policy import AdmissionQueue, TokenBucket, TokenBucketTable
+from repro.service.gateway.server import GatewayConfig, GatewayRunner
 
 
 # -- token bucket ----------------------------------------------------------------------
@@ -580,11 +572,29 @@ class TestGatewayServer:
 
 class TestHttpLoadgen:
     def test_nearest_rank_percentiles(self):
+        # The ceil(f * n)-th smallest sample.
         values = [float(v) for v in range(1, 101)]
-        assert _nearest_rank(values, 0.50) == 50.0
-        assert _nearest_rank(values, 0.99) == 100.0
-        assert _nearest_rank(values, 1.0) == 100.0  # clamped to the max sample
-        assert _nearest_rank([], 0.5) is None
+        assert nearest_rank(values, 0.50) == 50.0
+        assert nearest_rank(values, 0.99) == 99.0
+        assert nearest_rank(values, 0.07) == 7.0  # 0.07 * 100 is 7.000000000000001
+        assert nearest_rank(values, 1.0) == 100.0
+        assert nearest_rank(values, 0.0) == 1.0  # clamped to the min sample
+        assert nearest_rank([], 0.5) is None
+        odd = [float(v) for v in range(9, 0, -1)]  # unsorted, n = 9
+        assert nearest_rank(odd, 0.50) == 5.0  # ceil(4.5)
+        assert nearest_rank(odd, 0.90) == 9.0  # ceil(8.1)
+        assert nearest_rank(odd, 0.10) == 1.0  # ceil(0.9)
+        assert nearest_rank([3.0, 1.0, 2.0], 0.50) == 2.0  # ceil(1.5)
+        assert nearest_rank([4.0], 0.99) == 4.0
+
+    def test_spool_and_http_loadgen_percentiles_agree(self):
+        values = [float(v) for v in range(1, 11)]
+        spool = LoadgenReport(scenario="smoke", submitted=10, latencies=values)
+        http = HttpLoadgenReport(url="http://x", scenario="smoke", clients=1)
+        http.submit_latencies = values
+        for fraction in (0.50, 0.90, 0.99):
+            assert spool.latency_percentile(fraction) == http.submit_percentile(fraction)
+        assert spool.latency_percentile(0.50) == 5.0
 
     def test_report_dict_carries_submit_percentiles(self):
         report = HttpLoadgenReport(url="http://x", scenario="smoke", clients=2)

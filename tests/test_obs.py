@@ -50,6 +50,8 @@ from repro.obs.metrics import (
     fleet_metrics_from_events,
     format_metrics,
     merge_snapshots,
+    process_registry,
+    snapshot_delta,
     snapshot_percentile,
 )
 from repro.obs.snapshot import (
@@ -58,16 +60,15 @@ from repro.obs.snapshot import (
     job_statuses_from_events,
 )
 from repro.obs.trace import Tracer, maybe_span
-from repro.service import (
+from repro.service.cluster import (
+    WORKER_STALE_SECONDS,
     ClusterWorker,
-    ResultStore,
     WorkerConfig,
-    read_cumulative_store_stats,
+    format_loadgen_report,
     run_loadgen,
-    service_status,
-    submit_job,
 )
-from repro.service.cluster import WORKER_STALE_SECONDS, format_loadgen_report
+from repro.service.daemon import service_status, submit_job
+from repro.service.store import ResultStore, read_cumulative_store_stats
 
 # -- event log: basics ----------------------------------------------------------------
 
@@ -367,6 +368,25 @@ class TestMetrics:
         assert sum(merged["latency"]["bucket_counts"]) == 2
         assert snapshot_percentile(merged["latency"], 0.5) is not None
 
+    def test_snapshot_delta_reports_growth_since_baseline(self):
+        registry = MetricsRegistry()
+        registry.counter("steps").inc(10)
+        registry.gauge("queued").set(4)
+        registry.histogram("latency").observe(0.05)
+        baseline = registry.snapshot()
+        registry.counter("steps").inc(3)
+        registry.gauge("queued").set(1)
+        registry.histogram("latency").observe(2.0)
+        registry.counter("fresh").inc(2)
+        delta = snapshot_delta(registry.snapshot(), baseline)
+        assert delta["steps"]["value"] == 3
+        assert delta["queued"]["value"] == 1  # gauges pass through
+        assert delta["fresh"]["value"] == 2  # new since the baseline: whole
+        assert delta["latency"]["count"] == 1
+        assert sum(delta["latency"]["bucket_counts"]) == 1
+        assert delta["latency"]["sum"] == 2.0
+        assert snapshot_delta(baseline, baseline)["steps"]["value"] == 0
+
     def test_merge_keeps_first_on_mismatched_bounds(self):
         first, second = MetricsRegistry(), MetricsRegistry()
         first.histogram("latency", bounds=(1.0, 2.0)).observe(1.5)
@@ -502,6 +522,24 @@ class TestSnapshots:
         # The smoke scenario is greedy-only: no anneal counters, no rate.
         assert report.anneal_steps_per_s is None
         assert "mean anneal step rate" not in "\n".join(format_loadgen_report(report))
+
+    def test_worker_omits_anneal_work_done_before_it_started(self, tmp_path):
+        # Anneal work this process recorded before the worker served (an
+        # earlier compare or test) is not the worker's to report.
+        process_registry().counter("anneal.steps").inc(5000)
+        process_registry().counter("anneal.seconds").inc(1.0)
+        root = tmp_path / "svc"
+        worker = ClusterWorker(WorkerConfig(root=root, poll_interval=0.02, lease_ttl=5.0))
+        thread = threading.Thread(target=worker.run, kwargs={"idle_exit": 0.5})
+        thread.start()
+        try:
+            report = run_loadgen(root, "smoke", jobs=2, timeout=30.0, poll=0.05)
+        finally:
+            thread.join()
+        assert report.done == 2
+        assert report.anneal_steps_per_s is None
+        for record in read_events(root, event="metrics"):
+            assert record["metrics"].get("anneal.steps", {"value": 0.0})["value"] == 0.0
 
     def test_loadgen_reports_anneal_step_rate_for_annealed_scenarios(self, tmp_path):
         root = tmp_path / "svc"

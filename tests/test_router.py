@@ -80,13 +80,6 @@ class TestConnectionGraph:
         with pytest.raises(ValueError):
             ConnectionGraph(net_id=0, pin_regions=[])
 
-    def test_to_networkx_matches(self, grid):
-        net = Net(net_id=0, pins=(Pin(50, 50), Pin(150, 150)))
-        graph = build_connection_graph(net, grid)
-        exported = graph.to_networkx()
-        assert exported.number_of_nodes() == graph.num_nodes
-        assert exported.number_of_edges() == graph.num_edges
-
 
 class TestPruneToTree:
     def test_prunes_dangling_branches(self):

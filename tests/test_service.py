@@ -31,33 +31,17 @@ from repro.engine.signature import SIGNATURE_VERSION, panel_signature
 from repro.gsino.config import GsinoConfig
 from repro.gsino.pipeline import compare_flows
 from repro.obs.events import read_events
-from repro.service import (
-    SCENARIO_NAMES,
-    Job,
-    ResultStore,
-    Scheduler,
-    batch_compatible,
-    gc_service,
-    generate_scenario,
-    request_cancel,
-    scenario_spec,
-    service_status,
-    submit_job,
-    wait_for_job,
-)
-from repro.service import (
+from repro.service.cluster import (
+    WORKER_STALE_SECONDS,
     ClusterConfig,
     ClusterSupervisor,
     ClusterWorker,
     LeaseManager,
     WorkerConfig,
     WorkerIdentity,
-    run_loadgen,
-)
-from repro.service.cluster import (
-    WORKER_STALE_SECONDS,
     active_leases,
     read_worker_heartbeats,
+    run_loadgen,
     worker_is_alive,
 )
 from repro.service.daemon import (
@@ -65,13 +49,22 @@ from repro.service.daemon import (
     SubmitRequest,
     cancel_path,
     doorbell_path,
+    gc_service,
     heartbeat_is_fresh,
     job_path,
+    request_cancel,
+    service_status,
+    submit_job,
     submit_jobs,
+    wait_for_job,
 )
-from repro.service.gateway import GatewayConfig, GatewayRunner
+from repro.service.gateway.server import GatewayConfig, GatewayRunner
+from repro.service.queue import Job
+from repro.service.scenarios import SCENARIO_NAMES, generate_scenario, scenario_spec
+from repro.service.scheduler import Scheduler, batch_compatible
 from repro.service.store import (
     FORMAT_VERSION,
+    ResultStore,
     bucket_disk_usage,
     evict_scanned_blobs,
     scan_blobs,
