@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.report import format_percentage, format_table
 from repro.bench.ibm import GeneratedCircuit, generate_circuit
+from repro.bench.profiles import DEFAULT_CIRCUITS
 from repro.engine.backends import BACKEND_NAMES, create_backend
 from repro.engine.cache import SolutionCache
 from repro.engine.panels import Engine
@@ -37,8 +38,7 @@ from repro.sino.anneal import EFFORT_LEVELS, AnnealConfig
 if TYPE_CHECKING:  # the service layer sits above analysis; import for types only
     from repro.service.store import ResultStore
 
-#: The benchmark circuits and sensitivity rates the paper's tables cover.
-DEFAULT_CIRCUITS: Tuple[str, ...] = ("ibm01", "ibm02", "ibm03", "ibm04", "ibm05", "ibm06")
+#: The sensitivity rates the paper's tables cover.
 DEFAULT_RATES: Tuple[float, ...] = (0.3, 0.5)
 
 

@@ -13,7 +13,7 @@ violating nets at a 14.60 % rate, giving ~13 062 signal nets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 
 @dataclass(frozen=True)
@@ -85,6 +85,10 @@ IBM_PROFILES: Dict[str, CircuitProfile] = {
     "ibm05": CircuitProfile("ibm05", 29646, 9837.0, 7286.0, 695.0),
     "ibm06": CircuitProfile("ibm06", 34399, 5002.0, 3795.0, 769.0),
 }
+
+
+#: The benchmark circuits the paper's tables cover.
+DEFAULT_CIRCUITS: Tuple[str, ...] = ("ibm01", "ibm02", "ibm03", "ibm04", "ibm05", "ibm06")
 
 
 def get_profile(name: str) -> CircuitProfile:

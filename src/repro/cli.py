@@ -85,7 +85,7 @@ from typing import Dict, Optional, Sequence
 
 from repro.analysis.report import format_percentage
 from repro.bench.ibm import generate_circuit
-from repro.bench.profiles import list_profiles
+from repro.bench.profiles import DEFAULT_CIRCUITS
 from repro.engine import BACKEND_NAMES, Engine, SolutionCache, create_backend
 from repro.flow.flows import (
     FLOW_NAMES,
@@ -184,7 +184,7 @@ def _add_tables_parser(subparsers: argparse._SubParsersAction) -> None:
     parser.add_argument(
         "--circuits",
         nargs="+",
-        default=list_profiles(),
+        default=list(DEFAULT_CIRCUITS),
         help="benchmark circuits to include (ibm01..ibm06)",
     )
     parser.add_argument(

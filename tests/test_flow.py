@@ -67,14 +67,14 @@ from repro.obs.events import EventLog, read_events
 from repro.obs.trace import Tracer
 from repro.router.iterative_deletion import RouterReport
 from repro.service.queue import Job
-from repro.service.scheduler import Scheduler
-from repro.service.store import ResultStore
 from repro.service.scenarios import (
     FlowScenarioSpec,
     generate_scenario,
     scenario_kind,
     scenario_spec,
 )
+from repro.service.scheduler import Scheduler
+from repro.service.store import ResultStore
 
 from tests.oracles.gsino_reference import (
     reference_compare_flows,

@@ -21,8 +21,7 @@ import pytest
 from repro.cli import main
 from repro.obs.events import EventLog, iter_events
 from repro.service.cluster import ClusterWorker, WorkerConfig
-from repro.service.daemon import submit_job
-from repro.service.daemon import cancel_path, job_path
+from repro.service.daemon import cancel_path, job_path, submit_job
 from repro.watch.data import (
     HISTORY_POINTS,
     WatchPoller,
