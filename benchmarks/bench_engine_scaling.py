@@ -24,7 +24,9 @@ from __future__ import annotations
 import time
 
 from repro.bench.ibm import generate_circuit
-from repro.engine import Engine, SolutionCache, create_backend
+from repro.engine.backends import create_backend
+from repro.engine.cache import SolutionCache
+from repro.engine.panels import Engine
 from repro.gsino.baselines import run_isino
 from repro.gsino.config import GsinoConfig
 from repro.gsino.phase2 import run_phase2

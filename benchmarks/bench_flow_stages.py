@@ -38,7 +38,8 @@ import statistics
 import time
 
 from repro.bench.ibm import generate_circuit
-from repro.engine import Engine, SolutionCache
+from repro.engine.cache import SolutionCache
+from repro.engine.panels import Engine
 from repro.engine.signature import instance_token, problem_token
 from repro.flow.flows import FLOW_NAMES, build_context, run_compare
 from repro.gsino.budgeting import compute_budgets

@@ -15,7 +15,7 @@ import sys
 import time
 
 from repro.analysis import format_percentage
-from repro.bench import generate_circuit
+from repro.bench.ibm import generate_circuit
 from repro.gsino import GsinoConfig, compare_flows
 
 

@@ -13,7 +13,7 @@ experiment grid.
 
 Quick start::
 
-    from repro.bench import generate_circuit
+    from repro.bench.ibm import generate_circuit
     from repro.gsino import GsinoConfig, compare_flows
 
     circuit = generate_circuit("ibm01", sensitivity_rate=0.3, scale=0.03, seed=1)

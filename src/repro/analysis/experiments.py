@@ -71,7 +71,7 @@ class ExperimentConfig:
         three flows (on by default; purely an execution optimisation).
     sino_effort:
         Per-region SINO effort level — one of
-        :data:`repro.sino.anneal.EFFORT_LEVELS`; overrides the template's
+        :data:`repro.catalog.EFFORT_LEVELS`; overrides the template's
         ``sino_effort``.
     chains:
         Independent annealing chains per panel for the annealing effort

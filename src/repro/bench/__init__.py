@@ -13,19 +13,8 @@ Modules
 * :mod:`repro.bench.profiles` — the per-circuit statistics (ibm01–ibm06).
 * :mod:`repro.bench.placement` — net/pin synthesis from a profile.
 * :mod:`repro.bench.ibm` — the top-level generator returning grid + netlist.
+
+The package re-exports nothing: the profiles are stdlib-only and validate
+circuit names in processes that never generate a circuit (and so never load
+numpy), so import each name from the module that defines it.
 """
-
-from repro.bench.profiles import CircuitProfile, IBM_PROFILES, get_profile, list_profiles
-from repro.bench.placement import PlacementConfig, generate_nets
-from repro.bench.ibm import GeneratedCircuit, generate_circuit
-
-__all__ = [
-    "CircuitProfile",
-    "IBM_PROFILES",
-    "get_profile",
-    "list_profiles",
-    "PlacementConfig",
-    "generate_nets",
-    "GeneratedCircuit",
-    "generate_circuit",
-]

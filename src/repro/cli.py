@@ -81,22 +81,12 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 from repro.analysis.report import format_percentage
-from repro.bench.ibm import generate_circuit
 from repro.bench.profiles import DEFAULT_CIRCUITS
-from repro.engine import BACKEND_NAMES, Engine, SolutionCache, create_backend
-from repro.flow.flows import (
-    FLOW_NAMES,
-    build_context,
-    flow_graph,
-    list_flows,
-    run_compare,
-    run_flow,
-)
-from repro.flow.runner import FlowRunner, StageExecution
-from repro.gsino.config import GsinoConfig
+from repro.catalog import EFFORT_LEVELS, FLOW_NAMES
+from repro.engine.backends import BACKEND_NAMES
 from repro.obs.events import follow_events, format_event, iter_events, read_events
 from repro.obs.health import collect_fleet_health, format_health
 from repro.obs.metrics import fleet_metrics_from_events, format_metrics
@@ -111,7 +101,9 @@ from repro.service.daemon import (
 )
 from repro.service.scenarios import list_scenarios
 from repro.service.store import ResultStore, read_cumulative_store_stats
-from repro.sino.anneal import EFFORT_LEVELS, AnnealConfig
+
+if TYPE_CHECKING:
+    from repro.flow.runner import FlowRunner, StageExecution
 
 
 def _positive_int(text: str) -> int:
@@ -638,8 +630,17 @@ def _instance_run_setup(args: argparse.Namespace):
     """(circuit, config, store, engine) shared by ``compare`` and ``flows``.
 
     One construction path, so a new solver or engine flag can never reach
-    one subcommand and silently miss the other.
+    one subcommand and silently miss the other.  The gateway and the
+    supervisor run this module too, so the solver stack is imported here,
+    by the verbs that solve, and not at module level.
     """
+    from repro.bench.ibm import generate_circuit
+    from repro.engine.backends import create_backend
+    from repro.engine.cache import SolutionCache
+    from repro.engine.panels import Engine
+    from repro.gsino.config import GsinoConfig
+    from repro.sino.anneal import AnnealConfig
+
     circuit = generate_circuit(
         args.circuit, sensitivity_rate=args.rate, scale=args.scale, seed=args.seed
     )
@@ -668,6 +669,8 @@ def _instance_run_setup(args: argparse.Namespace):
 
 
 def _run_compare(args: argparse.Namespace) -> int:
+    from repro.flow.flows import build_context, run_compare
+
     circuit, config, store, engine = _instance_run_setup(args)
     with engine:
         context = build_context(circuit.grid, circuit.netlist, config, engine)
@@ -715,6 +718,9 @@ def _run_compare(args: argparse.Namespace) -> int:
 
 
 def _run_flows(args: argparse.Namespace) -> int:
+    from repro.flow.flows import build_context, flow_graph, list_flows, run_flow
+    from repro.flow.runner import FlowRunner
+
     if args.list:
         for name, description in list_flows():
             stages = len(flow_graph(name).schedule())

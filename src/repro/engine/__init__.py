@@ -21,37 +21,8 @@ turns both into dispatchable work:
 Every backend is bit-identical to the serial reference path: tasks carry
 their own seeds, results are keyed rather than ordered, and result maps are
 assembled in sorted-key order.  See DESIGN.md §"Execution engine".
+
+The package re-exports nothing: import each name from the module that
+defines it, so a process that only dispatches or reads results (the
+backends are stdlib-only) never loads numpy and the SINO solvers.
 """
-
-from repro.engine.backends import (
-    BACKEND_NAMES,
-    ExecutionBackend,
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-    create_backend,
-)
-from repro.engine.cache import CacheStats, LayoutStore, SolutionCache
-from repro.engine.panels import Engine, PanelTask, solve_panel_task
-from repro.engine.signature import panel_signature, problem_token
-from repro.engine.sweep import FlowAggregate, SweepPoint, SweepRunner
-
-__all__ = [
-    "BACKEND_NAMES",
-    "ExecutionBackend",
-    "SerialBackend",
-    "ThreadBackend",
-    "ProcessBackend",
-    "create_backend",
-    "CacheStats",
-    "LayoutStore",
-    "SolutionCache",
-    "Engine",
-    "PanelTask",
-    "solve_panel_task",
-    "panel_signature",
-    "problem_token",
-    "FlowAggregate",
-    "SweepPoint",
-    "SweepRunner",
-]

@@ -28,20 +28,18 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
+from repro.catalog import EFFORT_LEVELS, PANEL_SOLVERS
 from repro.engine.backends import ExecutionBackend, SerialBackend
 from repro.engine.cache import CacheStats, SolutionCache
 from repro.engine.signature import panel_signature
 from repro.obs.trace import Tracer, maybe_span
-from repro.sino.anneal import EFFORT_LEVELS, AnnealConfig, solve_min_area_sino
+from repro.sino.anneal import AnnealConfig, solve_min_area_sino
 from repro.sino.net_ordering import net_ordering_only
 from repro.sino.panel import SinoProblem, SinoSolution
 
 #: (region coordinate, direction) — matches :data:`repro.gsino.metrics.PanelKey`,
 #: restated here so the engine layer does not import the flow layer.
 PanelKey = Tuple[Tuple[int, int], str]
-
-#: Solvers a panel task can request.
-PANEL_SOLVERS: Tuple[str, ...] = ("sino", "ordering")
 
 
 @dataclass(frozen=True)
@@ -57,7 +55,7 @@ class PanelTask:
     solver:
         ``"sino"`` (shield insertion + net ordering) or ``"ordering"``.
     effort:
-        One of :data:`repro.sino.anneal.EFFORT_LEVELS` (``"greedy"``,
+        One of :data:`repro.catalog.EFFORT_LEVELS` (``"greedy"``,
         ``"anneal"`` or ``"anneal-fast"``); forwarded to the SINO solver.
     seed:
         Per-task seed of the stochastic annealing efforts.  ``None`` keeps

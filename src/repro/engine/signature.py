@@ -42,32 +42,13 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
+from repro.catalog import SIGNATURE_VERSION, STAGE_SIGNATURE_VERSION
 from repro.sino.anneal import AnnealConfig
 from repro.sino.panel import SinoProblem
 
 if TYPE_CHECKING:  # the grid layer sits below the engine; import only for types
     from repro.grid.nets import Netlist
     from repro.grid.regions import RoutingGrid
-
-#: Signature scheme version; bump when the token layout changes so persisted
-#: caches (if any) cannot return solutions hashed under an older scheme.
-#: Version 2 added the chain count to the annealing-schedule token; version 3
-#: added the batched-evaluation width (``batch_k``).  Version 4 merged the two
-#: annealers: under v3, ``effort=anneal`` with ``batch_k=8`` ran the one-move
-#: chain (the width only applied to a separate batched effort), while the same
-#: token now runs the best-of-8 chain, so a v3 layout must not be restored.
-#: Version 5 hashes the problem's arrays (segment ids, packed sensitivity
-#: matrix, bound vector) instead of spelling out sorted pair and bound lists.
-SIGNATURE_VERSION = 5
-
-#: Version of the *stage* signature scheme (instance token + stage token
-#: layout) and of the stage payload formats.  Bump whenever either token
-#: layout or a payload format changes so persisted stage artifacts written
-#: under an older scheme can never be restored.  Version 2 replaced the
-#: instance token's full sensitivity pair list with the oracle's token;
-#: stores filled under version 1 re-execute once.  Version 3 stores routes
-#: as flat int lists and adds the Phase III cap flags to the refine payload.
-STAGE_SIGNATURE_VERSION = 3
 
 
 def _float_token(value: float) -> str:

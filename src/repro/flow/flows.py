@@ -30,6 +30,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple, cast
 
+from repro.catalog import FLOW_NAMES
 from repro.engine.panels import Engine
 from repro.flow.artifacts import MetricsArtifact, RefineArtifact, RoutingArtifact
 from repro.flow.graph import ArtifactStore, FlowContext, FlowGraph, Stage
@@ -59,9 +60,6 @@ REFINE_GSINO = "refine_gsino"
 METRICS_ID_NO = "metrics_id_no"
 METRICS_ISINO = "metrics_isino"
 METRICS_GSINO = "metrics_gsino"
-
-#: The registered flows, in the canonical comparison order.
-FLOW_NAMES: Tuple[str, ...] = ("id_no", "isino", "gsino")
 
 #: One-line flow summaries (``repro flows --list``).
 FLOW_DESCRIPTIONS: Dict[str, str] = {

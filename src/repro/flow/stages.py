@@ -205,6 +205,9 @@ def refine_stage(routing_artifact: str, panels_artifact: str) -> Stage:
         compute=compute,
         encode=encode,
         decode=decode,
+        # Version 2: pass 1 breaks density ties in a fixed panel-key order;
+        # under version 1 that order followed the writer's string-hash seed.
+        version=2,
     )
 
 

@@ -27,7 +27,7 @@ from typing import (
     Tuple,
 )
 
-from repro.grid.nets import Net, Netlist
+from repro.grid.nets import Netlist
 from repro.grid.regions import HORIZONTAL, VERTICAL, RegionCoord, RoutingGrid
 
 #: A grid edge between two adjacent regions, stored with sorted endpoints so
@@ -272,8 +272,9 @@ class PanelIndex:
 
     One pass over every route's :meth:`RouteTree.direction_usage`, in
     ``routes`` order, yields both directions of the relation: per occupied
-    panel its :class:`PanelMembers`, per net its panel keys in exactly the
-    order ``direction_usage`` yields them.  Panels are listed in the grid's
+    panel its :class:`PanelMembers`, per net its panel keys in the order
+    ``direction_usage`` yields its regions, horizontal before vertical
+    within a region.  Panels are listed in the grid's
     region order, horizontal before vertical (the order of
     :class:`~repro.grid.congestion.CongestionMap` entries); unoccupied
     panels are absent.  Nothing writes a :class:`RoutingSolution`'s routes
@@ -285,10 +286,14 @@ class PanelIndex:
         members: DefaultDict[PanelKey, List[int]] = defaultdict(list)
         self.net_keys: Dict[int, Tuple[PanelKey, ...]] = {}
         for net_id, route in routing.routes.items():
+            # Directions in a fixed order, not the set's: Phase III breaks
+            # density ties by this order, and a set of strings iterates in
+            # an order that follows the process's hash seed.
             keys = [
                 (coord, direction)
                 for coord, directions in route.direction_usage(grid).items()
-                for direction in directions
+                for direction in (HORIZONTAL, VERTICAL)
+                if direction in directions
             ]
             for key in keys:
                 members[key].append(net_id)

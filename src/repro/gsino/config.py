@@ -46,7 +46,7 @@ class GsinoConfig:
         regime of the paper is preserved (see DESIGN.md).
     sino_effort:
         Effort level of every per-region SINO solve — one of
-        :data:`repro.sino.anneal.EFFORT_LEVELS`: ``"greedy"``, ``"anneal"``
+        :data:`repro.catalog.EFFORT_LEVELS`: ``"greedy"``, ``"anneal"``
         (chain width ``AnnealConfig.batch_k``) or ``"anneal-fast"``
         (quarter-length schedule).
     anneal:

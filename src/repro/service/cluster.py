@@ -70,9 +70,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.engine.backends import create_backend
-from repro.engine.cache import SolutionCache
-from repro.engine.panels import Engine
 from repro.obs.events import EventCursor, EventLog
 from repro.obs.metrics import (
     MetricsRegistry,
@@ -95,7 +92,6 @@ from repro.service.daemon import (
     submit_job,
 )
 from repro.service.queue import TERMINAL_STATUSES, Job
-from repro.service.scheduler import Scheduler
 from repro.service.scenarios import scenario_spec
 from repro.service.store import ResultStore, atomic_write_text
 
@@ -530,6 +526,13 @@ class ClusterWorker:
     """
 
     def __init__(self, config: WorkerConfig, identity: Optional[WorkerIdentity] = None) -> None:
+        # Only a worker solves: the supervisor and the spool loadgen import
+        # this module without loading numpy and the solver stack.
+        from repro.engine.backends import create_backend
+        from repro.engine.cache import SolutionCache
+        from repro.engine.panels import Engine
+        from repro.service.scheduler import Scheduler
+
         self.config = config
         root = Path(config.root)
         refuse_sharded_root(root)

@@ -21,6 +21,10 @@ store only ``(scenario, params)`` — tiny, JSON-safe — and the scheduler
 regenerates the tasks (or the flow context) at execution time; identical
 submissions produce identical panel/stage signatures and hit the result
 store.
+
+The registry and its spec validation are numpy-free, so the gateway and the
+spool verbs check a submission without loading the solver stack; only
+:func:`generate_scenario`, which runs where a job is solved, imports it.
 """
 
 from __future__ import annotations
@@ -28,20 +32,14 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, fields, replace
-from typing import Dict, List, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Tuple, Union
 
 from repro.bench.profiles import get_profile
-from repro.engine.panels import PANEL_SOLVERS, PanelTask
-from repro.sino.anneal import EFFORT_LEVELS, AnnealConfig
-from repro.sino.panel import SinoProblem
+from repro.catalog import EFFORT_LEVELS, FLOW_NAMES, PANEL_SOLVERS
 from repro.tech.itrs import ITRS_100NM, get_technology
 
-#: The flow names a :class:`FlowScenarioSpec` may reference.  A literal
-#: duplicate of :data:`repro.flow.flows.FLOW_NAMES` on purpose: importing
-#: the flow stack here would make every worker/CLI startup pay for it,
-#: while the scheduler deliberately imports it only when a flow job runs.
-#: ``tests/test_flow.py`` pins the two tuples equal.
-FLOW_SCENARIO_FLOWS: Tuple[str, ...] = ("id_no", "isino", "gsino")
+if TYPE_CHECKING:  # the table validates specs without the solver stack
+    from repro.engine.panels import PanelTask
 
 
 @dataclass(frozen=True)
@@ -169,7 +167,7 @@ class FlowScenarioSpec:
     name / description:
         Registry identity and a one-line summary for ``repro submit --list``.
     flow:
-        One of :data:`FLOW_SCENARIO_FLOWS` or ``"compare"`` (all three
+        One of :data:`repro.catalog.FLOW_NAMES` or ``"compare"`` (all three
         flows over one shared runner, exactly like ``repro compare``).
     circuit / sensitivity_rate / scale / seed:
         The generated benchmark instance (same knobs as the experiment
@@ -188,9 +186,9 @@ class FlowScenarioSpec:
     effort: str = "greedy"
 
     def __post_init__(self) -> None:
-        if self.flow != "compare" and self.flow not in FLOW_SCENARIO_FLOWS:
+        if self.flow != "compare" and self.flow not in FLOW_NAMES:
             raise ValueError(
-                f"flow must be 'compare' or one of {FLOW_SCENARIO_FLOWS}, got {self.flow!r}"
+                f"flow must be 'compare' or one of {FLOW_NAMES}, got {self.flow!r}"
             )
         if not 0.0 < self.scale <= 1.0:
             raise ValueError(f"scale must lie in (0, 1], got {self.scale}")
@@ -204,7 +202,7 @@ class FlowScenarioSpec:
 
     def flow_names(self) -> Tuple[str, ...]:
         """The flows this scenario runs, in canonical order."""
-        return FLOW_SCENARIO_FLOWS if self.flow == "compare" else (self.flow,)
+        return FLOW_NAMES if self.flow == "compare" else (self.flow,)
 
     def with_params(self, params: Dict[str, object]) -> "FlowScenarioSpec":
         """A copy with submit-time overrides applied (unknown keys rejected)."""
@@ -222,6 +220,10 @@ def generate_scenario(name: str, params: Dict[str, object] | None = None) -> Lis
     stay distinguishable in panel keys and diagnostics, and a derived task
     seed ``seed + i`` so annealing panels are independent but reproducible.
     """
+    from repro.engine.panels import PanelTask
+    from repro.sino.anneal import AnnealConfig
+    from repro.sino.panel import SinoProblem
+
     spec = scenario_spec(name).with_params(dict(params or {}))
     if isinstance(spec, FlowScenarioSpec):
         raise ValueError(

@@ -23,7 +23,7 @@ with the signature scheme version it was hashed under.  Durability rules:
   checks is dropped (and counted) rather than served; the solve simply
   happens again.
 * **Versioning** — the store records both its own ``FORMAT_VERSION`` and the
-  engine's :data:`~repro.engine.signature.SIGNATURE_VERSION`.  A store
+  engine's :data:`~repro.catalog.SIGNATURE_VERSION`.  A store
   written under either older version is cleared on open: signatures hashed
   under another scheme can never be looked up again, so stale blobs are dead
   weight, and a cache may always be rebuilt from nothing.
@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple, Union
 
-from repro.engine.signature import SIGNATURE_VERSION, STAGE_SIGNATURE_VERSION
+from repro.catalog import SIGNATURE_VERSION, STAGE_SIGNATURE_VERSION
 
 #: Version of the on-disk layout described above; bump on incompatible change.
 FORMAT_VERSION = 1

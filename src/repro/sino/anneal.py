@@ -59,16 +59,13 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.catalog import EFFORT_LEVELS
 from repro.obs.metrics import process_registry
 from repro.obs.trace import active_tracer, maybe_span
 from repro.sino.batched import BatchedMoveEvaluator
 from repro.sino.greedy import greedy_sino
 from repro.sino.incremental import IncrementalPanelState, Move
 from repro.sino.panel import SinoProblem, SinoSolution
-
-#: Effort levels accepted by :func:`solve_min_area_sino` (and, transitively,
-#: ``GsinoConfig.sino_effort``, ``PanelTask.effort`` and the CLI ``--effort``).
-EFFORT_LEVELS: Tuple[str, ...] = ("greedy", "anneal", "anneal-fast")
 
 #: Schedule-length divisor of the ``"anneal-fast"`` effort level.
 ANNEAL_FAST_DIVISOR = 4

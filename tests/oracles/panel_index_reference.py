@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Dict, List, Mapping
 
 from repro.grid.nets import Netlist
+from repro.grid.regions import HORIZONTAL, VERTICAL
 from repro.grid.routes import PanelKey, RoutingSolution
 from repro.gsino.budgeting import NetBudget, bounds_for_nets
 from repro.gsino.config import GsinoConfig
@@ -31,9 +32,18 @@ def panel_members_reference(routing: RoutingSolution) -> Dict[PanelKey, List[int
 
 
 def panel_keys_reference(routing: RoutingSolution, net_id: int) -> List[PanelKey]:
-    """The historic ``LocalRefiner.panel_keys_of`` order of one net's panels."""
+    """The historic ``LocalRefiner.panel_keys_of`` order of one net's panels.
+
+    Within a region, horizontal before vertical: the historic walk iterated
+    the set of directions, whose order followed the process's hash seed.
+    """
     usage = routing.route(net_id).direction_usage(routing.grid)
-    return [(coord, direction) for coord, directions in usage.items() for direction in directions]
+    return [
+        (coord, direction)
+        for coord, directions in usage.items()
+        for direction in (HORIZONTAL, VERTICAL)
+        if direction in directions
+    ]
 
 
 def scalar_panel_problems(

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -152,15 +153,62 @@ with tempfile.TemporaryDirectory() as directory:
         context = build_context(circuit.grid, circuit.netlist, config, engine)
         run_compare(context, store=store)
 """
-#: case -> (code run in a fresh interpreter, modules it must leave unloaded)
+#: The solver stack: only a process that solves may load any of it.
+_SOLVER_STACK = ("numpy", "repro.engine.panels", "repro.sino.anneal", "repro.flow.flows")
+#: The control plane at work on a spool: submit a panel job and a flow job
+#: (and see a bad parameter refused), then read a snapshot and fleet health.
+_SPOOL_RUNTIME = """
+import tempfile
+from repro.obs.health import collect_fleet_health
+from repro.obs.snapshot import ServiceSnapshot
+from repro.service.daemon import SubmitRequest, submit_jobs
+
+with tempfile.TemporaryDirectory() as root:
+    jobs = submit_jobs(root, [
+        SubmitRequest("smoke", {"seed": 3}),
+        SubmitRequest("flow-compare", {"scale": 0.01}),
+    ])
+    assert len(jobs) == 2
+    try:
+        submit_jobs(root, [SubmitRequest("smoke", {"effort": "exhaustive"})])
+    except ValueError:
+        pass
+    else:
+        raise AssertionError("a bad effort was admitted")
+    snapshot = ServiceSnapshot.collect(root, with_health=True)
+    assert snapshot.job_counts == {"queued": 2}, snapshot.job_counts
+    collect_fleet_health(root)
+"""
+_BUILD_WORKER = """
+import tempfile
+from repro.service.cluster import ClusterWorker, WorkerConfig
+
+with tempfile.TemporaryDirectory() as root:
+    ClusterWorker(WorkerConfig(root=root))
+"""
+#: case -> (code run in a fresh interpreter, modules it must leave unloaded,
+#: modules it must load)
 _IMPORT_CASES = {
-    "probe": (_COMPARE_PROBE, _NOT_IN_COMPARE),
-    "compare": (_COMPARE_PROBE + "\n" + _RUN_COMPARE, _NOT_IN_COMPARE),
-    "cli": ("import repro.cli", ("networkx", "scipy", "asyncio", "repro.service.gateway.server")),
+    "probe": (_COMPARE_PROBE, _NOT_IN_COMPARE, ()),
+    "compare": (_COMPARE_PROBE + "\n" + _RUN_COMPARE, _NOT_IN_COMPARE, ()),
+    "cli": (
+        "import repro.cli",
+        ("networkx", "scipy", "asyncio", "repro.service.gateway.server") + _SOLVER_STACK,
+        (),
+    ),
+    "gateway": ("import repro.cli, repro.service.gateway.server", _SOLVER_STACK, ()),
     "serve": (
         "import repro.cli, repro.service.cluster",
-        ("asyncio", "http.client", "repro.service.gateway"),
+        ("asyncio", "http.client", "repro.service.gateway") + _SOLVER_STACK,
+        (),
     ),
+    "spool": (
+        "import repro.service.daemon, repro.obs.snapshot, repro.obs.health",
+        _SOLVER_STACK,
+        (),
+    ),
+    "spool-runtime": (_SPOOL_RUNTIME, _SOLVER_STACK, ()),
+    "worker": (_BUILD_WORKER, ("asyncio", "repro.service.gateway"), ("repro.engine.panels",)),
 }
 
 
@@ -169,16 +217,37 @@ class TestImportCost:
     def test_entry_point_loads_only_what_it_runs(self, case):
         """Each entry point imports only the layers it executes (a module
         set, not a timing: start-up seconds are too noisy to gate)."""
-        code, absent = _IMPORT_CASES[case]
+        code, absent, present = _IMPORT_CASES[case]
         probe = (
             f"{code}\nimport json, sys\n"
-            f"print(json.dumps([name for name in {absent!r} if name in sys.modules]))"
+            f"print(json.dumps([name for name in {absent!r} if name in sys.modules]))\n"
+            f"print(json.dumps([name for name in {present!r} if name not in sys.modules]))"
         )
         result = subprocess.run(
             [sys.executable, "-c", probe],
             env=_src_env(), check=True, capture_output=True, text=True, timeout=120,
         )
-        assert json.loads(result.stdout.splitlines()[-1]) == []
+        loaded, missing = (json.loads(line) for line in result.stdout.splitlines()[-2:])
+        assert loaded == [] and missing == []
+
+
+class TestDeterminism:
+    def test_gsino_output_does_not_follow_the_hash_seed(self):
+        """Phase III breaks density ties by each net's panel-key order; that
+        order must not follow ``PYTHONHASHSEED`` (this instance has a tie)."""
+        command = [
+            sys.executable, "-m", "repro.cli", "flows", "--run", "gsino",
+            "--circuit", "ibm01", "--rate", "0.3", "--scale", "0.02", "--seed", "177458",
+        ]
+        outputs = []
+        for hash_seed in ("0", "1"):
+            env = dict(_src_env(), PYTHONHASHSEED=hash_seed)
+            result = subprocess.run(
+                command, env=env, check=True, capture_output=True, text=True, timeout=120
+            )
+            outputs.append(re.sub(r"\d+\.\d+s\b", "<t>", result.stdout))
+        assert "shields=" in outputs[0]
+        assert outputs[0] == outputs[1]
 
 
 class TestCommands:

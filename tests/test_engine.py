@@ -5,22 +5,18 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.experiments import ExperimentConfig, run_table_suite
-from repro.engine import (
+from repro.engine.backends import (
     BACKEND_NAMES,
-    CacheStats,
-    Engine,
-    PanelTask,
     ProcessBackend,
     SerialBackend,
-    SolutionCache,
-    SweepRunner,
     ThreadBackend,
+    chunk_tasks,
     create_backend,
-    panel_signature,
-    problem_token,
-    solve_panel_task,
 )
-from repro.engine.backends import chunk_tasks
+from repro.engine.cache import CacheStats, SolutionCache
+from repro.engine.panels import Engine, PanelTask, solve_panel_task
+from repro.engine.signature import panel_signature, problem_token
+from repro.engine.sweep import SweepRunner
 from repro.gsino.pipeline import compare_flows
 from repro.sino.anneal import AnnealConfig
 

@@ -674,14 +674,6 @@ class TestFlowScenarios:
         assert scenario_kind("flow-compare") == "flow"
         assert scenario_kind("smoke") == "panels"
 
-    def test_scenario_flow_names_pin_the_flow_registry(self):
-        # scenarios.py duplicates the flow-name tuple on purpose (keeping
-        # the worker's startup import light); the duplicate must track the
-        # real registry.
-        from repro.service.scenarios import FLOW_SCENARIO_FLOWS
-
-        assert FLOW_SCENARIO_FLOWS == FLOW_NAMES
-
     def test_generate_scenario_rejects_flow_scenarios(self):
         with pytest.raises(ValueError):
             generate_scenario("flow-gsino")

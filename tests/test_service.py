@@ -26,7 +26,8 @@ from pathlib import Path
 import pytest
 
 import repro.engine.signature as signature_module
-from repro.engine import CacheStats, Engine, SolutionCache
+from repro.engine.cache import CacheStats, SolutionCache
+from repro.engine.panels import Engine
 from repro.engine.signature import SIGNATURE_VERSION, panel_signature
 from repro.gsino.config import GsinoConfig
 from repro.gsino.pipeline import compare_flows
