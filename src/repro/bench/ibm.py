@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.bench.placement import PlacementConfig, generate_nets
 from repro.bench.profiles import CircuitProfile, get_profile
-from repro.grid.nets import Net, Netlist
+from repro.grid.nets import Netlist
 from repro.grid.regions import RoutingGrid
 from repro.grid.sensitivity import RandomPairwiseSensitivity
 from repro.tech.itrs import ITRS_100NM, Technology

@@ -91,7 +91,8 @@ from repro.obs.events import follow_events, format_event, iter_events, read_even
 from repro.obs.health import collect_fleet_health, format_health
 from repro.obs.metrics import fleet_metrics_from_events, format_metrics
 from repro.obs.trace import Tracer, maybe_span, set_active_tracer
-from repro.service.daemon import (
+from repro.service.scenarios import list_scenarios
+from repro.service.spool import (
     gc_service,
     refuse_sharded_root,
     request_cancel,
@@ -99,7 +100,6 @@ from repro.service.daemon import (
     submit_job,
     wait_for_job,
 )
-from repro.service.scenarios import list_scenarios
 from repro.service.store import ResultStore, read_cumulative_store_stats
 
 if TYPE_CHECKING:

@@ -40,6 +40,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.obs.events import iter_events
+from repro.obs.metrics import nearest_rank
 
 #: Worker states, best to worst (the fleet verdict is the worst present).
 STATE_OK = "ok"
@@ -129,11 +130,11 @@ def classify_worker(heartbeat: Dict[str, object], now: Optional[float] = None) -
     age = max(0.0, now - float(heartbeat.get("updated_at", 0.0)))
     if heartbeat.get("stopped"):
         return STATE_STOPPED, age
-    # Same bound reclaim passes to heartbeat_is_fresh, looked up lazily to
-    # keep this module importable below the service layer.
-    from repro.service.daemon import WORKER_STALE_SECONDS
+    # The bound reclaim's heartbeat_is_fresh uses, looked up lazily to keep
+    # this module importable below the service layer.
+    from repro.service.spool import WORKER_STALE_SECONDS, liveness_bound
 
-    bound = max(WORKER_STALE_SECONDS, 3.0 * float(heartbeat.get("poll_interval", 0.0)))
+    bound = liveness_bound(heartbeat, WORKER_STALE_SECONDS)
     if age <= 0.5 * bound:
         return STATE_OK, age
     if age <= bound:
@@ -143,11 +144,6 @@ def classify_worker(heartbeat: Dict[str, object], now: Optional[float] = None) -
     return STATE_DEAD, age
 
 
-def _sorted_percentile(values: List[float], fraction: float) -> float:
-    index = min(len(values) - 1, max(0, int(fraction * len(values))))
-    return round(values[index], 6)
-
-
 def collect_fleet_health(root: Union[str, Path], now: Optional[float] = None) -> FleetHealth:
     """Fold heartbeats + the event log into one :class:`FleetHealth`.
 
@@ -155,7 +151,7 @@ def collect_fleet_health(root: Union[str, Path], now: Optional[float] = None) ->
     yields the ``idle`` verdict with empty tables).
     """
     # Lazy imports — the service layer imports repro.obs for its emitters.
-    from repro.service.cluster import read_worker_heartbeats
+    from repro.service.spool import read_worker_heartbeats
 
     root = Path(root)
     if now is None:
@@ -221,9 +217,8 @@ def collect_fleet_health(root: Union[str, Path], now: Optional[float] = None) ->
     queue.leased = len(outstanding & leased_jobs)
     queue.queued = len(outstanding) - queue.leased
     if latencies:
-        latencies.sort()
-        queue.claim_latency_p50 = _sorted_percentile(latencies, 0.50)
-        queue.claim_latency_p95 = _sorted_percentile(latencies, 0.95)
+        queue.claim_latency_p50 = round(nearest_rank(latencies, 0.50), 6)
+        queue.claim_latency_p95 = round(nearest_rank(latencies, 0.95), 6)
     if flow:
         # Trend = net queue movement over the newest half of the window.
         flow.sort(key=lambda entry: entry[0])

@@ -5,7 +5,7 @@ three hand-built dicts; this module gives them one shared, typed structure:
 :class:`ServiceSnapshot` (the whole root), :class:`ClusterSnapshot` /
 :class:`WorkerSnapshot` / :class:`LeaseSnapshot`, :class:`GatewaySnapshot`
 and :class:`StoreSnapshot`.  ``service_status`` in
-:mod:`repro.service.daemon` is a thin wrapper over
+:mod:`repro.service.spool` is a thin wrapper over
 :meth:`ServiceSnapshot.collect(...).to_dict()`, so every consumer (CLI
 renderers, tests, scripts parsing ``status --json``) reads one shape.
 
@@ -26,7 +26,6 @@ place obs looks back, so the cycle is broken at call time.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -172,16 +171,16 @@ class ServiceSnapshot:
         fleet-health fold (one extra pass over the event log).
         """
         # Lazy import: the service layer imports repro.obs for its emitters.
-        from repro.service.daemon import _jobs_dir, _load_jobs, _load_leased_jobs
+        from repro.service.spool import load_jobs, load_leased_jobs
         from repro.service.store import blob_disk_usage
 
         root = Path(root)
-        jobs = _load_jobs(root) if _jobs_dir(root).exists() else []
+        jobs = load_jobs(root)
         # A job caught in the release-crash window exists both as a terminal
         # spool record and a stale lease; the spool record is authoritative,
         # so leased records never shadow (or double-count) a spool id.
         known = {job.job_id for job in jobs}
-        jobs += [job for job in _load_leased_jobs(root) if job.job_id not in known]
+        jobs += [job for job in load_leased_jobs(root) if job.job_id not in known]
         counts: Dict[str, int] = {}
         cache_totals = {"hits": 0, "misses": 0, "store_hits": 0}
         for job in jobs:
@@ -224,16 +223,16 @@ def collect_gateway(root: Union[str, Path]) -> Optional[GatewaySnapshot]:
     the ``heartbeat_is_fresh`` liveness rule scales its threshold by;
     the gateway's staleness bound is ``STALE_HEARTBEAT_SECONDS``.
     """
-    root = Path(root)
-    try:
-        heartbeat = json.loads((root / "gateway.json").read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
-        return None
-    if not isinstance(heartbeat, dict):
-        return None
     # Lazy import — see module docstring.
-    from repro.service.daemon import STALE_HEARTBEAT_SECONDS, heartbeat_is_fresh
+    from repro.service.spool import (
+        STALE_HEARTBEAT_SECONDS,
+        heartbeat_is_fresh,
+        read_gateway_heartbeat,
+    )
 
+    heartbeat = read_gateway_heartbeat(root)
+    if heartbeat is None:
+        return None
     return GatewaySnapshot(
         alive=heartbeat_is_fresh(heartbeat, STALE_HEARTBEAT_SECONDS),
         heartbeat_age=max(0.0, time.time() - float(heartbeat.get("updated_at", 0.0))),
@@ -247,8 +246,7 @@ def collect_cluster(root: Union[str, Path]) -> Optional[ClusterSnapshot]:
     if not (root / "workers").exists() and not (root / "leases").exists():
         return None
     # Lazy import — see module docstring.
-    from repro.service.cluster import active_leases, read_worker_heartbeats
-    from repro.service.daemon import WORKER_STALE_SECONDS, heartbeat_is_fresh
+    from repro.service.spool import active_leases, read_worker_heartbeats, worker_is_alive
 
     snapshot = ClusterSnapshot()
     now = time.time()
@@ -258,7 +256,7 @@ def collect_cluster(root: Union[str, Path]) -> Optional[ClusterSnapshot]:
         uptime = max(1e-9, updated - started)
         snapshot.workers[worker_id] = WorkerSnapshot(
             worker_id=worker_id,
-            alive=heartbeat_is_fresh(heartbeat, WORKER_STALE_SECONDS),
+            alive=worker_is_alive(heartbeat),
             heartbeat_age=max(0.0, now - float(heartbeat.get("updated_at", 0.0))),
             throughput_jobs_per_s=round(int(heartbeat.get("jobs_done", 0)) / uptime, 4),
             heartbeat=heartbeat,

@@ -8,17 +8,18 @@ builds on:
 * :mod:`repro.service.store` — :class:`ResultStore`, a disk-backed,
   content-addressed store of solved panel layouts that plugs in as the
   persistent second tier under :class:`repro.engine.cache.SolutionCache`;
-* :mod:`repro.service.queue` — :class:`Job`, the spool record of one unit
-  of work and its status lifecycle;
+* :mod:`repro.service.spool` — the file-based job spool (one flat
+  ``jobs/`` directory, one ``leases/`` tree and one ``workers/``
+  directory per root): :class:`Job` and its status lifecycle, every spool
+  path, one reader per spool file kind, the liveness rule, the doorbell,
+  and the client helpers behind the ``repro submit`` / ``status`` /
+  ``cancel`` / ``gc`` CLI verbs, so submitters never need a network
+  connection;
 * :mod:`repro.service.scheduler` — :class:`Scheduler`, which batches
   compatible panel tasks of each claimed job and dispatches them over any
   :class:`~repro.engine.backends.ExecutionBackend`;
 * :mod:`repro.service.scenarios` — the scenario registry generating diverse
   synthetic workloads far beyond the paper's three tables;
-* :mod:`repro.service.daemon` — the file-based job spool (one flat
-  ``jobs/`` directory and one ``leases/`` tree per root) and the client
-  helpers behind the ``repro submit`` / ``status`` / ``cancel`` / ``gc``
-  CLI verbs, so submitters never need a network connection;
 * :mod:`repro.service.cluster` — the spool's one consumer: atomic
   lease-based claiming, per-worker heartbeats, crash reclaim, the lone
   worker behind ``repro serve``, the ``repro serve --workers K`` local

@@ -1,14 +1,18 @@
 """The spool consumer: lease-claiming workers over the shared file spool.
 
-This module turns the on-disk spool of :mod:`repro.service.daemon` into
+This module turns the on-disk spool of :mod:`repro.service.spool` into
 shared cluster state — N cooperating worker processes, no new dependencies,
-no network — by adding two directories next to ``jobs/``::
+no network — by writing two directories next to ``jobs/``::
 
     <root>/
         jobs/<job_id>.json                  # queued + terminal records (unchanged)
         leases/<worker_id>/<job_id>.json    # claimed (running) records
         workers/<worker_id>.json            # per-worker heartbeats
         workers/doorbell                    # FIFO rung by every submit
+
+Their paths, and the one parser per file kind that every reader uses, live
+in :mod:`repro.service.spool`; this module claims, leases, heartbeats and
+reclaims.
 
 **Claiming is an atomic rename.**  A worker claims a queued job by renaming
 ``jobs/<id>.json`` into its own lease directory.  The filesystem serialises
@@ -78,52 +82,37 @@ from repro.obs.metrics import (
     process_registry,
     snapshot_delta,
 )
-from repro.service.daemon import (
-    WORKER_STALE_SECONDS,
-    _jobs_dir,
-    _round_latency,
+from repro.service.spool import (
+    TERMINAL_STATUSES,
+    Job,
+    active_leases,
+    burst_requests,
     cancel_path,
     doorbell_path,
-    heartbeat_is_fresh,
     iter_lease_files,
     job_path,
+    jobs_dir,
     leases_dir,
+    load_job,
+    read_lease,
+    read_worker_heartbeats,
     refuse_sharded_root,
-    submit_job,
+    scan_spool_records,
+    submit_jobs,
+    worker_heartbeat_path,
+    worker_is_alive,
+    workers_dir,
+    write_job_record,
 )
-from repro.service.queue import TERMINAL_STATUSES, Job
-from repro.service.scenarios import scenario_spec
 from repro.service.store import ResultStore, atomic_write_text
 
 #: Default seconds a lease stays valid without a refresh.
 DEFAULT_LEASE_TTL = 30.0
 
 
-def _workers_dir(root: Path) -> Path:
-    return root / "workers"
-
-
-def worker_is_alive(heartbeat: Dict[str, object]) -> bool:
-    """:func:`~repro.service.daemon.heartbeat_is_fresh` at the worker bound.
-
-    The public shorthand for scripts outside the package (perfbench's
-    readiness probe imports it); package code calls the rule directly.
-    """
-    return heartbeat_is_fresh(heartbeat, WORKER_STALE_SECONDS)
-
-
-def read_worker_heartbeats(root: Union[str, Path]) -> Dict[str, Dict[str, object]]:
-    """Every worker heartbeat under ``root``, keyed by worker id."""
-    heartbeats: Dict[str, Dict[str, object]] = {}
-    workers = _workers_dir(Path(root))
-    for path in sorted(workers.glob("*.json")) if workers.exists() else []:
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            continue  # mid-rewrite; the next status call sees it
-        if isinstance(payload, dict):
-            heartbeats[path.stem] = payload
-    return heartbeats
+def _round_latency(latency: Optional[float]) -> Optional[float]:
+    """Round a submit-to-finish latency for event emission (``None`` passes)."""
+    return None if latency is None else round(latency, 6)
 
 
 @dataclass(frozen=True)
@@ -178,9 +167,6 @@ class LeaseManager:
 
     # -- paths --------------------------------------------------------------------
 
-    def _job_path(self, job_id: str) -> Path:
-        return job_path(self.root, job_id)
-
     def lease_path(self, job_id: str) -> Path:
         return self.my_dir / f"{job_id}.json"
 
@@ -195,19 +181,14 @@ class LeaseManager:
         race-free.  A record that turns out to be unusable (unparsable,
         not queued) is put back where it was found.
         """
-        source = self._job_path(job_id)
+        source = job_path(self.root, job_id)
         lease = self.lease_path(job_id)
         try:
             os.rename(source, lease)
         except OSError:
             return None  # a peer claimed it first (or it was never there)
-        try:
-            job = Job.from_dict(json.loads(lease.read_text(encoding="utf-8")))
-            if job.job_id != job_id or job.status != "queued":
-                job = None
-        except (OSError, json.JSONDecodeError, KeyError, ValueError):
-            job = None
-        if job is None:
+        job = load_job(lease)
+        if job is None or job.status != "queued":
             # Not claimable after all — return the file unharmed.
             try:
                 os.rename(lease, source)
@@ -279,9 +260,9 @@ class LeaseManager:
         lease = self.lease_path(job.job_id)
         if not lease.exists():
             return False  # reclaimed out from under us; the spool moved on
-        atomic_write_text(lease, json.dumps(job.to_dict(), indent=2) + "\n")
+        write_job_record(lease, job)
         try:
-            os.rename(lease, self._job_path(job.job_id))
+            os.rename(lease, job_path(self.root, job.job_id))
         except OSError:
             return False  # stolen between the write and the rename
         if self.events is not None:
@@ -332,9 +313,7 @@ class LeaseManager:
             if now < mtime + ttl:
                 continue  # still within its TTL
             owner_heartbeat = heartbeats.get(owner)
-            if owner_heartbeat is not None and heartbeat_is_fresh(
-                owner_heartbeat, WORKER_STALE_SECONDS
-            ):
+            if owner_heartbeat is not None and worker_is_alive(owner_heartbeat):
                 continue  # owner is alive, merely slow; never steal
             if self._reclaim_one(lease_path):
                 reclaimed += 1
@@ -357,11 +336,8 @@ class LeaseManager:
         :meth:`write_lease`, and the heartbeat condition protects it
         meanwhile.
         """
-        try:
-            payload = json.loads(lease_path.read_text(encoding="utf-8"))
-            return float(payload["lease_ttl"])
-        except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError):
-            return self.lease_ttl
+        ttl = read_lease(lease_path)[0].get("lease_ttl")
+        return float(ttl) if isinstance(ttl, (int, float)) else self.lease_ttl
 
     def _reclaim_one(self, lease_path: Path) -> bool:
         """Atomically steal one expired lease and resolve its job."""
@@ -371,16 +347,10 @@ class LeaseManager:
             os.rename(lease_path, stolen)
         except OSError:
             return False  # another reclaimer (or the owner's release) won
-        payload: object = None
-        try:
-            payload = json.loads(stolen.read_text(encoding="utf-8"))
-            record = payload.get("job", payload)  # wrapper, or claim-window raw record
-            job = Job.from_dict(record)
-        except (OSError, json.JSONDecodeError, KeyError, ValueError, AttributeError):
-            job = None
-        worker = payload.get("worker_id") if isinstance(payload, dict) else None
+        wrapper, job = read_lease(stolen)
+        worker = wrapper.get("worker_id")
         resolved = False
-        if job is not None and not self._job_path(job.job_id).exists():
+        if job is not None and not job_path(self.root, job.job_id).exists():
             # (A spool record already present means the owner's release
             # raced the reclaim — or the id was purged and reused — and the
             # spool is authoritative; the stale lease is simply dropped.)
@@ -399,9 +369,7 @@ class LeaseManager:
                 )
             else:
                 job.status = "queued"  # attempts preserved: the budget binds
-            atomic_write_text(
-                self._job_path(job.job_id), json.dumps(job.to_dict(), indent=2) + "\n"
-            )
+            write_job_record(job_path(self.root, job.job_id), job)
             resolved = True
             if self.events is not None:
                 self.events.emit(
@@ -416,75 +384,6 @@ class LeaseManager:
         except OSError:
             pass
         return resolved
-
-
-def scan_spool_records(
-    jobs_dir: Path, terminal_memo: Dict[str, int]
-) -> Tuple[List[Dict[str, object]], int, int]:
-    """One memoized pass over ``jobs/*.json``; the cluster's spool scanner.
-
-    Returns ``(active_records, terminal_count, unreadable_count)`` where
-    ``active_records`` are the parsed non-terminal records.  Terminal
-    records are remembered in ``terminal_memo`` (job id → mtime_ns, pruned
-    of vanished ids, updated in place), so repeated scans — the worker's
-    claim loop and the supervisor's monitor tick share this helper — parse
-    only *new* work, never spool history; a purged-and-resubmitted id gets
-    a fresh mtime and is re-read.  Records whose filename and ``job_id``
-    disagree are foreign files and ignored.
-    """
-    active: List[Dict[str, object]] = []
-    terminal = 0
-    unreadable = 0
-    paths = sorted(jobs_dir.glob("*.json"))
-    stems = {path.stem for path in paths}
-    for vanished in set(terminal_memo) - stems:
-        del terminal_memo[vanished]
-    for path in paths:
-        try:
-            mtime = path.stat().st_mtime_ns
-        except OSError:
-            continue  # claimed or purged mid-scan; a lease scan sees a claim
-        if terminal_memo.get(path.stem) == mtime:
-            terminal += 1
-            continue
-        try:
-            record = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            unreadable += 1  # half-written; the next scan sees it whole
-            continue
-        if not isinstance(record, dict) or record.get("job_id") != path.stem:
-            continue
-        if record.get("status") in TERMINAL_STATUSES:
-            terminal += 1
-            terminal_memo[path.stem] = mtime
-        else:
-            terminal_memo.pop(path.stem, None)  # active again (id reuse)
-            active.append(record)
-    return active, terminal, unreadable
-
-
-def active_leases(root: Union[str, Path]) -> List[Dict[str, object]]:
-    """Snapshot of every live lease (for ``status --cluster``); pure reads."""
-    now = time.time()
-    leases: List[Dict[str, object]] = []
-    for path, worker_id in iter_lease_files(root):
-        try:
-            stat = path.stat()
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            continue
-        record = payload.get("job", payload) if isinstance(payload, dict) else {}
-        ttl = payload.get("lease_ttl") if isinstance(payload, dict) else None
-        leases.append(
-            {
-                "job_id": path.stem,
-                "worker_id": worker_id,
-                "age_seconds": max(0.0, now - stat.st_mtime),
-                "expires_in": (stat.st_mtime + float(ttl) - now if ttl is not None else None),
-                "attempts": record.get("attempts") if isinstance(record, dict) else None,
-            }
-        )
-    return leases
 
 
 @dataclass
@@ -536,8 +435,8 @@ class ClusterWorker:
         self.config = config
         root = Path(config.root)
         refuse_sharded_root(root)
-        _jobs_dir(root).mkdir(parents=True, exist_ok=True)
-        _workers_dir(root).mkdir(parents=True, exist_ok=True)
+        jobs_dir(root).mkdir(parents=True, exist_ok=True)
+        workers_dir(root).mkdir(parents=True, exist_ok=True)
         self.identity = identity or WorkerIdentity.create(config.label)
         self.events = EventLog(root, writer=self.identity.worker_id)
         self.metrics = MetricsRegistry()
@@ -591,9 +490,7 @@ class ClusterWorker:
         candidate.  The memoized scan never re-reads terminal history (see
         :func:`scan_spool_records`).
         """
-        records, _terminal, _unreadable = scan_spool_records(
-            _jobs_dir(self.config.root), self._known_terminal
-        )
+        records, _terminal, _unreadable = scan_spool_records(self.config.root, self._known_terminal)
         candidates = sorted(
             (
                 -int(record.get("priority", 0)),
@@ -741,7 +638,7 @@ class ClusterWorker:
             },
         }
         atomic_write_text(
-            _workers_dir(Path(self.config.root)) / f"{self.identity.worker_id}.json",
+            worker_heartbeat_path(self.config.root, self.identity.worker_id),
             json.dumps(payload, indent=2) + "\n",
         )
         if force:
@@ -938,7 +835,7 @@ class ClusterSupervisor:
     def __init__(self, config: ClusterConfig) -> None:
         self.config = config
         refuse_sharded_root(config.root)
-        _jobs_dir(config.root).mkdir(parents=True, exist_ok=True)
+        jobs_dir(config.root).mkdir(parents=True, exist_ok=True)
         self.restarts = 0
         self._stopping = False
         self._terminated = False
@@ -1008,12 +905,8 @@ class ClusterSupervisor:
         """Block until every worker slot has a fresh heartbeat on disk."""
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
-            heartbeats = read_worker_heartbeats(self.config.root)
-            fresh = sum(
-                1
-                for heartbeat in heartbeats.values()
-                if heartbeat_is_fresh(heartbeat, WORKER_STALE_SECONDS)
-            )
+            heartbeats = read_worker_heartbeats(self.config.root).values()
+            fresh = sum(1 for heartbeat in heartbeats if worker_is_alive(heartbeat))
             if fresh >= self.config.workers:
                 return True
             time.sleep(0.05)
@@ -1047,9 +940,7 @@ class ClusterSupervisor:
         Terminal records are remembered by mtime and never re-parsed, so
         the monitor tick stays proportional to new work, not history.
         """
-        records, terminal, unreadable = scan_spool_records(
-            _jobs_dir(self.config.root), self._terminal_seen
-        )
+        records, terminal, unreadable = scan_spool_records(self.config.root, self._terminal_seen)
         # Unreadable records are mid-write: assume active until readable.
         active = len(records) + unreadable + len(active_leases(self.config.root))
         return terminal, active
@@ -1178,9 +1069,9 @@ def run_loadgen(
 ) -> LoadgenReport:
     """Submit a burst of scenario jobs and (optionally) wait them out.
 
-    Each job gets a distinct derived seed (``base + i``) when the scenario
-    has a ``seed`` parameter, so the burst is cache-cold by construction —
-    the workload the throughput benchmark needs.
+    The burst is :func:`~repro.service.spool.burst_requests` (seeds
+    striped, so it is cache-cold by construction — the workload the
+    throughput benchmark needs), written with one ``submit_jobs`` call.
 
     The wait loop tails the root's **event log**: every serving process
     emits a terminal ``released`` (or ``reclaimed``) event carrying the
@@ -1192,33 +1083,17 @@ def run_loadgen(
     """
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")
-    params = dict(params or {})
-    spec = scenario_spec(scenario)
-    stride_seeds = hasattr(spec, "seed")
-    base_seed = params.get("seed", getattr(spec, "seed", 0))
-    burst = uuid.uuid4().hex[:6]
+    requests = burst_requests(
+        scenario, jobs, params, priority, max_attempts, id_prefix=f"load-{uuid.uuid4().hex[:6]}"
+    )
     report = LoadgenReport(scenario=scenario, submitted=jobs)
-    submitted: List[Job] = []
     root = Path(root)
     # Open the cursor before submitting so no terminal event can be missed;
     # the first poll() drains (and discards) whatever history the log holds.
     cursor = EventCursor(root)
     cursor.poll()
     start = time.perf_counter()
-    for index in range(jobs):
-        job_params = dict(params)
-        if stride_seeds:
-            job_params["seed"] = int(base_seed) + index
-        submitted.append(
-            submit_job(
-                root,
-                scenario,
-                params=job_params,
-                priority=priority,
-                max_attempts=max_attempts,
-                job_id=f"load-{burst}-{index:03d}",
-            )
-        )
+    submitted = submit_jobs(root, requests)
     if not wait:
         report.wall_seconds = time.perf_counter() - start
         return report
@@ -1281,10 +1156,8 @@ def _loadgen_spool_check(root: Path, submitted: List[Job]) -> Dict[str, object]:
     counts = {"done": 0, "failed": 0, "cancelled": 0}
     latencies: List[float] = []
     for job in submitted:
-        try:
-            record = json.loads(job_path(root, job.job_id).read_text(encoding="utf-8"))
-            settled = Job.from_dict(record)
-        except (OSError, json.JSONDecodeError, KeyError, ValueError):
+        settled = load_job(job_path(root, job.job_id))
+        if settled is None:
             continue  # still leased or never finished; not a settled job
         if settled.status in counts:
             counts[settled.status] += 1
@@ -1348,7 +1221,6 @@ def _fmt_latency(value: Optional[object]) -> str:
 
 __all__ = [
     "DEFAULT_LEASE_TTL",
-    "WORKER_STALE_SECONDS",
     "WorkerIdentity",
     "LeaseManager",
     "WorkerConfig",
@@ -1358,7 +1230,4 @@ __all__ = [
     "LoadgenReport",
     "run_loadgen",
     "format_loadgen_report",
-    "active_leases",
-    "read_worker_heartbeats",
-    "worker_is_alive",
 ]

@@ -19,15 +19,12 @@ import http.client
 import json
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 from urllib.parse import urlsplit
 
 from repro.obs.metrics import nearest_rank
-from repro.service.scenarios import scenario_spec
-
-#: Job statuses that end a wait-for-completion poll.
-TERMINAL_STATUSES = frozenset({"done", "failed", "cancelled"})
+from repro.service.spool import TERMINAL_STATUSES, burst_requests
 
 
 @dataclass
@@ -164,47 +161,6 @@ def _connect(url: str) -> http.client.HTTPConnection:
     return http.client.HTTPConnection(host, parts.port or 80, timeout=30.0)
 
 
-def _build_payloads(
-    scenario: str,
-    jobs: int,
-    params: Optional[Dict[str, object]],
-    priority: int = 0,
-    max_attempts: int = 2,
-) -> List[Dict[str, object]]:
-    """One submission body per job, with seeds strided like the spool loadgen.
-
-    Seed striding keeps N concurrent submissions from collapsing into one
-    cache entry; it only applies when the scenario (as known locally) has
-    a ``seed`` param and the caller did not pin one.  A scenario the
-    client build does not know still submits fine — the gateway is the
-    validator of record.
-    """
-    base_params = dict(params or {})
-    stride_seeds = False
-    base_seed = 0
-    if "seed" not in base_params:
-        try:
-            spec = scenario_spec(scenario)
-        except KeyError:
-            spec = None
-        stride_seeds = spec is not None and hasattr(spec, "seed")
-        base_seed = int(getattr(spec, "seed", 0) or 0)
-    payloads = []
-    for index in range(jobs):
-        job_params = dict(base_params)
-        if stride_seeds:
-            job_params["seed"] = base_seed + index
-        payloads.append(
-            {
-                "scenario": scenario,
-                "params": job_params,
-                "priority": priority,
-                "max_attempts": max_attempts,
-            }
-        )
-    return payloads
-
-
 def run_http_loadgen(
     url: str,
     scenario: str = "smoke",
@@ -233,7 +189,9 @@ def run_http_loadgen(
     if clients < 1:
         raise ValueError(f"clients must be >= 1, got {clients}")
     clients = min(clients, jobs)
-    payloads = _build_payloads(scenario, jobs, params, priority, max_attempts)
+    # The spool loadgen's seed-striped burst; the gateway assigns the ids.
+    requests = burst_requests(scenario, jobs, params, priority, max_attempts)
+    payloads = [asdict(request) for request in requests]
     deadline = time.monotonic() + timeout
     slices: List[List[Dict[str, object]]] = [payloads[i::clients] for i in range(clients)]
     workers = [
@@ -339,5 +297,4 @@ __all__ = [
     "HttpLoadgenReport",
     "run_http_loadgen",
     "format_http_loadgen_report",
-    "TERMINAL_STATUSES",
 ]

@@ -23,7 +23,7 @@ Admission pipeline for a ``POST /v1/jobs`` (policy classes live in
    Retry-After.
 4. **Group commit** — one background task writes the queued
    submissions, up to ``batch_max``, with one
-   :func:`~repro.service.daemon.submit_jobs` call as soon as no spool
+   :func:`~repro.service.spool.submit_jobs` call as soon as no spool
    write is in flight.  A lone submission goes out at once; whatever
    queues while a write is in flight goes out together in the next one,
    so a concurrent burst costs one executor hop per batch instead of per
@@ -61,16 +61,19 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.obs.events import EventCursor, EventLog
 from repro.obs.metrics import MetricsRegistry
-from repro.service.daemon import (
+from repro.service.gateway.policy import AdmissionQueue, TokenBucketTable
+from repro.service.scenarios import scenario_spec
+from repro.service.spool import (
+    TERMINAL_STATUSES,
+    Job,
     SubmitRequest,
+    gateway_heartbeat_path,
     job_path,
     lease_files,
+    load_job,
     refuse_sharded_root,
     submit_jobs,
 )
-from repro.service.gateway.policy import AdmissionQueue, TokenBucketTable
-from repro.service.queue import Job
-from repro.service.scenarios import scenario_spec
 from repro.service.store import atomic_write_text
 
 #: Upper bound on request bodies (a submission is a few hundred bytes).
@@ -78,9 +81,6 @@ MAX_BODY_BYTES = 1 << 20
 
 #: Bucket edges for the batch-size histogram (jobs per spool write).
 BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
-
-#: Spool statuses after which an event stream stops following a job.
-_TERMINAL_STATUSES = frozenset({"done", "failed", "cancelled"})
 
 
 @dataclass
@@ -337,7 +337,7 @@ class Gateway:
             "queue": {"depth": depth, "capacity": self.queue.capacity},
             "counters": self.counters(),
         }
-        atomic_write_text(self.root / "gateway.json", json.dumps(payload, indent=2) + "\n")
+        atomic_write_text(gateway_heartbeat_path(self.root), json.dumps(payload, indent=2) + "\n")
 
     # -- connection handling -----------------------------------------------------------
 
@@ -499,17 +499,17 @@ class Gateway:
 
     def _job_status(self, job_id: str) -> Dict[str, object]:
         """Spool-record view of one job; lease-aware like `repro status`."""
-        try:
-            job = Job.from_dict(json.loads(job_path(self.root, job_id).read_text(encoding="utf-8")))
-        except FileNotFoundError:
+        path = job_path(self.root, job_id)
+        job = load_job(path)
+        if job is None:
             if lease_files(self.root, job_id):
                 return {"job_id": job_id, "status": "running", "leased": True}
-            raise _HttpError(404, f"unknown job {job_id!r}")
-        except (OSError, json.JSONDecodeError, KeyError, ValueError):
+            if not path.exists():
+                raise _HttpError(404, f"unknown job {job_id!r}")
             # Caught mid-rewrite; report the id as known but in flux.
             return {"job_id": job_id, "status": "running", "leased": False}
         info = job.to_dict()
-        info["terminal"] = job.status in _TERMINAL_STATUSES
+        info["terminal"] = job.is_terminal
         return info
 
     async def _stream_events(
@@ -544,7 +544,7 @@ class Gateway:
                 chunk = json.dumps(record, separators=(",", ":")) + "\n"
                 data = chunk.encode("utf-8")
                 writer.write(f"{len(data):x}\r\n".encode("latin-1") + data + b"\r\n")
-                if record.get("status") in _TERMINAL_STATUSES or record.get("event") in (
+                if record.get("status") in TERMINAL_STATUSES or record.get("event") in (
                     "done",
                     "failed",
                     "cancelled",
@@ -554,7 +554,7 @@ class Gateway:
             if finished or not follow or self._stopping or time.monotonic() >= deadline:
                 break
             status = self._job_status_quiet(job_id)
-            if status is not None and status in _TERMINAL_STATUSES:
+            if status is not None and status in TERMINAL_STATUSES:
                 # Record went terminal but its event predates our cursor; one
                 # more poll already happened above, so close the stream.
                 finished = True
@@ -697,20 +697,9 @@ def run_gateway(
     return counters
 
 
-def read_gateway_heartbeat(root: Union[str, Path]) -> Optional[Dict[str, object]]:
-    """The ``gateway.json`` heartbeat, or None when absent/unreadable."""
-    path = Path(root) / "gateway.json"
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
-        return None
-    return payload if isinstance(payload, dict) else None
-
-
 __all__ = [
     "GatewayConfig",
     "Gateway",
     "GatewayRunner",
     "run_gateway",
-    "read_gateway_heartbeat",
 ]

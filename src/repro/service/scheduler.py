@@ -25,8 +25,8 @@ from repro.engine.cache import CacheStats
 from repro.engine.panels import Engine, PanelTask
 from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry
-from repro.service.queue import Job
 from repro.service.scenarios import FlowScenarioSpec, generate_scenario, scenario_spec
+from repro.service.spool import Job
 
 
 @dataclass

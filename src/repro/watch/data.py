@@ -9,20 +9,21 @@ keeping the model here means every dashboard behaviour — including the
 cancel/requeue keyboard actions — has plain synchronous tests that run
 in the core (textual-less) install.
 
-Operator actions reuse existing service primitives: ``cancel`` goes
-through :func:`repro.service.daemon.request_cancel` (the same marker file
-``repro cancel`` writes), and ``requeue`` flips a failed or cancelled
-spool record back to ``queued`` and appends a ``requeued`` event so the
-audit trail and status replay both see it.
+The job table and the operator actions go through the spool's own
+helpers (:mod:`repro.service.spool`, imported on first use): the table is
+:func:`~repro.service.spool.load_jobs`, ``cancel`` is
+:func:`~repro.service.spool.request_cancel` (the same marker file ``repro
+cancel`` writes), and ``requeue`` flips a failed or cancelled spool record
+back to ``queued`` and appends a ``requeued`` event so the audit trail and
+status replay both see it.
 """
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Deque, Dict, List, Tuple, Union
+from typing import Deque, Dict, List, Optional, Tuple, Union
 
 from repro.obs.events import EventCursor, EventLog, format_event, iter_events
 from repro.obs.health import FleetHealth, collect_fleet_health
@@ -100,17 +101,10 @@ class WatchPoller:
 
 def read_job_table(root: Union[str, Path]) -> List[Dict[str, object]]:
     """Every spool job record, newest submissions last."""
-    records: List[Dict[str, object]] = []
-    spool_dir = Path(root) / "jobs"
-    for path in spool_dir.glob("*.json") if spool_dir.is_dir() else []:
-        try:
-            record = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            continue
-        if isinstance(record, dict) and record.get("job_id"):
-            records.append(record)
-    records.sort(key=lambda record: float(record.get("created_at", 0.0)))
-    return records
+    from repro.service.spool import load_jobs
+
+    jobs = sorted(load_jobs(root), key=lambda job: job.created_at)
+    return [job.to_dict() for job in jobs]
 
 
 def job_audit(root: Union[str, Path], job_id: str) -> List[str]:
@@ -120,7 +114,7 @@ def job_audit(root: Union[str, Path], job_id: str) -> List[str]:
 
 def cancel_job(root: Union[str, Path], job_id: str) -> bool:
     """Request cancellation (same marker ``repro cancel`` writes)."""
-    from repro.service.daemon import request_cancel
+    from repro.service.spool import request_cancel
 
     return request_cancel(root, job_id)
 
@@ -132,21 +126,17 @@ def requeue_job(root: Union[str, Path], job_id: str) -> bool:
     state an operator can sensibly retry.  Appends a ``requeued`` event so
     the audit trail and ``job_statuses_from_events`` replay both agree.
     """
-    from repro.service.daemon import cancel_path, job_path
-    from repro.service.store import atomic_write_text
+    from repro.service.spool import cancel_path, job_path, load_job, write_job_record
 
     path = job_path(root, job_id)
-    try:
-        record = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
+    job = load_job(path)
+    if job is None or job.status not in ("failed", "cancelled"):
         return False
-    if record.get("status") not in ("failed", "cancelled"):
-        return False
-    record["status"] = "queued"
-    record["attempts"] = 0
-    record["cancel_requested"] = False
-    record["error"] = None
-    atomic_write_text(path, json.dumps(record, indent=2) + "\n")
+    job.status = "queued"
+    job.attempts = 0
+    job.cancel_requested = False
+    job.error = None
+    write_job_record(path, job)
     # A lingering cancel marker would re-cancel the job instantly.
     try:
         cancel_path(root, job_id).unlink()

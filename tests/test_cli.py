@@ -161,7 +161,7 @@ _SPOOL_RUNTIME = """
 import tempfile
 from repro.obs.health import collect_fleet_health
 from repro.obs.snapshot import ServiceSnapshot
-from repro.service.daemon import SubmitRequest, submit_jobs
+from repro.service.spool import SubmitRequest, submit_jobs
 
 with tempfile.TemporaryDirectory() as root:
     jobs = submit_jobs(root, [
@@ -203,7 +203,7 @@ _IMPORT_CASES = {
         (),
     ),
     "spool": (
-        "import repro.service.daemon, repro.obs.snapshot, repro.obs.health",
+        "import repro.service.spool, repro.obs.snapshot, repro.obs.health",
         _SOLVER_STACK,
         (),
     ),
@@ -394,7 +394,7 @@ class TestServiceCommands:
 
     def test_lone_worker_serve_drains_a_flat_root(self, tmp_path, capsys):
         """`repro serve` without --workers is one lease-claiming worker."""
-        from repro.service.daemon import submit_job, wait_for_job
+        from repro.service.spool import submit_job, wait_for_job
 
         root = tmp_path / "svc"
         job = submit_job(root, "smoke")  # a flat root with one queued job

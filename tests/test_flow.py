@@ -66,7 +66,7 @@ from repro.gsino.pipeline import compare_flows, run_gsino
 from repro.obs.events import EventLog, read_events
 from repro.obs.trace import Tracer
 from repro.router.iterative_deletion import RouterReport
-from repro.service.queue import Job
+from repro.service.spool import Job
 from repro.service.scenarios import (
     FlowScenarioSpec,
     generate_scenario,

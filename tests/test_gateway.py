@@ -23,7 +23,7 @@ from repro.obs.events import EventLog, iter_events
 from repro.obs.metrics import nearest_rank
 from repro.obs.snapshot import collect_gateway
 from repro.service.cluster import ClusterWorker, LoadgenReport, WorkerConfig
-from repro.service.daemon import SubmitRequest, service_status, submit_job, submit_jobs
+from repro.service.spool import SubmitRequest, service_status, submit_job, submit_jobs
 from repro.service.gateway.loadgen import (
     HttpLoadgenReport,
     format_http_loadgen_report,

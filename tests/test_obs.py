@@ -61,13 +61,12 @@ from repro.obs.snapshot import (
 )
 from repro.obs.trace import Tracer, maybe_span
 from repro.service.cluster import (
-    WORKER_STALE_SECONDS,
     ClusterWorker,
     WorkerConfig,
     format_loadgen_report,
     run_loadgen,
 )
-from repro.service.daemon import service_status, submit_job
+from repro.service.spool import WORKER_STALE_SECONDS, service_status, submit_job
 from repro.service.store import ResultStore, read_cumulative_store_stats
 
 # -- event log: basics ----------------------------------------------------------------
@@ -710,6 +709,23 @@ class TestHealthModel:
         assert queue.claim_latency_p50 is not None
         assert queue.claim_latency_p50 <= queue.claim_latency_p95
         assert queue.queue_trend in ("rising", "falling", "flat")
+
+    def test_claim_latency_percentiles_are_nearest_rank(self, tmp_path, monkeypatch):
+        """Claim latencies of 1..10 s: p50 is the 5th smallest, p95 the 10th."""
+        import repro.obs.events as events_module
+
+        root = tmp_path / "svc"
+        log = EventLog(root, writer="w")
+        clock = [0.0]
+        monkeypatch.setattr(events_module, "time", type("Clock", (), {"time": lambda: clock[0]}))
+        for n in range(1, 11):
+            log.emit("submitted", job=f"j{n}")
+        for n in range(1, 11):
+            clock[0] = float(n)
+            log.emit("claimed", job=f"j{n}")
+        queue = collect_fleet_health(root).queue
+        assert queue.claim_latency_p50 == 5
+        assert queue.claim_latency_p95 == 10
 
     def test_flat_root_has_one_queue_record(self, tmp_path):
         root = tmp_path / "svc"

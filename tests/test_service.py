@@ -33,36 +33,36 @@ from repro.gsino.config import GsinoConfig
 from repro.gsino.pipeline import compare_flows
 from repro.obs.events import read_events
 from repro.service.cluster import (
-    WORKER_STALE_SECONDS,
     ClusterConfig,
     ClusterSupervisor,
     ClusterWorker,
     LeaseManager,
     WorkerConfig,
     WorkerIdentity,
-    active_leases,
-    read_worker_heartbeats,
     run_loadgen,
-    worker_is_alive,
 )
-from repro.service.daemon import (
+from repro.service.gateway.server import GatewayConfig, GatewayRunner
+from repro.service.scenarios import SCENARIO_NAMES, generate_scenario, scenario_spec
+from repro.service.scheduler import Scheduler, batch_compatible
+from repro.service.spool import (
     STALE_HEARTBEAT_SECONDS,
+    WORKER_STALE_SECONDS,
+    Job,
     SubmitRequest,
+    active_leases,
     cancel_path,
     doorbell_path,
     gc_service,
     heartbeat_is_fresh,
     job_path,
+    read_worker_heartbeats,
     request_cancel,
     service_status,
     submit_job,
     submit_jobs,
     wait_for_job,
+    worker_is_alive,
 )
-from repro.service.gateway.server import GatewayConfig, GatewayRunner
-from repro.service.queue import Job
-from repro.service.scenarios import SCENARIO_NAMES, generate_scenario, scenario_spec
-from repro.service.scheduler import Scheduler, batch_compatible
 from repro.service.store import (
     FORMAT_VERSION,
     ResultStore,
@@ -1825,6 +1825,15 @@ class TestFlatSpool:
         assert not cancel_path(root, "first").exists()
         assert not cancel_path(root, "second").exists()
         assert cancel_path(root, "pending").exists()
+
+    def test_gc_purge_ignores_a_record_whose_name_disagrees(self, tmp_path):
+        root = tmp_path / "svc"
+        job = submit_job(root, "smoke", job_id="live")
+        copy = dict(job.to_dict(), status="done")
+        (root / "jobs" / "copy.json").write_text(json.dumps(copy), encoding="utf-8")
+        assert gc_service(root, purge_jobs=True)["purged_jobs"] == 0
+        assert job_path(root, "live").exists()
+        assert service_status(root)["jobs"]["counts"] == {"queued": 1}
 
     def test_gc_sweeps_dead_worker_lease_dir(self, tmp_path):
         root = tmp_path / "svc"

@@ -4,7 +4,7 @@
 import pytest
 
 from repro.tech.driver import DriverModel, ReceiverModel, UniformInterfaceModel
-from repro.tech.itrs import ITRS_100NM, ITRS_130NM, ITRS_70NM, Technology, get_technology
+from repro.tech.itrs import ITRS_100NM, ITRS_130NM, ITRS_70NM, get_technology
 from repro.tech.parasitics import (
     WireGeometry,
     coupling_capacitance_per_meter,
