@@ -130,8 +130,8 @@ def classify_worker(heartbeat: Dict[str, object], now: Optional[float] = None) -
     age = max(0.0, now - float(heartbeat.get("updated_at", 0.0)))
     if heartbeat.get("stopped"):
         return STATE_STOPPED, age
-    # The bound reclaim's heartbeat_is_fresh uses, looked up lazily to keep
-    # this module importable below the service layer.
+    # The same bound reclaim's heartbeat_is_fresh uses, looked up lazily to
+    # keep this module importable below the service layer.
     from repro.service.spool import WORKER_STALE_SECONDS, liveness_bound
 
     bound = liveness_bound(heartbeat, WORKER_STALE_SECONDS)
