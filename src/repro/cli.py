@@ -299,10 +299,6 @@ def _add_serve_parser(subparsers: argparse._SubParsersAction) -> None:
         metavar="SECONDS",
         help="fallback poll interval when no doorbell ring arrives",
     )
-    # Internal: how the supervisor names each fleet member.  Operators use
-    # `--workers K`; this exists so a worker process is just another
-    # `repro serve` invocation.
-    parser.add_argument("--worker-label", default="worker", help=argparse.SUPPRESS)
     parser.add_argument(
         "--store-max-mb",
         type=_positive_float,
@@ -799,49 +795,52 @@ def _parse_params(pairs: Sequence[str]) -> Dict[str, object]:
 
 
 def _run_serve(args: argparse.Namespace) -> int:
-    from repro.service.cluster import ClusterConfig, ClusterSupervisor, ClusterWorker, WorkerConfig
+    from repro.service.cluster import ClusterConfig, ClusterSupervisor, WorkerConfig, serve_worker
 
-    if args.workers is not None:
-        supervisor = ClusterSupervisor(
-            ClusterConfig(
+    if args.workers is None:
+        # One in-process worker.
+        serve_worker(
+            WorkerConfig(
                 root=args.root,
-                workers=args.workers,
                 backend=args.backend,
                 backend_workers=args.backend_workers,
                 poll_interval=args.poll,
                 lease_ttl=args.lease_ttl,
                 store_max_bytes=_mb_to_bytes(args.store_max_mb),
-            )
-        )
-        print(
-            f"cluster serving {args.root} with {args.workers} worker(s) "
-            f"[backend={args.backend}, lease_ttl={args.lease_ttl:.1f}s]",
-            flush=True,
-        )
-        finished = supervisor.run(max_jobs=args.max_jobs, idle_exit=args.idle_exit)
-        print(
-            f"cluster served {finished} job(s) across {args.workers} worker(s) "
-            f"({supervisor.restarts} restart(s))"
+            ),
+            max_jobs=args.max_jobs,
+            idle_exit=args.idle_exit,
         )
         return 0
-    # One in-process worker.
-    worker = ClusterWorker(
-        WorkerConfig(
-            root=args.root,
-            label=args.worker_label,
-            backend=args.backend,
-            backend_workers=args.backend_workers,
-            poll_interval=args.poll,
-            lease_ttl=args.lease_ttl,
-            store_max_bytes=_mb_to_bytes(args.store_max_mb),
-        )
+    config = ClusterConfig(
+        root=args.root,
+        workers=args.workers,
+        backend=args.backend,
+        backend_workers=args.backend_workers,
+        poll_interval=args.poll,
+        lease_ttl=args.lease_ttl,
+        store_max_bytes=_mb_to_bytes(args.store_max_mb),
     )
-    print(f"worker {worker.identity.worker_id} serving {args.root}", flush=True)
-    finished = worker.run(max_jobs=args.max_jobs, idle_exit=args.idle_exit)
+    supervisor = ClusterSupervisor(config)
     print(
-        f"worker {worker.identity.worker_id} finished {finished} job(s), "
-        f"reclaimed {worker.jobs_reclaimed} lease(s); cache {worker.engine.cache_stats()}"
+        f"cluster serving {args.root} with {args.workers} worker(s) "
+        f"[backend={args.backend}, lease_ttl={args.lease_ttl:.1f}s]",
+        flush=True,
     )
+    finished = supervisor.run(max_jobs=args.max_jobs, idle_exit=args.idle_exit)
+    print(
+        f"cluster served {finished} job(s) across {args.workers} worker(s) "
+        f"({supervisor.restarts} restart(s))",
+        flush=True,
+    )
+    if supervisor.gave_up:
+        print(
+            f"repro serve: giving up: every worker died and the restart budget of "
+            f"{config.max_restarts} restart(s) is spent (their worker-exited events: "
+            f"repro events --root {args.root})",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 

@@ -230,6 +230,17 @@ _CLIENT_LOGS: Dict[str, EventLog] = {}
 _CLIENT_LOGS_LOCK = threading.Lock()
 
 
+def _forget_client_logs() -> None:
+    """A forked child starts with no client log: its events need their own
+    ``client-<pid>-<nonce>`` writer and ``seq``, not a copy of its parent's."""
+    global _CLIENT_LOGS_LOCK
+    _CLIENT_LOGS.clear()
+    _CLIENT_LOGS_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_client_logs)
+
+
 def event_log_for(root: Union[str, Path]) -> EventLog:
     """The shared client-side :class:`EventLog` of this process for ``root``."""
     key = os.fspath(Path(root))

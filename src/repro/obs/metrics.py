@@ -27,6 +27,7 @@ per observation.
 from __future__ import annotations
 
 import math
+import os
 import threading
 from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -178,6 +179,16 @@ class MetricsRegistry:
 #: :func:`process_registry`).
 _PROCESS_REGISTRY: Optional[MetricsRegistry] = None
 _PROCESS_REGISTRY_LOCK = threading.Lock()
+
+
+def _forget_process_registry() -> None:
+    """A forked child starts counting from zero, not from its parent's copy."""
+    global _PROCESS_REGISTRY, _PROCESS_REGISTRY_LOCK
+    _PROCESS_REGISTRY = None
+    _PROCESS_REGISTRY_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_process_registry)
 
 
 def process_registry() -> MetricsRegistry:

@@ -44,12 +44,15 @@ state machine.
 job is claimed as soon as it is submitted, and the poll remains the
 fallback for a missed ring or a worker that cannot open the FIFO.
 
-``repro serve`` runs one :class:`ClusterWorker` in-process; N=1 needs no
-special case, because a lone worker follows the same claim and reclaim
-rules as a fleet member.  :class:`ClusterSupervisor` runs the local fleet
-behind ``repro serve --workers K``: it spawns K worker processes over one
-root, restarts workers that die, and exits once the spool has been idle
-long enough.
+``repro serve`` runs one :class:`ClusterWorker` in-process through
+:func:`serve_worker`; N=1 needs no special case, because a lone worker
+follows the same claim and reclaim rules as a fleet member.
+:class:`ClusterSupervisor` runs the local fleet behind ``repro serve
+--workers K``: it forks K children over one root, each running that same
+:func:`serve_worker` (no second interpreter, no second import of the CLI),
+restarts and logs workers that die, and exits once the spool has been idle
+long enough — or, when every worker is dead and its restart budget is
+spent, gives up.
 :func:`run_loadgen` (the ``repro loadgen`` verb) submits a seed-striped
 burst of scenario jobs and reports aggregate latency percentiles and
 throughput — the measurement harness of
@@ -64,7 +67,6 @@ import os
 import select
 import signal
 import stat
-import subprocess
 import sys
 import threading
 import time
@@ -72,7 +74,7 @@ import traceback
 import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, NoReturn, Optional, Set, Tuple, Union
 
 from repro.obs.events import EventCursor, EventLog
 from repro.obs.metrics import (
@@ -799,6 +801,132 @@ class ClusterWorker:
             pass
 
 
+def serve_worker(
+    config: WorkerConfig, max_jobs: Optional[int] = None, idle_exit: Optional[float] = None
+) -> None:
+    """Run one worker to its exit, printing its ``serving`` and ``finished`` lines.
+
+    The one worker entry: ``repro serve`` calls it in-process, and every
+    supervised worker runs it in a child forked by :func:`fork_worker`.
+    """
+    worker = ClusterWorker(config)
+    print(f"worker {worker.identity.worker_id} serving {config.root}", flush=True)
+    finished = worker.run(max_jobs=max_jobs, idle_exit=idle_exit)
+    print(
+        f"worker {worker.identity.worker_id} finished {finished} job(s), "
+        f"reclaimed {worker.jobs_reclaimed} lease(s); cache {worker.engine.cache_stats()}",
+        flush=True,
+    )
+
+
+class ForkedWorker:
+    """Handle on one forked worker: its pid, reaped through ``waitpid``.
+
+    ``returncode`` follows ``subprocess.Popen``: ``None`` while the child
+    runs, then its exit code, or minus the signal number that killed it.
+    """
+
+    def __init__(self, pid: int) -> None:
+        self.pid = pid
+        self.returncode: Optional[int] = None
+
+    def poll(self) -> Optional[int]:
+        """Reap the child if it has exited; its ``returncode`` either way."""
+        if self.returncode is None:
+            self._reap(os.WNOHANG)
+        return self.returncode
+
+    def wait(self, timeout: Optional[float] = None) -> Optional[int]:
+        """Reap the child, waiting at most ``timeout`` seconds when given.
+
+        Returns the ``returncode``, which is still ``None`` when the
+        child outlived the timeout.
+        """
+        if timeout is None:
+            if self.returncode is None:
+                self._reap(0)
+            return self.returncode
+        deadline = time.monotonic() + timeout
+        while self.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return self.returncode
+
+    def terminate(self) -> None:
+        self._signal(signal.SIGTERM)
+
+    def kill(self) -> None:
+        self._signal(signal.SIGKILL)
+
+    def _reap(self, options: int) -> None:
+        try:
+            pid, status = os.waitpid(self.pid, options)
+        except ChildProcessError:
+            pid, status = self.pid, 0  # reaped elsewhere; its status is lost
+        if pid == self.pid:
+            self.returncode = os.waitstatus_to_exitcode(status)
+
+    def _signal(self, signum: int) -> None:
+        # Never signal a reaped pid: the kernel may have handed it on.
+        if self.returncode is None:
+            try:
+                os.kill(self.pid, signum)
+            except ProcessLookupError:
+                pass
+
+
+#: Signals a forked worker takes back from its parent's handlers.
+_CHILD_SIGNALS = (signal.SIGTERM, signal.SIGINT)
+
+
+def fork_worker(config: WorkerConfig) -> ForkedWorker:
+    """Fork a child that runs :func:`serve_worker`; the parent gets its handle.
+
+    The child shares the parent's imports, so it loads only the solver
+    stack its worker builds.  ``SIGTERM`` and ``SIGINT`` stay blocked
+    across the fork, so a signal aimed at the new child is held until it
+    has reset both to a fresh interpreter's handlers (and acts on it then).
+    """
+    sys.stdout.flush()
+    sys.stderr.flush()
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, _CHILD_SIGNALS)
+    try:
+        pid = os.fork()
+        if pid == 0:
+            _worker_child(config, mask)
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+    return ForkedWorker(pid)
+
+
+def _worker_child(config: WorkerConfig, mask: Set[signal.Signals]) -> NoReturn:
+    """The forked child's whole life: serve, then ``os._exit``.
+
+    It never returns into the caller's stack (which may be a test runner):
+    a ``SystemExit`` leaves with its code, any other exception with 1
+    after its traceback.
+    """
+    code = 1
+    try:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.signal(signal.SIGINT, signal.default_int_handler)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        serve_worker(config)
+        code = 0
+    except SystemExit as request:
+        if request.code is None or isinstance(request.code, int):
+            code = request.code or 0
+        else:
+            print(request.code, file=sys.stderr)
+    except BaseException:  # noqa: BLE001 — the child reports and exits, never unwinds
+        traceback.print_exc()
+    finally:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
+
+
 @dataclass
 class ClusterConfig:
     """Everything ``repro serve --workers K`` needs to run a local fleet."""
@@ -823,13 +951,20 @@ class ClusterConfig:
 
 
 class ClusterSupervisor:
-    """Spawn, monitor and restart a local fleet of worker processes.
+    """Fork, monitor and restart a local fleet of worker processes.
 
-    Workers are real OS processes (each a plain ``repro serve``), so a
-    fleet scales across cores and a crash takes down one worker, never the
-    cluster: the supervisor respawns dead workers (bounded by
+    Each worker is a child forked from the supervisor (:func:`fork_worker`)
+    that runs :func:`serve_worker`, so a fleet scales across cores and a
+    crash takes down one worker, never the cluster: every death found while
+    the fleet runs is logged as a ``worker-exited`` event (slot, pid and
+    exit status, negative for a signal), the slot is refilled (bounded by
     ``max_restarts``) and surviving peers reclaim the dead worker's leases
-    meanwhile.
+    meanwhile.  Once every worker is dead with the budget spent, :meth:`run`
+    returns with ``gave_up`` set.
+
+    The supervisor loads no solver stack and starts no thread before it
+    forks: a child duplicates only the forking thread, and each child
+    imports the solvers its own worker needs.
     """
 
     def __init__(self, config: ClusterConfig) -> None:
@@ -837,9 +972,13 @@ class ClusterSupervisor:
         refuse_sharded_root(config.root)
         jobs_dir(config.root).mkdir(parents=True, exist_ok=True)
         self.restarts = 0
+        self.gave_up = False
+        self.events = EventLog(
+            config.root, writer=f"supervisor-{os.getpid()}-{uuid.uuid4().hex[:6]}"
+        )
         self._stopping = False
         self._terminated = False
-        self._procs: Dict[int, subprocess.Popen] = {}
+        self._procs: Dict[int, ForkedWorker] = {}
         # Terminal records already counted, keyed by mtime (the workers'
         # scheme): the ~10 Hz monitor loop must not re-parse a reused
         # root's entire history every tick.
@@ -849,51 +988,50 @@ class ClusterSupervisor:
         """Ask a running :meth:`run` loop to shut the fleet down and exit."""
         self._terminated = True
 
-    def worker_command(self, slot: int) -> List[str]:
-        """The command line of worker ``slot`` (one source of truth)."""
+    def _fork(self, slot: int) -> ForkedWorker:
+        """Fork the worker of ``slot`` (one source of its configuration)."""
         config = self.config
-        command = [
-            sys.executable,
-            "-m",
-            "repro.cli",
-            "serve",
-            "--root",
-            str(config.root),
-            "--worker-label",
-            f"w{slot}",
-            "--poll",
-            str(config.poll_interval),
-            "--lease-ttl",
-            str(config.lease_ttl),
-            "--backend",
-            config.backend,
-        ]
-        if config.backend_workers is not None:
-            command += ["--backend-workers", str(config.backend_workers)]
-        if config.store_max_bytes is not None:
-            command += ["--store-max-mb", str(config.store_max_bytes / (1024 * 1024))]
-        return command
+        return fork_worker(
+            WorkerConfig(
+                root=config.root,
+                label=f"w{slot}",
+                backend=config.backend,
+                backend_workers=config.backend_workers,
+                poll_interval=config.poll_interval,
+                lease_ttl=config.lease_ttl,
+                store_max_bytes=config.store_max_bytes,
+            )
+        )
 
     # -- lifecycle ------------------------------------------------------------------
 
     def start(self) -> None:
-        """Spawn the fleet (idempotent: only empty slots are filled)."""
+        """Fork the fleet (idempotent: only empty slots are filled)."""
         self._stopping = False
         for slot in range(self.config.workers):
             if slot not in self._procs or self._procs[slot].poll() is not None:
-                self._procs[slot] = subprocess.Popen(self.worker_command(slot))
+                self._procs[slot] = self._fork(slot)
 
     def poll(self) -> int:
-        """Restart dead workers; returns the number currently alive."""
+        """Log and restart dead workers; returns the number currently alive.
+
+        A death is logged once: its slot is refilled, or emptied when the
+        restart budget is spent.  Exits while stopping are the fleet's own.
+        """
         alive = 0
         for slot, proc in list(self._procs.items()):
-            if proc.poll() is None:
+            status = proc.poll()
+            if status is None:
                 alive += 1
                 continue
-            if self._stopping or self.restarts >= self.config.max_restarts:
+            if self._stopping:
+                continue
+            self.events.emit("worker-exited", slot=slot, pid=proc.pid, status=status)
+            if self.restarts >= self.config.max_restarts:
+                del self._procs[slot]
                 continue
             self.restarts += 1
-            self._procs[slot] = subprocess.Popen(self.worker_command(slot))
+            self._procs[slot] = self._fork(slot)
             alive += 1
         return alive
 
@@ -920,10 +1058,7 @@ class ClusterSupervisor:
                 proc.terminate()
         deadline = time.monotonic() + timeout
         for proc in self._procs.values():
-            remaining = max(0.1, deadline - time.monotonic())
-            try:
-                proc.wait(timeout=remaining)
-            except subprocess.TimeoutExpired:
+            if proc.wait(timeout=max(0.1, deadline - time.monotonic())) is None:
                 proc.kill()
                 proc.wait()
 
@@ -953,7 +1088,10 @@ class ClusterSupervisor:
         the returned count, matching a lone worker's finished-this-run
         semantics.  ``idle_exit=None`` with ``max_jobs=None`` supervises
         forever (until SIGINT/SIGTERM reaches the supervisor process).
+        A run that ends because every worker died with the restart budget
+        spent sets ``gave_up``.
         """
+        self.gave_up = False
         baseline = self._spool_counts()[0]
         # SIGTERM must unwind through the finally so stop() reaps the
         # fleet — the default disposition would kill this process and
@@ -971,8 +1109,9 @@ class ClusterSupervisor:
                 if alive == 0 and self.restarts >= self.config.max_restarts:
                     # Every worker is dead and the restart budget is spent
                     # (a crash-looping fleet, e.g. a broken backend).
-                    # Hanging here would serve nobody; exit and let the
-                    # operator read the workers' exit output.
+                    # Hanging here would serve nobody; give up, and let the
+                    # operator read the workers' exit output and events.
+                    self.gave_up = True
                     break
                 terminal, active = self._spool_counts()
                 if max_jobs is not None and terminal - baseline >= max_jobs:
@@ -1225,6 +1364,9 @@ __all__ = [
     "LeaseManager",
     "WorkerConfig",
     "ClusterWorker",
+    "serve_worker",
+    "ForkedWorker",
+    "fork_worker",
     "ClusterConfig",
     "ClusterSupervisor",
     "LoadgenReport",

@@ -120,6 +120,21 @@ class TestParser:
         assert main(["serve", "--root", root, "--workers", "1", "--poll", "0.05",
                      "--idle-exit", "0.2"]) == 0
 
+    def test_serve_fleet_that_gives_up_exits_1(self, tmp_path, monkeypatch, capsys):
+        """A crash-looping fleet must not look like a clean exit to scripts."""
+        import repro.service.cluster as cluster_module
+
+        def crash(config, max_jobs=None, idle_exit=None):
+            raise SystemExit(3)
+
+        monkeypatch.setattr(cluster_module, "serve_worker", crash)
+        root = str(tmp_path / "svc")
+        assert main(["serve", "--root", root, "--workers", "1", "--poll", "0.02",
+                     "--idle-exit", "60"]) == 1
+        captured = capsys.readouterr()
+        assert "(10 restart(s))" in captured.out
+        assert "restart budget of 10 restart(s) is spent" in captured.err
+
 
 #: Modules the compare start-up probe (``perfbench``'s set-up import) and a
 #: whole compare must never load: none of them runs in a compare.
@@ -133,6 +148,8 @@ _NOT_IN_COMPARE = (
     "repro.service.gateway",
     "repro.service.cluster",
     "repro.service.scheduler",
+    "repro.obs.health",
+    "repro.obs.snapshot",
 )
 _COMPARE_PROBE = "import repro.flow.flows, repro.service.store"
 _RUN_COMPARE = """
@@ -186,6 +203,19 @@ from repro.service.cluster import ClusterWorker, WorkerConfig
 with tempfile.TemporaryDirectory() as root:
     ClusterWorker(WorkerConfig(root=root))
 """
+#: ``repro serve --workers K`` up to its first fork.  fork() copies only the
+#: calling thread, so the supervisor must run no other (``import numpy``
+#: alone starts OpenBLAS threads), and each child loads the solver stack
+#: itself.
+_BUILD_SUPERVISOR = """
+import tempfile, threading
+import repro.cli
+from repro.service.cluster import ClusterConfig, ClusterSupervisor
+
+with tempfile.TemporaryDirectory() as root:
+    ClusterSupervisor(ClusterConfig(root=root, workers=2))
+    assert threading.active_count() == 1, threading.enumerate()
+"""
 #: case -> (code run in a fresh interpreter, modules it must leave unloaded,
 #: modules it must load)
 _IMPORT_CASES = {
@@ -208,6 +238,7 @@ _IMPORT_CASES = {
         (),
     ),
     "spool-runtime": (_SPOOL_RUNTIME, _SOLVER_STACK, ()),
+    "supervisor": (_BUILD_SUPERVISOR, _SOLVER_STACK, ()),
     "worker": (_BUILD_WORKER, ("asyncio", "repro.service.gateway"), ("repro.engine.panels",)),
 }
 

@@ -26,12 +26,14 @@ from pathlib import Path
 import pytest
 
 import repro.engine.signature as signature_module
+import repro.service.cluster as cluster_module
 from repro.engine.cache import CacheStats, SolutionCache
 from repro.engine.panels import Engine
 from repro.engine.signature import SIGNATURE_VERSION, panel_signature
 from repro.gsino.config import GsinoConfig
 from repro.gsino.pipeline import compare_flows
-from repro.obs.events import read_events
+from repro.obs.events import event_log_for, read_events
+from repro.obs.metrics import process_registry
 from repro.service.cluster import (
     ClusterConfig,
     ClusterSupervisor,
@@ -39,6 +41,7 @@ from repro.service.cluster import (
     LeaseManager,
     WorkerConfig,
     WorkerIdentity,
+    fork_worker,
     run_loadgen,
 )
 from repro.service.gateway.server import GatewayConfig, GatewayRunner
@@ -1296,6 +1299,90 @@ class TestClusterSupervisor:
         finally:
             supervisor.stop()
 
+    def test_forked_worker_is_the_supervisors_child_and_never_returns(
+        self, tmp_path, monkeypatch
+    ):
+        """The child leaves through os._exit: the caller's run() returns once,
+        in the supervisor only."""
+        marks = tmp_path / "marks.txt"
+
+        def entry(config, max_jobs=None, idle_exit=None):
+            with open(marks, "a") as handle:
+                handle.write(f"child {os.getpid()} {os.getppid()}\n")
+
+        monkeypatch.setattr(cluster_module, "serve_worker", entry)
+        supervisor = ClusterSupervisor(self._config(tmp_path / "svc", max_restarts=0))
+        assert supervisor.run(idle_exit=60.0) == 0
+        with open(marks, "a") as handle:
+            handle.write(f"returned {os.getpid()}\n")
+        (child,) = [r for r in read_events(tmp_path / "svc") if r["event"] == "worker-exited"]
+        assert child["status"] == 0 and supervisor.gave_up
+        assert marks.read_text().splitlines() == [
+            f"child {child['pid']} {os.getpid()}",
+            f"returned {os.getpid()}",
+        ]
+
+    def test_forked_worker_exception_exits_1_with_traceback(self, tmp_path, monkeypatch, capfd):
+        def broken(config, max_jobs=None, idle_exit=None):
+            raise RuntimeError("backend exploded")
+
+        monkeypatch.setattr(cluster_module, "serve_worker", broken)
+        child = fork_worker(WorkerConfig(root=tmp_path / "svc"))
+        assert child.wait(timeout=30.0) == 1
+        err = capfd.readouterr().err
+        assert "Traceback (most recent call last)" in err
+        assert "RuntimeError: backend exploded" in err
+
+    def test_stop_reaps_every_child(self, tmp_path):
+        supervisor = ClusterSupervisor(self._config(tmp_path / "svc", workers=2))
+        supervisor.start()
+        try:
+            assert supervisor.wait_alive(timeout=60.0)
+            victim = supervisor.worker_pids()[0]
+            os.kill(victim, 9)
+            deadline = time.monotonic() + 30.0
+            while supervisor.restarts == 0 and time.monotonic() < deadline:
+                supervisor.poll()
+                time.sleep(0.05)
+            pids = [victim] + supervisor.worker_pids()
+        finally:
+            supervisor.stop()
+        assert supervisor.restarts == 1 and len(pids) == 3
+        assert supervisor.worker_pids() == []
+        assert all(proc.returncode is not None for proc in supervisor._procs.values())
+        for pid in pids:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)  # reaped: no zombie left behind
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    def test_forked_child_gets_its_own_client_writer_and_registry(self, tmp_path, monkeypatch):
+        root = tmp_path / "svc"
+        event_log_for(root).emit("probe", side="parent")
+        process_registry().counter("probe.parent").inc()
+
+        def entry(config, max_jobs=None, idle_exit=None):
+            for _ in range(2):
+                event_log_for(config.root).emit(
+                    "probe", side="child", metrics=process_registry().snapshot()
+                )
+
+        monkeypatch.setattr(cluster_module, "serve_worker", entry)
+        child = fork_worker(WorkerConfig(root=root))
+        assert child.wait(timeout=30.0) == 0
+        event_log_for(root).emit("probe", side="parent")
+        probes = [r for r in read_events(root) if r["event"] == "probe"]
+        sides = {}
+        for record in probes:
+            sides.setdefault(record["side"], []).append((record["writer"], record["seq"]))
+        (parent_writer,) = {writer for writer, _seq in sides["parent"]}
+        (child_writer,) = {writer for writer, _seq in sides["child"]}
+        assert parent_writer.startswith(f"client-{os.getpid()}-")
+        assert child_writer.startswith(f"client-{child.pid}-")
+        for side in ("parent", "child"):
+            assert [seq for _writer, seq in sides[side]] == [0, 1]  # gapless, own seq
+        assert all(r["metrics"] == {} for r in probes if r["side"] == "child")
+
     def test_supervised_fleet_serves_a_burst(self, tmp_path):
         root = tmp_path / "svc"
         supervisor = ClusterSupervisor(self._config(root, workers=2))
@@ -1671,23 +1758,35 @@ class TestClusterRobustness:
         assert (root / "jobs" / f"{job.job_id}.cancel").exists()
 
     def test_supervisor_gives_up_when_workers_crash_loop(self, tmp_path, monkeypatch):
-        """All workers dead + restart budget spent must exit, not hang."""
-        root = tmp_path / "svc"
-        submit_job(root, "smoke")  # pending work keeps the spool active
-        supervisor = ClusterSupervisor(
-            ClusterConfig(root=root, workers=1, poll_interval=0.05, max_restarts=2)
-        )
-        monkeypatch.setattr(
-            supervisor,
-            "worker_command",
-            lambda slot: [sys.executable, "-c", "raise SystemExit(3)"],
-        )
-        start = time.monotonic()
-        # Without the give-up, the queued job keeps `active` nonzero and
-        # this would sleep forever despite zero live workers.
-        assert supervisor.run(idle_exit=60.0) == 0
-        assert time.monotonic() - start < 30.0
-        assert supervisor.restarts == 2
+        """All workers dead + restart budget spent must give up, not hang,
+        with every death logged once, not once per monitor tick."""
+
+        def crash(config, max_jobs=None, idle_exit=None):
+            if config.label != "w0":
+                # Outlive slot 0's deaths: its last one, past the budget,
+                # is then seen on many monitor ticks.
+                time.sleep(0.5)
+            raise SystemExit(3)
+
+        # The forked children inherit the patched entry.
+        monkeypatch.setattr(cluster_module, "serve_worker", crash)
+        for workers in (1, 2):
+            root = tmp_path / f"svc{workers}"
+            submit_job(root, "smoke")  # pending work keeps the spool active
+            supervisor = ClusterSupervisor(
+                ClusterConfig(root=root, workers=workers, poll_interval=0.05, max_restarts=2)
+            )
+            start = time.monotonic()
+            # Without the give-up, the queued job keeps `active` nonzero and
+            # this would sleep forever despite zero live workers.
+            assert supervisor.run(idle_exit=60.0) == 0
+            assert time.monotonic() - start < 30.0
+            assert supervisor.restarts == 2
+            assert supervisor.gave_up
+            exits = [r for r in read_events(root) if r["event"] == "worker-exited"]
+            deaths = workers + supervisor.restarts
+            assert [r["status"] for r in exits] == [3] * deaths
+            assert len({r["pid"] for r in exits}) == deaths  # one event per death
 
     def test_disowned_worker_leaves_requeued_jobs_cancel_marker(self, tmp_path):
         """A marker written against the requeued job is not ours to consume."""
