@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.service.cluster import ClusterConfig, ClusterSupervisor, run_loadgen
+from repro.service.cluster import ClusterConfig, ClusterSupervisor, WorkerConfig, run_loadgen
 
 #: Minimum 3-worker-over-1-worker throughput ratio (relaxable in CI, same
 #: pattern as the other harness knobs).
@@ -49,7 +49,7 @@ def _usable_cpus() -> int:
 def _run_burst(root: Path, workers: int):
     """Drive one cache-cold burst through a supervised fleet; return report."""
     supervisor = ClusterSupervisor(
-        ClusterConfig(root=root, workers=workers, poll_interval=0.05, lease_ttl=10.0)
+        ClusterConfig(WorkerConfig(root=root, poll_interval=0.05, lease_ttl=10.0), workers=workers)
     )
     supervisor.start()
     try:

@@ -81,10 +81,10 @@ class ExperimentConfig:
         annealing efforts); ``None`` keeps the schedule default.
     store_path:
         Optional directory of a persistent result store
-        (:class:`repro.service.store.ResultStore`).  Every instance's cache
-        is backed by it, so repeated sweeps — including sweeps in *other
-        processes*, and instances fanned over a process backend — warm-start
-        from already-solved panels.  Requires ``use_cache``.
+        (:class:`repro.service.store.ResultStore`).  Every instance's flow
+        runner persists its stage artifacts there, so repeated sweeps —
+        including sweeps in *other processes*, and instances fanned over a
+        process backend — restore whole stages.  Requires ``use_cache``.
     """
 
     circuits: Tuple[str, ...] = DEFAULT_CIRCUITS

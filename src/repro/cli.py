@@ -26,9 +26,9 @@ already on disk.
 The flow-running subcommands share the engine flags (``--backend``,
 ``--workers``, ``--no-cache``, ``--store DIR``) and the solver flags:
 ``--effort`` picks the per-region SINO effort level and ``--chains N`` runs N
-independent annealing chains per panel.  ``--store DIR`` backs the panel
-cache with the persistent result store in DIR, so repeated runs warm-start
-across processes::
+independent annealing chains per panel.  ``--store DIR`` persists every
+stage artifact (panel layouts included) in the result store in DIR, so
+repeated runs warm-start across processes::
 
     python -m repro.cli compare --circuit ibm02 --effort anneal --store .repro-store
 
@@ -144,8 +144,8 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         type=Path,
         default=None,
         metavar="DIR",
-        help="back the panel cache with the persistent result store in DIR "
-        "(repeated runs warm-start across processes)",
+        help="persist stage artifacts, panel layouts included, in the result "
+        "store in DIR (repeated runs warm-start across processes)",
     )
     parser.add_argument(
         "--effort",
@@ -797,30 +797,19 @@ def _parse_params(pairs: Sequence[str]) -> Dict[str, object]:
 def _run_serve(args: argparse.Namespace) -> int:
     from repro.service.cluster import ClusterConfig, ClusterSupervisor, WorkerConfig, serve_worker
 
-    if args.workers is None:
-        # One in-process worker.
-        serve_worker(
-            WorkerConfig(
-                root=args.root,
-                backend=args.backend,
-                backend_workers=args.backend_workers,
-                poll_interval=args.poll,
-                lease_ttl=args.lease_ttl,
-                store_max_bytes=_mb_to_bytes(args.store_max_mb),
-            ),
-            max_jobs=args.max_jobs,
-            idle_exit=args.idle_exit,
-        )
-        return 0
-    config = ClusterConfig(
+    worker = WorkerConfig(
         root=args.root,
-        workers=args.workers,
         backend=args.backend,
         backend_workers=args.backend_workers,
         poll_interval=args.poll,
         lease_ttl=args.lease_ttl,
         store_max_bytes=_mb_to_bytes(args.store_max_mb),
     )
+    if args.workers is None:
+        # One in-process worker.
+        serve_worker(worker, max_jobs=args.max_jobs, idle_exit=args.idle_exit)
+        return 0
+    config = ClusterConfig(worker=worker, workers=args.workers)
     supervisor = ClusterSupervisor(config)
     print(
         f"cluster serving {args.root} with {args.workers} worker(s) "

@@ -18,17 +18,21 @@ The cache optionally fronts a persistent second tier (any object with
 ``get_layout(signature) -> layout|None`` and ``put_layout(signature,
 layout)`` — in practice :class:`repro.service.store.ResultStore`): a memory
 miss falls through to the tier, tier hits are promoted back into memory, and
-every fill is written through, so repeated processes warm-start from disk.
-The protocol is duck-typed here so the engine layer never imports the
-service layer above it.
+fills are written through, so repeated processes warm-start from disk.
+Inside :meth:`SolutionCache.memory_only` the tier is skipped: the flow
+runner uses it while a stage runs whose artifact it persists, since that
+artifact already holds every layout the stage produces.  The protocol is
+duck-typed here so the engine layer never imports the service layer above
+it.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional, Protocol, Tuple
+from typing import Iterator, Optional, Protocol, Tuple
 
 from repro.sino.panel import SinoProblem, SinoSolution
 
@@ -102,7 +106,7 @@ class SolutionCache:
         :class:`repro.service.store.ResultStore`).  Memory misses fall
         through to it, tier hits are promoted into memory, and fills are
         written through — so a fresh process with the same store starts
-        warm.
+        warm — except inside :meth:`memory_only`.
     """
 
     def __init__(
@@ -120,6 +124,8 @@ class SolutionCache:
         self._misses = 0
         self._evictions = 0
         self._store_hits = 0
+        # Depth of open memory_only() blocks; the tier is skipped while > 0.
+        self._memory_only = 0
 
     def __len__(self) -> int:
         return len(self._layouts)
@@ -131,8 +137,9 @@ class SolutionCache:
         """The cached solution for ``key`` re-bound to ``problem``, or None.
 
         A memory miss falls through to the persistent tier when one is
-        attached; a tier hit is promoted into memory.  The lookup counts
-        towards the hit/miss statistics either way.
+        attached (outside :meth:`memory_only`); a tier hit is promoted into
+        memory.  The lookup counts towards the hit/miss statistics either
+        way.
         """
         with self._lock:
             layout = self._layouts.get(key)
@@ -140,8 +147,9 @@ class SolutionCache:
                 self._hits += 1
                 self._layouts.move_to_end(key)
                 return SinoSolution(problem=problem, layout=list(layout))
-        if self.store is not None:
-            stored = self.store.get_layout(key)
+            store = None if self._memory_only else self.store
+        if store is not None:
+            stored = store.get_layout(key)
             if stored is not None:
                 layout = tuple(stored)
                 try:
@@ -150,7 +158,7 @@ class SolutionCache:
                     # poisoned (e.g. an edited segment id).
                     solution = SinoSolution(problem=problem, layout=list(layout))
                 except ValueError:
-                    drop = getattr(self.store, "drop_layout", None)
+                    drop = getattr(store, "drop_layout", None)
                     if drop is not None:
                         drop(key)  # never promoted, never served again
                 else:
@@ -172,12 +180,30 @@ class SolutionCache:
                 self._evictions += 1
 
     def put(self, key: str, solution: SinoSolution) -> None:
-        """Store a solved layout under its signature (written through)."""
+        """Store a solved layout under its signature (written through
+        outside :meth:`memory_only`)."""
         layout = tuple(solution.layout)
         with self._lock:
             self._insert(key, layout)
-        if self.store is not None:
-            self.store.put_layout(key, layout)
+            store = None if self._memory_only else self.store
+        if store is not None:
+            store.put_layout(key, layout)
+
+    @contextmanager
+    def memory_only(self) -> Iterator[None]:
+        """Skip the persistent tier for the duration of the block.
+
+        Lookups and fills touch the memory tier only; misses are still
+        counted.  Blocks nest, and the tier is back once the outermost one
+        exits, by exception too.
+        """
+        with self._lock:
+            self._memory_only += 1
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._memory_only -= 1
 
     def stats(self) -> CacheStats:
         """Current counters as an immutable snapshot."""

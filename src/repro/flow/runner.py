@@ -15,7 +15,11 @@
    stale payload can cost a recompute, never a wrong result — and are
    counted in ``decode_failures`` and named on the ``stage`` event);
 4. otherwise **executes** the stage and writes the encoded artifact
-   through to the store.
+   through to the store.  A stage whose artifact is persisted runs with
+   the engine's panel cache in memory-only mode
+   (:meth:`~repro.engine.cache.SolutionCache.memory_only`): the artifact
+   already holds every layout the stage solves, so writing each panel to
+   the store as well would persist it twice.
 
 Every materialisation is recorded as a :class:`StageExecution` with its
 outcome and wall-clock seconds, which is what powers the per-stage timing
@@ -25,6 +29,7 @@ the CI flow-smoke job and the ``repro flows --resume`` summary.
 
 from __future__ import annotations
 
+import contextlib
 import time
 import traceback
 from dataclasses import dataclass
@@ -208,11 +213,17 @@ class FlowRunner:
                         signature,
                     )
                     return value
+        persist = use_store and self.store is not None and stage.encode is not None
+        cache = self.context.engine.cache
+        panel_tier = (
+            cache.memory_only() if persist and cache is not None else contextlib.nullcontext()
+        )
         start = time.perf_counter()
-        value = stage.compute(self.context, inputs)
+        with panel_tier:
+            value = stage.compute(self.context, inputs)
         seconds = time.perf_counter() - start
         self._values[signature] = value
-        if use_store and self.store is not None and stage.encode is not None:
+        if persist:
             self.store.put_artifact(signature, stage.encode(self.context, inputs, value))
         self._record(
             artifact, stage.name, graph.name, EXECUTED, seconds, signature, decode_error

@@ -143,10 +143,11 @@ def compare_flows(
 
     Backing the engine's cache with a persistent store
     (``SolutionCache(store=ResultStore(dir))``) extends that guarantee
-    across *processes* at panel granularity; passing the same store to
-    :func:`repro.flow.flows.run_compare` directly additionally persists
-    whole stage artifacts, so a repeated comparison executes no stage at
-    all (``repro compare --store DIR`` does both).
+    across *processes* at panel granularity.  Passing the same store to
+    :func:`repro.flow.flows.run_compare` instead persists whole stage
+    artifacts, so a repeated comparison executes no stage at all; each
+    stage's panels are then stored once, inside its artifact, and not as
+    per-panel blobs (``repro compare --store DIR`` works this way).
     """
     from repro.flow.flows import build_context, run_compare
 

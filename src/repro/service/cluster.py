@@ -72,7 +72,7 @@ import threading
 import time
 import traceback
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, NoReturn, Optional, Set, Tuple, Union
 
@@ -929,15 +929,15 @@ def _worker_child(config: WorkerConfig, mask: Set[signal.Signals]) -> NoReturn:
 
 @dataclass
 class ClusterConfig:
-    """Everything ``repro serve --workers K`` needs to run a local fleet."""
+    """Everything ``repro serve --workers K`` needs to run a local fleet.
 
-    root: Union[str, Path]
+    ``worker`` is the one definition of the worker settings: every slot
+    forks a copy of it, labelled ``w<slot>``, and the supervisor reads its
+    ``root`` and ``poll_interval`` too.
+    """
+
+    worker: WorkerConfig
     workers: int = 2
-    backend: str = "serial"
-    backend_workers: Optional[int] = None
-    poll_interval: float = 0.2
-    lease_ttl: float = DEFAULT_LEASE_TTL
-    store_max_bytes: Optional[int] = None
     #: Worker restarts the supervisor will perform before giving up on a
     #: slot that keeps dying (per run, across all slots).
     max_restarts: int = 10
@@ -945,9 +945,11 @@ class ClusterConfig:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError(f"workers must be positive, got {self.workers}")
-        if self.poll_interval <= 0:
-            raise ValueError(f"poll_interval must be positive, got {self.poll_interval}")
-        self.root = Path(self.root)
+
+    @property
+    def root(self) -> Path:
+        """The spool root every worker of the fleet serves."""
+        return Path(self.worker.root)
 
 
 class ClusterSupervisor:
@@ -989,19 +991,8 @@ class ClusterSupervisor:
         self._terminated = True
 
     def _fork(self, slot: int) -> ForkedWorker:
-        """Fork the worker of ``slot`` (one source of its configuration)."""
-        config = self.config
-        return fork_worker(
-            WorkerConfig(
-                root=config.root,
-                label=f"w{slot}",
-                backend=config.backend,
-                backend_workers=config.backend_workers,
-                poll_interval=config.poll_interval,
-                lease_ttl=config.lease_ttl,
-                store_max_bytes=config.store_max_bytes,
-            )
-        )
+        """Fork the worker of ``slot`` from the fleet's worker template."""
+        return fork_worker(replace(self.config.worker, label=f"w{slot}"))
 
     # -- lifecycle ------------------------------------------------------------------
 
@@ -1129,7 +1120,7 @@ class ClusterSupervisor:
                             idle_since = None
                             continue
                         break
-                time.sleep(self.config.poll_interval)
+                time.sleep(self.config.worker.poll_interval)
         finally:
             self.stop()
         return max(0, self._spool_counts()[0] - baseline)

@@ -5,7 +5,10 @@ CLI exits, so every new process re-anneals panels the previous run already
 solved.  :class:`ResultStore` persists layouts on disk, keyed by the same
 content signature (:func:`repro.engine.signature.panel_signature`), and plugs
 in as the cache's second tier: a memory miss falls through to the store, a
-store hit is promoted back into memory, and every fill is written through.
+store hit is promoted back into memory, and fills are written through.  The
+same store holds the flow runner's stage artifacts; a stage whose artifact
+is persisted runs with the cache in memory-only mode, so its panels are
+stored once, inside that artifact, and never as per-panel blobs.
 
 On-disk format (see DESIGN.md §"Service layer")::
 

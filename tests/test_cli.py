@@ -210,10 +210,10 @@ with tempfile.TemporaryDirectory() as root:
 _BUILD_SUPERVISOR = """
 import tempfile, threading
 import repro.cli
-from repro.service.cluster import ClusterConfig, ClusterSupervisor
+from repro.service.cluster import ClusterConfig, ClusterSupervisor, WorkerConfig
 
 with tempfile.TemporaryDirectory() as root:
-    ClusterSupervisor(ClusterConfig(root=root, workers=2))
+    ClusterSupervisor(ClusterConfig(WorkerConfig(root=root), workers=2))
     assert threading.active_count() == 1, threading.enumerate()
 """
 #: case -> (code run in a fresh interpreter, modules it must leave unloaded,

@@ -162,6 +162,46 @@ class TestSolutionCache:
         with pytest.raises(ValueError):
             SolutionCache(max_entries=0)
 
+    def test_memory_only_skips_the_tier_and_nests(self, random_sino_problem):
+        class SpyTier:
+            def __init__(self):
+                self.calls = 0
+                self.layouts = {}
+
+            def get_layout(self, signature):
+                self.calls += 1
+                return self.layouts.get(signature)
+
+            def put_layout(self, signature, layout):
+                self.calls += 1
+                self.layouts[signature] = layout
+
+        tier = SpyTier()
+        cache = SolutionCache(store=tier)
+        problems = [random_sino_problem(4, 0.5, 1.0, seed=s) for s in range(3)]
+        keys = [panel_signature(p, "sino", "greedy") for p in problems]
+        solutions = [
+            solve_panel_task(PanelTask(key=((0, 0), "h"), problem=p))[1] for p in problems
+        ]
+        with cache.memory_only():
+            with cache.memory_only():
+                assert cache.get(keys[0], problems[0]) is None
+                cache.put(keys[0], solutions[0])
+            # Still inside the outer block: the tier stays off.
+            assert cache.get(keys[1], problems[1]) is None
+            cache.put(keys[1], solutions[1])
+        assert (tier.calls, tier.layouts) == (0, {})
+        assert cache.stats().misses == 2  # misses are counted either way
+        assert cache.get(keys[0], problems[0]) is not None  # filled in memory
+
+        with pytest.raises(RuntimeError):
+            with cache.memory_only():
+                raise RuntimeError("stage failed")
+        # The tier is back after the exception: a miss reads it, a fill writes it.
+        assert cache.get(keys[2], problems[2]) is None
+        cache.put(keys[2], solutions[2])
+        assert tier.calls == 2 and list(tier.layouts) == [keys[2]]
+
 
 class TestEngine:
     def test_mutated_bounds_never_get_stale_hits(self, random_sino_problem):

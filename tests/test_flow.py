@@ -398,12 +398,57 @@ class TestSignatures:
             ).signature_of(graph, artifact)
 
 
+class _SpyStore(ResultStore):
+    """A result store that counts its panel-layout tier calls."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.layout_gets = 0
+        self.layout_puts = 0
+
+    def get_layout(self, signature):
+        self.layout_gets += 1
+        return super().get_layout(signature)
+
+    def put_layout(self, signature, layout):
+        self.layout_puts += 1
+        super().put_layout(signature, layout)
+
+
 class TestStoreResume:
-    def _context(self, circuit, config, root):
-        store = ResultStore(root)
+    def _context(self, circuit, config, root, store_type=ResultStore):
+        store = store_type(root)
         return build_context(
             circuit.grid, circuit.netlist, config, Engine(cache=SolutionCache(store=store))
         ), store
+
+    def test_cold_compare_persists_panels_only_in_stage_artifacts(
+        self, flow_circuit, flow_config, tmp_path
+    ):
+        # A stage whose artifact is persisted keeps its panels in the cache's
+        # memory tier: the artifact already holds every layout it solved.
+        context, store = self._context(flow_circuit, flow_config, tmp_path / "store", _SpyStore)
+        cold = run_compare(context, store=store)
+        assert cold.runner.outcome_counts() == {"executed": 10, "restored": 0, "shared": 3}
+        assert (store.layout_gets, store.layout_puts) == (0, 0)
+        assert context.engine.cache_stats().misses > 0  # cold solves are still counted
+        executed = {e.signature for e in cold.runner.executions if e.outcome == "executed"}
+        assert store.signatures() == sorted(executed)
+        blobs = [path for path in (tmp_path / "store" / "blobs").rglob("*") if path.is_file()]
+        assert len(blobs) == 10
+
+    def test_seeded_run_writes_panel_layouts_through(self, flow_circuit, flow_config, tmp_path):
+        # Stages derived from a seeded value persist no artifact, so their
+        # panels keep the per-panel write-through: it is their only copy.
+        budgets = compute_budgets(flow_circuit.netlist, flow_config)
+        context, store = self._context(flow_circuit, flow_config, tmp_path / "store", _SpyStore)
+        runner = FlowRunner(context, store=store)
+        run_flow("gsino", context, runner=runner, seeds={BUDGETS: budgets})
+        cache = context.engine.cache
+        assert store.layout_puts == len(cache) > 0
+        # Every solved layout, plus the un-seeded reserved routing's artifact.
+        assert len(store) == len(cache) + 1
+        assert store.get_artifact(runner.signature_of(flow_graph("gsino"), "route_reserved"))
 
     def test_warm_compare_restores_every_stage(self, flow_circuit, flow_config, tmp_path):
         context, store = self._context(flow_circuit, flow_config, tmp_path / "store")

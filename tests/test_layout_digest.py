@@ -10,13 +10,19 @@ representation and pins every Phase II and Phase III layout of
     repro compare --circuit ibm01 --scale 0.02 --seed 7
 
 for ID+NO, iSINO and GSINO.  Any change to a single track of a single panel
-changes it.
+changes it.  The same digest must come out of that compare run over a
+persistent store, both cold (every stage executed and persisted) and warm
+(every stage restored from the store).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from pathlib import Path
+from typing import Dict, Optional, Tuple
+
+import pytest
 
 from repro.bench.ibm import generate_circuit
 from repro.engine.cache import SolutionCache
@@ -32,6 +38,7 @@ from repro.flow.flows import (
 )
 from repro.flow.stages import panels_of
 from repro.gsino.config import GsinoConfig
+from repro.service.store import ResultStore
 
 #: sha256 over the layouts below, computed before the panel problem held
 #: its relation as a matrix (signature scheme v4).
@@ -48,11 +55,21 @@ _ARTIFACTS = (
 
 def compare_layout_digest(scale: float = 0.02, seed: int = 7) -> str:
     """sha256 of every panel layout of the CLI's ``compare`` on ibm01."""
+    return digest_compare(scale, seed)[0]
+
+
+def digest_compare(
+    scale: float = 0.02, seed: int = 7, store_root: Optional[Path] = None
+) -> Tuple[str, Dict[str, int]]:
+    """The layout digest of one ``compare`` and its stage outcome counts,
+    run over the result store at ``store_root`` when one is given."""
     circuit = generate_circuit("ibm01", sensitivity_rate=0.3, scale=scale, seed=seed)
     config = GsinoConfig(length_scale=1.0 / (scale ** 0.5))
-    with Engine(cache=SolutionCache()) as engine:
+    store = None if store_root is None else ResultStore(store_root)
+    with Engine(cache=SolutionCache(store=store)) as engine:
         context = build_context(circuit.grid, circuit.netlist, config, engine)
-        runner = run_compare(context).runner
+        runner = run_compare(context, store=store).runner
+        outcomes = runner.outcome_counts()
         digest = hashlib.sha256()
         for flow, artifact in _ARTIFACTS:
             value = runner.materialize(flow_graph(flow), targets=[artifact])[artifact]
@@ -60,8 +77,28 @@ def compare_layout_digest(scale: float = 0.02, seed: int = 7) -> str:
             rows = [[list(key), panels[key].layout] for key in sorted(panels)]
             digest.update(artifact.encode("utf-8"))
             digest.update(json.dumps(rows, separators=(",", ":")).encode("utf-8"))
-    return digest.hexdigest()
+    return digest.hexdigest(), outcomes
+
+
+@pytest.fixture(scope="module")
+def cold_store(tmp_path_factory):
+    """A store filled by one cold compare, with that compare's digest and outcomes."""
+    root = tmp_path_factory.mktemp("digest") / "store"
+    return (root, *digest_compare(store_root=root))
 
 
 def test_compare_layouts_match_the_golden_digest():
     assert compare_layout_digest() == GOLDEN_DIGEST
+
+
+def test_cold_compare_over_a_store_matches_the_golden_digest(cold_store):
+    _root, digest, outcomes = cold_store
+    assert outcomes == {"executed": 10, "restored": 0, "shared": 3}
+    assert digest == GOLDEN_DIGEST
+
+
+def test_warm_restore_matches_the_golden_digest(cold_store):
+    root, _digest, _outcomes = cold_store
+    digest, outcomes = digest_compare(store_root=root)
+    assert outcomes == {"executed": 0, "restored": 10, "shared": 3}
+    assert digest == GOLDEN_DIGEST

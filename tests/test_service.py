@@ -21,6 +21,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -1275,10 +1276,52 @@ class TestClusterWorker:
 
 
 class TestClusterSupervisor:
-    def _config(self, root, **overrides) -> ClusterConfig:
-        config = dict(root=root, workers=1, poll_interval=0.05, lease_ttl=5.0)
-        config.update(overrides)
-        return ClusterConfig(**config)
+    def _config(self, root, workers=1, **overrides) -> ClusterConfig:
+        worker = WorkerConfig(root=root, poll_interval=0.05, lease_ttl=5.0)
+        return ClusterConfig(worker, workers=workers, **overrides)
+
+    def test_invalid_worker_settings_fail_at_construction(self, tmp_path):
+        """The fleet's worker settings are validated once, when the config is
+        built, not when start() forks the first worker."""
+        with pytest.raises(ValueError, match="lease_ttl must be positive"):
+            ClusterConfig(WorkerConfig(root=tmp_path / "svc", lease_ttl=0), workers=2)
+        with pytest.raises(ValueError, match="poll_interval must be positive"):
+            ClusterConfig(WorkerConfig(root=tmp_path / "svc", poll_interval=0), workers=2)
+        with pytest.raises(ValueError, match="workers must be positive"):
+            self._config(tmp_path / "svc", workers=0)
+        # The settings are no longer repeated on the cluster config itself.
+        with pytest.raises(TypeError):
+            ClusterConfig(root=tmp_path / "svc", lease_ttl=0)
+        assert not (tmp_path / "svc").exists()
+
+    def test_every_slot_forks_the_worker_template(self, tmp_path, monkeypatch):
+        forked = []
+
+        class Running:
+            pid = 0
+
+            def poll(self):
+                return None
+
+        def fake_fork(config):
+            forked.append(config)
+            return Running()
+
+        monkeypatch.setattr(cluster_module, "fork_worker", fake_fork)
+        template = WorkerConfig(
+            root=tmp_path / "svc",
+            backend="thread",
+            backend_workers=2,
+            poll_interval=0.05,
+            lease_ttl=7.0,
+            store_max_bytes=1 << 20,
+        )
+        config = ClusterConfig(template, workers=3)
+        assert config.root == tmp_path / "svc"
+        ClusterSupervisor(config).start()
+        assert [worker.label for worker in forked] == ["w0", "w1", "w2"]
+        assert all(replace(worker, label=template.label) == template for worker in forked)
+        assert template.label == "worker"  # the template itself is never relabelled
 
     def test_supervisor_restarts_dead_worker(self, tmp_path):
         supervisor = ClusterSupervisor(self._config(tmp_path / "svc"))
@@ -1625,7 +1668,7 @@ class TestClusterRobustness:
         )
         fresh = submit_job(root, "smoke", params={"seed": 9})
         supervisor = ClusterSupervisor(
-            ClusterConfig(root=root, workers=1, poll_interval=0.05, lease_ttl=5.0)
+            ClusterConfig(WorkerConfig(root=root, poll_interval=0.05, lease_ttl=5.0), workers=1)
         )
         assert supervisor.run(max_jobs=1, idle_exit=60.0) == 1
         record = json.loads((root / "jobs" / f"{fresh.job_id}.json").read_text())
@@ -1685,7 +1728,7 @@ class TestClusterRobustness:
             max_jobs=3, idle_exit=0.1
         )
         supervisor = ClusterSupervisor(
-            ClusterConfig(root=root, workers=1, poll_interval=0.05, lease_ttl=5.0)
+            ClusterConfig(WorkerConfig(root=root, poll_interval=0.05, lease_ttl=5.0), workers=1)
         )
         assert supervisor._spool_counts() == (3, 0)
         assert len(supervisor._terminal_seen) == 3  # parsed once...
@@ -1774,7 +1817,9 @@ class TestClusterRobustness:
             root = tmp_path / f"svc{workers}"
             submit_job(root, "smoke")  # pending work keeps the spool active
             supervisor = ClusterSupervisor(
-                ClusterConfig(root=root, workers=workers, poll_interval=0.05, max_restarts=2)
+                ClusterConfig(
+                    WorkerConfig(root=root, poll_interval=0.05), workers=workers, max_restarts=2
+                )
             )
             start = time.monotonic()
             # Without the give-up, the queued job keeps `active` nonzero and
@@ -1839,7 +1884,9 @@ class TestClusterRobustness:
     def test_supervisor_stop_request_ends_serve_forever(self, tmp_path):
         """The SIGTERM path: request_stop unwinds run() and reaps the fleet."""
         supervisor = ClusterSupervisor(
-            ClusterConfig(root=tmp_path / "svc", workers=1, poll_interval=0.05, lease_ttl=5.0)
+            ClusterConfig(
+                WorkerConfig(root=tmp_path / "svc", poll_interval=0.05, lease_ttl=5.0), workers=1
+            )
         )
         threading.Timer(0.5, supervisor.request_stop).start()
         # No max_jobs, no idle_exit: without the stop request this loops forever.
@@ -1955,7 +2002,7 @@ class TestFlatSpool:
         root = tmp_path / "svc"
         submit_job(root, "smoke")
         ClusterWorker(WorkerConfig(root=root, poll_interval=0.01)).run(max_jobs=1)
-        ClusterSupervisor(ClusterConfig(root=root, workers=1))
+        ClusterSupervisor(ClusterConfig(WorkerConfig(root=root), workers=1))
         GatewayRunner(GatewayConfig(root=root, port=0)).start().stop()
         assert not (root / "shards.json").exists()
 
@@ -1967,7 +2014,7 @@ class TestFlatSpool:
         worker = ClusterWorker(WorkerConfig(root=root, poll_interval=0.01))
         assert worker.run(max_jobs=1) == 1
         assert wait_for_job(root, job.job_id, timeout=5.0).status == "done"
-        ClusterSupervisor(ClusterConfig(root=root, workers=1))
+        ClusterSupervisor(ClusterConfig(WorkerConfig(root=root), workers=1))
         GatewayRunner(GatewayConfig(root=root, port=0)).start().stop()
         assert (root / "shards.json").read_text() == _ONE_SHARD_MARKER
 
@@ -1988,7 +2035,7 @@ class TestFlatSpool:
         with pytest.raises(RuntimeError, match=hint):
             ClusterWorker(WorkerConfig(root=root))
         with pytest.raises(RuntimeError, match=hint):
-            ClusterSupervisor(ClusterConfig(root=root, workers=1))
+            ClusterSupervisor(ClusterConfig(WorkerConfig(root=root), workers=1))
         with pytest.raises(RuntimeError, match=hint):
             submit_jobs(root, [SubmitRequest(scenario="smoke")])
         with pytest.raises(RuntimeError, match=hint):
