@@ -76,9 +76,6 @@ class ExperimentConfig:
     chains:
         Independent annealing chains per panel for the annealing effort
         levels (1 = single-chain search, the historic behaviour).
-    batch_k:
-        Annealing chain width, the candidate moves scored per step (the
-        annealing efforts); ``None`` keeps the schedule default.
     store_path:
         Optional directory of a persistent result store
         (:class:`repro.service.store.ResultStore`).  Every instance's flow
@@ -97,7 +94,6 @@ class ExperimentConfig:
     use_cache: bool = True
     sino_effort: str = "greedy"
     chains: int = 1
-    batch_k: Optional[int] = None
     store_path: Optional[Union[str, Path]] = None
 
     def __post_init__(self) -> None:
@@ -123,29 +119,24 @@ class ExperimentConfig:
             )
         if self.chains < 1:
             raise ValueError(f"chains must be >= 1, got {self.chains}")
-        if self.batch_k is not None and self.batch_k < 1:
-            raise ValueError(f"batch_k must be >= 1, got {self.batch_k}")
         if self.store_path is not None and not self.use_cache:
             raise ValueError("store_path requires use_cache=True")
 
     def flow_config(self) -> GsinoConfig:
         """The per-instance flow configuration.
 
-        The length scale is matched to ``scale``, and the SINO effort level,
-        chain count and batched-evaluation width are folded into the GSINO
-        configuration (chains and ``batch_k`` live on the annealing schedule
-        so they reach the panel cache key).
+        The length scale is matched to ``scale``, and the SINO effort level
+        and chain count are folded into the GSINO configuration (the chain
+        count lives on the annealing schedule so it reaches the panel cache
+        key).
         """
         changes: dict = {
             "length_scale": 1.0 / (self.scale ** 0.5),
             "sino_effort": self.sino_effort,
         }
-        if self.chains != 1 or self.batch_k is not None:
+        if self.chains != 1:
             schedule = self.gsino.anneal or AnnealConfig()
-            overrides: dict = {"chains": self.chains}
-            if self.batch_k is not None:
-                overrides["batch_k"] = self.batch_k
-            changes["anneal"] = replace(schedule, **overrides)
+            changes["anneal"] = replace(schedule, chains=self.chains)
         return self.gsino.with_changes(**changes)
 
     def instance_runtime(self) -> Tuple[Engine, Optional["ResultStore"]]:

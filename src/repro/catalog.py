@@ -27,13 +27,14 @@ FLOW_NAMES: Tuple[str, ...] = ("id_no", "isino", "gsino")
 #: Signature scheme version; bump when the token layout changes so persisted
 #: caches (if any) cannot return solutions hashed under an older scheme.
 #: Version 2 added the chain count to the annealing-schedule token; version 3
-#: added the batched-evaluation width (``batch_k``).  Version 4 merged the two
-#: annealers: under v3, ``effort=anneal`` with ``batch_k=8`` ran the one-move
-#: chain (the width only applied to a separate batched effort), while the same
-#: token now runs the best-of-8 chain, so a v3 layout must not be restored.
-#: Version 5 hashes the problem's arrays (segment ids, packed sensitivity
-#: matrix, bound vector) instead of spelling out sorted pair and bound lists.
-SIGNATURE_VERSION = 5
+#: added the batched-evaluation width.  Version 4 merged the two annealers:
+#: under v3, ``effort=anneal`` at width 8 ran the one-move chain (the width
+#: only applied to a separate batched effort), while the same token then ran
+#: the best-of-8 chain, so a v3 layout must not be restored.  Version 5
+#: hashes the problem's arrays (segment ids, packed sensitivity matrix, bound
+#: vector) instead of spelling out sorted pair and bound lists.
+#: Version 6: the anneal token lost its width field (one-move chain only).
+SIGNATURE_VERSION = 6
 
 #: Version of the *stage* signature scheme (instance token + stage token
 #: layout) and of the stage payload formats.  Bump whenever either token

@@ -159,14 +159,6 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         default=1,
         help="independent annealing chains per panel (annealing efforts only)",
     )
-    parser.add_argument(
-        "--batch-k",
-        type=_positive_int,
-        default=None,
-        metavar="K",
-        help="annealing chain width: moves scored per step, the best one "
-        "facing the Metropolis test (annealing efforts only; default: 1)",
-    )
 
 
 def _add_tables_parser(subparsers: argparse._SubParsersAction) -> None:
@@ -585,7 +577,6 @@ def _run_tables(args: argparse.Namespace) -> int:
         use_cache=not args.no_cache,
         sino_effort=args.effort,
         chains=args.chains,
-        batch_k=args.batch_k,
         store_path=args.store,
     )
     start = time.perf_counter()
@@ -640,12 +631,7 @@ def _instance_run_setup(args: argparse.Namespace):
     circuit = generate_circuit(
         args.circuit, sensitivity_rate=args.rate, scale=args.scale, seed=args.seed
     )
-    anneal = None
-    if args.chains > 1 or args.batch_k is not None:
-        anneal = AnnealConfig(
-            chains=args.chains,
-            **({} if args.batch_k is None else {"batch_k": args.batch_k}),
-        )
+    anneal = AnnealConfig(chains=args.chains) if args.chains > 1 else None
     config = GsinoConfig(
         crosstalk_bound=args.bound,
         length_scale=1.0 / (args.scale ** 0.5),

@@ -74,8 +74,8 @@ class ExecutionBackend(ABC):
 
         True for serial and thread dispatch — tasks can carry live objects
         (prebuilt panel states) for free.  Process backends return False,
-        which routes large payloads onto explicit shared-memory exports
-        (:mod:`repro.sino.shared`) instead of per-task pickles.
+        so callers send picklable tasks that rebuild such objects in the
+        worker instead.
         """
         return True
 

@@ -62,11 +62,10 @@ class PanelTask:
         the schedule's own seed (the serial reference behaviour).
     anneal:
         Annealing schedule override for the annealing efforts, including the
-        chain count of multi-chain search and the batched evaluation width
-        (``batch_k``); ``None`` uses the solver's default schedule.  The
-        effort, the chain count and the batch width are all part of the
-        task signature, so changing any of them can never reuse a stale
-        cached layout.
+        chain count of multi-chain search; ``None`` uses the solver's
+        default schedule.  The effort and the full schedule, chain count
+        included, are part of the task signature, so changing either can
+        never reuse a stale cached layout.
     """
 
     key: PanelKey

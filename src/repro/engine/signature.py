@@ -26,9 +26,9 @@ A signature covers everything that can influence the solution:
 * the track capacity,
 * the Keff model parameters,
 * the solver (``"sino"`` / ``"ordering"``), the effort level, the per-task
-  seed and the full annealing schedule including its chain count and batched
-  evaluation width — so raising ``AnnealConfig.chains``, changing ``batch_k``
-  or switching effort levels can never hit a stale cached layout.
+  seed and the full annealing schedule including its chain count — so
+  raising ``AnnealConfig.chains`` or switching effort levels can never hit a
+  stale cached layout.
 
 Phase III mutates bounds via :meth:`SinoProblem.with_bounds`; because the
 bounds are part of the signature, a tightened or relaxed panel can never hit
@@ -104,7 +104,6 @@ def _anneal_token(anneal: Optional[AnnealConfig]) -> str:
             _float_token(anneal.overflow_weight),
             str(anneal.seed),
             str(anneal.chains),
-            str(anneal.batch_k),
         )
     )
 

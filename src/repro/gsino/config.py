@@ -47,15 +47,12 @@ class GsinoConfig:
     sino_effort:
         Effort level of every per-region SINO solve — one of
         :data:`repro.catalog.EFFORT_LEVELS`: ``"greedy"``, ``"anneal"``
-        (chain width ``AnnealConfig.batch_k``) or ``"anneal-fast"``
-        (quarter-length schedule).
+        or ``"anneal-fast"`` (quarter-length schedule).
     anneal:
         Annealing schedule used by the annealing effort levels, including
-        the multi-chain count (``AnnealConfig.chains``) and the batched
-        evaluation width (``AnnealConfig.batch_k``); ``None`` uses the
+        the multi-chain count (``AnnealConfig.chains``); ``None`` uses the
         solver's default schedule.  Part of the panel cache key, so changing
-        the schedule, chain count or batch width never reuses stale
-        solutions.
+        the schedule or the chain count never reuses stale solutions.
     gsino_weights / baseline_weights:
         Formula 2 configurations for the GSINO router (shield reservation on)
         and the baseline router (reservation off), respectively.

@@ -650,7 +650,7 @@ class ClusterWorker:
             self.metrics.gauge("cache.misses").set(stats.misses)
             self.metrics.gauge("cache.store_hits").set(stats.store_hits)
             self.store.persist_stats()
-            # The solver hot paths (the anneal chain loop, shm attaches)
+            # The solver hot paths (the anneal chain loop)
             # record into the process-wide default registry; fold in what
             # they recorded since this worker started serving, so work
             # the process did before is not reported as the worker's, with

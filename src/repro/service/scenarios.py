@@ -68,10 +68,10 @@ class ScenarioSpec:
         Region track capacity as a multiple of the segment count.  Values
         below ~1.3 leave no room for shields and create overflow pressure;
         0 disables the capacity limit entirely.
-    solver / effort / chains / batch_k:
+    solver / effort / chains:
         Forwarded to :class:`~repro.engine.panels.PanelTask`; ``chains > 1``
-        or a ``batch_k`` other than 1 attaches an annealing schedule (the
-        chain width only takes effect under the annealing efforts).
+        attaches an annealing schedule (the chain count only takes effect
+        under the annealing efforts).
     seed:
         Base seed; panel ``i`` derives its structure and task seed from it.
     """
@@ -89,7 +89,6 @@ class ScenarioSpec:
     solver: str = "sino"
     effort: str = "greedy"
     chains: int = 1
-    batch_k: int = 1
     seed: int = 2002
 
     def __post_init__(self) -> None:
@@ -112,8 +111,6 @@ class ScenarioSpec:
             raise ValueError(f"effort must be one of {EFFORT_LEVELS}, got {self.effort!r}")
         if self.chains < 1:
             raise ValueError(f"chains must be >= 1, got {self.chains}")
-        if self.batch_k < 1:
-            raise ValueError(f"batch_k must be >= 1, got {self.batch_k}")
         get_technology(self.technology)  # fail fast on unknown nodes
 
     def with_params(self, params: Dict[str, object]) -> "ScenarioSpec":
@@ -235,12 +232,7 @@ def generate_scenario(name: str, params: Dict[str, object] | None = None) -> Lis
     bound_scale = technology.vdd / ITRS_100NM.vdd
     rng = random.Random(spec.seed)
     tasks: List[PanelTask] = []
-    default_width = AnnealConfig().batch_k
-    anneal = (
-        AnnealConfig(chains=spec.chains, batch_k=spec.batch_k)
-        if spec.chains > 1 or spec.batch_k != default_width
-        else None
-    )
+    anneal = AnnealConfig(chains=spec.chains) if spec.chains > 1 else None
     for index in range(spec.panels):
         count = rng.randint(spec.min_segments, spec.max_segments)
         segments = [index * 1000 + offset for offset in range(count)]

@@ -10,9 +10,9 @@ a minimum number of shield wires on parallel tracks such that
   bound ``Kth_i``.
 
 The problem is NP-hard, so this package provides a fast greedy constructor
-(:mod:`repro.sino.greedy`), one simulated-annealing improver whose chain
-width is ``AnnealConfig.batch_k`` (:mod:`repro.sino.anneal`, scoring wide
-steps through :mod:`repro.sino.batched`), the net-ordering-only solver used
+(:mod:`repro.sino.greedy`), one simulated-annealing improver
+(:mod:`repro.sino.anneal`, one move per step, optionally over several
+independent chains), the net-ordering-only solver used
 by the ID+NO baseline (:mod:`repro.sino.net_ordering`), a solution checker
 (:mod:`repro.sino.checker`), and the closed-form shield-count estimator of
 Formula 3 (:mod:`repro.sino.estimate`).

@@ -13,40 +13,30 @@ per shield track and a medium weight per overflow track, so the search drives
 towards *feasible* layouts first and *small* layouts second.
 
 :func:`anneal_sino` is the one annealing chain, built on
-:class:`~repro.sino.incremental.IncrementalPanelState`.  Its width is
-``AnnealConfig.batch_k``:
-
-* width 1 proposes one move per step as an O(affected rows) delta-cost
-  update and commits or reverts it.  It returns bit-identical layouts to
-  the historic full-re-evaluation annealer kept as the oracle in
-  ``tests/oracles/anneal_reference.py``;
-* width K > 1 scores K moves per step in one vectorised pass
-  (:class:`~repro.sino.batched.BatchedMoveEvaluator`) and puts the best
-  through the Metropolis test.  A quarter of the budget goes to a
-  deterministic endgame (:func:`_endgame`) that keeps best-of-K quality at
-  or above the oracle's on the registry scenarios.
-
+:class:`~repro.sino.incremental.IncrementalPanelState`: each step proposes
+one move as an O(affected rows) delta-cost update and commits or reverts
+it.  It returns bit-identical layouts to the historic full-re-evaluation
+annealer kept as the oracle in ``tests/oracles/anneal_reference.py``.
 Accepted layouts are compacted only when a cheap bound says compaction
 could beat the incumbent, so non-improving moves skip it entirely.
 
 Effort levels (``solve_min_area_sino``, ``GsinoConfig.sino_effort``, and the
-CLI ``--effort`` / ``--chains`` / ``--batch-k`` flags) select how hard each
-panel is solved:
+CLI ``--effort`` / ``--chains`` flags) select how hard each panel is solved:
 
 * ``"greedy"`` — constructive heuristic only,
 * ``"anneal"`` — greedy + simulated annealing (``AnnealConfig.chains``
-  independent chains when > 1, each ``AnnealConfig.batch_k`` wide),
+  independent chains when > 1),
 * ``"anneal-fast"`` — annealing on a quarter-length schedule.
 
 Multi-chain search derives one seed per chain (chain 0 keeps the configured
 seed, so ``chains=1`` reproduces the single-chain results exactly) and can be
 dispatched over any :class:`~repro.engine.backends.ExecutionBackend` passed by
 the caller; the reduction is deterministic regardless of the backend.  The
-greedy construction and the initial array-bundle build are hoisted out of the
-per-chain loop: in-process chains clone one shared
-:class:`~repro.sino.incremental.IncrementalPanelState` (and share its
-evaluation memo), while process backends receive the bundle through
-:mod:`repro.sino.shared` shared-memory segments instead of pickled arrays.
+greedy construction is hoisted out of the per-chain loop: in-process chains
+clone one shared :class:`~repro.sino.incremental.IncrementalPanelState` (and
+share its evaluation memo), while process backends receive pickled
+``(problem, layout, config)`` tasks and build each chain's state in the
+worker.
 """
 
 from __future__ import annotations
@@ -62,7 +52,6 @@ import numpy as np
 from repro.catalog import EFFORT_LEVELS
 from repro.obs.metrics import process_registry
 from repro.obs.trace import active_tracer, maybe_span
-from repro.sino.batched import BatchedMoveEvaluator
 from repro.sino.greedy import greedy_sino
 from repro.sino.incremental import IncrementalPanelState, Move
 from repro.sino.panel import SinoProblem, SinoSolution
@@ -96,11 +85,6 @@ class AnnealConfig:
         itself (so ``chains=1`` is exactly the single-chain search); every
         further chain derives its own seed via :func:`derive_chain_seed`.
         The best feasible chain result wins.
-    batch_k:
-        Width of the annealing chain: candidates scored per temperature
-        step (:func:`anneal_sino`).  ``iterations`` still counts total
-        candidate evaluations, so any ``batch_k`` does the same amount of
-        evaluation work.  1 is the classic one-move chain.
     """
 
     iterations: int = 1500
@@ -112,7 +96,6 @@ class AnnealConfig:
     overflow_weight: float = 5.0
     seed: int = 0
     chains: int = 1
-    batch_k: int = 1
 
     def __post_init__(self) -> None:
         if self.iterations < 1:
@@ -123,8 +106,6 @@ class AnnealConfig:
             raise ValueError("final_temperature must not exceed initial_temperature")
         if self.chains < 1:
             raise ValueError(f"chains must be >= 1, got {self.chains}")
-        if self.batch_k < 1:
-            raise ValueError(f"batch_k must be >= 1, got {self.batch_k}")
 
     def temperature_at(self, step: int) -> float:
         """Geometric cooling schedule evaluated at a step index."""
@@ -189,37 +170,11 @@ def _compact_gain_bound(state: IncrementalPanelState, config: AnnealConfig) -> f
     )
 
 
-# -- chain helpers and the best-of-K endgame --------------------------------
-
-
-#: Fraction of the eval budget reserved for the endgame (1/this) at K > 1.
-_ENDGAME_FRACTION = 4
-#: Per-sweep cap on batched neighbourhood scoring, keeping single endgame
-#: calls bounded on the largest panels.
-_MAX_SWEEP = 256
-#: Annealed-recovery budget after each forced shield delete.
-_RECOVERY_EVALS = 96
-#: Recovery temperature schedule (geometric, start to end).
-_RECOVERY_SCHEDULE = (1.5, 0.05)
-#: Seed-sequence tags of the endgame's isolated RNG sub-streams.  The tags
-#: are part of the pinned tuning: the registry quality gate holds
-#: seed-for-seed, so the streams are chosen (and kept apart from the main
-#: chain's) such that every registry panel meets the reference oracle.
-_RECOVER_STREAM = 5
-_RESTART_STREAM = 2
-#: Zero-shield restarts only arm on layouts at most this many tracks wide —
-#: random-restart descent stops paying beyond small panels.
-_RESTART_TRACKS_MAX = 20
-#: Zero-shield restart budget: this many evals per (tracks + 1)^2.
-_RESTART_BUDGET_FACTOR = 32
-#: Random restarts probed before the far-from-validity abandon check may
-#: fire — a single unlucky permutation lands far from the basin on panels a
-#: later restart still cracks.
-_RESTART_MIN_PROBES = 2
+# -- the chain ---------------------------------------------------------------
 
 
 class _BestTracker:
-    """Best / best-valid bookkeeping of the chain loop and the endgame.
+    """Best / best-valid bookkeeping of the chain loop.
 
     A state is only compacted when it is valid or when the compaction bound
     says it could beat the incumbent (an invalid layout stays invalid under
@@ -259,263 +214,6 @@ class _BestTracker:
         return self.best_valid if self.best_valid is not None else self.best
 
 
-def _neighborhood_moves(state: IncrementalPanelState) -> List[Move]:
-    """Every distinct single move except shield inserts, deletes first."""
-    occupancy = state._current.occ
-    tracks = occupancy.size
-    shields = state.shield_tracks()
-    moves = [Move.delete(track) for track in shields]
-    for a in range(tracks):
-        for b in range(a + 1, tracks):
-            if occupancy[a] < 0 and occupancy[b] < 0:
-                continue  # shield-shield swaps are no-ops
-            moves.append(Move.swap(a, b))
-    for track in shields:
-        for gap in range(tracks):
-            moves.append(Move.relocate(track, gap))
-    return moves
-
-
-def _descend(
-    state: IncrementalPanelState,
-    evaluator: BatchedMoveEvaluator,
-    budget: int,
-    tracker: _BestTracker,
-) -> int:
-    """Batched steepest descent over the insert-free neighbourhood."""
-    used = 0
-    while used < budget:
-        moves = _neighborhood_moves(state)
-        if not moves:
-            break
-        moves = moves[: min(budget - used, _MAX_SWEEP)]
-        deltas = evaluator.score(moves)
-        used += len(moves)
-        choice = min(range(len(moves)), key=deltas.__getitem__)
-        if deltas[choice] >= 0.0:
-            break
-        state.propose(moves[choice])
-        cost = state.commit()
-        evaluator.refresh()
-        tracker.observe(state, cost)
-    return used
-
-
-def _sample_moves(
-    state: IncrementalPanelState, rng: np.random.Generator, width: int
-) -> List[Move]:
-    """Vectorised draw of ``width`` random moves (the K > 1 chain path).
-
-    Same move mix and per-kind distributions as :func:`_sample_move`, with
-    one batched RNG call per kind instead of one Python call per move.
-    Distinct swap endpoints come from the shifted-second-draw trick
-    (``b >= a`` bumps b by one), which is exactly uniform over ordered
-    distinct pairs.  Width 1 keeps :func:`_sample_move`, so its stream stays
-    identical to the scalar oracle's.
-    """
-    num_tracks = state.num_tracks
-    num_shields = state.num_shields
-    shield_array = np.asarray(state.shield_array(), dtype=np.int64)
-    kinds = rng.random(width)
-    swap_mask = (kinds < 0.4) & (num_tracks >= 2)
-    relocate_mask = ~swap_mask & (kinds < 0.6) & (num_shields > 0)
-    delete_mask = ~swap_mask & ~relocate_mask & (kinds < 0.8) & (num_shields > 0)
-    insert_mask = ~(swap_mask | relocate_mask | delete_mask)
-    moves: List[Optional[Move]] = [None] * width
-
-    slots = np.nonzero(swap_mask)[0]
-    if slots.size:
-        first = rng.integers(0, num_tracks, size=slots.size)
-        second = rng.integers(0, num_tracks - 1, size=slots.size)
-        second += second >= first
-        for slot, a, b in zip(slots.tolist(), first.tolist(), second.tolist()):
-            moves[slot] = Move.swap(a, b)
-    slots = np.nonzero(relocate_mask)[0]
-    if slots.size:
-        tracks = shield_array[rng.integers(0, num_shields, size=slots.size)]
-        gaps = rng.integers(0, num_tracks, size=slots.size)
-        for slot, track, gap in zip(slots.tolist(), tracks.tolist(), gaps.tolist()):
-            moves[slot] = Move.relocate(track, gap)
-    slots = np.nonzero(delete_mask)[0]
-    if slots.size:
-        tracks = shield_array[rng.integers(0, num_shields, size=slots.size)]
-        for slot, track in zip(slots.tolist(), tracks.tolist()):
-            moves[slot] = Move.delete(track)
-    slots = np.nonzero(insert_mask)[0]
-    if slots.size:
-        gaps = rng.integers(0, num_tracks + 1, size=slots.size)
-        for slot, gap in zip(slots.tolist(), gaps.tolist()):
-            moves[slot] = Move.insert(gap)
-    return moves  # type: ignore[return-value]
-
-
-def _sample_move_no_insert(state: IncrementalPanelState, rng: np.random.Generator) -> Move:
-    while True:
-        move = _sample_move(state, rng)
-        if move.kind != "insert":
-            return move
-
-
-def _recover(
-    state: IncrementalPanelState,
-    evaluator: BatchedMoveEvaluator,
-    rng: np.random.Generator,
-    budget: int,
-    batch_k: int,
-    tracker: _BestTracker,
-) -> int:
-    """Short insert-free anneal after a forced shield delete.
-
-    The deleted shield usually leaves a violation; pure descent fixes the
-    easy cases, but crossing a small cost barrier (reorder two segments)
-    needs a few Metropolis steps at a low temperature.  Inserts stay
-    excluded so the recovery cannot simply put the shield back.
-    """
-    start, end = _RECOVERY_SCHEDULE
-    evals = 0
-    while evals < budget:
-        width = min(batch_k, budget - evals)
-        temperature = start * (end / start) ** (evals / budget)
-        moves = [_sample_move_no_insert(state, rng) for _ in range(width)]
-        deltas = evaluator.score(moves)
-        choice = min(range(width), key=deltas.__getitem__)
-        delta = deltas[choice]
-        evals += width
-        if delta <= 0.0 or rng.random() < math.exp(-delta / temperature):
-            state.propose(moves[choice])
-            cost = state.commit()
-            evaluator.refresh()
-            tracker.observe(state, cost)
-    return evals
-
-
-def _zero_shield_restarts(
-    problem: SinoProblem,
-    config: AnnealConfig,
-    rng: np.random.Generator,
-    tracker: _BestTracker,
-    base: SinoSolution,
-) -> int:
-    """Hunt a shield-free permutation by restarted swap-only descent.
-
-    Arms when the incumbent is a single shield on a small panel — the one
-    regime where a zero-shield ordering is plausibly reachable but sits in
-    a different basin than the chain's local optimum (single-swap kicks
-    fall straight back; full random restarts cross).  Restarts stop early
-    when the closest local optimum stays far from validity, which is the
-    signature of a panel that structurally needs its shield.
-    """
-    segments = [segment for segment in base.layout if segment is not None]
-    n = len(segments)
-    if n < 2:
-        return 0
-    budget = _RESTART_BUDGET_FACTOR * (n + 1) * (n + 1)
-    abandon_above = 2.0 * config.shield_weight
-    moves = [Move.swap(a, b) for a in range(n) for b in range(a + 1, n)]
-    used = 0
-    first = True
-    probes = 0
-    closest = math.inf
-    while used < budget:
-        if first:
-            order = list(segments)  # the incumbent's own ordering first
-        else:
-            order = [segments[i] for i in rng.permutation(n)]
-        state = IncrementalPanelState(problem, order, config)
-        evaluator = BatchedMoveEvaluator(state)
-        while used < budget:
-            batch = moves[: budget - used]
-            deltas = evaluator.score(batch)
-            used += len(batch)
-            choice = min(range(len(batch)), key=deltas.__getitem__)
-            if deltas[choice] >= 0.0:
-                break
-            state.propose(batch[choice])
-            cost = state.commit()
-            evaluator.refresh()
-            tracker.observe(state, cost)
-        tracker.observe(state, state.cost)
-        if state.is_current_valid():
-            return used
-        closest = min(closest, state.cost)
-        if not first:
-            probes += 1
-        if probes >= _RESTART_MIN_PROBES and closest > abandon_above:
-            return used
-        first = False
-    return used
-
-
-def _endgame(
-    problem: SinoProblem,
-    config: AnnealConfig,
-    tracker: _BestTracker,
-    budget: int,
-) -> int:
-    """Spend the reserved evals sharpening the incumbent.
-
-    Three stages, all scored through the batched evaluator: a steepest-
-    descent polish of the incumbent; shield-elimination rounds (force the
-    cheapest delete, recover, descend — repeat while the shield count
-    drops); and the gated zero-shield restart hunt.
-
-    Each stochastic stage draws from its own deterministically seeded
-    sub-stream, so tuning one stage never reshuffles another's draws (the
-    registry quality gate pins seed-exact outcomes).
-    """
-    recover_rng = np.random.default_rng(np.random.SeedSequence((config.seed, _RECOVER_STREAM)))
-    restart_rng = np.random.default_rng(np.random.SeedSequence((config.seed, _RESTART_STREAM)))
-    used = 0
-    start = tracker.best_valid if tracker.best_valid is not None else tracker.best
-    state = IncrementalPanelState(problem, list(start.layout), config)
-    evaluator = BatchedMoveEvaluator(state)
-    # The polish is capped at a third of the reserve: one sweep over a
-    # converged incumbent costs a full neighbourhood, and the elimination
-    # rounds below need guaranteed room for at least one delete attempt.
-    used += _descend(state, evaluator, min(budget - used, budget // 3), tracker)
-    tracker.observe(state, state.cost)
-    while used < budget:
-        base = tracker.best_valid
-        if base is None or base.num_shields == 0:
-            break
-        incumbent_shields = base.num_shields
-        state = IncrementalPanelState(problem, list(base.layout), config)
-        evaluator = BatchedMoveEvaluator(state)
-        deletes = [Move.delete(track) for track in state.shield_tracks()]
-        deltas = evaluator.score(deletes)
-        used += len(deletes)
-        improved = False
-        for index in sorted(range(len(deletes)), key=deltas.__getitem__):
-            if used >= budget:
-                break
-            trial = state.clone()
-            trial_evaluator = BatchedMoveEvaluator(trial)
-            trial.propose(deletes[index])
-            trial.commit()
-            trial_evaluator.refresh()
-            used += _recover(
-                trial,
-                trial_evaluator,
-                recover_rng,
-                min(budget - used, _RECOVERY_EVALS),
-                config.batch_k,
-                tracker,
-            )
-            used += _descend(trial, trial_evaluator, budget - used, tracker)
-            tracker.observe(trial, trial.cost)
-            if tracker.best_valid is not None and (
-                tracker.best_valid.num_shields < incumbent_shields
-            ):
-                improved = True
-                break
-        if not improved:
-            break
-    base = tracker.best_valid
-    if base is not None and base.num_shields == 1 and len(base.layout) <= _RESTART_TRACKS_MAX:
-        used += _zero_shield_restarts(problem, config, restart_rng, tracker, base)
-    return used
-
-
 def anneal_sino(
     problem: SinoProblem,
     initial: Optional[SinoSolution] = None,
@@ -527,67 +225,37 @@ def anneal_sino(
     If no feasible layout is ever seen, the lowest-cost layout is returned
     instead (the caller can check ``is_valid``).
 
-    The chain is ``config.batch_k`` wide.  Each temperature step draws that
-    many moves and puts the best through the Metropolis test at the
-    temperature of the step's first evaluation:
-
-    * width 1 scores its one move with ``state.propose``; no evaluator is
-      built and no endgame runs, so the chain is bit-identical seed for seed
-      to the historic scalar annealer;
-    * width K > 1 scores all K in one vectorised pass
-      (:class:`~repro.sino.batched.BatchedMoveEvaluator`), which memoises
-      every candidate, so proposing the winner is a memo hit.  Best-of-K
-      selection starves uphill exploration, so a quarter of the budget is
-      reserved for :func:`_endgame`.
+    Each step proposes one move, scores it with ``state.propose`` and puts
+    it through the Metropolis test, so the chain is bit-identical seed for
+    seed to the historic scalar annealer.
 
     ``state`` optionally supplies a prebuilt panel state over the initial
     layout (the multi-chain fan-out builds one and clones it per chain); the
     caller guarantees it matches ``initial``.
     """
     config = config or AnnealConfig()
-    batch_k = config.batch_k
     rng = np.random.default_rng(config.seed)
     current = (initial or greedy_sino(problem)).copy()
     if state is None:
         state = IncrementalPanelState(problem, current.layout, config)
     tracker = _BestTracker(config, current)
-    evaluator = BatchedMoveEvaluator(state) if batch_k > 1 else None
-    reserve = config.iterations // _ENDGAME_FRACTION if batch_k > 1 else 0
-    chain_budget = config.iterations - reserve
 
     registry = process_registry()
     started = time.perf_counter()
-    evals = 0
-    steps = 0
     accepts = 0
-    with maybe_span(active_tracer(), "anneal.chain", batch_k=batch_k) as span:
-        while evals < chain_budget:
-            temperature = config.temperature_at(evals)
-            if evaluator is None:
-                delta = state.propose(_sample_move(state, rng))
-                evals += 1
-            else:
-                width = min(batch_k, chain_budget - evals)
-                moves = _sample_moves(state, rng, width)
-                deltas = evaluator.score(moves)
-                delta = state.propose(moves[min(range(width), key=deltas.__getitem__)])
-                evals += width
-            steps += 1
+    with maybe_span(active_tracer(), "anneal.chain") as span:
+        for step in range(config.iterations):
+            temperature = config.temperature_at(step)
+            delta = state.propose(_sample_move(state, rng))
             if delta <= 0.0 or rng.random() < math.exp(-delta / temperature):
                 cost = state.commit()
-                if evaluator is not None:
-                    evaluator.refresh()
                 accepts += 1
                 tracker.observe(state, cost)
             else:
                 state.revert()
         if span is not None:
-            span.add(steps=steps, evals=evals, accepts=accepts)
-        if reserve:
-            endgame_evals = _endgame(problem, config, tracker, reserve)
-            if span is not None:
-                span.add(evals=endgame_evals, endgame_evals=endgame_evals)
-    registry.counter("anneal.steps").inc(steps)
+            span.add(steps=config.iterations, accepts=accepts)
+    registry.counter("anneal.steps").inc(config.iterations)
     registry.counter("anneal.seconds").inc(time.perf_counter() - started)
     return tracker.result
 
@@ -614,21 +282,6 @@ def _anneal_chain(task: Tuple) -> SinoSolution:
     if initial_layout is not None:
         initial = SinoSolution(problem=problem, layout=list(initial_layout))
     return anneal_sino(problem, initial=initial, config=config, state=state)
-
-
-def _anneal_chain_shm(task: Tuple) -> SinoSolution:
-    """Run one chain against a shared-memory panel export (process pools).
-
-    ``task`` is ``(handle, config)`` — no arrays and no problem object
-    cross the pickle boundary; the worker attaches the exporting process's
-    segment (memoised per segment, so chunked chains attach once) and
-    rebuilds its private state from it.
-    """
-    from repro.sino.shared import attach_panel_state
-
-    handle, config = task
-    state = attach_panel_state(handle, config)
-    return anneal_sino(state.problem, initial=state.to_solution(), config=config, state=state)
 
 
 def reduce_best_feasible(
@@ -678,12 +331,12 @@ def _run_chains(
 ) -> List[SinoSolution]:
     """Run ``config.chains`` independent chains, optionally over a backend.
 
-    The greedy construction and the initial array-bundle build happen once:
-    in-process execution (no backend, or a ``shares_memory`` backend) hands
-    each chain a clone of one shared state — the clones share the evaluation
-    memo — while process backends receive the bundle through a shared-memory
-    segment (:mod:`repro.sino.shared`) so no panel matrices are pickled.
-    Results are identical on every path.
+    The greedy construction happens once.  In-process execution (no
+    backend, one chain, or a ``shares_memory`` backend) also builds the
+    panel state once and hands each chain a clone of it — the clones share
+    the evaluation memo.  Any other backend gets picklable
+    ``(problem, layout, config, None)`` tasks, and each chain builds its own
+    state in its worker.  Results are identical on every path.
     """
     template = config if config.chains == 1 else replace(config, chains=1)
     base = initial if initial is not None else greedy_sino(problem)
@@ -696,11 +349,6 @@ def _run_chains(
         backend is None or len(configs) == 1 or getattr(backend, "shares_memory", True)
     )
     if not in_process:
-        results = _run_chains_shared(problem, layout, template, configs, backend)
-        if results is not None:
-            return results
-        # Shared memory unavailable (no /dev/shm, exotic platform): fall
-        # back to pickling the problem per chain, states rebuilt in-worker.
         tasks = [(problem, layout, chain_config, None) for chain_config in configs]
         return backend.map_tasks(_anneal_chain, tasks)
     base_state = IncrementalPanelState(problem, layout, template)
@@ -711,35 +359,6 @@ def _run_chains(
     if backend is None or len(tasks) == 1:
         return [_anneal_chain(task) for task in tasks]
     return backend.map_tasks(_anneal_chain, tasks)
-
-
-def _run_chains_shared(
-    problem: SinoProblem,
-    layout: List[Optional[int]],
-    template: AnnealConfig,
-    configs: List[AnnealConfig],
-    backend: Any,
-) -> Optional[List[SinoSolution]]:
-    """Fan chains over a process backend via one shared-memory export.
-
-    Returns ``None`` when the export cannot be created, letting the caller
-    fall back to the pickling path.  The segment outlives every chain —
-    ``map_tasks`` blocks until the batch drains — and is closed and
-    unlinked here regardless of chain outcome.
-    """
-    from repro.sino.shared import SharedPanelExport
-
-    base_state = IncrementalPanelState(problem, layout, template)
-    try:
-        export = SharedPanelExport(base_state)
-    except (OSError, ValueError):
-        return None
-    try:
-        tasks = [(export.handle, chain_config) for chain_config in configs]
-        return backend.map_tasks(_anneal_chain_shm, tasks)
-    finally:
-        export.close()
-        export.unlink()
 
 
 def anneal_sino_multichain(
@@ -779,8 +398,7 @@ def solve_min_area_sino(
       full-chip scale),
     * ``"anneal"`` — greedy construction followed by simulated annealing
       (slower, closer to minimum area; used when fitting Formula 3 and in the
-      single-region studies).  The chain is ``config.batch_k`` wide, and
-      ``config.chains > 1`` runs that many independent chains and keeps the
+      single-region studies).  ``config.chains > 1`` runs that many independent chains and keeps the
       best feasible result.  Never worse than greedy: the chain's incumbent
       starts as the compacted greedy layout,
     * ``"anneal-fast"`` — annealing on a quarter-length cooling schedule,

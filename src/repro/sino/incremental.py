@@ -187,14 +187,6 @@ class IncrementalPanelState:
         layout: Sequence[Optional[int]],
         config: "AnnealConfig",
     ) -> None:
-        self._init_derived(problem, config)
-        self._current = self._build_arrays(list(layout))
-        self._finish_init()
-
-    # -- construction ---------------------------------------------------------
-
-    def _init_derived(self, problem: SinoProblem, config: "AnnealConfig") -> None:
-        """Set every field derived from the problem/config pair alone."""
         self.problem = problem
         self.config = config
         self._segments = problem.segments
@@ -208,9 +200,7 @@ class IncrementalPanelState:
         self._bounds_vector = problem.bounds
         self._threshold_vector = np.array(self._thresholds)
         self._index = problem.rows()
-
-    def _finish_init(self) -> None:
-        """Evaluate ``self._current`` and reset the propose/commit machinery."""
+        self._current = self._build_arrays(list(layout))
         self._pending: Optional[_Arrays] = None
         self._pending_move: Optional[Move] = None
         self._has_pending = False
@@ -221,21 +211,7 @@ class IncrementalPanelState:
         # and an evaluation is a pure function of the layout.
         self._eval_cache = {self.layout_key(): self._state}
 
-    @classmethod
-    def from_arrays(
-        cls, problem: SinoProblem, config: "AnnealConfig", arrays: _Arrays
-    ) -> "IncrementalPanelState":
-        """A state over a prebuilt array bundle, skipping ``_build_arrays``.
-
-        The shared-memory attach path (:mod:`repro.sino.shared`) rebuilds the
-        bundle from exported buffers; the caller owns ``arrays`` and must not
-        reuse the bundle elsewhere.
-        """
-        state = object.__new__(cls)
-        state._init_derived(problem, config)
-        state._current = arrays
-        state._finish_init()
-        return state
+    # -- construction ---------------------------------------------------------
 
     def _build_arrays(self, layout: List[Optional[int]]) -> _Arrays:
         positions, shield_tracks = self.problem.layout_arrays(layout)

@@ -3,9 +3,8 @@
 This is the historic annealer: every proposal deep-copies the layout and
 re-evaluates the full scalar cost, and every accepted layout is compacted
 through freshly built occupant records.  :func:`repro.sino.anneal.anneal_sino`
-at ``batch_k=1`` must return bit-identical layouts seed for seed, and at
-``batch_k=8`` must meet this oracle's cost on every registry panel; the test
-suite and ``benchmarks/bench_sino_anneal.py`` assert both.
+must return bit-identical layouts seed for seed; the test suite and
+``benchmarks/bench_sino_anneal.py`` assert it.
 """
 
 from __future__ import annotations
@@ -84,8 +83,8 @@ def anneal_sino_reference(
 
     Deep-copies the layout and recomputes the complete scalar cost for every
     proposal, and compacts after every accepted move.
-    :func:`repro.sino.anneal.anneal_sino` at ``batch_k=1`` must return
-    bit-identical layouts for the same inputs; the test suite and the
+    :func:`repro.sino.anneal.anneal_sino` must return bit-identical
+    layouts for the same inputs; the test suite and the
     ``bench_sino_anneal`` benchmark both assert that equivalence.
     """
     config = config or AnnealConfig()

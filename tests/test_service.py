@@ -333,27 +333,33 @@ class TestTieredCache:
         assert warm.stats() == CacheStats(store_hits=1)
         assert served.layout == solved.layout
 
-    def test_v3_anneal_layout_misses_once_then_resolves(
+    def test_v5_anneal_layout_misses_once_then_resolves(
         self, tmp_path, monkeypatch, random_sino_problem
     ):
-        """A layout stored under a version-3 key is never restored.
+        """A layout stored under the version-5 key of a schedule is never restored.
 
-        Under v3, ``effort=anneal`` with ``batch_k=8`` ran the one-move
-        chain; the same token now runs the best-of-8 chain.
+        Version 5 ended the anneal token with the chain width; the key is
+        rebuilt here with that field, and a wrong layout is stored under it
+        so a stale hit would show.
         """
         problem = random_sino_problem(9, 0.5, 0.85, seed=6)
-        anneal = AnnealConfig(iterations=300, seed=6, batch_k=8)
+        anneal = AnnealConfig(iterations=300, seed=6)
+        current_token = signature_module._anneal_token
         with monkeypatch.context() as patch:
-            patch.setattr(signature_module, "SIGNATURE_VERSION", 3)
-            v3_key = panel_signature(problem, "sino", "anneal", anneal=anneal)
-        assert v3_key != panel_signature(problem, "sino", "anneal", anneal=anneal)
+            patch.setattr(signature_module, "SIGNATURE_VERSION", 5)
+            patch.setattr(
+                signature_module, "_anneal_token", lambda config: current_token(config) + ",1"
+            )
+            v5_key = panel_signature(problem, "sino", "anneal", anneal=anneal)
+        assert v5_key != panel_signature(problem, "sino", "anneal", anneal=anneal)
         store = ResultStore(tmp_path / "store")
-        one_move = anneal_sino(problem, config=AnnealConfig(iterations=300, seed=6))
-        store.put_layout(v3_key, tuple(one_move.layout))
+        stale = [None, *problem.segments]
+        store.put_layout(v5_key, tuple(stale))
 
         cold = SolutionCache(store=store)
         solved = Engine(cache=cold).solve_panel(problem, effort="anneal", anneal=anneal)
         assert cold.stats() == CacheStats(misses=1)
+        assert solved.layout != stale
         assert solved.layout == anneal_sino(problem, config=anneal).layout
         warm = SolutionCache(store=store)
         served = Engine(cache=warm).solve_panel(problem, effort="anneal", anneal=anneal)
@@ -555,6 +561,13 @@ class TestDaemon:
             submit_job(root, "no-such-scenario")
         with pytest.raises(ValueError):
             submit_job(root, "smoke", params={"bogus": 1})
+        assert not (root / "jobs").exists() or not list((root / "jobs").glob("*.json"))
+
+    def test_chain_width_param_is_rejected_before_writing(self, tmp_path):
+        # The annealer has one move per step; a width override names no field.
+        root = tmp_path / "svc"
+        with pytest.raises(ValueError, match="unknown scenario parameter"):
+            submit_job(root, "dense-bus", params={"batch_k": 8})
         assert not (root / "jobs").exists() or not list((root / "jobs").glob("*.json"))
 
     def test_cancel_of_finished_job_is_refused(self, tmp_path):

@@ -6,19 +6,26 @@ the maintained cost, the delta-accumulated cost and the compaction against
 fresh scalar evaluations at every step, and the annealer equivalence tests
 assert that the rewritten ``anneal_sino`` reproduces the historic
 ``anneal_sino_reference`` (``tests/oracles/anneal_reference.py``)
-seed-for-seed.
+seed-for-seed.  The multi-chain tests pin the per-chain seeds and configs,
+the clones' shared evaluation memo, backend-independent chain results and
+the per-chain trace spans.
 """
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from repro.engine.backends import SerialBackend, ThreadBackend
+from repro.engine.backends import ProcessBackend, SerialBackend, ThreadBackend
 from repro.engine.panels import Engine, PanelTask
 from repro.engine.signature import panel_signature
 from repro.sino.anneal import (
     ANNEAL_FAST_DIVISOR,
     EFFORT_LEVELS,
     AnnealConfig,
+    _chain_config,
+    _run_chains,
+    _sample_move,
     anneal_sino,
     anneal_sino_multichain,
     derive_chain_seed,
@@ -26,6 +33,7 @@ from repro.sino.anneal import (
     solution_cost,
     solve_min_area_sino,
 )
+from repro.obs.trace import Tracer, set_active_tracer
 from repro.sino.greedy import greedy_sino
 from repro.sino.incremental import IncrementalPanelState, Move
 from repro.service.scenarios import generate_scenario, list_scenarios, scenario_kind
@@ -216,6 +224,110 @@ class TestMultiChain:
     def test_chains_validation(self):
         with pytest.raises(ValueError):
             AnnealConfig(chains=0)
+
+    def test_run_chains_matches_across_backends(self):
+        problem = make_random_sino_problem(10, 0.5, 0.8, seed=21)
+        config = AnnealConfig(iterations=200, seed=11, chains=3)
+        inline = _run_chains(problem, None, config, None)
+        serial = _run_chains(problem, None, config, SerialBackend())
+        with ThreadBackend(workers=2) as backend:
+            threaded = _run_chains(problem, None, config, backend)
+        # A real process pool: the chains travel as pickled
+        # (problem, layout, config, None) tasks and build their own states.
+        with ProcessBackend(workers=2) as backend:
+            forked = _run_chains(problem, None, config, backend)
+        layouts = [solution.layout for solution in inline]
+        assert len(layouts) == 3
+        assert [solution.layout for solution in serial] == layouts
+        assert [solution.layout for solution in threaded] == layouts
+        assert [solution.layout for solution in forked] == layouts
+
+
+class TestChainSeedDerivation:
+    def test_chain_zero_keeps_the_configured_seed(self):
+        assert derive_chain_seed(2002, 0) == 2002
+        assert derive_chain_seed(7, 0) == 7
+
+    def test_derived_seeds_are_pinned(self):
+        # Pinned values: the derivation feeds the panel cache key through
+        # each chain's config, so it must never drift between releases.
+        assert derive_chain_seed(2002, 1) == 3291206842
+        assert derive_chain_seed(2002, 2) == 1031596892
+        assert derive_chain_seed(7, 1) == 369571992
+
+    def test_no_collisions_across_seeds_and_chains(self):
+        derived = {derive_chain_seed(seed, chain) for seed in range(40) for chain in range(8)}
+        assert len(derived) == 40 * 8
+
+
+class TestChainConfigDerivation:
+    def test_chain_config_swaps_only_the_seed(self):
+        template = AnnealConfig(iterations=700, seed=5, chains=1, shield_weight=2.0)
+        derived = _chain_config(template, 999)
+        assert derived.seed == 999
+        for config_field in fields(AnnealConfig):
+            if config_field.name == "seed":
+                continue
+            assert getattr(derived, config_field.name) == getattr(template, config_field.name)
+
+    def test_chain_config_is_identity_for_the_template_seed(self):
+        template = AnnealConfig(seed=5)
+        assert _chain_config(template, 5) is template
+
+    def test_fanout_validates_once_for_any_chain_count(self, monkeypatch):
+        calls = []
+        original = AnnealConfig.__post_init__
+
+        def counting(self):
+            calls.append(1)
+            original(self)
+
+        monkeypatch.setattr(AnnealConfig, "__post_init__", counting)
+        problem = make_random_sino_problem(7, 0.5, 0.9, seed=3)
+        config = AnnealConfig(iterations=120, seed=9, chains=6)
+        calls.clear()
+        solution = anneal_sino_multichain(problem, config=config)
+        # One validation for the chains=1 template; the six per-chain
+        # configs are derived by field copy, not reconstruction.
+        assert sum(calls) == 1
+        assert solution.num_shields >= 0
+
+
+class TestCloneSharesEvalMemo:
+    def test_clone_shares_the_memo_dict(self):
+        problem = make_random_sino_problem(8, 0.5, 0.9, seed=13)
+        state = IncrementalPanelState(problem, list(greedy_sino(problem).layout), AnnealConfig())
+        clone = state.clone()
+        assert clone._eval_cache is state._eval_cache
+
+    def test_evaluations_flow_between_clones(self):
+        problem = make_random_sino_problem(8, 0.5, 0.9, seed=13)
+        state = IncrementalPanelState(problem, list(greedy_sino(problem).layout), AnnealConfig())
+        clone = state.clone()
+        rng = np.random.default_rng(0)
+        move = _sample_move(state, rng)
+        state.propose(move)
+        state.revert()
+        before = len(state._eval_cache)
+        clone.propose(move)  # must hit the sibling's cached evaluation
+        clone.revert()
+        assert len(clone._eval_cache) == before
+
+
+class TestChainTracing:
+    def test_ambient_tracer_records_per_chain_spans_with_counters(self):
+        problem = make_random_sino_problem(8, 0.5, 0.9, seed=2)
+        tracer = Tracer()
+        set_active_tracer(tracer)
+        try:
+            anneal_sino_multichain(
+                problem, config=AnnealConfig(iterations=200, seed=2, chains=2)
+            )
+        finally:
+            set_active_tracer(None)
+        report = tracer.format_report()
+        assert report.count("anneal.chain") == 2
+        assert "steps=" in report and "accepts=" in report
 
 
 class TestEffortLevels:
