@@ -3,10 +3,10 @@
 Two claims of the engine layer are measured on a seeded ibm05 instance:
 
 * **Backend parity and dispatch overhead.**  Phase II fans its per-panel
-  SINO solves over the execution backend; serial, thread and process
-  backends must produce bit-identical panel solutions, and chunked dispatch
-  must keep the parallel paths within a small factor of serial even on a
-  single-core host (where no actual overlap is possible).
+  SINO solves over the execution backend; the serial and process backends
+  must produce bit-identical panel solutions, and chunked dispatch must keep
+  the process pool within a small factor of serial even on a single-core
+  host (where no actual overlap is possible).
 * **Cold-vs-warm cache.**  A `SolutionCache` shared between flows solves
   each distinct panel instance once.  Running GSINO *after* an iSINO run on
   the same instance (the `compare_flows` situation) must give a >= 1.5x
@@ -66,15 +66,14 @@ def _bench_circuit():
 
 
 def test_backend_parity_and_dispatch_overhead(benchmark):
-    """Serial, thread and process backends: identical panels, bounded overhead."""
+    """Serial and process backends: identical panels, bounded overhead."""
     circuit = _bench_circuit()
     config = _bench_config()
     budgets = compute_budgets(circuit.netlist, config)
     phase1 = run_phase1(circuit.grid, circuit.netlist, config, budgets=budgets)
 
-    def phase2_with(backend_name: str):
-        workers = None if backend_name == "serial" else 2
-        engine = Engine(backend=create_backend(backend_name, workers=workers))
+    def phase2_with(workers: int):
+        engine = Engine(backend=create_backend(workers))
         start = time.perf_counter()
         result = run_phase2(
             phase1.routing, circuit.netlist, budgets, config, solver="sino", engine=engine
@@ -82,21 +81,17 @@ def test_backend_parity_and_dispatch_overhead(benchmark):
         return result, time.perf_counter() - start
 
     serial, serial_time = benchmark.pedantic(
-        phase2_with, args=("serial",), rounds=1, iterations=1
+        phase2_with, args=(1,), rounds=1, iterations=1
     )
-    thread, thread_time = phase2_with("thread")
-    process, process_time = phase2_with("process")
+    process, process_time = phase2_with(2)
 
     benchmark.extra_info["serial_seconds"] = round(serial_time, 3)
-    benchmark.extra_info["thread_seconds"] = round(thread_time, 3)
     benchmark.extra_info["process_seconds"] = round(process_time, 3)
     benchmark.extra_info["num_panels"] = len(serial.panels)
 
     # Bit-identical layouts, identical (sorted) insertion order.
-    assert list(thread.panels) == list(serial.panels) == sorted(serial.panels)
-    assert list(process.panels) == list(serial.panels)
+    assert list(process.panels) == list(serial.panels) == sorted(serial.panels)
     for key, solution in serial.panels.items():
-        assert thread.panels[key].layout == solution.layout
         assert process.panels[key].layout == solution.layout
 
 

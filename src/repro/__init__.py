@@ -6,10 +6,10 @@ iterative-deletion global router, the three-phase GSINO flow and the two
 baseline flows the paper compares against, plus every substrate they need
 (technology parameters, a coupled-RLC transient simulator standing in for
 SPICE, synthetic ISPD'98/IBM-style benchmarks, and the evaluation metrics of
-Tables 1-3).  The :mod:`repro.engine` layer scales all of it: pluggable
-serial/thread/process execution backends, a content-addressed cache of panel
-solutions shared across flows and phases, and sweep orchestration over the
-experiment grid.
+Tables 1-3).  The :mod:`repro.engine` layer scales all of it: serial or
+process-pool execution picked by one worker count, a content-addressed
+cache of panel solutions shared across flows and phases, and sweep
+orchestration over the experiment grid.
 
 Quick start::
 

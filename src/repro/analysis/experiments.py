@@ -11,10 +11,11 @@ corresponding table reports:
 
 All drivers share :func:`run_circuit_comparison`, which runs the flows once
 per (circuit, sensitivity-rate) pair.  Instances are independent and seeded,
-so :func:`run_table_suite` fans them over a
-:class:`~repro.engine.sweep.SweepRunner` execution backend; within each
-instance the three flows share one solution cache.  Results are identical
-for every backend — the experiments stay reproducible from the seed alone.
+so :func:`run_table_suite` runs them through a
+:class:`~repro.engine.sweep.SweepRunner`, serially or over a process pool;
+within each instance the three flows share one solution cache.  Results are
+identical either way — the experiments stay reproducible from the seed
+alone.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 from repro.analysis.report import format_percentage, format_table
 from repro.bench.ibm import GeneratedCircuit, generate_circuit
 from repro.bench.profiles import DEFAULT_CIRCUITS
-from repro.engine.backends import BACKEND_NAMES, create_backend
+from repro.engine.backends import create_backend
 from repro.engine.cache import SolutionCache
 from repro.engine.panels import Engine
 from repro.engine.sweep import SweepRunner
@@ -60,12 +61,9 @@ class ExperimentConfig:
     gsino:
         Flow configuration template; its ``length_scale`` is overridden per
         instance so scaled circuits keep full-size electrical behaviour.
-    backend:
-        Execution backend the sweep fans instances over (``"serial"``,
-        ``"thread"`` or ``"process"``).  Instance results are identical
-        across backends.
     workers:
-        Worker count of a parallel backend; ``None`` uses the CPU count.
+        1 runs the sweep's instances serially; N >= 2 fans them over a pool
+        of N processes.  Instance results are identical either way.
     use_cache:
         Whether each instance shares one panel-solution cache across its
         three flows (on by default; purely an execution optimisation).
@@ -81,7 +79,7 @@ class ExperimentConfig:
         (:class:`repro.service.store.ResultStore`).  Every instance's flow
         runner persists its stage artifacts there, so repeated sweeps —
         including sweeps in *other processes*, and instances fanned over a
-        process backend — restore whole stages.  Requires ``use_cache``.
+        process pool — restore whole stages.  Requires ``use_cache``.
     """
 
     circuits: Tuple[str, ...] = DEFAULT_CIRCUITS
@@ -89,8 +87,7 @@ class ExperimentConfig:
     scale: float = 0.03
     seed: int = 7
     gsino: GsinoConfig = field(default_factory=GsinoConfig)
-    backend: str = "serial"
-    workers: Optional[int] = None
+    workers: int = 1
     use_cache: bool = True
     sino_effort: str = "greedy"
     chains: int = 1
@@ -103,16 +100,8 @@ class ExperimentConfig:
             raise ValueError("at least one sensitivity rate is required")
         if not 0.0 < self.scale <= 1.0:
             raise ValueError(f"scale must lie in (0, 1], got {self.scale}")
-        if self.backend not in BACKEND_NAMES:
-            raise ValueError(
-                f"backend must be one of {BACKEND_NAMES}, got {self.backend!r}"
-            )
-        if self.workers is not None and self.workers < 1:
+        if self.workers < 1:
             raise ValueError(f"workers must be positive, got {self.workers}")
-        if self.workers is not None and self.backend == "serial":
-            raise ValueError(
-                "workers requires a parallel backend ('thread' or 'process')"
-            )
         if self.sino_effort not in EFFORT_LEVELS:
             raise ValueError(
                 f"sino_effort must be one of {EFFORT_LEVELS}, got {self.sino_effort!r}"
@@ -147,7 +136,7 @@ class ExperimentConfig:
         oversubscribe — but the instance's three flows share one solution
         cache unless caching is disabled.  A configured ``store_path`` backs
         that cache with the persistent tier; the store is (re)opened here,
-        inside the worker, so process-backend sweeps each hold their own
+        inside the worker, so process-pool sweeps each hold their own
         handle on the shared directory (writes are atomic and idempotent).
         The store doubles as the stage-artifact tier of the flow runner, so
         repeated sweeps resume whole stages, not just panels.
@@ -225,12 +214,12 @@ def run_circuit_comparison(
 def run_table_suite(config: Optional[ExperimentConfig] = None) -> List[CircuitComparison]:
     """Run the full sweep behind Tables 1–3 (every circuit at every rate).
 
-    The (circuit, rate) grid is fanned over the configured execution backend
-    by a :class:`~repro.engine.sweep.SweepRunner`; results come back in the
-    canonical grid order regardless of the backend.
+    The (circuit, rate) grid is fanned over ``config.workers`` by a
+    :class:`~repro.engine.sweep.SweepRunner`; results come back in the
+    canonical grid order either way.
     """
     config = config or ExperimentConfig()
-    with create_backend(config.backend, config.workers) as backend:
+    with create_backend(config.workers) as backend:
         return SweepRunner(backend=backend).run(config)
 
 

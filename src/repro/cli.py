@@ -23,8 +23,9 @@ with ``--store DIR`` every stage artifact is persisted, and ``--resume``
 restores them — an interrupted or repeated run re-executes nothing that is
 already on disk.
 
-The flow-running subcommands share the engine flags (``--backend``,
-``--workers``, ``--no-cache``, ``--store DIR``) and the solver flags:
+The flow-running subcommands share the engine flags (``--workers N``: 1
+runs serially, N >= 2 over a process pool; ``--no-cache``, ``--store DIR``)
+and the solver flags:
 ``--effort`` picks the per-region SINO effort level and ``--chains N`` runs N
 independent annealing chains per panel.  ``--store DIR`` persists every
 stage artifact (panel layouts included) in the result store in DIR, so
@@ -86,7 +87,6 @@ from typing import TYPE_CHECKING, Dict, Optional, Sequence
 from repro.analysis.report import format_percentage
 from repro.bench.profiles import DEFAULT_CIRCUITS
 from repro.catalog import EFFORT_LEVELS, FLOW_NAMES
-from repro.engine.backends import BACKEND_NAMES
 from repro.obs.events import follow_events, format_event, iter_events, read_events
 from repro.obs.health import collect_fleet_health, format_health
 from repro.obs.metrics import fleet_metrics_from_events, format_metrics
@@ -123,16 +123,11 @@ def _positive_float(text: str) -> float:
 def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     """Execution-engine flags shared by the flow-running subcommands."""
     parser.add_argument(
-        "--backend",
-        choices=list(BACKEND_NAMES),
-        default="serial",
-        help="execution backend for independent work units",
-    )
-    parser.add_argument(
         "--workers",
         type=_positive_int,
-        default=None,
-        help="worker count for parallel backends (default: CPU count)",
+        default=1,
+        help="1 runs independent work units serially; N >= 2 over a pool "
+        "of N processes",
     )
     parser.add_argument(
         "--no-cache",
@@ -264,17 +259,12 @@ def _add_serve_parser(subparsers: argparse._SubParsersAction) -> None:
         "spool (default: one in-process worker; both claim jobs by lease)",
     )
     parser.add_argument(
-        "--backend",
-        choices=list(BACKEND_NAMES),
-        default="serial",
-        help="execution backend for panel batches (per worker in a cluster)",
-    )
-    parser.add_argument(
         "--backend-workers",
         type=_positive_int,
-        default=None,
+        default=1,
         metavar="N",
-        help="pool size of a parallel --backend (default: CPU count)",
+        help="panel batches of each worker: 1 runs them serially, N >= 2 "
+        "over a pool of N processes",
     )
     parser.add_argument(
         "--lease-ttl",
@@ -572,7 +562,6 @@ def _run_tables(args: argparse.Namespace) -> int:
         sensitivity_rates=tuple(args.rates),
         scale=args.scale,
         seed=args.seed,
-        backend=args.backend,
         workers=args.workers,
         use_cache=not args.no_cache,
         sino_effort=args.effort,
@@ -640,7 +629,7 @@ def _instance_run_setup(args: argparse.Namespace):
     )
     store = None if args.store is None else ResultStore(args.store)
     engine = Engine(
-        backend=create_backend(args.backend, args.workers),
+        backend=create_backend(args.workers),
         cache=None if args.no_cache else SolutionCache(store=store),
         tracer=Tracer() if getattr(args, "trace", False) else None,
     )
@@ -785,7 +774,6 @@ def _run_serve(args: argparse.Namespace) -> int:
 
     worker = WorkerConfig(
         root=args.root,
-        backend=args.backend,
         backend_workers=args.backend_workers,
         poll_interval=args.poll,
         lease_ttl=args.lease_ttl,
@@ -799,7 +787,7 @@ def _run_serve(args: argparse.Namespace) -> int:
     supervisor = ClusterSupervisor(config)
     print(
         f"cluster serving {args.root} with {args.workers} worker(s) "
-        f"[backend={args.backend}, lease_ttl={args.lease_ttl:.1f}s]",
+        f"[backend_workers={args.backend_workers}, lease_ttl={args.lease_ttl:.1f}s]",
         flush=True,
     )
     finished = supervisor.run(max_jobs=args.max_jobs, idle_exit=args.idle_exit)
@@ -1131,13 +1119,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(list(argv) if argv is not None else None)
-    if args.command == "serve":
-        # On `serve`, --workers is the cluster size; the engine pool inside
-        # each worker is --backend-workers and needs a parallel backend.
-        if args.backend_workers is not None and args.backend == "serial":
-            parser.error("--backend-workers requires a parallel backend (thread|process)")
-    elif getattr(args, "workers", None) is not None and args.backend == "serial":
-        parser.error("--workers requires a parallel backend (--backend thread|process)")
     if getattr(args, "store", None) is not None and getattr(args, "no_cache", False):
         parser.error("--store requires the panel cache (drop --no-cache)")
     if getattr(args, "resume", False):

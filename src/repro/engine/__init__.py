@@ -6,8 +6,8 @@ harness spends its time in independent benchmark instances.  This layer
 turns both into dispatchable work:
 
 * :mod:`repro.engine.backends` — the :class:`ExecutionBackend` strategy
-  (``serial`` / ``thread`` / ``process``) with chunked
-  ``submit_batch`` / ``map_tasks`` dispatch;
+  (``serial`` or a ``process`` pool, picked by one worker count) with
+  order-preserving ``map_tasks`` dispatch, chunked over the pool;
 * :mod:`repro.engine.signature` — stable content hashes of panel instances;
 * :mod:`repro.engine.cache` — the content-addressed :class:`SolutionCache`
   with per-tier hit/miss statistics; optionally backed by a persistent

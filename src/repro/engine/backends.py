@@ -1,20 +1,17 @@
-"""Pluggable execution backends for independent work units.
+"""Execution backends for independent work units.
 
 Every expensive step of the reproduction — per-panel SINO solves, whole-flow
 benchmark instances — decomposes into tasks with no shared mutable state.
 The :class:`ExecutionBackend` abstraction lets callers dispatch those tasks
-serially (the reference path, and the fastest one on a single core),
-over a thread pool, or over a process pool, without the call sites knowing
-which.
+serially (the reference path, and the fastest one on a single core) or over
+a process pool, without the call sites knowing which.  One worker count
+picks between them: :func:`create_backend` returns the serial backend for
+one worker and a process pool for more.
 
-Two dispatch granularities are exposed:
-
-* :meth:`ExecutionBackend.submit_batch` — run pre-formed chunks of tasks, one
-  chunk per worker submission;
-* :meth:`ExecutionBackend.map_tasks` — the convenience layer: it chunks the
-  task list (amortising per-submission dispatch overhead, which dominates for
-  sub-millisecond panel solves) and flattens the results back into task
-  order.
+:meth:`ExecutionBackend.map_tasks` applies a function to every task and
+returns the results in task order.  The process pool chunks the task list
+(amortising per-submission dispatch overhead, which dominates for
+sub-millisecond panel solves) and flattens the results back.
 
 Results are always returned in task order, so a parallel run is
 indistinguishable from a serial one to the caller — determinism is the
@@ -24,17 +21,9 @@ backends' contract, not an accident.
 from __future__ import annotations
 
 import math
-import os
 from abc import ABC, abstractmethod
 from functools import partial
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
-
-#: Names accepted by :func:`create_backend` (and the CLI ``--backend`` flag).
-BACKEND_NAMES: Tuple[str, ...] = ("serial", "thread", "process")
-
-
-def _default_workers() -> int:
-    return os.cpu_count() or 1
+from typing import Any, Callable, Iterable, List, Optional, Sequence
 
 
 def chunk_tasks(tasks: Sequence[Any], chunk_size: int) -> List[List[Any]]:
@@ -52,15 +41,14 @@ def _apply_chunk(fn: Callable[[Any], Any], chunk: List[Any]) -> List[Any]:
 class ExecutionBackend(ABC):
     """Strategy interface for running independent tasks.
 
-    Backends are reusable: pooled implementations create their worker pool
-    lazily on first dispatch and keep it alive across calls, so repeated
-    batches (one per flow and phase) amortise the startup cost.  Call
-    :meth:`shutdown` — or use the backend as a context manager — to release
-    pool resources eagerly; otherwise they are reclaimed at interpreter
-    exit.
+    Backends are reusable: the process pool is created lazily on first
+    dispatch and kept alive across calls, so repeated batches (one per flow
+    and phase) amortise the startup cost.  Call :meth:`shutdown` — or use
+    the backend as a context manager — to release pool resources eagerly;
+    otherwise they are reclaimed at interpreter exit.
     """
 
-    #: Human-readable backend name (matches the :func:`create_backend` key).
+    #: Human-readable backend name (``serial`` or ``process``).
     name: str = "abstract"
 
     @property
@@ -68,22 +56,14 @@ class ExecutionBackend(ABC):
         """Degree of parallelism the backend dispatches to."""
         return 1
 
-    @property
-    def shares_memory(self) -> bool:
-        """Whether workers see the caller's address space.
-
-        True for serial and thread dispatch — tasks can carry live objects
-        (prebuilt panel states) for free.  Process backends return False,
-        so callers send picklable tasks that rebuild such objects in the
-        worker instead.
-        """
-        return True
-
     @abstractmethod
-    def submit_batch(
-        self, fn: Callable[[Any], Any], chunks: Sequence[List[Any]]
-    ) -> List[List[Any]]:
-        """Run every chunk through ``fn`` task-by-task; chunk order is kept."""
+    def map_tasks(
+        self,
+        fn: Callable[[Any], Any],
+        tasks: Iterable[Any],
+        chunk_size: Optional[int] = None,
+    ) -> List[Any]:
+        """Apply ``fn`` to every task, returning results in task order."""
 
     def shutdown(self) -> None:
         """Release any pooled workers (idempotent; no-op for serial)."""
@@ -93,6 +73,48 @@ class ExecutionBackend(ABC):
 
     def __exit__(self, *exc_info: object) -> None:
         self.shutdown()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(workers={self.num_workers})"
+
+
+class SerialBackend(ExecutionBackend):
+    """Run everything inline in the calling thread (the reference path)."""
+
+    name = "serial"
+
+    def map_tasks(
+        self,
+        fn: Callable[[Any], Any],
+        tasks: Iterable[Any],
+        chunk_size: Optional[int] = None,
+    ) -> List[Any]:
+        return [fn(task) for task in tasks]
+
+
+class ProcessBackend(ExecutionBackend):
+    """Dispatch chunks of tasks to a process pool.
+
+    Tasks, their function and their results must be picklable.  Chunking
+    matters here: one submission per panel would drown in IPC, while a few
+    chunks per worker keep serialisation a rounding error.  The pool is
+    created lazily on first dispatch and reused for every later batch, so
+    the three flows of a comparison (and the many phases within each) pay
+    worker startup once per backend instance.  A pool that loses a child
+    is dropped, so the dispatch after a failed one forks a fresh pool.
+    """
+
+    name = "process"
+
+    def __init__(self, workers: int) -> None:
+        if workers < 1:
+            raise ValueError(f"workers must be positive, got {workers}")
+        self._workers = workers
+        self._executor = None
+
+    @property
+    def num_workers(self) -> int:
+        return self._workers
 
     def default_chunk_size(self, num_tasks: int) -> int:
         """Chunk size balancing dispatch overhead against load balance.
@@ -109,64 +131,31 @@ class ExecutionBackend(ABC):
         tasks: Iterable[Any],
         chunk_size: Optional[int] = None,
     ) -> List[Any]:
-        """Apply ``fn`` to every task, returning results in task order."""
+        # Imported here, so a serial run never loads concurrent.futures.
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
         task_list = list(tasks)
         if not task_list:
             return []
         size = chunk_size if chunk_size is not None else self.default_chunk_size(len(task_list))
-        chunks = chunk_tasks(task_list, size)
-        batched = self.submit_batch(fn, chunks)
-        return [result for chunk_results in batched for result in chunk_results]
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(workers={self.num_workers})"
-
-
-class SerialBackend(ExecutionBackend):
-    """Run everything inline in the calling thread (the reference path)."""
-
-    name = "serial"
-
-    def submit_batch(
-        self, fn: Callable[[Any], Any], chunks: Sequence[List[Any]]
-    ) -> List[List[Any]]:
-        return [_apply_chunk(fn, chunk) for chunk in chunks]
-
-
-class _PooledBackend(ExecutionBackend):
-    """Shared machinery of the executor-pool backends.
-
-    The pool is created lazily on first dispatch and reused for every
-    subsequent batch, so the three flows of a comparison (and the many
-    phases within each) pay worker startup once per backend instance.
-    Subclasses import their executor class where they build the pool, so
-    a serial run never loads :mod:`concurrent.futures`.
-    """
-
-    def __init__(self, workers: Optional[int] = None) -> None:
-        if workers is not None and workers < 1:
-            raise ValueError(f"workers must be positive, got {workers}")
-        self._workers = workers or _default_workers()
-        self._executor = None
-
-    @property
-    def num_workers(self) -> int:
-        return self._workers
-
-    def _ensure_executor(self):
         if self._executor is None:
-            self._executor = self._make_executor()
-        return self._executor
-
-    @abstractmethod
-    def _make_executor(self):
-        """A new executor pool of ``num_workers`` workers."""
-
-    def submit_batch(
-        self, fn: Callable[[Any], Any], chunks: Sequence[List[Any]]
-    ) -> List[List[Any]]:
-        executor = self._ensure_executor()
-        return list(executor.map(partial(_apply_chunk, fn), chunks))
+            self._executor = ProcessPoolExecutor(max_workers=self._workers)
+        try:
+            batched = list(
+                self._executor.map(partial(_apply_chunk, fn), chunk_tasks(task_list, size))
+            )
+        except BrokenProcessPool:
+            # A dead child breaks the executor for good; drop it so the
+            # next dispatch forks a fresh pool instead of failing again.
+            # The executor SIGTERMs the surviving children and joins them,
+            # but children forked from a `repro serve` worker inherit its
+            # SIGTERM handler and would never exit: kill them outright.
+            for process in list(self._executor._processes.values()):
+                process.kill()
+            self.shutdown()
+            raise
+        return [result for chunk_results in batched for result in chunk_results]
 
     def shutdown(self) -> None:
         if self._executor is not None:
@@ -174,60 +163,8 @@ class _PooledBackend(ExecutionBackend):
             self._executor = None
 
 
-class ThreadBackend(_PooledBackend):
-    """Dispatch chunks to a thread pool.
-
-    Python threads only overlap where the work releases the GIL (NumPy inner
-    loops do), but the backend's main role is structural: it exercises the
-    exact dispatch path a free-threaded or native-solver build would use,
-    with zero serialisation cost.
-    """
-
-    name = "thread"
-
-    def _make_executor(self):
-        from concurrent.futures import ThreadPoolExecutor
-
-        return ThreadPoolExecutor(max_workers=self._workers)
-
-
-class ProcessBackend(_PooledBackend):
-    """Dispatch chunks to a process pool.
-
-    Tasks, their function and their results must be picklable.  Chunking
-    matters most here: one submission per panel would drown in IPC, while a
-    few chunks per worker keep serialisation a rounding error.
-    """
-
-    name = "process"
-
-    def _make_executor(self):
-        from concurrent.futures import ProcessPoolExecutor
-
-        return ProcessPoolExecutor(max_workers=self._workers)
-
-    @property
-    def shares_memory(self) -> bool:
-        return False
-
-
-def create_backend(name: str, workers: Optional[int] = None) -> ExecutionBackend:
-    """Instantiate a backend by name (``serial``, ``thread`` or ``process``).
-
-    Passing a worker count with the serial backend is an error rather than a
-    silent no-op, so callers are told when their parallelism request is
-    being ignored.
-    """
-    if name == "serial":
-        if workers is not None:
-            raise ValueError(
-                "the serial backend takes no worker count; choose 'thread' or 'process'"
-            )
+def create_backend(workers: Optional[int] = None) -> ExecutionBackend:
+    """The backend for a worker count: serial for ``None`` or 1, else a pool."""
+    if workers is None or workers == 1:
         return SerialBackend()
-    if name == "thread":
-        return ThreadBackend(workers=workers)
-    if name == "process":
-        return ProcessBackend(workers=workers)
-    raise ValueError(
-        f"unknown execution backend {name!r} (expected one of {', '.join(BACKEND_NAMES)})"
-    )
+    return ProcessBackend(workers)

@@ -7,7 +7,7 @@ an independent, seeded instance, so the sweep maps cleanly onto the same
 :class:`~repro.engine.backends.ExecutionBackend` abstraction with one task
 per instance.
 
-Instances fanned over threads or processes run their *panel* work serially
+Instances fanned over a process pool run their *panel* work serially
 (one pool level, never nested) but each still shares one solution cache
 across its three flows.  Results come back in the canonical grid order
 (circuits, then rates, as configured) so a parallel sweep is byte-for-byte

@@ -26,9 +26,9 @@ greedy one-region-at-a-time structure of Figure 2 (see DESIGN.md).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set
 
-from repro.engine.panels import Engine, PanelTask
+from repro.engine.panels import Engine
 from repro.grid.nets import Netlist
 from repro.grid.routes import PanelIndex, RoutingSolution
 from repro.gsino.budgeting import NetBudget
@@ -36,11 +36,7 @@ from repro.gsino.config import UM_TO_M, GsinoConfig
 from repro.gsino.metrics import PanelKey, SinkPathIndex
 from repro.gsino.phase2 import Phase2Result
 from repro.noise.lsk import LskModel
-from repro.sino.panel import SinoProblem, SinoSolution
-
-#: Upper bound on speculative per-pass candidate solves batched through
-#: :meth:`Engine.solve_tasks` (see :meth:`LocalRefiner._prefetch`).
-SPECULATION_LIMIT = 16
+from repro.sino.panel import SinoSolution
 
 
 @dataclass
@@ -103,11 +99,9 @@ class LocalRefiner:
         self.netlist = netlist
         self.config = config
         # The refinement loop is inherently sequential (each re-solve depends
-        # on the previous accept/reject), but the candidate solves both
-        # passes are about to request are batched speculatively through the
-        # engine's backend (see _prefetch) so the sequential loop mostly
-        # hits the cache.  Mutated bounds change the cache key, so
-        # tightened/relaxed panels can never receive a stale hit.
+        # on the previous accept/reject); its solves go through the engine's
+        # cache.  Mutated bounds change the cache key, so tightened/relaxed
+        # panels can never receive a stale hit.
         self.engine = engine or Engine()
         self.lsk_model = lsk_model or config.lsk_model()
         self.bound = config.resolved_bound()
@@ -163,93 +157,6 @@ class LocalRefiner:
         """Total shield tracks over all panels."""
         return sum(solution.num_shields for solution in self.panels.values())
 
-    # -- speculative engine dispatch ---------------------------------------------
-
-    def _speculate(self) -> bool:
-        """Whether speculative candidate batching is worthwhile.
-
-        Speculation warms the engine's solution cache by solving the
-        candidate problems both passes are *about* to request, in one
-        parallel :meth:`Engine.solve_tasks` fan-out.  It needs a cache (the
-        sequential loop picks the results up as hits) and a parallel
-        backend (on a serial backend the batch would run in the same order
-        the loop would, gaining nothing); with either missing, the refiner
-        behaves exactly as it always has.
-        """
-        return self.engine.cache is not None and self.engine.backend.name != "serial"
-
-    def _prefetch(self, problems: List[SinoProblem]) -> None:
-        """Solve candidate problems speculatively through the engine.
-
-        Results land in the shared solution cache keyed by content, so the
-        sequential refinement loop — whose accept/reject logic is untouched
-        — re-requests each candidate and hits.  Candidates invalidated by an
-        earlier acceptance simply never match a later request: a wasted
-        solve costs time on idle workers, never correctness.  Refinement
-        therefore stays bit-identical to the serial path (the solver is
-        deterministic per problem), which the equivalence tests pin.
-        """
-        tasks = [
-            PanelTask(
-                key=((index, 0), "speculative"),
-                problem=problem,
-                solver="sino",
-                effort=self.config.sino_effort,
-                anneal=self.config.anneal,
-            )
-            for index, problem in enumerate(problems[:SPECULATION_LIMIT])
-        ]
-        if len(tasks) > 1:
-            self.engine.solve_tasks(tasks)
-
-    def _pass1_candidate(
-        self, net_id: int, exhausted: Optional[Set[PanelKey]] = None
-    ) -> Optional[Tuple[PanelKey, SinoProblem]]:
-        """The next (panel, tightened problem) pass 1 would solve for a net.
-
-        Only regions where the net still has appreciable coupling can lower
-        its LSK value; regions where tightening stopped helping are excluded
-        so the loop moves on to the real contributors.  Shared by the
-        sequential inner loop and the speculative prefetch so the two can
-        never diverge.
-        """
-        keys = [
-            key
-            for key in self.panel_keys_of(net_id)
-            if (exhausted is None or key not in exhausted)
-            and self._couplings.get(key, {}).get(net_id, 0.0) > 0.05
-        ]
-        if not keys:
-            return None
-        key = min(keys, key=self.density_of)
-        problem = self.problems[key]
-        current_coupling = self._couplings[key].get(net_id, 0.0)
-        new_bound = max(
-            min(current_coupling, problem.bound_of(net_id)) * self.config.refine_kth_shrink,
-            1e-6,
-        )
-        return key, problem.with_bounds({net_id: new_bound})
-
-    def _pass2_relaxed_bounds(self, key: PanelKey) -> Dict[int, float]:
-        """The relaxed per-net bounds pass 2 would try for one panel.
-
-        Shared by the sequential loop and the speculative prefetch.
-        """
-        problem = self.problems[key]
-        relaxed: Dict[int, float] = {}
-        for net_id, bound in zip(problem.segments, problem.bounds.tolist()):
-            length_m = self.net_region_length_m(net_id, key)
-            if length_m <= 0.0:
-                continue
-            slack_lsk = self.budgets[net_id].lsk_budget - self.net_lsk(net_id)
-            if slack_lsk <= 0.0:
-                continue
-            extra_coupling = slack_lsk / length_m
-            current_coupling = self._couplings[key].get(net_id, 0.0)
-            relaxed_bound = max(bound, current_coupling + extra_coupling)
-            relaxed[net_id] = relaxed_bound
-        return relaxed
-
     # -- pass 1: eliminate crosstalk violations ------------------------------------
 
     def run_pass1(self, report: Phase3Report, max_inner_iterations: int = 40) -> None:
@@ -258,19 +165,6 @@ class LocalRefiner:
         report.violations_before = len(violations)
         unfixable: Set[int] = set()
         tolerance = 1e-9
-
-        if self._speculate() and len(violations) > 1:
-            # Every currently violating net's *first* re-solve is fully
-            # determined by the entering state; batch them through the
-            # engine so the sequential loop below finds them in the cache.
-            self._prefetch(
-                [
-                    candidate[1]
-                    for net_id in sorted(violations)
-                    for candidate in (self._pass1_candidate(net_id),)
-                    if candidate is not None
-                ]
-            )
 
         while violations and report.pass1_outer_iterations < self.config.max_pass1_iterations:
             candidates = {net: excess for net, excess in violations.items() if net not in unfixable}
@@ -283,12 +177,27 @@ class LocalRefiner:
             exhausted_keys: Set[PanelKey] = set()
 
             for _ in range(max_inner_iterations):
-                candidate = self._pass1_candidate(net_id, exhausted_keys)
-                if candidate is None:
+                # Only regions where the net still has appreciable coupling
+                # can lower its LSK value; regions where tightening stopped
+                # helping are excluded so the loop moves on to the real
+                # contributors.
+                keys = [
+                    key
+                    for key in self.panel_keys_of(net_id)
+                    if key not in exhausted_keys
+                    and self._couplings.get(key, {}).get(net_id, 0.0) > 0.05
+                ]
+                if not keys:
                     break
-                key, tightened = candidate
+                key = min(keys, key=self.density_of)
+                problem = self.problems[key]
                 current_coupling = self._couplings[key].get(net_id, 0.0)
-                self.problems[key] = tightened
+                new_bound = max(
+                    min(current_coupling, problem.bound_of(net_id))
+                    * self.config.refine_kth_shrink,
+                    1e-6,
+                )
+                self.problems[key] = problem.with_bounds({net_id: new_bound})
                 solution = self.engine.solve_panel(
                     self.problems[key],
                     solver="sino",
@@ -335,24 +244,6 @@ class LocalRefiner:
         tolerance = 1e-9
         processed: Set[PanelKey] = set()
 
-        if self._speculate():
-            # Relaxed candidates computed under the entering state; every
-            # rejection leaves the state unchanged, so with rejections being
-            # the common case most of these batch-solved candidates are
-            # exactly what the sequential loop below re-requests.
-            speculative: List[SinoProblem] = []
-            for key in sorted(
-                (key for key, solution in self.panels.items() if solution.num_shields > 0),
-                key=self.density_of,
-                reverse=True,
-            ):
-                if len(speculative) >= SPECULATION_LIMIT:
-                    break  # candidate construction is not free; stop at the cap
-                relaxed = self._pass2_relaxed_bounds(key)
-                if relaxed:
-                    speculative.append(self.problems[key].with_bounds(relaxed))
-            self._prefetch(speculative)
-
         while report.pass2_regions_examined < self.config.max_pass2_regions:
             candidates = [
                 key for key, solution in self.panels.items()
@@ -365,11 +256,20 @@ class LocalRefiner:
             report.pass2_regions_examined += 1
 
             problem = self.problems[key]
-            relaxed = self._pass2_relaxed_bounds(key)
+            relaxed: Dict[int, float] = {}
+            for net_id, bound in zip(problem.segments, problem.bounds.tolist()):
+                length_m = self.net_region_length_m(net_id, key)
+                if length_m <= 0.0:
+                    continue
+                slack_lsk = self.budgets[net_id].lsk_budget - self.net_lsk(net_id)
+                if slack_lsk <= 0.0:
+                    continue
+                extra_coupling = slack_lsk / length_m
+                current_coupling = self._couplings[key].get(net_id, 0.0)
+                relaxed[net_id] = max(bound, current_coupling + extra_coupling)
             if not relaxed:
                 continue
 
-            old_problem = problem
             old_solution = self.panels[key]
             old_couplings = self._couplings[key]
             candidate_problem = problem.with_bounds(relaxed)
@@ -391,7 +291,7 @@ class LocalRefiner:
                 for net_id in candidate_problem.segments
             )
             if regression or not candidate_solution.is_valid():
-                self.problems[key] = old_problem
+                self.problems[key] = problem
                 self.panels[key] = old_solution
                 self._couplings[key] = old_couplings
                 continue

@@ -392,21 +392,22 @@ class LeaseManager:
 class WorkerConfig:
     """Everything one cluster worker process needs.
 
-    ``backend`` / ``backend_workers`` configure the *engine* inside the
-    worker (how one job's panel batches are dispatched); cluster
-    parallelism comes from running several workers, each of which is
-    usually perfectly happy with the serial backend.
+    ``backend_workers`` configures the *engine* inside the worker (how one
+    job's panel batches are dispatched): 1 runs them serially, N >= 2 over
+    a pool of N processes.  Cluster parallelism comes from running several
+    workers, each of which usually runs serially.
     """
 
     root: Union[str, Path]
     label: str = "worker"
-    backend: str = "serial"
-    backend_workers: Optional[int] = None
+    backend_workers: int = 1
     poll_interval: float = 0.2
     lease_ttl: float = DEFAULT_LEASE_TTL
     store_max_bytes: Optional[int] = None
 
     def __post_init__(self) -> None:
+        if self.backend_workers < 1:
+            raise ValueError(f"backend_workers must be positive, got {self.backend_workers}")
         if self.poll_interval <= 0:
             raise ValueError(f"poll_interval must be positive, got {self.poll_interval}")
         if self.lease_ttl <= 0:
@@ -447,7 +448,7 @@ class ClusterWorker:
         )
         self.store = ResultStore(root / "store", max_bytes=config.store_max_bytes)
         self.engine = Engine(
-            backend=create_backend(config.backend, config.backend_workers),
+            backend=create_backend(config.backend_workers),
             cache=SolutionCache(store=self.store),
         )
         self.scheduler = Scheduler(

@@ -123,8 +123,7 @@ def atomic_write_text(path: Path, text: str) -> None:
     The temp name embeds the pid *and* a process-wide counter, so
     concurrent writers of one path — other processes, or two threads of
     this one (a worker's execution and pulse threads both refresh its
-    heartbeat; thread backends can double-fill one cache blob) — never
-    collide on the temp file either.
+    heartbeat) — never collide on the temp file either.
     """
     tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}.{next(_TMP_COUNTER)}")
     tmp.write_text(text, encoding="utf-8")

@@ -34,7 +34,7 @@ dispatched over any :class:`~repro.engine.backends.ExecutionBackend` passed by
 the caller; the reduction is deterministic regardless of the backend.  The
 greedy construction is hoisted out of the per-chain loop: in-process chains
 clone one shared :class:`~repro.sino.incremental.IncrementalPanelState` (and
-share its evaluation memo), while process backends receive pickled
+share its evaluation memo), while a process pool receives pickled
 ``(problem, layout, config)`` tasks and build each chain's state in the
 worker.
 """
@@ -332,9 +332,9 @@ def _run_chains(
     """Run ``config.chains`` independent chains, optionally over a backend.
 
     The greedy construction happens once.  In-process execution (no
-    backend, one chain, or a ``shares_memory`` backend) also builds the
-    panel state once and hands each chain a clone of it — the clones share
-    the evaluation memo.  Any other backend gets picklable
+    backend, one chain, or the serial backend) also builds the panel state
+    once and hands each chain a clone of it — the clones share the
+    evaluation memo.  A process pool gets picklable
     ``(problem, layout, config, None)`` tasks, and each chain builds its own
     state in its worker.  Results are identical on every path.
     """
@@ -345,10 +345,7 @@ def _run_chains(
         _chain_config(template, derive_chain_seed(config.seed, chain))
         for chain in range(config.chains)
     ]
-    in_process = (
-        backend is None or len(configs) == 1 or getattr(backend, "shares_memory", True)
-    )
-    if not in_process:
+    if backend is not None and len(configs) > 1 and backend.name != "serial":
         tasks = [(problem, layout, chain_config, None) for chain_config in configs]
         return backend.map_tasks(_anneal_chain, tasks)
     base_state = IncrementalPanelState(problem, layout, template)
@@ -356,9 +353,7 @@ def _run_chains(
         (problem, layout, chain_config, base_state if index == 0 else base_state.clone())
         for index, chain_config in enumerate(configs)
     ]
-    if backend is None or len(tasks) == 1:
-        return [_anneal_chain(task) for task in tasks]
-    return backend.map_tasks(_anneal_chain, tasks)
+    return [_anneal_chain(task) for task in tasks]
 
 
 def anneal_sino_multichain(

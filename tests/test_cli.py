@@ -40,23 +40,27 @@ class TestParser:
         )
         assert args.circuit == "ibm04"
         assert args.rate == pytest.approx(0.5)
-        assert args.backend == "serial"
-        assert args.workers is None
+        assert args.workers == 1
         assert args.no_cache is False
 
     def test_engine_arguments(self):
-        args = build_parser().parse_args(
-            ["compare", "--backend", "thread", "--workers", "2", "--no-cache"]
-        )
-        assert args.backend == "thread"
+        args = build_parser().parse_args(["compare", "--workers", "2", "--no-cache"])
         assert args.workers == 2
         assert args.no_cache is True
-        args = build_parser().parse_args(["tables", "--backend", "process"])
-        assert args.backend == "process"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["compare", "--backend", "gpu"])
+        args = build_parser().parse_args(["tables", "--workers", "3"])
+        assert args.workers == 3
         with pytest.raises(SystemExit):
             build_parser().parse_args(["compare", "--workers", "0"])
+
+    @pytest.mark.parametrize("command", ["compare", "flows", "tables", "serve"])
+    def test_backend_flag_is_gone(self, command, tmp_path):
+        """The worker count picks the backend; --backend is an argparse error."""
+        argv = [command, "--backend", "process"]
+        if command == "serve":
+            argv += ["--root", str(tmp_path / "svc")]
+        with pytest.raises(SystemExit) as raised:
+            build_parser().parse_args(argv)
+        assert raised.value.code == 2
 
     def test_characterize_arguments(self, tmp_path):
         args = build_parser().parse_args(
@@ -97,7 +101,7 @@ class TestParser:
             ["serve", "--root", root, "--workers", "3", "--lease-ttl", "5"]
         )
         assert args.workers == 3 and args.lease_ttl == pytest.approx(5.0)
-        assert args.backend_workers is None
+        assert args.backend_workers == 1
         args = build_parser().parse_args(["status", "--root", root, "--cluster"])
         assert args.cluster is True
         args = build_parser().parse_args(
@@ -109,13 +113,15 @@ class TestParser:
             build_parser().parse_args(["loadgen", "--root", root, "--jobs", "0"])
 
     def test_serve_workers_is_cluster_size_not_backend_pool(self, tmp_path):
-        """On serve, --workers never requires a parallel backend; the engine
-        pool flag is --backend-workers and does."""
+        """On serve, --workers is the cluster size; the engine pool inside
+        each worker is --backend-workers."""
         from repro.cli import main
 
         root = str(tmp_path / "svc")
-        with pytest.raises(SystemExit):
-            main(["serve", "--root", root, "--backend-workers", "2"])  # serial backend
+        args = build_parser().parse_args(
+            ["serve", "--root", root, "--workers", "1", "--backend-workers", "2"]
+        )
+        assert args.workers == 1 and args.backend_workers == 2
         # A serial-backend cluster of 1 is valid and runs to idle exit.
         assert main(["serve", "--root", root, "--workers", "1", "--poll", "0.05",
                      "--idle-exit", "0.2"]) == 0
@@ -295,17 +301,16 @@ class TestCommands:
         assert "cache_hits=" in output
         assert "panel cache:" in output
 
-    def test_compare_command_with_thread_backend_and_no_cache(self, capsys):
+    def test_compare_command_with_workers_and_no_cache(self, capsys):
         exit_code = main(
             [
                 "compare", "--circuit", "ibm01", "--rate", "0.3",
-                "--scale", "0.01", "--seed", "3",
-                "--backend", "thread", "--workers", "2", "--no-cache",
+                "--scale", "0.01", "--seed", "3", "--workers", "2", "--no-cache",
             ]
         )
         assert exit_code == 0
         output = capsys.readouterr().out
-        assert "backend=thread" in output
+        assert "backend=process" in output
         assert "cache=off" in output
         assert "cache_hits=" not in output
 

@@ -2,17 +2,13 @@
 
 from __future__ import annotations
 
+import os
+import signal
+
 import pytest
 
 from repro.analysis.experiments import ExperimentConfig, run_table_suite
-from repro.engine.backends import (
-    BACKEND_NAMES,
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-    chunk_tasks,
-    create_backend,
-)
+from repro.engine.backends import ProcessBackend, SerialBackend, chunk_tasks, create_backend
 from repro.engine.cache import CacheStats, SolutionCache
 from repro.engine.panels import Engine, PanelTask, solve_panel_task
 from repro.engine.signature import panel_signature, problem_token
@@ -27,22 +23,15 @@ def _double(value: int) -> int:
 
 class TestBackends:
     def test_create_backend_names(self):
-        for name in BACKEND_NAMES:
-            workers = None if name == "serial" else 2
-            backend = create_backend(name, workers=workers)
-            assert backend.name == name
-
-    def test_create_backend_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown execution backend"):
-            create_backend("gpu")
-
-    def test_create_backend_rejects_workers_for_serial(self):
-        with pytest.raises(ValueError, match="serial backend takes no worker count"):
-            create_backend("serial", workers=2)
+        # One worker count picks the backend: serial for None or 1, else a pool.
+        assert create_backend().name == "serial"
+        assert create_backend(1).name == "serial"
+        backend = create_backend(3)
+        assert backend.name == "process" and backend.num_workers == 3
 
     def test_workers_must_be_positive(self):
         with pytest.raises(ValueError):
-            ThreadBackend(workers=0)
+            create_backend(0)
         with pytest.raises(ValueError):
             ProcessBackend(workers=-1)
 
@@ -51,15 +40,15 @@ class TestBackends:
         with pytest.raises(ValueError):
             chunk_tasks([1], 0)
 
-    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    @pytest.mark.parametrize("name", ("serial", "process"))
     def test_map_tasks_preserves_order(self, name):
-        with create_backend(name, workers=None if name == "serial" else 2) as backend:
+        with create_backend(1 if name == "serial" else 2) as backend:
             tasks = list(range(23))
             assert backend.map_tasks(_double, tasks) == [t * 2 for t in tasks]
             assert backend.map_tasks(_double, []) == []
 
     def test_pooled_backend_reuses_executor_until_shutdown(self):
-        backend = ThreadBackend(workers=2)
+        backend = ProcessBackend(workers=2)
         assert backend.map_tasks(_double, [1, 2]) == [2, 4]
         executor = backend._executor
         assert executor is not None
@@ -72,12 +61,32 @@ class TestBackends:
         assert backend.map_tasks(_double, [5]) == [10]
         backend.shutdown()
 
+    def test_process_pool_recovers_after_a_child_dies(self):
+        from concurrent.futures.process import BrokenProcessPool
+
+        # Catch SIGTERM as a `repro serve` worker does: the pool's children
+        # must still die when the broken pool terminates them.
+        previous = signal.signal(signal.SIGTERM, lambda _signum, _frame: None)
+        try:
+            with ProcessBackend(workers=2) as backend:
+                assert backend.map_tasks(_double, [1, 2, 3]) == [2, 4, 6]
+                child = next(iter(backend._executor._processes.values()))
+                os.kill(child.pid, signal.SIGKILL)
+                child.join(timeout=30)
+                assert not child.is_alive()
+                with pytest.raises(BrokenProcessPool):
+                    backend.map_tasks(_double, [4, 5])
+                # The broken pool was dropped; this dispatch forks a fresh one.
+                assert backend.map_tasks(_double, list(range(7))) == [t * 2 for t in range(7)]
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+
     def test_map_tasks_explicit_chunk_size(self):
         backend = SerialBackend()
         assert backend.map_tasks(_double, [1, 2, 3], chunk_size=1) == [2, 4, 6]
 
     def test_default_chunk_size_scales_with_workers(self):
-        backend = ThreadBackend(workers=4)
+        backend = ProcessBackend(workers=4)
         assert backend.default_chunk_size(160) == 10
         assert backend.default_chunk_size(1) == 1
 
@@ -248,11 +257,11 @@ class TestEngine:
 
 
 class TestBackendParity:
-    @pytest.mark.parametrize("name", ("thread", "process"))
+    @pytest.mark.parametrize("name", ("process",))
     def test_compare_flows_identical_across_backends(
         self, name, small_circuit, small_circuit_config
     ):
-        """serial == thread == process on a seeded ibm01 instance."""
+        """serial == process on a seeded ibm01 instance."""
         reference = compare_flows(
             small_circuit.grid,
             small_circuit.netlist,
@@ -263,7 +272,7 @@ class TestBackendParity:
             small_circuit.grid,
             small_circuit.netlist,
             small_circuit_config,
-            engine=Engine(backend=create_backend(name, workers=2), cache=SolutionCache()),
+            engine=Engine(backend=create_backend(2), cache=SolutionCache()),
         )
         for flow in ("id_no", "isino", "gsino"):
             ref, par = reference[flow], parallel[flow]
@@ -312,14 +321,13 @@ class TestBackendParity:
 
 class TestSweepRunner:
     @staticmethod
-    def _sweep_config(backend: str = "serial") -> ExperimentConfig:
+    def _sweep_config(workers: int = 1) -> ExperimentConfig:
         return ExperimentConfig(
             circuits=("ibm01", "ibm02"),
             sensitivity_rates=(0.3,),
             scale=0.01,
             seed=3,
-            backend=backend,
-            workers=None if backend == "serial" else 2,
+            workers=workers,
         )
 
     def test_points_follow_grid_order(self):
@@ -327,10 +335,10 @@ class TestSweepRunner:
         assert [(p.circuit, p.seed_offset) for p in points] == [("ibm01", 0), ("ibm02", 1)]
 
     def test_parallel_sweep_matches_serial(self):
-        serial = run_table_suite(self._sweep_config("serial"))
-        threaded = run_table_suite(self._sweep_config("thread"))
-        assert len(serial) == len(threaded) == 2
-        for a, b in zip(serial, threaded):
+        serial = run_table_suite(self._sweep_config(1))
+        pooled = run_table_suite(self._sweep_config(2))
+        assert len(serial) == len(pooled) == 2
+        for a, b in zip(serial, pooled):
             assert a.circuit.profile.name == b.circuit.profile.name
             for flow in ("id_no", "isino", "gsino"):
                 assert (
@@ -351,10 +359,10 @@ class TestSweepRunner:
         assert summary["id_no"].total_shields == 0
 
     def test_experiment_config_validates_backend(self):
-        with pytest.raises(ValueError, match="backend"):
-            ExperimentConfig(backend="gpu")
+        # The worker count is the whole backend choice: 1 is serial, N >= 2 a pool.
+        assert ExperimentConfig().workers == 1
+        assert ExperimentConfig(workers=2).workers == 2
         with pytest.raises(ValueError, match="workers"):
-            ExperimentConfig(backend="thread", workers=0)
-        # Same rule as the CLI: workers is meaningless for the serial backend.
-        with pytest.raises(ValueError, match="parallel backend"):
-            ExperimentConfig(backend="serial", workers=2)
+            ExperimentConfig(workers=0)
+        with pytest.raises(TypeError):
+            ExperimentConfig(backend="process")  # the field is gone

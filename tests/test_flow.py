@@ -3,8 +3,8 @@
 Covers the golden-equivalence guarantee (staged flows bit-identical to the
 retained pre-refactor oracle in ``tests/oracles/gsino_reference.py``), stage sharing
 within one comparison, store-backed resume with zero redundant stage
-executions, the artifact codecs, the speculative Phase III engine dispatch,
-flow scenarios in the service layer, and the ``repro flows`` CLI verb.
+executions, the artifact codecs, GSINO on a process-pool engine, flow
+scenarios in the service layer, and the ``repro flows`` CLI verb.
 """
 
 from __future__ import annotations
@@ -680,17 +680,15 @@ class TestPhase3Caps:
         assert not default.pass1_capped
 
 
-class TestSpeculativePhase3:
-    def test_parallel_backend_bit_identical(self, flow_circuit, flow_config):
+class TestParallelPhase3:
+    def test_process_engine_bit_identical(self, flow_circuit, flow_config):
         serial = run_gsino(flow_circuit.grid, flow_circuit.netlist, flow_config)
-        with Engine(backend=create_backend("thread", 2), cache=SolutionCache()) as engine:
-            speculative = run_gsino(
-                flow_circuit.grid, flow_circuit.netlist, flow_config, engine=engine
-            )
-        assert serial.metrics.summary() == speculative.metrics.summary()
-        assert _layouts(serial) == _layouts(speculative)
+        with Engine(backend=create_backend(2), cache=SolutionCache()) as engine:
+            pooled = run_gsino(flow_circuit.grid, flow_circuit.netlist, flow_config, engine=engine)
+        assert serial.metrics.summary() == pooled.metrics.summary()
+        assert _layouts(serial) == _layouts(pooled)
         assert dataclasses.asdict(serial.phase3_report) == dataclasses.asdict(
-            speculative.phase3_report
+            pooled.phase3_report
         )
 
 

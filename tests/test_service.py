@@ -1300,6 +1300,8 @@ class TestClusterSupervisor:
             ClusterConfig(WorkerConfig(root=tmp_path / "svc", lease_ttl=0), workers=2)
         with pytest.raises(ValueError, match="poll_interval must be positive"):
             ClusterConfig(WorkerConfig(root=tmp_path / "svc", poll_interval=0), workers=2)
+        with pytest.raises(ValueError, match="backend_workers must be positive"):
+            ClusterConfig(WorkerConfig(root=tmp_path / "svc", backend_workers=0), workers=2)
         with pytest.raises(ValueError, match="workers must be positive"):
             self._config(tmp_path / "svc", workers=0)
         # The settings are no longer repeated on the cluster config itself.
@@ -1323,7 +1325,6 @@ class TestClusterSupervisor:
         monkeypatch.setattr(cluster_module, "fork_worker", fake_fork)
         template = WorkerConfig(
             root=tmp_path / "svc",
-            backend="thread",
             backend_workers=2,
             poll_interval=0.05,
             lease_ttl=7.0,

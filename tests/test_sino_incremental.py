@@ -16,7 +16,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from repro.engine.backends import ProcessBackend, SerialBackend, ThreadBackend
+from repro.engine.backends import ProcessBackend, SerialBackend
 from repro.engine.panels import Engine, PanelTask
 from repro.engine.signature import panel_signature
 from repro.sino.anneal import (
@@ -194,10 +194,10 @@ class TestMultiChain:
         problem = make_random_sino_problem(8, 0.5, 0.9, seed=6)
         config = AnnealConfig(iterations=300, seed=3, chains=3)
         serial = anneal_sino_multichain(problem, config=config, backend=SerialBackend())
-        with ThreadBackend(workers=3) as backend:
-            threaded = anneal_sino_multichain(problem, config=config, backend=backend)
+        with ProcessBackend(workers=2) as backend:
+            pooled = anneal_sino_multichain(problem, config=config, backend=backend)
         inline = anneal_sino_multichain(problem, config=config)
-        assert serial.layout == threaded.layout == inline.layout
+        assert serial.layout == pooled.layout == inline.layout
 
     def test_multichain_never_worse_than_chain_zero(self):
         problem = make_random_sino_problem(12, 0.5, 0.8, seed=8)
@@ -230,8 +230,6 @@ class TestMultiChain:
         config = AnnealConfig(iterations=200, seed=11, chains=3)
         inline = _run_chains(problem, None, config, None)
         serial = _run_chains(problem, None, config, SerialBackend())
-        with ThreadBackend(workers=2) as backend:
-            threaded = _run_chains(problem, None, config, backend)
         # A real process pool: the chains travel as pickled
         # (problem, layout, config, None) tasks and build their own states.
         with ProcessBackend(workers=2) as backend:
@@ -239,7 +237,6 @@ class TestMultiChain:
         layouts = [solution.layout for solution in inline]
         assert len(layouts) == 3
         assert [solution.layout for solution in serial] == layouts
-        assert [solution.layout for solution in threaded] == layouts
         assert [solution.layout for solution in forked] == layouts
 
 
