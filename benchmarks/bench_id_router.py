@@ -7,10 +7,11 @@ essentially no overflow.  The benchmark also compares the GSINO weight
 configuration (shield reservation on) against the baseline configuration to
 show the reservation's effect on the shield-aware utilisation.
 
-``test_router_speedup`` times the router, which reads cached resource
-pressure and per-edge geometry, against the historic loop in
-``tests/oracles/router_reference.py`` on the ibm01 instance the flow
-comparison routes: the routes must be identical and the router at least
+``test_router_speedup`` times the router, which runs on integer region ids
+with cached resource pressure and a two-sided deletability search, against
+the historic router in ``tests/oracles/router_reference.py`` on the ibm01
+instance the flow comparison routes: the routes must be identical, down to
+the iteration order of each tree's edges, and the router at least
 ``MIN_ROUTER_SPEEDUP`` faster.
 """
 
@@ -96,7 +97,9 @@ def test_router_speedup(benchmark):
 
     for (solution, report), (expected, expected_report) in zip(fast, reference):
         for net_id in circuit.netlist.net_ids():
-            assert solution.route(net_id).edges == expected.route(net_id).edges
+            route, reference_route = solution.route(net_id), expected.route(net_id)
+            assert list(route.edges) == list(reference_route.edges)
+            assert route.pin_regions == reference_route.pin_regions
         assert (report.deleted_edges, report.kept_edges, report.heap_repushes) == (
             expected_report.deleted_edges,
             expected_report.kept_edges,

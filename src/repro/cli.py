@@ -157,7 +157,9 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_tables_parser(subparsers: argparse._SubParsersAction) -> None:
-    parser = subparsers.add_parser("tables", help="regenerate Tables 1-3 on the synthetic suite")
+    parser = subparsers.add_parser(
+        "tables", help="regenerate Tables 1-3 on the synthetic suite", allow_abbrev=False
+    )
     parser.add_argument("--scale", type=float, default=0.03, help="benchmark size scale in (0, 1]")
     parser.add_argument("--seed", type=int, default=7, help="base random seed")
     parser.add_argument(
@@ -178,7 +180,9 @@ def _add_tables_parser(subparsers: argparse._SubParsersAction) -> None:
 
 
 def _add_compare_parser(subparsers: argparse._SubParsersAction) -> None:
-    parser = subparsers.add_parser("compare", help="run ID+NO, iSINO and GSINO on one circuit")
+    parser = subparsers.add_parser(
+        "compare", help="run ID+NO, iSINO and GSINO on one circuit", allow_abbrev=False
+    )
     parser.add_argument("--circuit", default="ibm01", help="benchmark circuit name")
     parser.add_argument("--rate", type=float, default=0.3, help="sensitivity rate")
     parser.add_argument("--scale", type=float, default=0.03, help="benchmark size scale in (0, 1]")
@@ -189,7 +193,9 @@ def _add_compare_parser(subparsers: argparse._SubParsersAction) -> None:
 
 def _add_flows_parser(subparsers: argparse._SubParsersAction) -> None:
     parser = subparsers.add_parser(
-        "flows", help="inspect and run stage-graph flows (list, show, run, resume)"
+        "flows",
+        help="inspect and run stage-graph flows (list, show, run, resume)",
+        allow_abbrev=False,
     )
     parser.add_argument(
         "--list", action="store_true", help="list the registered flows and exit"
@@ -228,7 +234,9 @@ def _add_flows_parser(subparsers: argparse._SubParsersAction) -> None:
 
 def _add_characterize_parser(subparsers: argparse._SubParsersAction) -> None:
     parser = subparsers.add_parser(
-        "characterize", help="build the LSK lookup table with the circuit simulator"
+        "characterize",
+        help="build the LSK lookup table with the circuit simulator",
+        allow_abbrev=False,
     )
     parser.add_argument("--samples", type=int, default=120, help="number of simulated panels")
     parser.add_argument("--seed", type=int, default=2002, help="random seed of the sweep")
@@ -247,7 +255,9 @@ def _add_root_argument(parser: argparse.ArgumentParser, required: bool = True) -
 
 def _add_serve_parser(subparsers: argparse._SubParsersAction) -> None:
     parser = subparsers.add_parser(
-        "serve", help="run the job service (one worker, or --workers K for a local fleet)"
+        "serve",
+        help="run the job service (one worker, or --workers K for a local fleet)",
+        allow_abbrev=False,
     )
     _add_root_argument(parser)
     parser.add_argument(
@@ -304,7 +314,9 @@ def _add_serve_parser(subparsers: argparse._SubParsersAction) -> None:
 
 
 def _add_submit_parser(subparsers: argparse._SubParsersAction) -> None:
-    parser = subparsers.add_parser("submit", help="queue a scenario job for the workers")
+    parser = subparsers.add_parser(
+        "submit", help="queue a scenario job for the workers", allow_abbrev=False
+    )
     # --root is validated in the handler: --list reads only the in-process
     # registry and needs no service directory.
     _add_root_argument(parser, required=False)
@@ -335,7 +347,9 @@ def _add_submit_parser(subparsers: argparse._SubParsersAction) -> None:
 
 
 def _add_status_parser(subparsers: argparse._SubParsersAction) -> None:
-    parser = subparsers.add_parser("status", help="report worker, job, cache and store state")
+    parser = subparsers.add_parser(
+        "status", help="report worker, job, cache and store state", allow_abbrev=False
+    )
     _add_root_argument(parser)
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument(
@@ -352,7 +366,9 @@ def _add_status_parser(subparsers: argparse._SubParsersAction) -> None:
 
 def _add_loadgen_parser(subparsers: argparse._SubParsersAction) -> None:
     parser = subparsers.add_parser(
-        "loadgen", help="submit a burst of scenario jobs and report latency/throughput"
+        "loadgen",
+        help="submit a burst of scenario jobs and report latency/throughput",
+        allow_abbrev=False,
     )
     # --root is validated in the handler: --http bursts drive a remote
     # gateway over the wire and never touch the spool directly.
@@ -412,7 +428,9 @@ def _add_loadgen_parser(subparsers: argparse._SubParsersAction) -> None:
 
 def _add_gateway_parser(subparsers: argparse._SubParsersAction) -> None:
     parser = subparsers.add_parser(
-        "gateway", help="serve the HTTP/JSON front door over a service root"
+        "gateway",
+        help="serve the HTTP/JSON front door over a service root",
+        allow_abbrev=False,
     )
     _add_root_argument(parser)
     parser.add_argument("--host", default="127.0.0.1", help="bind address")
@@ -454,7 +472,9 @@ def _add_gateway_parser(subparsers: argparse._SubParsersAction) -> None:
 
 def _add_events_parser(subparsers: argparse._SubParsersAction) -> None:
     parser = subparsers.add_parser(
-        "events", help="print a service root's append-only event log"
+        "events",
+        help="print a service root's append-only event log",
+        allow_abbrev=False,
     )
     _add_root_argument(parser)
     parser.add_argument(
@@ -482,7 +502,9 @@ def _add_events_parser(subparsers: argparse._SubParsersAction) -> None:
 
 def _add_metrics_parser(subparsers: argparse._SubParsersAction) -> None:
     parser = subparsers.add_parser(
-        "metrics", help="aggregate fleet metrics snapshots and store lifetime stats"
+        "metrics",
+        help="aggregate fleet metrics snapshots and store lifetime stats",
+        allow_abbrev=False,
     )
     _add_root_argument(parser)
     parser.add_argument("--json", action="store_true", help="machine-readable output")
@@ -490,7 +512,9 @@ def _add_metrics_parser(subparsers: argparse._SubParsersAction) -> None:
 
 def _add_watch_parser(subparsers: argparse._SubParsersAction) -> None:
     parser = subparsers.add_parser(
-        "watch", help="live fleet dashboard (requires the [tui] extra)"
+        "watch",
+        help="live fleet dashboard (requires the [tui] extra)",
+        allow_abbrev=False,
     )
     _add_root_argument(parser)
     parser.add_argument(
@@ -503,13 +527,17 @@ def _add_watch_parser(subparsers: argparse._SubParsersAction) -> None:
 
 
 def _add_cancel_parser(subparsers: argparse._SubParsersAction) -> None:
-    parser = subparsers.add_parser("cancel", help="request cancellation of a job")
+    parser = subparsers.add_parser(
+        "cancel", help="request cancellation of a job", allow_abbrev=False
+    )
     _add_root_argument(parser)
     parser.add_argument("job_id", help="id printed by `repro submit`")
 
 
 def _add_gc_parser(subparsers: argparse._SubParsersAction) -> None:
-    parser = subparsers.add_parser("gc", help="evict the result store / purge finished jobs")
+    parser = subparsers.add_parser(
+        "gc", help="evict the result store / purge finished jobs", allow_abbrev=False
+    )
     _add_root_argument(parser)
     parser.add_argument(
         "--max-mb",
@@ -525,9 +553,13 @@ def _add_gc_parser(subparsers: argparse._SubParsersAction) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser (exposed for testing)."""
+    # No prefix matching anywhere: an abbreviation, or a retired option
+    # that prefixes a live one (``--backend`` of ``--backend-workers``),
+    # must be an error, not a silent match.
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction of 'Towards Global Routing With RLC Crosstalk Constraints'",
+        allow_abbrev=False,
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
     _add_tables_parser(subparsers)

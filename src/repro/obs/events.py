@@ -317,11 +317,19 @@ class EventCursor:
     ever skipped or double-delivered across a rotation.  A partial last
     line (a write caught mid-flight) is left unconsumed until it gains its
     terminating newline.
+
+    A poll lists the segments before it opens them, so a rotation in
+    between hides the renamed segment from that poll (it opens the fresh
+    current file instead).  The offset of an inode a poll did not see is
+    therefore kept for one more poll, which finds the segment under its
+    rotated name and resumes it there; an inode missing from two polls in
+    a row is gone and forgotten.
     """
 
     def __init__(self, root: Union[str, Path]) -> None:
         self.dir = events_dir(root)
         self._offsets: Dict[int, int] = {}
+        self._missed: Dict[int, int] = {}  # offsets the previous poll did not see
         self.skipped = 0  # unreadable (torn/foreign) lines seen
 
     def poll(self) -> List[Event]:
@@ -332,7 +340,7 @@ class EventCursor:
             try:
                 with open(path, "rb") as handle:
                     inode = os.fstat(handle.fileno()).st_ino
-                    offset = self._offsets.get(inode, 0)
+                    offset = self._offsets.get(inode, self._missed.get(inode, 0))
                     handle.seek(offset)
                     data = handle.read()
             except OSError:
@@ -348,7 +356,10 @@ class EventCursor:
                     continue
                 records.append(record)
             seen[inode] = offset + end + 1
-        # Forget inodes whose file vanished (rotated segments later gc'd).
+        # Forget inodes missing from two polls (rotated segments later gc'd).
+        self._missed = {
+            inode: offset for inode, offset in self._offsets.items() if inode not in seen
+        }
         self._offsets = seen
         return records
 

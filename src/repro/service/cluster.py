@@ -74,7 +74,7 @@ import traceback
 import uuid
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, NoReturn, Optional, Set, Tuple, Union
+from typing import Callable, Dict, List, NoReturn, Optional, Set, Tuple, Union
 
 from repro.obs.events import EventCursor, EventLog
 from repro.obs.metrics import (
@@ -743,7 +743,7 @@ class ClusterWorker:
         so a submission landing during the last wait is served, not
         stranded.
         """
-        self._install_signal_handler()
+        previous_sigterm = _stop_on_sigterm(self.request_stop)
         self._registry_baseline = process_registry().snapshot()
         self.events.emit(
             "worker-started",
@@ -786,20 +786,32 @@ class ClusterWorker:
             self.engine.shutdown()
             self._heartbeat(stopped=True, force=True)
             self.events.emit("worker-stopped", worker=self.identity.worker_id, jobs=finished)
+            _restore_sigterm(previous_sigterm)
         return finished
 
-    def _install_signal_handler(self) -> None:
-        """Exit cleanly on SIGTERM (the supervisor's shutdown signal).
 
-        Only possible from the main thread of a worker process; in-process
-        workers driven from test threads simply skip it.
-        """
-        if threading.current_thread() is not threading.main_thread():
-            return
-        try:
-            signal.signal(signal.SIGTERM, lambda _signum, _frame: self.request_stop())
-        except (ValueError, OSError):  # pragma: no cover — exotic platforms
-            pass
+def _stop_on_sigterm(request_stop: Callable[[], None]) -> object:
+    """Route SIGTERM to ``request_stop``; returns the handler it replaced.
+
+    A worker exits cleanly on the supervisor's shutdown signal, and a
+    supervisor must unwind through its ``finally`` so ``stop()`` reaps the
+    fleet — the default disposition would kill the process and orphan every
+    worker.  Only possible from the main thread; runs driven from other
+    threads skip it and get ``None``.
+    """
+    if threading.current_thread() is not threading.main_thread():
+        return None
+    try:
+        return signal.signal(signal.SIGTERM, lambda _signum, _frame: request_stop())
+    except (ValueError, OSError):  # pragma: no cover — exotic platforms
+        return None
+
+
+def _restore_sigterm(previous: object) -> None:
+    """Put back what :func:`_stop_on_sigterm` replaced, so an in-process
+    ``run`` leaves its caller's SIGTERM handling as it found it."""
+    if previous is not None:
+        signal.signal(signal.SIGTERM, previous)
 
 
 def serve_worker(
@@ -1085,14 +1097,7 @@ class ClusterSupervisor:
         """
         self.gave_up = False
         baseline = self._spool_counts()[0]
-        # SIGTERM must unwind through the finally so stop() reaps the
-        # fleet — the default disposition would kill this process and
-        # orphan every worker.  (Main-thread only, like the worker's.)
-        if threading.current_thread() is threading.main_thread():
-            try:
-                signal.signal(signal.SIGTERM, lambda _signum, _frame: self.request_stop())
-            except (ValueError, OSError):  # pragma: no cover — exotic platforms
-                pass
+        previous_sigterm = _stop_on_sigterm(self.request_stop)
         self.start()
         idle_since: Optional[float] = None
         try:
@@ -1124,6 +1129,7 @@ class ClusterSupervisor:
                 time.sleep(self.config.worker.poll_interval)
         finally:
             self.stop()
+            _restore_sigterm(previous_sigterm)
         return max(0, self._spool_counts()[0] - baseline)
 
 

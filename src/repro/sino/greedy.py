@@ -13,8 +13,10 @@ The construction follows the spirit of the original SINO heuristic (reference
 Step 3 runs on an :class:`~repro.sino.incremental.IncrementalPanelState`:
 each round scores every candidate gap in one vectorised
 :meth:`~repro.sino.incremental.IncrementalPanelState.insert_excess` pass and
-commits the winner as an incremental insert, and the final compaction is the
-state's delta-evaluated :meth:`~repro.sino.incremental.IncrementalPanelState.compacted`.
+inserts the winner in place, and the final compaction is the state's
+delta-evaluated :meth:`~repro.sino.incremental.IncrementalPanelState.compact`,
+also in place: greedy never revisits a layout, so it neither copies the
+arrays per round nor memoises evaluations.
 Both reproduce the scalar evaluator's values bit for bit, so the layouts are
 those of a per-gap full re-evaluation.
 
@@ -29,7 +31,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.sino.incremental import IncrementalPanelState, Move
+from repro.sino.incremental import IncrementalPanelState
 from repro.sino.panel import SHIELD, SinoProblem, SinoSolution
 
 
@@ -134,8 +136,7 @@ def _insert_inductive_shields(state: IncrementalPanelState, max_extra_shields: i
                 best_gap = gap
         if best_gap is None:
             break
-        state.propose(Move.insert(best_gap))
-        state.commit()
+        state.insert_shield(best_gap)
 
 
 def fix_inductive_violations(solution: SinoSolution, max_extra_shields: Optional[int] = None) -> SinoSolution:
@@ -169,5 +170,5 @@ def greedy_sino(problem: SinoProblem) -> SinoSolution:
     layout = insert_capacitive_shields(problem, greedy_order(problem))
     state = _panel_state(problem, layout)
     _insert_inductive_shields(state, 2 * problem.num_segments + 2)
-    solution, _cost, _valid = state.compacted()
-    return solution
+    state.compact()
+    return state.to_solution()

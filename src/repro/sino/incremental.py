@@ -625,6 +625,18 @@ class IncrementalPanelState:
         self._eval_cache[key] = self._pending_state
         return self._pending_state.cost - self._state.cost
 
+    def insert_shield(self, gap: int) -> None:
+        """Insert a shield at ``gap`` into the current layout, in place.
+
+        The layout and cost equal ``propose(Move.insert(gap))`` followed by
+        :meth:`commit`, without copying the arrays or memoising the
+        evaluation; for callers that never revisit a layout.  Drops any
+        pending proposal.
+        """
+        self._drop_pending()
+        self._apply_insert(self._current, gap)
+        self._state = self._evaluate(self._current)
+
     def _check_shield(self, track: int) -> None:
         if track < 0 or track >= self.num_tracks or self._current.occ[track] >= 0:
             raise ValueError(f"track {track} does not hold a shield")
@@ -639,15 +651,17 @@ class IncrementalPanelState:
             # Cache-hit proposal: materialise the deferred array updates now.
             self._apply_move(self._current, self._pending_move)
         self._state = self._pending_state
-        self._pending = None
-        self._pending_move = None
-        self._has_pending = False
+        self._drop_pending()
         return self._state.cost
 
     def revert(self) -> None:
         """Discard the pending layout."""
         if not self._has_pending:
             raise RuntimeError("revert() without a pending propose()")
+        self._drop_pending()
+
+    def _drop_pending(self) -> None:
+        """Discard the pending layout, if there is one."""
         self._pending = None
         self._pending_move = None
         self._has_pending = False
@@ -666,11 +680,18 @@ class IncrementalPanelState:
         validity fall out of the final state for free.
         """
         scratch = self.clone()
-        excess = scratch._excess_of(scratch._state.totals)
-        for track in reversed(scratch.shield_tracks()):
-            excess = scratch._compact_try_delete(track, excess)
-        solution = scratch.to_solution()
-        return solution, scratch._state.cost, scratch._state.valid
+        scratch.compact()
+        return scratch.to_solution(), scratch._state.cost, scratch._state.valid
+
+    def compact(self) -> None:
+        """Compact the current layout in place (the walk of :meth:`compacted`).
+
+        Drops any pending proposal.
+        """
+        self._drop_pending()
+        excess = self._excess_of(self._state.totals)
+        for track in reversed(self.shield_tracks()):
+            excess = self._compact_try_delete(track, excess)
 
     def _compact_try_delete(self, track: int, excess: float) -> float:
         """Remove the shield at ``track`` if the compaction criteria allow it.

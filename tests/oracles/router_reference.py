@@ -1,12 +1,15 @@
-"""Scalar reference of the iterative-deletion router's main loop.
+"""Scalar reference of the iterative-deletion router.
 
-This is the historic loop: every heap pop re-derives the edge's direction
-and length, looks up its two resources, and evaluates Formula 3 once per
-``density`` / ``relative_overflow`` read; every deletability check
-normalises each visited edge before comparing it with the skipped one.
+This is the historic router: per-net connection graphs over coordinate
+tuples, every heap pop re-deriving the edge's direction and length, looking
+up its two resources and evaluating Formula 3 once per ``density`` /
+``relative_overflow`` read, and every deletability check a one-sided
+breadth-first search from the first pin that normalises each visited edge
+before comparing it with the skipped one.
 :class:`repro.router.iterative_deletion.IterativeDeletionRouter` must return
-identical routes and identical :class:`RouterReport` counters; the test
-suite and ``benchmarks/bench_id_router.py`` assert it.
+identical routes — down to the iteration order of each tree's edges — and
+identical :class:`RouterReport` counters; the test suite and
+``benchmarks/bench_id_router.py`` assert it.
 """
 
 from __future__ import annotations
@@ -15,15 +18,13 @@ import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.grid.nets import Netlist
+from repro.grid.nets import Net, Netlist
 from repro.grid.regions import RegionCoord, RoutingGrid
 from repro.grid.routes import GridEdge, RouteTree, RoutingSolution, normalize_edge
 from repro.grid.steiner import rsmt_length_estimate
-from repro.router.connection_graph import ConnectionGraph, build_connection_graph
 from repro.router.iterative_deletion import RouterReport
-from repro.router.realize import prune_to_tree
 from repro.router.weights import WeightConfig, edge_weight
 from repro.sino.estimate import ShieldEstimator, default_shield_estimator
 
@@ -68,8 +69,63 @@ class _ReferenceDemand:
         return max(0.0, self.utilization(coefficients) - self.capacity) / self.capacity
 
 
-def _pins_connected_reference(graph: ConnectionGraph, skip_edge: GridEdge) -> bool:
-    """BFS over the pin regions that normalises every visited edge."""
+class ConnectionGraph:
+    """The mutable connection graph ``G_i`` of one net during deletion."""
+
+    def __init__(self, net_id: int, pin_regions: Iterable[RegionCoord]) -> None:
+        self.net_id = net_id
+        self.pin_regions: Tuple[RegionCoord, ...] = tuple(dict.fromkeys(pin_regions))
+        if not self.pin_regions:
+            raise ValueError(f"net {net_id} has no pin regions")
+        self._adjacency: Dict[RegionCoord, Set[RegionCoord]] = {}
+        self._edges: Set[GridEdge] = set()
+
+    def add_node(self, coord: RegionCoord) -> None:
+        self._adjacency.setdefault(coord, set())
+
+    def add_edge(self, coord_a: RegionCoord, coord_b: RegionCoord) -> None:
+        self.add_node(coord_a)
+        self.add_node(coord_b)
+        self._adjacency[coord_a].add(coord_b)
+        self._adjacency[coord_b].add(coord_a)
+        self._edges.add(normalize_edge(coord_a, coord_b))
+
+    def remove_edge(self, coord_a: RegionCoord, coord_b: RegionCoord) -> None:
+        self._edges.remove(normalize_edge(coord_a, coord_b))
+        self._adjacency[coord_a].discard(coord_b)
+        self._adjacency[coord_b].discard(coord_a)
+
+    def edges(self) -> Set[GridEdge]:
+        """Copy of the current edge set."""
+        return set(self._edges)
+
+    def has_edge(self, coord_a: RegionCoord, coord_b: RegionCoord) -> bool:
+        return normalize_edge(coord_a, coord_b) in self._edges
+
+    def neighbors(self, coord: RegionCoord) -> Set[RegionCoord]:
+        return set(self._adjacency.get(coord, set()))
+
+
+def build_connection_graph(
+    net: Net, grid: RoutingGrid, bounding_box_margin: int = 0
+) -> ConnectionGraph:
+    """The full grid graph of the net's (margin-expanded) pin bounding box."""
+    pin_regions = net.pin_regions(grid)
+    graph = ConnectionGraph(net_id=net.net_id, pin_regions=pin_regions)
+    box = grid.bounding_box_regions(pin_regions, margin=bounding_box_margin)
+    box_set = set(box)
+    for coord in box:
+        graph.add_node(coord)
+    for coord in box:
+        for neighbour in grid.neighbors(coord):
+            if neighbour in box_set and coord < neighbour:
+                graph.add_edge(coord, neighbour)
+    return graph
+
+
+def pins_connected_reference(graph: ConnectionGraph, skip_edge: Optional[GridEdge] = None) -> bool:
+    """BFS from the first pin that normalises every visited edge; True when it
+    reaches every pin without crossing ``skip_edge``."""
     if len(graph.pin_regions) <= 1:
         return True
     start = graph.pin_regions[0]
@@ -89,6 +145,66 @@ def _pins_connected_reference(graph: ConnectionGraph, skip_edge: GridEdge) -> bo
                 found.add(neighbour)
             queue.append(neighbour)
     return len(found) == len(targets)
+
+
+def prune_to_tree(graph: ConnectionGraph) -> RouteTree:
+    """Prune a final connection graph down to its pin-spanning tree.
+
+    Repeatedly removes degree-one vertices that are not pin regions, then
+    drops every component that contains no pin region.  Raises ``ValueError``
+    if the pins are not connected (the router guarantees they are).
+    """
+    if not pins_connected_reference(graph):
+        raise ValueError(
+            f"net {graph.net_id}: pin regions are disconnected, cannot realise a route tree"
+        )
+    adjacency: Dict[RegionCoord, Set[RegionCoord]] = {}
+    for edge in graph.edges():
+        coord_a, coord_b = edge
+        adjacency.setdefault(coord_a, set()).add(coord_b)
+        adjacency.setdefault(coord_b, set()).add(coord_a)
+    for pin in graph.pin_regions:
+        adjacency.setdefault(pin, set())
+
+    pins = set(graph.pin_regions)
+
+    # Iteratively strip non-pin leaves.
+    leaves: List[RegionCoord] = [
+        coord for coord, neighbours in adjacency.items()
+        if len(neighbours) <= 1 and coord not in pins
+    ]
+    while leaves:
+        leaf = leaves.pop()
+        neighbours = adjacency.pop(leaf, set())
+        for neighbour in neighbours:
+            adjacency[neighbour].discard(leaf)
+            if len(adjacency[neighbour]) <= 1 and neighbour not in pins:
+                leaves.append(neighbour)
+
+    # Keep only the component(s) containing pins (after pruning there is one).
+    reachable: Set[RegionCoord] = set()
+    stack: List[RegionCoord] = [pin for pin in pins if pin in adjacency]
+    reachable.update(stack)
+    while stack:
+        current = stack.pop()
+        for neighbour in adjacency.get(current, set()):
+            if neighbour not in reachable:
+                reachable.add(neighbour)
+                stack.append(neighbour)
+
+    edges: Set[GridEdge] = set()
+    for coord, neighbours in adjacency.items():
+        if coord not in reachable:
+            continue
+        for neighbour in neighbours:
+            if neighbour in reachable:
+                edges.add(normalize_edge(coord, neighbour))
+
+    return RouteTree(
+        net_id=graph.net_id,
+        pin_regions=graph.pin_regions,
+        edges=frozenset(edges),
+    )
 
 
 def route_netlist_reference(
@@ -170,7 +286,7 @@ def route_netlist_reference(
             heapq.heappush(heap, (-current_weight, next(counter), net_id, edge))
             report.heap_repushes += 1
             continue
-        if not _pins_connected_reference(graph, edge):
+        if not pins_connected_reference(graph, edge):
             report.kept_edges += 1
             continue
         graph.remove_edge(*edge)

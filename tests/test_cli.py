@@ -62,6 +62,21 @@ class TestParser:
             build_parser().parse_args(argv)
         assert raised.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--root", "x", "--backend", "2"],
+            ["compare", "--circ", "ibm01"],
+            ["tables", "--sca", "0.01"],
+        ],
+    )
+    def test_options_never_match_by_prefix(self, argv):
+        """An abbreviation — or a retired option prefixing a live one, as
+        ``--backend`` prefixes ``--backend-workers`` — is an argparse error."""
+        with pytest.raises(SystemExit) as raised:
+            build_parser().parse_args(argv)
+        assert raised.value.code == 2
+
     def test_characterize_arguments(self, tmp_path):
         args = build_parser().parse_args(
             ["characterize", "--samples", "16", "--output", str(tmp_path / "t.json")]
@@ -125,6 +140,21 @@ class TestParser:
         # A serial-backend cluster of 1 is valid and runs to idle exit.
         assert main(["serve", "--root", root, "--workers", "1", "--poll", "0.05",
                      "--idle-exit", "0.2"]) == 0
+
+    def test_serve_leaves_sigterm_as_it_found_it(self, tmp_path):
+        """An in-process serve — lone worker or supervisor — restores the
+        caller's SIGTERM handler when it returns."""
+        import signal
+
+        from repro.cli import main
+
+        before = signal.getsignal(signal.SIGTERM)
+        root = str(tmp_path / "svc")
+        assert main(["serve", "--root", root, "--idle-exit", "0.1", "--poll", "0.05"]) == 0
+        assert signal.getsignal(signal.SIGTERM) is before
+        assert main(["serve", "--root", root, "--workers", "1", "--poll", "0.05",
+                     "--idle-exit", "0.2"]) == 0
+        assert signal.getsignal(signal.SIGTERM) is before
 
     def test_serve_fleet_that_gives_up_exits_1(self, tmp_path, monkeypatch, capsys):
         """A crash-looping fleet must not look like a clean exit to scripts."""

@@ -23,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+import repro.obs.events as events_module
 from repro.obs.events import (
     EVENT_SCHEMA_VERSION,
     EventCursor,
@@ -279,6 +280,31 @@ class TestEventLogConcurrency:
             assert sorted(seqs) == list(range(per_writer)), f"gap in {writer}"
             payload = sorted(r["n"] for r in tailed if r["writer"] == writer)
             assert payload == list(range(per_writer))
+
+
+    def test_rotation_between_listing_and_open_delivers_once(self, tmp_path, monkeypatch):
+        """A segment rotated mid-poll resumes at its offset, not at byte 0."""
+        log = EventLog(tmp_path, writer="w")
+        for index in range(3):
+            log.emit("tick", n=index)
+        cursor = EventCursor(tmp_path)
+        tailed = cursor.poll()
+        log.emit("tick", n=3)
+        log.emit("tick", n=4)
+        listing = events_module._segment_paths
+
+        def listing_then_rotation(directory):
+            paths = listing(directory)
+            log._rotate(directory / "log.jsonl")
+            log.emit("tick", n=5)
+            return paths
+
+        monkeypatch.setattr(events_module, "_segment_paths", listing_then_rotation)
+        tailed += cursor.poll()
+        monkeypatch.setattr(events_module, "_segment_paths", listing)
+        tailed += cursor.poll()
+        tailed += cursor.poll()
+        assert sorted(record["seq"] for record in tailed) == list(range(6))
 
 
 # -- tracing --------------------------------------------------------------------------

@@ -1,18 +1,25 @@
 """Tests for the connection graphs, Formula 2 weights and the ID router."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.grid.congestion import CongestionMap
 from repro.grid.nets import Net, Netlist, Pin
 from repro.grid.regions import RoutingGrid
-from repro.router.connection_graph import ConnectionGraph, build_connection_graph
-from repro.router.iterative_deletion import IterativeDeletionRouter, route_netlist
-from repro.router.realize import prune_to_tree
+from repro.router.iterative_deletion import (
+    IterativeDeletionRouter,
+    prune,
+    route_netlist,
+    stays_connected,
+)
 from repro.router.weights import WeightConfig, edge_weight
 from tests.conftest import make_random_routing_instance
-from tests.oracles.router_reference import route_netlist_reference
+from tests.oracles.router_reference import (
+    ConnectionGraph,
+    pins_connected_reference,
+    route_netlist_reference,
+)
 
 
 @pytest.fixture
@@ -27,81 +34,136 @@ def grid():
     )
 
 
+def _box_adjacency(cols, rows):
+    """Integer adjacency of the full ``cols`` x ``rows`` grid graph."""
+    adjacency = {ix * rows + iy: set() for ix in range(cols) for iy in range(rows)}
+    for ix in range(cols):
+        for iy in range(rows):
+            region = ix * rows + iy
+            if ix + 1 < cols:
+                adjacency[region].add(region + rows)
+                adjacency[region + rows].add(region)
+            if iy + 1 < rows:
+                adjacency[region].add(region + 1)
+                adjacency[region + 1].add(region)
+    return adjacency
+
+
+def _without(adjacency, region_a, region_b):
+    adjacency = {region: set(neighbours) for region, neighbours in adjacency.items()}
+    adjacency[region_a].discard(region_b)
+    adjacency[region_b].discard(region_a)
+    return adjacency
+
+
 class TestConnectionGraph:
+    """Each net's connection graph and the deletability rule over it."""
+
     def test_build_covers_bounding_box(self, grid):
         net = Net(net_id=0, pins=(Pin(50, 50), Pin(250, 150)))
-        graph = build_connection_graph(net, grid)
-        # Bounding box spans 3 columns x 2 rows of regions.
-        assert graph.num_nodes == 6
-        assert graph.num_edges == 7
-        assert graph.is_pin_region((0, 0))
-        assert graph.is_pin_region((2, 1))
+        solution, report = route_netlist(grid, Netlist([net]))
+        # Bounding box spans 3 columns x 2 rows of regions: 7 edges, of
+        # which the 3-edge tree over the corner pins survives.
+        assert report.initial_edges == 7
+        assert report.deleted_edges == 4
+        assert {(0, 0), (2, 1)} <= solution.route(0).regions()
 
     def test_margin_expands_box(self, grid):
-        net = Net(net_id=0, pins=(Pin(150, 150), Pin(250, 150)))
-        plain = build_connection_graph(net, grid)
-        expanded = build_connection_graph(net, grid, bounding_box_margin=1)
-        assert expanded.num_nodes > plain.num_nodes
+        netlist = Netlist([Net(net_id=0, pins=(Pin(150, 150), Pin(250, 150)))])
+        _, plain = route_netlist(grid, netlist)
+        _, expanded = route_netlist(grid, netlist, config=WeightConfig(bounding_box_margin=1))
+        # A 4 x 3 box once expanded: 9 horizontal and 8 vertical edges.
+        assert (plain.initial_edges, expanded.initial_edges) == (1, 17)
 
-    def test_deletability_and_connectivity(self, grid):
-        net = Net(net_id=0, pins=(Pin(50, 50), Pin(250, 50)))
-        graph = build_connection_graph(net, grid)
-        assert graph.pins_connected()
-        # Straight-line graph of 3 regions in a row: every edge is a bridge.
-        assert not graph.is_deletable((0, 0), (1, 0))
-        assert not graph.is_deletable((1, 0), (2, 0))
+    def test_deletability_and_connectivity(self):
+        # Three regions in a row with pins at both ends: both edges are
+        # bridges with a pin on each side.
+        line = _box_adjacency(3, 1)
+        pins = frozenset({0, 2})
+        assert not stays_connected(_without(line, 0, 1), pins, 0, 1)
+        assert not stays_connected(_without(line, 1, 2), pins, 1, 2)
 
-    def test_deletable_in_a_cycle(self, grid):
-        net = Net(net_id=0, pins=(Pin(50, 50), Pin(150, 150)))
-        graph = build_connection_graph(net, grid)
-        # The 2x2 box is a cycle: every edge is deletable.
-        for edge in graph.edges():
-            assert graph.is_deletable(*edge)
+    def test_deletable_in_a_cycle(self):
+        # The 2x2 box is a 4-cycle: every edge is deletable.
+        square = _box_adjacency(2, 2)
+        pins = frozenset({0, 3})
+        for region_a, region_b in ((0, 1), (0, 2), (1, 3), (2, 3)):
+            assert stays_connected(_without(square, region_a, region_b), pins, region_a, region_b)
 
-    def test_remove_edge_updates_structure(self, grid):
-        net = Net(net_id=0, pins=(Pin(50, 50), Pin(150, 150)))
-        graph = build_connection_graph(net, grid)
-        edge = next(iter(graph.edges()))
-        graph.remove_edge(*edge)
-        assert not graph.has_edge(*edge)
-        with pytest.raises(KeyError):
-            graph.remove_edge(*edge)
+    def test_bridge_with_a_pin_free_side(self):
+        # A spur (1, 0) - (2, 0) hangs off the pin path (0, 0) - (1, 0):
+        # cutting it strands no pin, whichever end runs out first.
+        line = _box_adjacency(3, 1)
+        assert stays_connected(_without(line, 1, 2), frozenset({0, 1}), 1, 2)
+        assert stays_connected(_without(line, 1, 2), frozenset({0, 1}), 2, 1)
 
-    def test_is_forest_detection(self):
-        graph = ConnectionGraph(net_id=1, pin_regions=[(0, 0)])
-        graph.add_edge((0, 0), (1, 0))
-        graph.add_edge((1, 0), (1, 1))
-        assert graph.is_forest()
-        graph.add_edge((0, 0), (0, 1))
-        graph.add_edge((0, 1), (1, 1))
-        assert not graph.is_forest()
+    def test_bridge_in_a_pin_free_stray_component(self):
+        # The pins sit on 0 - 1; the component 2 - 3 - 4 holds none.
+        adjacency = {0: {1}, 1: {0}, 2: {3}, 3: {2, 4}, 4: {3}}
+        assert stays_connected(_without(adjacency, 3, 4), frozenset({0, 1}), 3, 4)
+        assert stays_connected(_without(adjacency, 2, 3), frozenset({0, 1}), 2, 3)
 
-    def test_requires_pin_regions(self):
-        with pytest.raises(ValueError):
-            ConnectionGraph(net_id=0, pin_regions=[])
+    def test_single_pin_region_loses_any_edge(self):
+        assert stays_connected(_without(_box_adjacency(3, 1), 0, 1), frozenset({0}), 0, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cols=st.integers(1, 5),
+        rows=st.integers(1, 5),
+        data=st.data(),
+    )
+    def test_agrees_with_one_sided_search(self, cols, rows, data):
+        """The two-sided rule equals a BFS from the first pin on random graphs."""
+        edges = [
+            ((ix, iy), neighbour)
+            for ix in range(cols)
+            for iy in range(rows)
+            for neighbour in ((ix + 1, iy), (ix, iy + 1))
+            if neighbour[0] < cols and neighbour[1] < rows
+        ]
+        if not edges:
+            return
+        present = data.draw(st.lists(st.sampled_from(edges), min_size=1, unique=True))
+        regions = sorted({coord for edge in present for coord in edge})
+        pins = data.draw(st.lists(st.sampled_from(regions), min_size=1, max_size=4, unique=True))
+        graph = ConnectionGraph(net_id=0, pin_regions=pins)
+        adjacency = {}
+        for coord_a, coord_b in present:
+            graph.add_edge(coord_a, coord_b)
+            id_a, id_b = coord_a[0] * rows + coord_a[1], coord_b[0] * rows + coord_b[1]
+            adjacency.setdefault(id_a, set()).add(id_b)
+            adjacency.setdefault(id_b, set()).add(id_a)
+        assume(pins_connected_reference(graph))
+        coord_a, coord_b = data.draw(st.sampled_from(present))
+        id_a, id_b = coord_a[0] * rows + coord_a[1], coord_b[0] * rows + coord_b[1]
+        pin_ids = frozenset(ix * rows + iy for ix, iy in pins)
+        assert stays_connected(_without(adjacency, id_a, id_b), pin_ids, id_a, id_b) == (
+            pins_connected_reference(graph, (coord_a, coord_b))
+        )
 
 
 class TestPruneToTree:
     def test_prunes_dangling_branches(self):
-        graph = ConnectionGraph(net_id=0, pin_regions=[(0, 0), (2, 0)])
-        graph.add_edge((0, 0), (1, 0))
-        graph.add_edge((1, 0), (2, 0))
-        graph.add_edge((1, 0), (1, 1))  # dangling, no pin
-        tree = prune_to_tree(graph)
+        edges = {((0, 0), (1, 0)), ((1, 0), (2, 0)), ((1, 0), (1, 1))}  # (1, 1) has no pin
+        tree = prune(0, ((0, 0), (2, 0)), edges)
         assert tree.is_tree()
         assert (1, 1) not in tree.regions()
 
     def test_disconnected_pins_raise(self):
-        graph = ConnectionGraph(net_id=0, pin_regions=[(0, 0), (2, 0)])
-        graph.add_edge((0, 0), (1, 0))
-        with pytest.raises(ValueError):
-            prune_to_tree(graph)
+        with pytest.raises(ValueError, match="disconnected"):
+            prune(0, ((0, 0), (2, 0)), {((0, 0), (1, 0))})
 
     def test_single_region_net(self):
-        graph = ConnectionGraph(net_id=0, pin_regions=[(1, 1)])
-        tree = prune_to_tree(graph)
+        tree = prune(0, ((1, 1),), set())
         assert tree.is_tree()
         assert tree.regions() == {(1, 1)}
+
+    def test_drops_pin_free_stray_component(self):
+        # A pin-free 4-cycle has no leaf to strip; only the reachability
+        # filter drops it.
+        cycle = {((3, 0), (4, 0)), ((4, 0), (4, 1)), ((3, 1), (4, 1)), ((3, 0), (3, 1))}
+        tree = prune(0, ((0, 0), (1, 0)), {((0, 0), (1, 0))} | cycle)
+        assert tree.edges == frozenset({((0, 0), (1, 0))})
 
 
 class TestWeights:
@@ -220,7 +282,10 @@ def _assert_same_routing(netlist, fast, reference):
     fast_solution, fast_report = fast
     reference_solution, reference_report = reference
     for net_id in netlist.net_ids():
-        assert fast_solution.route(net_id).edges == reference_solution.route(net_id).edges
+        route, expected = fast_solution.route(net_id), reference_solution.route(net_id)
+        # The order too: downstream sums and panel order iterate the edges.
+        assert list(route.edges) == list(expected.edges)
+        assert route.pin_regions == expected.pin_regions
     counters = ("num_nets", "initial_edges", "deleted_edges", "kept_edges", "heap_repushes")
     assert [getattr(fast_report, name) for name in counters] == [
         getattr(reference_report, name) for name in counters
